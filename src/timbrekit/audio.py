@@ -219,11 +219,22 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     return AudioBuffer(out, target_rate)
 
 
-def frame_slices(buf: AudioBuffer, spec: FrameSpec) -> list[tuple[float, np.ndarray]]:
-    """Cut the buffer into (center_time, window) pairs on the analysis grid.
+# Frames go through the batched measures this many at a time, so transient
+# memory stays flat on long recordings; 3 s of audio on the 10 ms grid is
+# one block.
+FRAME_BLOCK = 320
+
+
+def next_pow2(n: int) -> int:
+    """Smallest power of two >= n (n >= 1)."""
+    return 1 << (int(n - 1)).bit_length()
+
+
+def frame_times(buf: AudioBuffer, spec: FrameSpec) -> np.ndarray:
+    """Center times (s) of the full windows on the analysis grid.
 
     Windows are centered: the first center sits at window/2 and the hop is
-    spec.step. Slices that would run past the end are dropped.
+    spec.step. Windows that would run past the end are dropped.
     """
     win = int(round(spec.window * buf.sample_rate))
     hop = int(round(spec.step * buf.sample_rate))
@@ -234,20 +245,28 @@ def frame_slices(buf: AudioBuffer, spec: FrameSpec) -> list[tuple[float, np.ndar
         raise ValueError(
             f"buffer of {n} samples is shorter than one {win}-sample window"
         )
-    out = []
-    for start in range(0, n - win + 1, hop):
-        center = (start + win / 2.0) / buf.sample_rate
-        out.append((center, buf.samples[start : start + win]))
-    return out
+    return (np.arange(0, n - win + 1, hop) + win / 2.0) / buf.sample_rate
 
 
-def slice_at(buf: AudioBuffer, center_time: float, window: float) -> np.ndarray | None:
-    """Window of the given length centered at center_time, or None at the edges."""
-    win = int(round(window * buf.sample_rate))
-    start = int(round(center_time * buf.sample_rate - win / 2.0))
-    if start < 0 or start + win > buf.samples.size:
-        return None
-    return buf.samples[start : start + win]
+def window_starts(times: np.ndarray, window: float, sample_rate: int) -> tuple[np.ndarray, int]:
+    """(first sample, length) of the `window`-second windows centered at `times`.
+
+    Starts may fall outside the buffer; callers decide what an edge means.
+    """
+    win = int(round(window * sample_rate))
+    starts = np.rint(np.asarray(times, dtype=np.float64) * sample_rate - win / 2.0)
+    return starts.astype(np.intp), win
+
+
+def frame_blocks(samples: np.ndarray, starts: np.ndarray, win: int):
+    """Yield [rows x win] frame matrices, FRAME_BLOCK rows at a time.
+
+    Row i of the concatenated blocks is samples[starts[i] : starts[i] + win];
+    every window must lie inside the buffer.
+    """
+    view = np.lib.stride_tricks.sliding_window_view(samples, win)
+    for lo in range(0, len(starts), FRAME_BLOCK):
+        yield view[starts[lo : lo + FRAME_BLOCK]]
 
 
 def synth(spec: SynthSpec) -> AudioBuffer:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import next_pow2
 from .diffnet import (
     B_STRONGER,
     DiffNetModel,
@@ -175,20 +176,16 @@ def _dense_flops(n_in: int, n_out: int) -> int:
     return 2 * n_in * n_out + n_out
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (int(n - 1)).bit_length()
-
-
 def _acoustic_breakdown(config: ExtractionConfig) -> dict[str, int]:
     sr = config.sample_rate
     frames = int(round(1.0 / config.frame.step))
     slice_n = int(round(config.frame.window * sr))
-    slice_fft = _next_pow2(4 * slice_n)
+    slice_fft = next_pow2(4 * slice_n)
     slice_bins = slice_fft // 2 + 1
 
     pitch_n = int(round(3.0 / config.pitch.floor * sr))
     lag_max = int(sr / config.pitch.floor)
-    pitch_fft = _next_pow2(pitch_n + lag_max + 2)
+    pitch_fft = next_pow2(pitch_n + lag_max + 2)
     lag_oversample = 4  # the ACF inverse transform runs on a 4x finer lag grid
     pitch = (
         4 * pitch_n  # mean removal and taper

@@ -1,6 +1,6 @@
 """Utterance-level feature extraction.
 
-Runs the per-frame measures over a 10 ms grid, keeps only voiced frames,
+Runs the frame measures over a 10 ms grid, keeps only voiced frames,
 and pools each of the 13 raw series into a global mean and a global
 coefficient of variation, giving the 26-dimensional vector in the
 canonical order below. Also provides the two cepstral baselines (MFCC and
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import dct
 
-from .audio import AudioBuffer, FrameSpec, frame_slices, resample, slice_at
+from .audio import AudioBuffer, FrameSpec, frame_blocks, frame_times, resample, window_starts
 from .formants import FormantConfig, dispersion, formant_track
 from .harmonics import magnitude_spectrum, rms_energy, tilt_measures
 from .noise_metrics import CppConfig, ShrConfig, cpp_from_spectrum, shr
@@ -135,61 +135,37 @@ class CepstralVector:
 
 
 def extract_track(buf: AudioBuffer, config: ExtractionConfig = ExtractionConfig()) -> FrameTrack:
-    """All 13 raw measures on the 10 ms grid; unvoiced frames all-NaN."""
+    """All 13 raw measures on the 10 ms grid; unvoiced frames all-NaN.
+
+    A frame whose pitch window fits the buffer but whose measure slice
+    does not counts as unvoiced. The measures run on the voiced slices a
+    block at a time.
+    """
     buf = resample(buf, config.sample_rate)
     ptrack = pitch_track(buf, config.pitch, config.frame.step)
-    n = ptrack.times.size
-    values = {name: np.full(n, np.nan) for name in MEASURE_NAMES}
-    voiced = ptrack.voiced.copy()
+    starts, win = window_starts(ptrack.times, config.frame.window, buf.sample_rate)
+    voiced = ptrack.voiced & (starts >= 0) & (starts + win <= buf.samples.size)
+    rows = np.flatnonzero(voiced)
+    formants = formant_track(buf, config.formant, config.frame.step, centers=ptrack.times[rows])
 
-    voiced_idx = [i for i in range(n) if voiced[i]]
-    centers = [float(ptrack.times[i]) for i in voiced_idx]
-    formant_frames = formant_track(buf, config.formant, config.frame.step, centers=centers)
-
-    for i, fframe in zip(voiced_idx, formant_frames):
-        window = slice_at(buf, float(ptrack.times[i]), config.frame.window)
-        if window is None:  # pitch window fit but the measure slice does not
-            voiced[i] = False
-            continue
-        f0 = float(ptrack.f0[i])
-        spectrum = magnitude_spectrum(window, buf.sample_rate)
-
-        values["f0"][i] = f0
-        for k in range(1, 5):
-            freq = fframe.frequency(k)
-            if freq is not None:
-                values[f"f{k}"][i] = freq
-        disp = dispersion(fframe.frequency(1), fframe.frequency(4))
-        if disp is not None:
-            values["dispersion"][i] = disp
-        tilt = tilt_measures(spectrum, f0, fframe)
-        for name, value in (
-            ("h1_h2", tilt.h1_h2),
-            ("h2_h4", tilt.h2_h4),
-            ("h4_h2k", tilt.h4_h2k),
-            ("h2k_h5k", tilt.h2k_h5k),
-        ):
-            if value is not None:
-                values[name][i] = value
-        values["cpp"][i] = cpp_from_spectrum(spectrum, config.cpp)
-        values["rms"][i] = rms_energy(window)
-        try:
-            values["shr"][i] = shr(spectrum, f0, config.shr)
-        except ValueError:
-            pass  # f0 too high for two harmonics; stays missing
-
-    for name in MEASURE_NAMES:
-        values[name][~voiced] = np.nan
+    values = {name: np.full(ptrack.times.size, np.nan) for name in MEASURE_NAMES}
+    values["f0"][rows] = ptrack.f0[rows]
+    for k in range(1, 5):
+        values[f"f{k}"][rows] = formants.frequencies[:, k - 1]
+    values["dispersion"][rows] = dispersion(formants.frequencies[:, 0], formants.frequencies[:, 3])
+    lo = 0
+    for frames in frame_blocks(buf.samples, starts[rows], win):
+        block = slice(lo, lo + frames.shape[0])
+        lo = block.stop
+        at = rows[block]
+        spectrum = magnitude_spectrum(frames, buf.sample_rate)
+        tilt = tilt_measures(spectrum, ptrack.f0[at], formants[block])
+        for name in ("h1_h2", "h2_h4", "h4_h2k", "h2k_h5k"):
+            values[name][at] = getattr(tilt, name)
+        values["cpp"][at] = cpp_from_spectrum(spectrum, config.cpp)
+        values["rms"][at] = rms_energy(frames)
+        values["shr"][at] = shr(spectrum, ptrack.f0[at], config.shr)  # NaN where f0 is too high
     return FrameTrack(times=ptrack.times, voiced=voiced, values=values)
-
-
-def cov(series) -> float:
-    """Population standard deviation over |mean| (plus epsilon), NaNs dropped."""
-    x = np.asarray(series, dtype=np.float64)
-    x = x[np.isfinite(x)]
-    if x.size == 0:
-        raise ValueError("empty series")
-    return float(np.std(x) / (abs(float(np.mean(x))) + _COV_EPSILON))
 
 
 def aggregate(track: FrameTrack, min_voiced_frames: int = 10) -> AcousticVector:
@@ -248,15 +224,16 @@ def filterbank_matrix(nfft: int, sample_rate: float, scale: str) -> np.ndarray:
 
 def _cepstral(buf: AudioBuffer, scale: str, nfft: int) -> CepstralVector:
     buf = resample(buf, 16000)
-    frames = frame_slices(buf, FrameSpec(step=CEPSTRAL_STEP, window=CEPSTRAL_WINDOW))
+    times = frame_times(buf, FrameSpec(step=CEPSTRAL_STEP, window=CEPSTRAL_WINDOW))
+    starts, win = window_starts(times, CEPSTRAL_WINDOW, buf.sample_rate)
     bank = filterbank_matrix(nfft, buf.sample_rate, scale)
-    window = np.hanning(int(round(CEPSTRAL_WINDOW * buf.sample_rate)))
-    coeffs = np.zeros((len(frames), len(CEPSTRAL_NAMES)))
-    for i, (_, x) in enumerate(frames):
-        power = np.abs(np.fft.rfft(x * window, nfft)) ** 2
-        log_energy = np.log(np.maximum(bank @ power, _LOG_FLOOR))
-        coeffs[i] = dct(log_energy, type=2, norm="ortho")[: len(CEPSTRAL_NAMES)]
-    return CepstralVector(coeffs.mean(axis=0), len(frames))
+    window = np.hanning(win)
+    total = np.zeros(len(CEPSTRAL_NAMES))
+    for frames in frame_blocks(buf.samples, starts, win):
+        power = np.abs(np.fft.rfft(frames * window, nfft)) ** 2
+        log_energy = np.log(np.maximum(power @ bank.T, _LOG_FLOOR))
+        total += dct(log_energy, type=2, norm="ortho", axis=1)[:, : len(CEPSTRAL_NAMES)].sum(axis=0)
+    return CepstralVector(total / times.size, times.size)
 
 
 def mfcc(buf: AudioBuffer) -> CepstralVector:

@@ -2,18 +2,20 @@
 
 Each utterance is resampled once to twice the formant ceiling so that the
 LPC search band spans exactly the analysis Nyquist range, then analyzed
-frame by frame with a pre-emphasized, Gaussian-tapered 25 ms window.
+with a pre-emphasized, Gaussian-tapered 25 ms window, a block of frames
+at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .audio import AudioBuffer, FrameSpec, frame_slices, resample
+from .audio import AudioBuffer, FrameSpec, frame_blocks, frame_times, resample, window_starts
 
 
 class Formant(NamedTuple):
@@ -74,6 +76,31 @@ class FormantFrame:
         return len(self.formants)
 
 
+@dataclass(frozen=True, eq=False)
+class FormantTrack(Sequence):
+    """Per-frame resonances as [frames x max_formants] arrays.
+
+    Row i holds frame i's formants in ascending frequency order, NaN past
+    the last one found. An index yields that frame as a FormantFrame, a
+    slice the FormantTrack of those frames.
+    """
+
+    frequencies: np.ndarray
+    bandwidths: np.ndarray
+
+    def __len__(self) -> int:
+        return self.frequencies.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return FormantTrack(self.frequencies[index], self.bandwidths[index])
+        freqs, bws = self.frequencies[index], self.bandwidths[index]
+        found = np.isfinite(freqs)
+        return FormantFrame(
+            tuple(Formant(float(f), float(b)) for f, b in zip(freqs[found], bws[found]))
+        )
+
+
 def burg(window_samples: np.ndarray, order: int, return_reflections: bool = False):
     """Burg's method: LPC coefficients a_1..a_p of the all-pole model.
 
@@ -81,64 +108,99 @@ def burg(window_samples: np.ndarray, order: int, return_reflections: bool = Fals
     reflection coefficients are bounded by 1 in magnitude (Cauchy-Schwarz),
     so the model polynomial 1 + sum a_k z^-k is minimum phase.
 
-    Raises ValueError for windows with no signal energy.
+    A [frames x n] matrix is fitted row by row in one pass and gives
+    [frames x order] arrays. One window raises ValueError when it has no
+    signal energy or non-finite samples; in a matrix such rows read NaN.
     """
     x = np.asarray(window_samples, dtype=np.float64)
-    n = x.size
+    n = x.shape[-1]
     if n <= order:
         raise ValueError(f"window of {n} samples cannot support order {order}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("window contains non-finite samples")
-    if not np.any(x):
+    frames = np.atleast_2d(x)
+    usable = np.all(np.isfinite(frames), axis=1) & np.any(frames, axis=1)
+    if x.ndim == 1 and not usable[0]:
+        if not np.all(np.isfinite(x)):
+            raise ValueError("window contains non-finite samples")
         raise ValueError("all-zero window")
+    frames = np.where(usable[:, np.newaxis], frames, 0.0)
 
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    reflections = np.zeros(order)
-    # Stage-m errors are kept aligned so f[i] pairs with b[i].
-    f = x[1:].copy()
-    b = x[:-1].copy()
+    rows = frames.shape[0]
+    a = np.zeros((rows, order + 1))
+    a[:, 0] = 1.0
+    reflections = np.zeros((rows, order))
+    # Stage-m errors are kept aligned so f[:, i] pairs with b[:, i].
+    f = frames[:, 1:]
+    b = frames[:, :-1]
     for m in range(1, order + 1):
-        den = f @ f + b @ b
-        if den <= 0:
-            break  # residual energy exhausted; remaining coefficients stay 0
-        k = -2.0 * (f @ b) / den
-        reflections[m - 1] = k
-        prev = a[: m + 1].copy()
-        a[1 : m + 1] = prev[1 : m + 1] + k * prev[m - 1 :: -1][:m]
+        den = np.einsum("ij,ij->i", f, f) + np.einsum("ij,ij->i", b, b)
+        # Exhausted residual energy leaves k = 0, so the remaining
+        # coefficients of that row stay as they are.
+        live = den > 0
+        k = np.where(live, -2.0 * np.einsum("ij,ij->i", f, b) / np.where(live, den, 1.0), 0.0)
+        reflections[:, m - 1] = k
+        a[:, 1 : m + 1] = a[:, 1 : m + 1] + k[:, np.newaxis] * a[:, m - 1 :: -1]
         if m < order:
-            f, b = f[1:] + k * b[1:], b[:-1] + k * f[:-1]
+            f, b = f[:, 1:] + k[:, np.newaxis] * b[:, 1:], b[:, :-1] + k[:, np.newaxis] * f[:, :-1]
+    a[~usable] = np.nan
+    reflections[~usable] = np.nan
+    if x.ndim == 1:
+        a, reflections = a[0], reflections[0]
     if return_reflections:
-        return a[1:], reflections
-    return a[1:]
+        return a[..., 1:], reflections
+    return a[..., 1:]
 
 
 def roots_to_formants(
     lpc: np.ndarray, analysis_rate: float, config: FormantConfig = FormantConfig()
-) -> FormantFrame:
+):
     """Map LPC polynomial roots to (frequency, bandwidth) resonances.
 
     A root r*exp(i*theta) with theta in (0, pi) becomes frequency
     theta*rate/(2*pi) and bandwidth -ln(r)*rate/pi. Roots outside
     (50 Hz, ceiling - 50 Hz) or broader than max_bandwidth are dropped.
+
+    One coefficient vector gives a FormantFrame and raises ValueError when
+    non-finite. A [frames x order] matrix gives a FormantTrack, with the
+    roots of every row from one batched eigenvalue call on the stacked
+    companion matrices; non-finite rows read as empty frames.
     """
-    coeffs = np.concatenate(([1.0], np.asarray(lpc, dtype=np.float64)))
-    if not np.all(np.isfinite(coeffs)):
+    coeffs = np.atleast_2d(np.asarray(lpc, dtype=np.float64))
+    finite = np.all(np.isfinite(coeffs), axis=1)
+    if np.ndim(lpc) == 1 and not finite[0]:
         raise ValueError("non-finite LPC coefficients")
-    roots = np.roots(coeffs)
-    found = []
-    for root in roots:
-        if root.imag <= 0:
-            continue
-        radius = abs(root)
-        if radius <= 0 or radius >= 1:
-            continue
-        freq = np.angle(root) * analysis_rate / (2.0 * np.pi)
+    rows, order = coeffs.shape
+    companion = np.zeros((rows, order, order))
+    companion[:, 0, :] = -np.where(finite[:, np.newaxis], coeffs, 0.0)
+    companion[:, np.arange(1, order), np.arange(order - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+
+    radius = np.abs(roots)
+    with np.errstate(divide="ignore"):
+        freq = np.angle(roots) * analysis_rate / (2.0 * np.pi)
         bandwidth = -np.log(radius) * analysis_rate / np.pi
-        if 50.0 < freq < config.ceiling - 50.0 and 0 < bandwidth < config.max_bandwidth:
-            found.append(Formant(float(freq), float(bandwidth)))
-    found.sort(key=lambda fm: fm.frequency)
-    return FormantFrame(tuple(found[: config.max_formants]))
+    keep = (
+        finite[:, np.newaxis]
+        & (roots.imag > 0)
+        & (radius > 0)
+        & (radius < 1)
+        & (freq > 50.0)
+        & (freq < config.ceiling - 50.0)
+        & (bandwidth > 0)
+        & (bandwidth < config.max_bandwidth)
+    )
+    freq = np.where(keep, freq, np.inf)
+    ranked = np.argsort(freq, axis=1, kind="stable")[:, : config.max_formants]
+    freq = np.take_along_axis(freq, ranked, axis=1)
+    bandwidth = np.take_along_axis(bandwidth, ranked, axis=1)
+    bandwidth[np.isinf(freq)] = np.nan
+    freq[np.isinf(freq)] = np.nan
+    # A repeated frequency cannot form a strictly ascending frame.
+    repeated = np.any(np.diff(freq, axis=1) <= 0, axis=1)
+    freq[repeated] = np.nan
+    bandwidth[repeated] = np.nan
+    if np.ndim(lpc) == 1:
+        return FormantTrack(freq, bandwidth)[0]
+    return FormantTrack(freq, bandwidth)
 
 
 @lru_cache(maxsize=8)
@@ -155,7 +217,7 @@ def formant_track(
     config: FormantConfig = FormantConfig(),
     step: float = 0.010,
     centers=None,
-) -> list[FormantFrame]:
+) -> FormantTrack:
     """Per-frame formants on the 10 ms grid (or at the given center times).
 
     Frames whose window falls outside the buffer, or where the LPC fit
@@ -168,28 +230,29 @@ def formant_track(
     emphasized[0] = work.samples[0]
     emphasized[1:] = work.samples[1:] - alpha * work.samples[:-1]
 
-    win = int(round(config.window * rate))
-    taper = _gaussian_window(win)
     if centers is None:
-        centers = [t for t, _ in frame_slices(work, FrameSpec(step=step, window=config.window))]
+        centers = frame_times(work, FrameSpec(step=step, window=config.window))
+    starts, win = window_starts(centers, config.window, rate)
+    taper = _gaussian_window(win)
+    inside = np.flatnonzero((starts >= 0) & (starts + win <= emphasized.size))
 
-    frames = []
-    for center in centers:
-        start = int(round(center * rate - win / 2.0))
-        if start < 0 or start + win > emphasized.size:
-            frames.append(FormantFrame())
-            continue
-        xw = emphasized[start : start + win] * taper
-        try:
-            lpc = burg(xw, config.lpc_order)
-            frames.append(roots_to_formants(lpc, rate, config))
-        except ValueError:
-            frames.append(FormantFrame())
-    return frames
+    shape = (starts.size, config.max_formants)
+    frequencies, bandwidths = np.full(shape, np.nan), np.full(shape, np.nan)
+    lo = 0
+    for frames in frame_blocks(emphasized, starts[inside], win):
+        rows = inside[lo : lo + frames.shape[0]]
+        lo += frames.shape[0]
+        found = roots_to_formants(burg(frames * taper, config.lpc_order), rate, config)
+        frequencies[rows] = found.frequencies
+        bandwidths[rows] = found.bandwidths
+    return FormantTrack(frequencies, bandwidths)
 
 
-def dispersion(f1: float | None, f4: float | None) -> float | None:
-    """Average spacing (f4 - f1)/3; None when either input is missing."""
+def dispersion(f1, f4):
+    """Average spacing (f4 - f1)/3; None when either input is missing.
+
+    Per-frame arrays give an array, NaN wherever F1 or F4 is NaN.
+    """
     if f1 is None or f4 is None:
         return None
     return (f4 - f1) / 3.0

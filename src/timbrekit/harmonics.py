@@ -5,6 +5,10 @@ peak-picking near multiples of f0, corrected for the gain that vocal-tract
 resonances add at those frequencies, and differenced into the four
 spectral-shape measures. Amplitudes are dB re full scale; only differences
 enter the feature vector, so the reference cancels.
+
+Every measure also takes a [frames x window] matrix of slices (with
+per-frame f0 and a FormantTrack) and returns arrays, NaN where a single
+slice would give None; the single-slice call is its one-row case.
 """
 
 from __future__ import annotations
@@ -13,14 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formants import Formant, FormantFrame
+from .audio import next_pow2
+from .formants import FormantFrame, FormantTrack
 
 _DB_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One-sided linear magnitude spectrum of a single analysis slice."""
+    """One-sided linear magnitude spectrum of one slice, or one row per slice."""
 
     frequencies: np.ndarray
     magnitudes: np.ndarray
@@ -29,7 +34,7 @@ class Spectrum:
 
     @property
     def fft_size(self) -> int:
-        return 2 * (self.magnitudes.size - 1)
+        return 2 * (self.magnitudes.shape[-1] - 1)
 
     @property
     def bin_hz(self) -> float:
@@ -42,7 +47,7 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class TiltMeasures:
-    """Corrected harmonic amplitude differences, dB; None where undefined."""
+    """Corrected harmonic amplitude differences, dB; None (NaN per frame) where undefined."""
 
     h1_h2: float | None
     h2_h4: float | None
@@ -50,27 +55,40 @@ class TiltMeasures:
     h2k_h5k: float | None
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (int(n - 1)).bit_length()
-
-
 def magnitude_spectrum(window_samples: np.ndarray, sample_rate: float) -> Spectrum:
     """Hann-windowed magnitude spectrum, zero-padded to a power of two >= 4x."""
     x = np.asarray(window_samples, dtype=np.float64)
-    if x.size == 0:
+    n = x.shape[-1]
+    if n == 0:
         raise ValueError("empty window")
-    nfft = _next_pow2(4 * x.size)
-    mags = np.abs(np.fft.rfft(x * np.hanning(x.size), nfft))
+    nfft = next_pow2(4 * n)
+    mags = np.abs(np.fft.rfft(x * np.hanning(n), nfft))
     freqs = np.fft.rfftfreq(nfft, 1.0 / sample_rate)
-    return Spectrum(freqs, mags, x.size, float(sample_rate))
+    return Spectrum(freqs, mags, n, float(sample_rate))
 
 
-def _band_peak_db(spec: Spectrum, lo: float, hi: float) -> float | None:
-    i0 = int(np.searchsorted(spec.frequencies, lo, side="left"))
-    i1 = int(np.searchsorted(spec.frequencies, hi, side="right"))
-    if i0 >= spec.magnitudes.size or i1 <= i0:
-        return None
-    return float(20.0 * np.log10(spec.magnitudes[i0:i1].max() + _DB_GUARD))
+def band_peaks(magnitudes: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Largest magnitude of each row over bins [starts, stops), stops > starts.
+
+    magnitudes is [rows x bins]; starts and stops are [rows x bands].
+    """
+    width = int(np.max(stops - starts, initial=1))
+    idx = starts[..., np.newaxis] + np.arange(width)
+    rows = np.arange(magnitudes.shape[0])[:, np.newaxis, np.newaxis]
+    values = magnitudes[rows, np.minimum(idx, magnitudes.shape[-1] - 1)]
+    return np.max(np.where(idx < stops[..., np.newaxis], values, -np.inf), axis=-1)
+
+
+def _harmonic_levels(spec: Spectrum, targets: np.ndarray, f0: np.ndarray):
+    """(peak dB with NaN, snapped harmonic) for [rows x bands] targets and per-row f0."""
+    f0 = f0[:, np.newaxis]
+    harmonic = np.maximum(1.0, np.rint(targets / f0)) * f0
+    starts = np.searchsorted(spec.frequencies, harmonic - f0 / 4.0, side="left")
+    stops = np.searchsorted(spec.frequencies, harmonic + f0 / 4.0, side="right")
+    ok = (targets > 0) & (targets < spec.nyquist) & (starts < spec.frequencies.size) & (stops > starts)
+    mags = spec.magnitudes.reshape(-1, spec.frequencies.size)
+    peaks = band_peaks(mags, np.where(ok, starts, 0), np.where(ok, stops, 1))
+    return np.where(ok, 20.0 * np.log10(peaks + _DB_GUARD), np.nan), harmonic
 
 
 def harmonic_amplitude(spec: Spectrum, target: float, f0: float) -> float | None:
@@ -82,47 +100,52 @@ def harmonic_amplitude(spec: Spectrum, target: float, f0: float) -> float | None
     """
     if f0 <= 0:
         raise ValueError("f0 must be positive")
-    if target <= 0 or target >= spec.nyquist:
-        return None
-    k = max(1, int(round(target / f0)))
-    harmonic = k * f0
-    return _band_peak_db(spec, harmonic - f0 / 4.0, harmonic + f0 / 4.0)
+    level, _ = _harmonic_levels(spec, np.array([[float(target)]]), np.array([float(f0)]))
+    return None if np.isnan(level[0, 0]) else float(level[0, 0])
 
 
-def correction_db(freq: float, formants, sample_rate: float) -> float:
+def correction_db(freq, formants, sample_rate: float):
     """Total resonance gain (dB) the given formants contribute at `freq`.
 
     Each formant is modeled as a two-pole resonator; its term is the gain
     at freq relative to the resonator's DC gain. Terms add across formants
-    and vanish as the pole radius goes to zero.
+    and vanish as the pole radius goes to zero. formants holds (frequency,
+    bandwidth) pairs; for an array of freqs it is [freqs x formants x 2],
+    where NaN pairs contribute nothing.
     """
-    omega = 2.0 * np.pi * freq / sample_rate
-    total = 0.0
-    for formant_freq, bandwidth in formants:
-        r = np.exp(-np.pi * bandwidth / sample_rate)
-        omega_i = 2.0 * np.pi * formant_freq / sample_rate
-        num = (1.0 - 2.0 * r * np.cos(omega_i) + r * r) ** 2
-        den = (1.0 - 2.0 * r * np.cos(omega + omega_i) + r * r) * (
-            1.0 - 2.0 * r * np.cos(omega - omega_i) + r * r
-        )
-        total += 10.0 * np.log10(num / den)
-    return total
+    pairs = np.asarray(formants, dtype=np.float64).reshape(*np.shape(freq), -1, 2)
+    omega = 2.0 * np.pi * np.asarray(freq, dtype=np.float64)[..., np.newaxis] / sample_rate
+    r = np.exp(-np.pi * pairs[..., 1] / sample_rate)
+    omega_i = 2.0 * np.pi * pairs[..., 0] / sample_rate
+    num = (1.0 - 2.0 * r * np.cos(omega_i) + r * r) ** 2
+    den = (1.0 - 2.0 * r * np.cos(omega + omega_i) + r * r) * (
+        1.0 - 2.0 * r * np.cos(omega - omega_i) + r * r
+    )
+    return np.nansum(10.0 * np.log10(num / den), axis=-1)
 
 
-def formant_correction(
-    amp_db: float | None, freq: float, formants, sample_rate: float
-) -> float | None:
-    """Remove formant gain from a measured harmonic amplitude ("starred" value)."""
-    if amp_db is None:
+def formant_correction(amp_db, freq, formants, sample_rate: float):
+    """Remove formant gain from a measured harmonic amplitude ("starred" value).
+
+    None when the amplitude is missing or no formant is given. Arrays work
+    as in correction_db, and NaN amplitudes stay NaN.
+    """
+    if amp_db is None or len(formants) == 0:
         return None
-    usable = [f for f in formants if f is not None]
-    if not usable:
-        return None
-    return amp_db - correction_db(freq, usable, sample_rate)
+    return amp_db - correction_db(freq, formants, sample_rate)
 
 
-def tilt_measures(spec: Spectrum, f0: float, formants: FormantFrame) -> TiltMeasures:
-    """The four spectral-shape differences for one voiced slice.
+def _formant_pairs(formants: FormantFrame | FormantTrack) -> np.ndarray:
+    """[rows x K x 2] (frequency, bandwidth) pairs, NaN-padded to K >= 2."""
+    if isinstance(formants, FormantFrame):
+        pairs = np.array(formants.formants, dtype=np.float64).reshape(1, -1, 2)
+    else:
+        pairs = np.stack([formants.frequencies, formants.bandwidths], axis=-1)
+    return np.pad(pairs, ((0, 0), (0, max(0, 2 - pairs.shape[1])), (0, 0)), constant_values=np.nan)
+
+
+def tilt_measures(spec: Spectrum, f0, formants: FormantFrame | FormantTrack) -> TiltMeasures:
+    """The four spectral-shape differences for one voiced slice (or one per row).
 
     H1, H2, H4 sit at harmonics 1, 2, 4; H2kHz and H5kHz at the harmonics
     nearest 2 and 5 kHz. All but H5kHz are corrected for formant gain
@@ -130,38 +153,26 @@ def tilt_measures(spec: Spectrum, f0: float, formants: FormantFrame) -> TiltMeas
     missing constituent makes the affected difference None.
     """
     fs = spec.sample_rate
+    f0 = np.atleast_1d(np.asarray(f0, dtype=np.float64))
+    targets = np.column_stack([f0, 2 * f0, 4 * f0, np.full_like(f0, 2000.0), np.full_like(f0, 5000.0)])
+    raw, snapped = _harmonic_levels(spec, targets, f0)
 
-    def snapped(target):
-        return max(1, int(round(target / f0))) * f0
-
-    raw = {t: harmonic_amplitude(spec, t, f0) for t in (f0, 2 * f0, 4 * f0, 2000.0, 5000.0)}
-
-    first_two = [
-        Formant(fr, bw)
-        for fr, bw in [
-            (formants.frequency(1), formants.bandwidth(1)),
-            (formants.frequency(2), formants.bandwidth(2)),
-        ]
-        if fr is not None
-    ]
-    if len(first_two) < 2:
-        return TiltMeasures(None, None, None, None)
-
-    h1 = formant_correction(raw[f0], snapped(f0), first_two, fs)
-    h2 = formant_correction(raw[2 * f0], snapped(2 * f0), first_two, fs)
-    h4 = formant_correction(raw[4 * f0], snapped(4 * f0), first_two, fs)
-    h2k = formant_correction(raw[2000.0], snapped(2000.0), formants.formants, fs)
-    h5k = raw[5000.0]  # uncorrected by convention
-
-    def diff(a, b):
-        return a - b if a is not None and b is not None else None
-
-    return TiltMeasures(diff(h1, h2), diff(h2, h4), diff(h4, h2k), diff(h2k, h5k))
+    pairs = _formant_pairs(formants)
+    first_two = pairs[:, :2]
+    h1, h2, h4 = (formant_correction(raw[:, i], snapped[:, i], first_two, fs) for i in range(3))
+    h2k = formant_correction(raw[:, 3], snapped[:, 3], pairs, fs)
+    h5k = raw[:, 4]  # uncorrected by convention
+    diffs = np.column_stack([h1 - h2, h2 - h4, h4 - h2k, h2k - h5k])
+    diffs[np.isnan(pairs[:, 1, 0])] = np.nan  # F1 or F2 missing
+    if spec.magnitudes.ndim == 1:
+        return TiltMeasures(*(None if np.isnan(v) else float(v) for v in diffs[0]))
+    return TiltMeasures(*diffs.T)
 
 
-def rms_energy(window_samples: np.ndarray) -> float:
-    """Root mean square of the raw slice, no taper."""
+def rms_energy(window_samples: np.ndarray):
+    """Root mean square of the raw slice (or of each row), no taper."""
     x = np.asarray(window_samples, dtype=np.float64)
-    if x.size == 0:
+    if x.shape[-1] == 0:
         raise ValueError("empty window")
-    return float(np.sqrt(np.mean(x * x)))
+    rms = np.sqrt(np.mean(x * x, axis=-1))
+    return float(rms) if x.ndim == 1 else rms

@@ -2,7 +2,8 @@
 subharmonic-to-harmonic ratio.
 
 Both operate on the same Hann-windowed slice spectrum the tilt measures
-use, so an extraction pass computes that spectrum once per frame.
+use, so an extraction pass computes that spectrum once per frame. Given a
+spectrum with one row per slice (and per-row f0), both return arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import Spectrum, magnitude_spectrum
+from .harmonics import Spectrum, band_peaks
 
 # Spectral floor relative to the peak bin before taking logs. A relative
 # (not absolute) floor keeps CPP exactly invariant to amplitude scaling.
@@ -41,17 +42,18 @@ class ShrConfig:
 
 
 def _cepstrum_db(spec: Spectrum, upto: int) -> np.ndarray:
-    """Magnitude (in dB) of the inverse transform of the dB power spectrum.
+    """Magnitude (in dB) of the inverse transform of the dB power spectrum, per row.
 
     Quefrency 0 soaks up the overall signal level, so everything past it
     is exactly invariant to amplitude scaling. Only the first `upto`
     quefrency bins are converted (all that peak search and trend need).
     """
-    peak = float(np.max(spec.magnitudes))
-    if peak <= 0:
+    mags = spec.magnitudes.reshape(-1, spec.magnitudes.shape[-1])
+    peak = np.max(mags, axis=1, keepdims=True)
+    if np.any(peak <= 0):
         raise ValueError("zero spectrum")
-    level_db = 20.0 * np.log10(np.maximum(spec.magnitudes, peak * _REL_SPECTRAL_FLOOR))
-    cep = np.fft.irfft(level_db, spec.fft_size)[:upto]
+    level_db = 20.0 * np.log10(np.maximum(mags, peak * _REL_SPECTRAL_FLOOR))
+    cep = np.fft.irfft(level_db, spec.fft_size)[:, :upto]
     return 20.0 * np.log10(np.abs(cep) + _LOG_GUARD)
 
 
@@ -65,18 +67,28 @@ def _search_range(spec: Spectrum, config: CppConfig) -> tuple[int, int]:
     return lo, hi
 
 
-def _refined_peak(values: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
-    """(position in bins, value) of the interpolated maximum over [lo, hi]."""
-    i = lo + int(np.argmax(values[lo : hi + 1]))
-    denom = values[i - 1] - 2.0 * values[i] + values[i + 1]
-    if denom < 0:
-        delta = 0.5 * (values[i - 1] - values[i + 1]) / denom
-        return i + delta, float(values[i] - 0.25 * (values[i - 1] - values[i + 1]) * delta)
-    return float(i), float(values[i])
+def _refined_peak(values: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(position in bins, value) of each row's interpolated maximum over [lo, hi]."""
+    i = lo + np.argmax(values[:, lo : hi + 1], axis=1)
+    rows = np.arange(values.shape[0])
+    left, mid, right = values[rows, i - 1], values[rows, i], values[rows, i + 1]
+    denom = left - 2.0 * mid + right
+    curved = denom < 0
+    delta = 0.5 * (left - right) / np.where(curved, denom, -1.0)
+    pos = np.where(curved, i + delta, i)
+    return pos, np.where(curved, mid - 0.25 * (left - right) * delta, mid)
 
 
-def cpp(window_samples: np.ndarray, sample_rate: float, config: CppConfig = CppConfig()) -> float:
-    """Cepstral peak prominence of one slice, in dB.
+def _cepstral_peak(spec: Spectrum, config: CppConfig):
+    """(peak position in quefrency bins, peak dB, cepstrum dB, search top) per row."""
+    lo, hi = _search_range(spec, config)
+    cep_db = _cepstrum_db(spec, hi + 2)
+    pos, peak_db = _refined_peak(cep_db, lo, hi)
+    return pos, peak_db, cep_db, hi
+
+
+def cpp_from_spectrum(spec: Spectrum, config: CppConfig = CppConfig()):
+    """Cepstral peak prominence (dB) of a slice spectrum, or of each row.
 
     The dB power spectrum is inverse-transformed; the cepstrum is scanned
     for its peak over [quefrency_floor, quefrency_ceiling], the peak is
@@ -84,65 +96,49 @@ def cpp(window_samples: np.ndarray, sample_rate: float, config: CppConfig = CppC
     fitted over [trend_floor, quefrency_ceiling] is subtracted at the peak
     quefrency.
     """
-    x = np.asarray(window_samples, dtype=np.float64)
-    need = int(np.ceil(2.0 * config.quefrency_ceiling * sample_rate))
-    if x.size < need:
-        raise ValueError(
-            f"window of {x.size} samples is under twice the quefrency ceiling ({need})"
-        )
-    return cpp_from_spectrum(magnitude_spectrum(x, sample_rate), config)
-
-
-def cpp_from_spectrum(spec: Spectrum, config: CppConfig = CppConfig()) -> float:
-    """CPP from an already-computed slice spectrum (the extraction fast path)."""
-    lo, hi = _search_range(spec, config)
-    cep_db = _cepstrum_db(spec, hi + 2)
-    pos, peak_db = _refined_peak(cep_db, lo, hi)
+    pos, peak_db, cep_db, hi = _cepstral_peak(spec, config)
     peak_q = pos / spec.sample_rate
 
     t0 = max(2, int(np.ceil(config.trend_floor * spec.sample_rate)))
     quefrency = np.arange(t0, hi + 1) / spec.sample_rate
-    values = cep_db[t0 : hi + 1]
+    values = cep_db[:, t0 : hi + 1]
     q_mean = quefrency.mean()
-    v_mean = values.mean()
-    slope = float(np.dot(quefrency - q_mean, values - v_mean) / np.dot(quefrency - q_mean, quefrency - q_mean))
+    q_centered = quefrency - q_mean
+    v_mean = values.mean(axis=1)
+    slope = ((values - v_mean[:, np.newaxis]) @ q_centered) / (q_centered @ q_centered)
     intercept = v_mean - slope * q_mean
-    return float(peak_db - (slope * peak_q + intercept))
+    prominence = peak_db - (slope * peak_q + intercept)
+    return float(prominence[0]) if spec.magnitudes.ndim == 1 else prominence
 
 
-def peak_quefrency(
-    window_samples: np.ndarray, sample_rate: float, config: CppConfig = CppConfig()
-) -> float:
-    """Quefrency (s) of the cepstral peak; its reciprocal estimates f0."""
-    spec = magnitude_spectrum(np.asarray(window_samples, dtype=np.float64), sample_rate)
-    lo, hi = _search_range(spec, config)
-    cep_db = _cepstrum_db(spec, hi + 2)
-    pos, _ = _refined_peak(cep_db, lo, hi)
-    return float(pos / spec.sample_rate)
-
-
-def shr(spec: Spectrum, f0: float, config: ShrConfig = ShrConfig()) -> float:
+def shr(spec: Spectrum, f0, config: ShrConfig = ShrConfig()):
     """Subharmonic-to-harmonic ratio in dB, clamped at config.floor_db.
 
     Sums the peak magnitude within +-f0/8 of each harmonic k*f0 and of
     each half-integer multiple (k - 1/2)*f0, k = 1..K, with K capped both
-    by harmonic_count_max and by Nyquist.
+    by harmonic_count_max and by Nyquist. A single slice raises ValueError
+    with fewer than two harmonics below Nyquist; per row such entries
+    read NaN.
     """
-    if f0 <= 0:
+    f0 = np.atleast_1d(np.asarray(f0, dtype=np.float64))
+    if np.any(f0 <= 0):
         raise ValueError("f0 must be positive")
-    count = min(config.harmonic_count_max, int(np.floor(spec.nyquist / f0)))
-    if count < 2:
+    count = np.minimum(config.harmonic_count_max, np.floor(spec.nyquist / f0))
+    if spec.magnitudes.ndim == 1 and count[0] < 2:
         raise ValueError("fewer than two harmonics below Nyquist")
 
-    k = np.arange(1, count + 1)
-    centers = np.concatenate([k * f0, (k - 0.5) * f0])
+    k = np.arange(1, config.harmonic_count_max + 1)
+    f0 = f0[:, np.newaxis]
+    centers = np.concatenate([k * f0, (k - 0.5) * f0], axis=1)
     starts = np.searchsorted(spec.frequencies, centers - f0 / 8.0, side="left")
     stops = np.maximum(
         np.searchsorted(spec.frequencies, centers + f0 / 8.0, side="right"), starts + 1
     )
-    mags = spec.magnitudes
-    peaks = [mags[i0:i1].max() for i0, i1 in zip(starts, stops)]
-    harmonic_sum = float(np.sum(peaks[:count]))
-    subharmonic_sum = float(np.sum(peaks[count:]))
-    ratio_db = 20.0 * np.log10((subharmonic_sum + _LOG_GUARD) / (harmonic_sum + _LOG_GUARD))
-    return float(max(ratio_db, config.floor_db))
+    mags = spec.magnitudes.reshape(-1, spec.frequencies.size)
+    peaks = np.where(np.tile(k <= count[:, np.newaxis], 2), band_peaks(mags, starts, stops), 0.0)
+    harmonic_sum, subharmonic_sum = np.split(peaks, 2, axis=1)
+    ratio_db = 20.0 * np.log10(
+        (subharmonic_sum.sum(axis=1) + _LOG_GUARD) / (harmonic_sum.sum(axis=1) + _LOG_GUARD)
+    )
+    ratio_db = np.where(count >= 2, np.maximum(ratio_db, config.floor_db), np.nan)
+    return float(ratio_db[0]) if spec.magnitudes.ndim == 1 else ratio_db

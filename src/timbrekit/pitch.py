@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer, FrameSpec, frame_slices
+from .audio import AudioBuffer, FrameSpec, frame_blocks, frame_times, next_pow2, window_starts
 
 # Peaks within this normalized-strength margin of the best one count as
 # ties, and the shortest lag among them wins. Without this, a perfectly
@@ -76,10 +76,6 @@ def _window_and_acf(n: int, nfft: int) -> tuple[np.ndarray, np.ndarray]:
     return w, acf
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (int(n - 1)).bit_length()
-
-
 def frame_pitch(
     window_samples: np.ndarray,
     config: PitchConfig,
@@ -93,52 +89,63 @@ def frame_pitch(
     any correlation is computed.
     """
     x = np.asarray(window_samples, dtype=np.float64)
-    n = x.size
+    f0, strength = _frames_pitch(x[np.newaxis], config, sample_rate, global_peak)
+    return (None if np.isnan(f0[0]) else float(f0[0])), float(strength[0])
+
+
+def _frames_pitch(
+    frames: np.ndarray, config: PitchConfig, sample_rate: float, global_peak: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """frame_pitch over the rows of a [frames x window] matrix: (f0 with NaN, strength)."""
+    n = frames.shape[1]
     lag_min = max(2, int(np.ceil(sample_rate / config.ceiling)))
     lag_max = int(np.floor(sample_rate / config.floor))
     if n < 2 * lag_max:
         raise ValueError(
             f"window of {n} samples is under two periods of the {config.floor} Hz floor"
         )
+    f0 = np.full(frames.shape[0], np.nan)
+    strength = np.zeros(frames.shape[0])
+    if global_peak <= 0:
+        return f0, strength
+    live = np.flatnonzero(np.max(np.abs(frames), axis=1) >= config.silence_threshold * global_peak)
 
-    local_peak = float(np.max(np.abs(x)))
-    if global_peak <= 0 or local_peak < config.silence_threshold * global_peak:
-        return None, 0.0
-
-    nfft = _next_pow2(n + lag_max + 2)
+    nfft = next_pow2(n + lag_max + 2)
     w, w_acf = _window_and_acf(n, nfft)
-    xw = (x - x.mean()) * w
+    x = frames[live]
+    xw = (x - x.mean(axis=1, keepdims=True)) * w
     power = np.abs(np.fft.rfft(xw, nfft)) ** 2
     acf = np.fft.irfft(power, _LAG_OVERSAMPLE * nfft)
-    if acf[0] <= 0:
-        return None, 0.0
+    energetic = acf[:, 0] > 0
+    live = live[energetic]
     upper = _LAG_OVERSAMPLE * (lag_max + 1) + 1
-    r = (acf[: upper + 1] / acf[0]) / (w_acf[: upper + 1] / w_acf[0])
+    acf = acf[energetic, : upper + 1]
+    r = (acf / acf[:, :1]) / (w_acf[: upper + 1] / w_acf[0])
 
     lo = _LAG_OVERSAMPLE * lag_min
-    inner = r[lo:upper]
-    is_peak = (inner > r[lo - 1 : upper - 1]) & (inner >= r[lo + 1 : upper + 1])
-    candidates = []  # (strength, f0)
-    for i in np.nonzero(is_peak)[0] + lo:
-        denom = r[i - 1] - 2.0 * r[i] + r[i + 1]
-        if denom >= 0:  # flat top, no curvature to interpolate
-            pos, value = float(i), float(r[i])
-        else:
-            delta = 0.5 * (r[i - 1] - r[i + 1]) / denom
-            pos = i + delta
-            value = float(r[i] - 0.25 * (r[i - 1] - r[i + 1]) * delta)
-        f0 = sample_rate * _LAG_OVERSAMPLE / pos
-        f0 = min(max(f0, config.floor), config.ceiling)
-        candidates.append((value, f0))
-    if not candidates:
-        return None, 0.0
+    inner = r[:, lo:upper]
+    row, lag = np.nonzero((inner > r[:, lo - 1 : upper - 1]) & (inner >= r[:, lo + 1 : upper + 1]))
+    lag += lo
+    left, mid, right = r[row, lag - 1], r[row, lag], r[row, lag + 1]
+    # 3-point parabolic refinement; a flat top (no curvature) keeps the grid point.
+    denom = left - 2.0 * mid + right
+    curved = denom < 0
+    delta = 0.5 * (left - right) / np.where(curved, denom, -1.0)
+    pos = np.where(curved, lag + delta, lag)
+    value = np.where(curved, mid - 0.25 * (left - right) * delta, mid)
+    cand_f0 = np.minimum(np.maximum(sample_rate * _LAG_OVERSAMPLE / pos, config.floor), config.ceiling)
 
-    best = max(v for v, _ in candidates)
-    f0 = max(f for v, f in candidates if v >= best - _SHORT_LAG_MARGIN)
-    strength = float(np.clip(best, 0.0, 1.0))
-    if strength < config.voicing_threshold:
-        return None, strength
-    return float(f0), strength
+    best = np.full(live.size, -np.inf)
+    np.maximum.at(best, row, value)
+    near_best = value >= best[row] - _SHORT_LAG_MARGIN
+    best_f0 = np.full(live.size, -np.inf)
+    np.maximum.at(best_f0, row[near_best], cand_f0[near_best])
+    has_peak = np.isfinite(best)
+    s = np.clip(best, 0.0, 1.0)
+    strength[live[has_peak]] = s[has_peak]
+    voiced = has_peak & (s >= config.voicing_threshold)
+    f0[live[voiced]] = best_f0[voiced]
+    return f0, strength
 
 
 def pitch_track(
@@ -151,13 +158,12 @@ def pitch_track(
             f"buffer of {buf.duration:.3f} s is shorter than the {window:.3f} s pitch window"
         )
     global_peak = float(np.max(np.abs(buf.samples)))
-    frames = frame_slices(buf, FrameSpec(step=step, window=window))
-    times = np.array([t for t, _ in frames])
-    f0 = np.full(len(frames), np.nan)
-    strength = np.zeros(len(frames))
-    for i, (_, x) in enumerate(frames):
-        value, s = frame_pitch(x, config, buf.sample_rate, global_peak)
-        strength[i] = s
-        if value is not None:
-            f0[i] = value
+    times = frame_times(buf, FrameSpec(step=step, window=window))
+    starts, win = window_starts(times, window, buf.sample_rate)
+    blocks = [
+        _frames_pitch(frames, config, buf.sample_rate, global_peak)
+        for frames in frame_blocks(buf.samples, starts, win)
+    ]
+    f0 = np.concatenate([f for f, _ in blocks])
+    strength = np.concatenate([s for _, s in blocks])
     return PitchTrack(times=times, f0=f0, strength=strength)

@@ -2,18 +2,22 @@
 
 Holds the independent oracles the test suite checks the fast paths
 against (a direct single-frequency DFT projection, an exhaustive-threshold
-EER sweep) and the seeded synthetic-voice corpus whose pair labels are
-exact by construction.
+EER sweep), single-slice cepstral measures computed from raw samples, and
+the seeded synthetic-voice corpus whose pair labels are exact by
+construction.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import SynthSpec
 from .diffnet import A_STRONGER, B_STRONGER, PairRecord
+from .harmonics import magnitude_spectrum
+from .noise_metrics import CppConfig, _cepstral_peak, cpp_from_spectrum
 
 _ORACLE_FLOOR_DB = -120.0
 
@@ -49,6 +53,23 @@ def dft_amplitude_oracle(samples, freq: float, sample_rate: float) -> float:
     if magnitude <= 0.0:
         return _ORACLE_FLOOR_DB
     return float(max(20.0 * np.log10(magnitude), _ORACLE_FLOOR_DB))
+
+
+def cpp(window_samples, sample_rate: float, config: CppConfig = CppConfig()) -> float:
+    """Cepstral peak prominence (dB) of one slice of raw samples."""
+    x = np.asarray(window_samples, dtype=np.float64)
+    need = int(np.ceil(2.0 * config.quefrency_ceiling * sample_rate))
+    if x.size < need:
+        raise ValueError(
+            f"window of {x.size} samples is under twice the quefrency ceiling ({need})"
+        )
+    return cpp_from_spectrum(magnitude_spectrum(x, sample_rate), config)
+
+
+def peak_quefrency(window_samples, sample_rate: float, config: CppConfig = CppConfig()) -> float:
+    """Quefrency (s) of the cepstral peak of one slice; its reciprocal estimates f0."""
+    pos, _, _, _ = _cepstral_peak(magnitude_spectrum(window_samples, sample_rate), config)
+    return float(pos[0] / sample_rate)
 
 
 def eer_oracle(scores, positive) -> float:
@@ -104,6 +125,12 @@ class SyntheticCorpus:
         return [p for p in self.pairs if self.splits[p.utt_a] == split]
 
 
+def _split_sizes(size: int) -> tuple[int, int]:
+    """(train, test) voice counts of the 70/30 speaker split."""
+    n_train = max(1, int(round(size * 0.7)))
+    return n_train, size - n_train
+
+
 def build_timbre_corpus(seed: int, size: int, pairs_per_descriptor: int = 600) -> SyntheticCorpus:
     """Seeded corpus of resonated synthetic voices with exact pair labels.
 
@@ -113,8 +140,12 @@ def build_timbre_corpus(seed: int, size: int, pairs_per_descriptor: int = 600) -
     true knob ordering. Speakers are split 70/30 into train/test with no
     overlap, and pairs never cross the split.
     """
-    if size < 2:
-        raise ValueError("corpus needs at least two voices")
+    if min(_split_sizes(size)) < 2:
+        usable = next(n for n in itertools.count(2) if min(_split_sizes(n)) >= 2)
+        raise ValueError(
+            f"corpus of {size} voices leaves a split with fewer than two voices; "
+            f"the smallest usable size is {usable}"
+        )
     rng = np.random.default_rng(seed)
 
     voices = []
@@ -145,7 +176,7 @@ def build_timbre_corpus(seed: int, size: int, pairs_per_descriptor: int = 600) -
         truth = {"f0": f0, "tilt_db_per_octave": tilt, "subharmonic_gain": sub_gain}
         voices.append(SyntheticVoice(f"spk{i:03d}", spec, truth))
 
-    n_train = max(1, int(round(size * 0.7)))
+    n_train, _ = _split_sizes(size)
     splits = {v.utt_id: ("train" if i < n_train else "test") for i, v in enumerate(voices)}
     by_split = {
         "train": [v for v in voices if splits[v.utt_id] == "train"],

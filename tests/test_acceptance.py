@@ -18,11 +18,12 @@ from timbrekit.audio import AudioBuffer, SynthSpec, synth
 from timbrekit.features import FEATURE_NAMES, MEASURE_NAMES, extract_track, extract_vector
 from timbrekit.formants import formant_track
 from timbrekit.harmonics import harmonic_amplitude, magnitude_spectrum
-from timbrekit.noise_metrics import cpp, shr
+from timbrekit.noise_metrics import shr
 from timbrekit.pitch import pitch_track
 from timbrekit.testkit import (
     CORPUS_DESCRIPTORS,
     build_timbre_corpus,
+    cpp,
     dft_amplitude_oracle,
     eer_oracle,
 )

@@ -11,10 +11,12 @@ from timbrekit.audio import (
     AudioError,
     FrameSpec,
     SynthSpec,
-    frame_slices,
+    frame_blocks,
+    frame_times,
     load_audio,
     resample,
     synth,
+    window_starts,
     write_wav,
 )
 
@@ -135,28 +137,30 @@ class TestResample:
 class TestFrameSlices:
     def test_one_second_grid(self):
         buf = synth(SynthSpec(kind="sine", f0=100.0, duration=1.0))
-        frames = frame_slices(buf, FrameSpec())
-        assert len(frames) == 97
-        assert all(len(x) == 640 for _, x in frames)
-        assert frames[0][0] == pytest.approx(0.020)
-        assert frames[1][0] == pytest.approx(0.030)
+        times = frame_times(buf, FrameSpec())
+        starts, win = window_starts(times, FrameSpec().window, buf.sample_rate)
+        frames = np.concatenate(list(frame_blocks(buf.samples, starts, win)))
+        assert frames.shape == (97, 640)
+        npt.assert_array_equal(frames[1], buf.samples[160:800])
+        assert times[0] == pytest.approx(0.020)
+        assert times[1] == pytest.approx(0.030)
 
     def test_single_window_fit(self):
         buf = synth(SynthSpec(kind="sine", f0=100.0, duration=0.040))
-        assert len(frame_slices(buf, FrameSpec())) == 1
+        assert len(frame_times(buf, FrameSpec())) == 1
 
     def test_below_minimum_errors(self):
         buf = synth(SynthSpec(kind="sine", f0=100.0, duration=0.039))
         with pytest.raises(ValueError):
-            frame_slices(buf, FrameSpec())
+            frame_times(buf, FrameSpec())
 
     @given(duration=st.floats(min_value=0.04, max_value=3.0))
     @settings(max_examples=40, deadline=None)
     def test_count_formula(self, duration):
         n = int(round(duration * 16000))
         buf = AudioBuffer(np.ones(n), 16000)
-        frames = frame_slices(buf, FrameSpec())
-        assert len(frames) == (n - 640) // 160 + 1
+        times = frame_times(buf, FrameSpec())
+        assert len(times) == (n - 640) // 160 + 1
 
 
 class TestSynth:

@@ -3,16 +3,16 @@ import numpy.testing as npt
 import pytest
 
 from conftest import VOICE_FORMANTS
-from timbrekit.audio import AudioBuffer, SynthSpec, synth
+from timbrekit.audio import FRAME_BLOCK, AudioBuffer, SynthSpec, resample, synth
 from timbrekit.features import (
     CEPSTRAL_NAMES,
     EmptyFeatureError,
+    ExtractionConfig,
     FEATURE_NAMES,
     FrameTrack,
     MEASURE_NAMES,
     SilentUtteranceError,
     aggregate,
-    cov,
     extract_track,
     extract_vector,
     lfc,
@@ -20,6 +20,17 @@ from timbrekit.features import (
     read_features,
     write_features,
 )
+from timbrekit.formants import (
+    FormantFrame,
+    _gaussian_window,
+    burg,
+    dispersion,
+    formant_track,
+    roots_to_formants,
+)
+from timbrekit.harmonics import magnitude_spectrum, rms_energy, tilt_measures
+from timbrekit.noise_metrics import cpp_from_spectrum, shr
+from timbrekit.pitch import PitchConfig, frame_pitch
 
 SR = 16000
 
@@ -85,23 +96,140 @@ class TestExtractTrack:
         npt.assert_allclose(np.diff(track.times), 0.01, rtol=1e-9)
 
 
+def bursts_and_gaps():
+    """Voiced bursts between digital silence and low noise, longer than one frame block."""
+    rng = np.random.default_rng(17)
+
+    def voice(f0, duration, seed):
+        return synth(SynthSpec(kind="mixture", f0=f0, duration=duration, formants=VOICE_FORMANTS,
+                               tilt_db_per_octave=-6.0, noise_gain=0.004, seed=seed)).samples
+
+    parts = [
+        voice(130.0, 1.4, 1), np.zeros(4000), 0.05 * rng.uniform(-1, 1, 6000),
+        voice(210.0, 1.4, 2), np.zeros(3000), 0.004 * rng.uniform(-1, 1, 5000),
+        voice(160.0, 1.0, 3),
+    ]
+    return AudioBuffer(np.concatenate(parts), SR)
+
+
+def one_window_formants(buf, centers, config):
+    """formant_track's frames at `centers`, from the one-window burg and roots_to_formants."""
+    work = resample(buf, config.analysis_rate)
+    rate = work.sample_rate
+    alpha = np.exp(-2.0 * np.pi * config.pre_emphasis_from / rate)
+    emphasized = np.concatenate([work.samples[:1], work.samples[1:] - alpha * work.samples[:-1]])
+    win = int(round(config.window * rate))
+    frames = []
+    for center in centers:
+        start = int(round(center * rate - win / 2.0))
+        try:
+            if start < 0 or start + win > emphasized.size:
+                raise ValueError("window outside the buffer")
+            lpc = burg(emphasized[start : start + win] * _gaussian_window(win), config.lpc_order)
+            frames.append(roots_to_formants(lpc, rate, config))
+        except ValueError:
+            frames.append(FormantFrame())
+    return frames
+
+
+def one_frame_track(buf, config):
+    """extract_track's per-frame series recomputed one frame at a time, and the edge-drop count."""
+    sr, x = buf.sample_rate, buf.samples
+    pitch_win = int(round(3.0 / config.pitch.floor * sr))
+    slice_win = int(round(config.frame.window * sr))
+    hop = int(round(config.frame.step * sr))
+    times = (np.arange(0, x.size - pitch_win + 1, hop) + pitch_win / 2.0) / sr
+    formants = one_window_formants(buf, times, config.formant)
+    global_peak = float(np.max(np.abs(x)))
+    voiced = np.zeros(times.size, dtype=bool)
+    values = {name: np.full(times.size, np.nan) for name in MEASURE_NAMES}
+    edge_drops = 0
+    for i, center in enumerate(times):
+        start = int(round(center * sr - pitch_win / 2.0))
+        f0, _ = frame_pitch(x[start : start + pitch_win], config.pitch, sr, global_peak)
+        if f0 is None:
+            continue
+        start = int(round(center * sr - slice_win / 2.0))
+        if start < 0 or start + slice_win > x.size:
+            edge_drops += 1
+            continue
+        voiced[i] = True
+        window = x[start : start + slice_win]
+        fframe = formants[i]
+        spectrum = magnitude_spectrum(window, sr)
+        row = {"f0": f0, "cpp": cpp_from_spectrum(spectrum, config.cpp), "rms": rms_energy(window)}
+        row.update({f"f{k}": fframe.frequency(k) for k in range(1, 5)})
+        row["dispersion"] = dispersion(fframe.frequency(1), fframe.frequency(4))
+        tilt = tilt_measures(spectrum, f0, fframe)
+        row.update({name: getattr(tilt, name) for name in ("h1_h2", "h2_h4", "h4_h2k", "h2k_h5k")})
+        try:
+            row["shr"] = shr(spectrum, f0, config.shr)
+        except ValueError:
+            pass
+        for name, value in row.items():
+            if value is not None:
+                values[name][i] = value
+    return times, voiced, values, edge_drops
+
+
+class TestFrameIndependence:
+    """Rows of the block-batched extraction equal the single-frame calls on that frame."""
+
+    @pytest.mark.parametrize("floor", [75.0, 100.0])
+    def test_rows_match_single_frame_calls(self, floor):
+        buf = bursts_and_gaps()
+        config = ExtractionConfig(pitch=PitchConfig(floor=floor))
+        track = extract_track(buf, config)
+        times, voiced, values, edge_drops = one_frame_track(buf, config)
+        assert voiced.sum() > FRAME_BLOCK
+        if floor == 100.0:
+            # The 480-sample pitch window is shorter than the 640-sample
+            # measure slice, so voiced frames at the buffer edges are dropped.
+            assert edge_drops > 0
+        npt.assert_allclose(track.times, times, rtol=1e-12)
+        npt.assert_array_equal(track.voiced, voiced)
+        for name in MEASURE_NAMES:
+            npt.assert_array_equal(np.isnan(track.values[name]), np.isnan(values[name]), err_msg=name)
+            npt.assert_allclose(track.values[name], values[name], rtol=1e-9, atol=1e-9, err_msg=name)
+
+    def test_formant_grid_matches_single_windows(self):
+        buf = bursts_and_gaps()
+        config = ExtractionConfig().formant
+        frames = formant_track(buf, config)
+        assert len(frames) > FRAME_BLOCK
+        centers = 0.0125 + 0.010 * np.arange(len(frames))
+        want = one_window_formants(buf, centers, config)
+        for got, expected in zip(frames, want):
+            assert len(got) == len(expected)
+            for k in range(1, len(expected) + 1):
+                assert got.frequency(k) == pytest.approx(expected.frequency(k), rel=1e-9)
+                assert got.bandwidth(k) == pytest.approx(expected.bandwidth(k), rel=1e-9)
+        assert sum(len(f) == 0 for f in want) > 0  # all-zero windows in the digital silence
+
+
+def cov_f0(series):
+    """The cov_f0 entry of the vector aggregate pools from an f0 series."""
+    track = track_from_series(f0=np.asarray(series, dtype=float))
+    return aggregate(track, min_voiced_frames=0).values[FEATURE_NAMES.index("cov_f0")]
+
+
 class TestCov:
     def test_constant_series(self):
-        assert cov([5.0, 5.0, 5.0]) == 0.0
+        assert cov_f0([5.0, 5.0, 5.0]) == 0.0
 
     def test_123(self):
         # denominator carries the documented 1e-9 epsilon
-        assert cov([1.0, 2.0, 3.0]) == pytest.approx(np.sqrt(2.0 / 3.0) / (2.0 + 1e-9), rel=1e-12)
+        assert cov_f0([1.0, 2.0, 3.0]) == pytest.approx(np.sqrt(2.0 / 3.0) / (2.0 + 1e-9), rel=1e-12)
 
     def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            cov([])
-        with pytest.raises(ValueError):
-            cov([np.nan, np.nan])
+        with pytest.raises(EmptyFeatureError):
+            cov_f0([])
+        with pytest.raises(EmptyFeatureError):
+            cov_f0([np.nan, np.nan])
 
     def test_scale_invariance(self):
         series = [1.0, 2.0, 4.5, 3.0]
-        assert cov(series) == pytest.approx(cov([7 * v for v in series]), rel=1e-9)
+        assert cov_f0(series) == pytest.approx(cov_f0([7 * v for v in series]), rel=1e-9)
 
 
 class TestAggregate:

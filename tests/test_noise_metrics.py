@@ -4,7 +4,8 @@ import pytest
 from conftest import middle_slice
 from timbrekit.audio import SynthSpec, synth
 from timbrekit.harmonics import magnitude_spectrum
-from timbrekit.noise_metrics import CppConfig, ShrConfig, cpp, peak_quefrency, shr
+from timbrekit.noise_metrics import CppConfig, ShrConfig, shr
+from timbrekit.testkit import cpp, peak_quefrency
 
 SR = 16000
 

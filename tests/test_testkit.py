@@ -62,3 +62,13 @@ class TestCorpus:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             build_timbre_corpus(seed=0, size=1)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_split_with_one_voice_rejected(self, size):
+        with pytest.raises(ValueError, match="smallest usable size is 6"):
+            build_timbre_corpus(seed=0, size=size, pairs_per_descriptor=5)
+
+    def test_smallest_usable_size_builds(self):
+        corpus = build_timbre_corpus(seed=0, size=6, pairs_per_descriptor=5)
+        assert sorted(corpus.splits.values()).count("test") == 2
+        assert {corpus.splits[p.utt_a] for p in corpus.pairs} == {"train", "test"}
