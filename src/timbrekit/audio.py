@@ -230,6 +230,18 @@ def next_pow2(n: int) -> int:
     return 1 << (int(n - 1)).bit_length()
 
 
+def parabolic_peak(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position, value) of the 3-point parabolic vertex at each values[rows, cols].
+
+    A flat or upward-curved triple has no maximum and keeps the grid point.
+    """
+    left, mid, right = values[rows, cols - 1], values[rows, cols], values[rows, cols + 1]
+    denom = left - 2.0 * mid + right
+    curved = denom < 0
+    delta = 0.5 * (left - right) / np.where(curved, denom, -1.0)
+    return np.where(curved, cols + delta, cols), np.where(curved, mid - 0.25 * (left - right) * delta, mid)
+
+
 def frame_times(buf: AudioBuffer, spec: FrameSpec) -> np.ndarray:
     """Center times (s) of the full windows on the analysis grid.
 

@@ -33,7 +33,7 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except features.SilentUtteranceError as exc:
+        except (features.SilentUtteranceError, features.SchemaError) as exc:
             _fail(exc.reason, str(exc))
         except AudioError as exc:
             _fail("AUDIO", str(exc))
@@ -125,7 +125,7 @@ def _extract_one(args) -> tuple[str, np.ndarray | None, int, str | None]:
     path, kind, config = args
     utt_id = Path(path).stem
     try:
-        buf = load_audio(path, target_rate=config.sample_rate)
+        buf = load_audio(path)
         if kind == "acoustic":
             vector = features.extract_vector(buf, config)
             return utt_id, vector.values, vector.voiced_frames, None
@@ -202,19 +202,11 @@ def cmd_train(manifest_path, features_path, out, log_path, hidden, dropout, lr, 
     if not train_pairs:
         _fail("INVALID_INPUT", "manifest has no train split")
     table = features.read_features(features_path)
-    width = len(next(iter(table.values())))
-    if width == len(features.FEATURE_NAMES):
-        names = features.FEATURE_NAMES
-    elif width == len(features.CEPSTRAL_NAMES):
-        names = features.CEPSTRAL_NAMES
-    else:  # precomputed external embeddings of any width
-        names = tuple(f"dim_{i:03d}" for i in range(width))
-
     config = diffnet.TrainConfig(
         hidden_dim=hidden, dropout=dropout, learning_rate=lr,
         batch_size=batch_size, epochs=epochs, seed=seed,
     )
-    model, log = diffnet.train(train_pairs, table, config, feature_names=names)
+    model, log = diffnet.train(train_pairs, table, config, feature_names=table.names)
     diffnet.save_checkpoint(model, out)
     if log_path:
         Path(log_path).write_text(json.dumps({"seed": seed, "epochs": log}, sort_keys=True))
@@ -223,6 +215,18 @@ def cmd_train(manifest_path, features_path, out, log_path, hidden, dropout, lr, 
         f"trained {config.epochs} epochs on {len(train_pairs)} pairs; "
         f"final loss {final['loss']:.4f}, train acc {final['train_accuracy'] * 100:.2f}%"
     )
+
+
+def _metrics(scored) -> dict:
+    """Pair count, accuracy, and EER (None unless both labels occur) of scored pairs."""
+    entry = {"pairs": len(scored), "accuracy": evaluation.accuracy(scored), "eer": None}
+    if len({s.record.label for s in scored}) == 2:
+        entry["eer"] = evaluation.eer(scored)
+    return entry
+
+
+def _pct(value) -> str:
+    return "N/A" if value is None else f"{value:.2f}%"
 
 
 @main.command("eval")
@@ -240,45 +244,33 @@ def cmd_eval(manifest_path, features_path, model_path, out, split):
         _fail("INVALID_INPUT", f"manifest has no {split} split")
     table = features.read_features(features_path)
     model = diffnet.load_checkpoint(model_path)
+    if table.names != model.feature_names:
+        differ = sorted(set(table.names) ^ set(model.feature_names)) or "their order"
+        _fail("SCHEMA", f"{features_path} and the model's feature names differ in {differ}")
     scores = diffnet.score_pairs(model, pairs, table)
     scored = [evaluation.ScoredPair(p, float(s)) for p, s in zip(pairs, scores)]
 
-    overall_acc = evaluation.accuracy(scored)
-    labels = {p.label for p in pairs}
-    if len(labels) == 2:
-        overall_eer = evaluation.eer(scored)
-        curve = evaluation.far_frr_curve(scored)
-    else:
-        overall_eer = None
-        curve = []
+    overall = _metrics(scored)
+    if overall["eer"] is None:
         click.echo("warning: single-class split, EER is N/A", err=True)
-
-    per_descriptor = {}
-    for descriptor in sorted({p.descriptor for p in pairs}):
-        subset = [s for s in scored if s.record.descriptor == descriptor]
-        entry = {"pairs": len(subset), "accuracy": evaluation.accuracy(subset)}
-        if len({s.record.label for s in subset}) == 2:
-            entry["eer"] = evaluation.eer(subset)
-        else:
-            entry["eer"] = None
-        per_descriptor[descriptor] = entry
+    curve = [] if overall["eer"] is None else evaluation.far_frr_curve(scored)
+    per_descriptor = {
+        descriptor: _metrics([s for s in scored if s.record.descriptor == descriptor])
+        for descriptor in sorted({p.descriptor for p in pairs})
+    }
 
     report = {
         "split": split,
-        "pairs": len(scored),
-        "accuracy": overall_acc,
-        "eer": overall_eer,
+        **overall,
         "per_descriptor": per_descriptor,
         "far_frr": [list(point) for point in curve],
     }
     if out:
         Path(out).write_text(json.dumps(report, sort_keys=True))
-    eer_text = f"{overall_eer:.2f}%" if overall_eer is not None else "N/A"
-    click.echo(f"pairs {len(scored)}: accuracy {overall_acc:.2f}%, EER {eer_text}")
+    click.echo(f"pairs {len(scored)}: accuracy {overall['accuracy']:.2f}%, EER {_pct(overall['eer'])}")
     for descriptor, entry in per_descriptor.items():
-        desc_eer = f"{entry['eer']:.2f}%" if entry["eer"] is not None else "N/A"
         click.echo(
-            f"  {descriptor}: n={entry['pairs']} acc={entry['accuracy']:.2f}% eer={desc_eer}"
+            f"  {descriptor}: n={entry['pairs']} acc={entry['accuracy']:.2f}% eer={_pct(entry['eer'])}"
         )
 
 

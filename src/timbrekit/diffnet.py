@@ -301,21 +301,26 @@ def _adam_step(model: DiffNetModel, grads, state: _AdamState, config: TrainConfi
         params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
 
 
-def _assemble_pairs(pairs, features: Mapping[str, np.ndarray], descriptors):
-    missing = sorted(
-        {p.utt_a for p in pairs if p.utt_a not in features}
-        | {p.utt_b for p in pairs if p.utt_b not in features}
-    )
+def _pair_index(pairs, features: Mapping[str, np.ndarray], descriptors):
+    """(table, rows, desc_idx, targets) for `pairs`; KeyError names missing ids and descriptors.
+
+    table holds the [U x D] vectors of the distinct utterances in sorted-id
+    order; rows holds each pair's [utt_a, utt_b] rows of it.
+    """
+    ids = sorted({p.utt_a for p in pairs} | {p.utt_b for p in pairs})
+    missing = [u for u in ids if u not in features]
     if missing:
         raise KeyError(f"no feature vectors for: {', '.join(missing)}")
     unknown = sorted({p.descriptor for p in pairs} - set(descriptors))
     if unknown:
         raise KeyError(f"descriptors not in the model vocabulary: {', '.join(unknown)}")
+    row = {u: i for i, u in enumerate(ids)}
     desc_index = {d: i for i, d in enumerate(descriptors)}
-    x = np.stack([np.concatenate([features[p.utt_a], features[p.utt_b]]) for p in pairs])
+    table = np.stack([features[u] for u in ids])
+    rows = np.array([(row[p.utt_a], row[p.utt_b]) for p in pairs])
     desc_idx = np.array([desc_index[p.descriptor] for p in pairs])
     targets = np.array([0.0 if p.label == A_STRONGER else 1.0 for p in pairs])
-    return x, desc_idx, targets
+    return table, rows, desc_idx, targets
 
 
 def train(
@@ -334,21 +339,13 @@ def train(
         raise ValueError("no training pairs")
     if descriptors is None:
         descriptors = tuple(sorted({p.descriptor for p in pairs}))
-    unknown = sorted({p.descriptor for p in pairs} - set(descriptors))
-    if unknown:
-        raise ValueError(f"pairs reference descriptors outside the vocabulary: {unknown}")
-    if feature_names is None:
-        width = len(next(iter(features.values())))
-        feature_names = tuple(f"dim_{i:02d}" for i in range(width))
 
     rng = np.random.default_rng(config.seed)
 
-    # Z-score statistics over the distinct training utterances, in id order.
-    train_ids = sorted({p.utt_a for p in pairs} | {p.utt_b for p in pairs})
-    missing = [u for u in train_ids if u not in features]
-    if missing:
-        raise KeyError(f"no feature vectors for: {', '.join(missing)}")
-    table = np.stack([features[u] for u in train_ids])
+    # Z-score statistics over the distinct training utterances.
+    table, rows, desc_idx, targets = _pair_index(pairs, features, descriptors)
+    if feature_names is None:
+        feature_names = tuple(f"dim_{i:02d}" for i in range(table.shape[1]))
     if table.shape[1] != len(feature_names):
         raise ValueError(
             f"feature vectors have {table.shape[1]} dims, expected {len(feature_names)}"
@@ -357,7 +354,7 @@ def train(
     norm_std = np.maximum(table.std(axis=0), _STD_GUARD)
 
     model = init_model(feature_names, descriptors, config, rng, norm_mean, norm_std)
-    x_all, desc_idx, targets = _assemble_pairs(pairs, features, descriptors)
+    x_all = table[rows].reshape(len(pairs), -1)
     state = _AdamState(
         m={k: np.zeros_like(p) for k, p in model.parameter_groups().items()},
         v={k: np.zeros_like(p) for k, p in model.parameter_groups().items()},
@@ -390,7 +387,8 @@ def score_pairs(
     model: DiffNetModel, pairs: list[PairRecord], features: Mapping[str, np.ndarray]
 ) -> np.ndarray:
     """Deterministic inference scores for each pair's own descriptor."""
-    x, desc_idx, _ = _assemble_pairs(pairs, features, model.descriptors)
+    table, rows, desc_idx, _ = _pair_index(pairs, features, model.descriptors)
+    x = table[rows].reshape(len(pairs), -1)
     scores = forward(model, x, mode="infer")
     return scores[np.arange(len(pairs)), desc_idx]
 

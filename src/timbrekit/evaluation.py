@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import next_pow2
+from .audio import INTERNAL_RATE, next_pow2
 from .diffnet import (
     B_STRONGER,
     DiffNetModel,
@@ -24,15 +24,15 @@ from .diffnet import (
     init_model,
 )
 from .features import (
-    CEPSTRAL_NAMES,
     CEPSTRAL_STEP,
     CEPSTRAL_WINDOW,
     ExtractionConfig,
-    FEATURE_NAMES,
     LINEAR_FFT,
     MEL_FFT,
+    feature_names_for,
     filterbank_matrix,
 )
+from .pitch import _LAG_OVERSAMPLE
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,12 @@ class CostReport:
     extraction_flops_per_second: int
     dim_per_utterance: int
     extraction_breakdown: dict[str, int]
-    classifier_params: int | None = None
-    classifier_flops_per_pair: int | None = None
-    classifier_breakdown: dict[str, int] | None = None
+    classifier_params: int
+    classifier_flops_per_pair: int
+    classifier_breakdown: dict[str, int]
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "conventions": list(CONVENTIONS),
             "extraction": {
                 "kind": self.extraction_kind,
@@ -137,14 +137,12 @@ class CostReport:
                 "dim_per_utterance": self.dim_per_utterance,
                 "breakdown": dict(self.extraction_breakdown),
             },
-        }
-        if self.classifier_params is not None:
-            out["classifier"] = {
+            "classifier": {
                 "params": self.classifier_params,
                 "flops_per_pair": self.classifier_flops_per_pair,
                 "breakdown": dict(self.classifier_breakdown),
-            }
-        return out
+            },
+        }
 
     def format_text(self) -> str:
         lines = [
@@ -153,19 +151,14 @@ class CostReport:
         ]
         for name, flops in self.extraction_breakdown.items():
             lines.append(f"  {name}: {flops:,}")
-        if self.classifier_params is not None:
-            lines.append(
-                f"classifier: params={self.classifier_params:,}, "
-                f"flops/pair={self.classifier_flops_per_pair:,}"
-            )
-            for name, flops in self.classifier_breakdown.items():
-                lines.append(f"  {name}: {flops:,}")
+        lines.append(
+            f"classifier: params={self.classifier_params:,}, "
+            f"flops/pair={self.classifier_flops_per_pair:,}"
+        )
+        for name, flops in self.classifier_breakdown.items():
+            lines.append(f"  {name}: {flops:,}")
         lines.append("conventions: " + "; ".join(CONVENTIONS))
         return "\n".join(lines)
-
-
-def _fft_flops(n: int) -> int:
-    return int(round(5.0 * n * np.log2(n)))
 
 
 def _real_fft_flops(n: int) -> int:
@@ -177,7 +170,7 @@ def _dense_flops(n_in: int, n_out: int) -> int:
 
 
 def _acoustic_breakdown(config: ExtractionConfig) -> dict[str, int]:
-    sr = config.sample_rate
+    sr = INTERNAL_RATE
     frames = int(round(1.0 / config.frame.step))
     slice_n = int(round(config.frame.window * sr))
     slice_fft = next_pow2(4 * slice_n)
@@ -186,14 +179,13 @@ def _acoustic_breakdown(config: ExtractionConfig) -> dict[str, int]:
     pitch_n = int(round(3.0 / config.pitch.floor * sr))
     lag_max = int(sr / config.pitch.floor)
     pitch_fft = next_pow2(pitch_n + lag_max + 2)
-    lag_oversample = 4  # the ACF inverse transform runs on a 4x finer lag grid
     pitch = (
         4 * pitch_n  # mean removal and taper
         + _real_fft_flops(pitch_fft)
-        + _real_fft_flops(lag_oversample * pitch_fft)
+        + _real_fft_flops(_LAG_OVERSAMPLE * pitch_fft)
         + 3 * (pitch_fft // 2 + 1)  # squared magnitude
-        + 2 * lag_oversample * (lag_max + 2)  # lag-domain normalization
-        + 3 * lag_oversample * lag_max  # peak scan
+        + 2 * _LAG_OVERSAMPLE * (lag_max + 2)  # lag-domain normalization
+        + 3 * _LAG_OVERSAMPLE * lag_max  # peak scan
         + 24  # parabolic refinement and gating
     )
 
@@ -231,7 +223,7 @@ def _acoustic_breakdown(config: ExtractionConfig) -> dict[str, int]:
 
 
 def _cepstral_breakdown(kind: str) -> dict[str, int]:
-    sr = 16000
+    sr = INTERNAL_RATE
     frames = int(round(1.0 / CEPSTRAL_STEP))
     n = int(round(CEPSTRAL_WINDOW * sr))
     nfft = MEL_FFT if kind == "mfcc" else LINEAR_FFT
@@ -267,40 +259,28 @@ def cost_report(
     feature_kind: str,
     model: DiffNetModel | None = None,
     config: ExtractionConfig = ExtractionConfig(),
-    include_classifier: bool = True,
 ) -> CostReport:
-    """Closed-form operation tallies for extraction and (optionally) the classifier.
+    """Closed-form operation tallies for extraction and the classifier.
 
     Pure function of the configuration: nothing is measured. When no model
     is given a default-shaped one (H=128, 18 descriptors) is costed.
     """
+    names = feature_names_for(feature_kind)
     if feature_kind == "acoustic":
         breakdown = _acoustic_breakdown(config)
-        dim = len(FEATURE_NAMES)
-    elif feature_kind in ("mfcc", "lfc"):
-        breakdown = _cepstral_breakdown(feature_kind)
-        dim = 13
     else:
-        raise ValueError(f"unknown feature kind {feature_kind!r}")
-
-    classifier_params = classifier_flops = classifier_breakdown = None
-    if include_classifier:
-        if model is None:
-            names = FEATURE_NAMES if feature_kind == "acoustic" else CEPSTRAL_NAMES
-            model = init_model(
-                names, STANDARD_DESCRIPTORS, TrainConfig(), np.random.default_rng(0)
-            )
-        classifier_breakdown = _classifier_breakdown(model)
-        classifier_params = model.parameter_count()
-        classifier_flops = sum(classifier_breakdown.values())
+        breakdown = _cepstral_breakdown(feature_kind)
+    if model is None:
+        model = init_model(names, STANDARD_DESCRIPTORS, TrainConfig(), np.random.default_rng(0))
+    classifier_breakdown = _classifier_breakdown(model)
 
     return CostReport(
         extraction_kind=feature_kind,
         extraction_params=0,
         extraction_flops_per_second=sum(breakdown.values()),
-        dim_per_utterance=dim,
+        dim_per_utterance=len(names),
         extraction_breakdown=breakdown,
-        classifier_params=classifier_params,
-        classifier_flops_per_pair=classifier_flops,
+        classifier_params=model.parameter_count(),
+        classifier_flops_per_pair=sum(classifier_breakdown.values()),
         classifier_breakdown=classifier_breakdown,
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import dct
 
-from .audio import AudioBuffer, FrameSpec, frame_blocks, frame_times, resample, window_starts
+from .audio import INTERNAL_RATE, AudioBuffer, FrameSpec, frame_blocks, frame_times, resample, window_starts
 from .formants import FormantConfig, dispersion, formant_track
 from .harmonics import magnitude_spectrum, rms_energy, tilt_measures
 from .noise_metrics import CppConfig, ShrConfig, cpp_from_spectrum, shr
@@ -79,7 +79,6 @@ class EmptyFeatureError(ValueError):
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    sample_rate: int = 16000
     frame: FrameSpec = field(default_factory=FrameSpec)
     pitch: PitchConfig = field(default_factory=PitchConfig)
     formant: FormantConfig = field(default_factory=FormantConfig)
@@ -141,7 +140,7 @@ def extract_track(buf: AudioBuffer, config: ExtractionConfig = ExtractionConfig(
     does not counts as unvoiced. The measures run on the voiced slices a
     block at a time.
     """
-    buf = resample(buf, config.sample_rate)
+    buf = resample(buf, INTERNAL_RATE)
     ptrack = pitch_track(buf, config.pitch, config.frame.step)
     starts, win = window_starts(ptrack.times, config.frame.window, buf.sample_rate)
     voiced = ptrack.voiced & (starts >= 0) & (starts + win <= buf.samples.size)
@@ -223,7 +222,7 @@ def filterbank_matrix(nfft: int, sample_rate: float, scale: str) -> np.ndarray:
 
 
 def _cepstral(buf: AudioBuffer, scale: str, nfft: int) -> CepstralVector:
-    buf = resample(buf, 16000)
+    buf = resample(buf, INTERNAL_RATE)
     times = frame_times(buf, FrameSpec(step=CEPSTRAL_STEP, window=CEPSTRAL_WINDOW))
     starts, win = window_starts(times, CEPSTRAL_WINDOW, buf.sample_rate)
     bank = filterbank_matrix(nfft, buf.sample_rate, scale)
@@ -281,22 +280,50 @@ def write_features(path, rows: list[tuple[str, np.ndarray, int]], kind: str) -> 
             writer.writerow([utt_id, *[repr(float(v)) for v in vector], int(count)])
 
 
-def read_features(path) -> dict[str, np.ndarray]:
-    """Load a feature table as {utt_id: vector}; accepts CSV or JSONL."""
+class SchemaError(ValueError):
+    """A feature table disagrees with itself or with the model that reads it."""
+
+    reason = "SCHEMA"
+
+
+class FeatureTable(dict):
+    """{utt_id: vector}, plus the feature names the file declares, in column order."""
+
+    names: tuple[str, ...] = ()
+
+    def add(self, utt_id: str, vector: np.ndarray, where: str) -> None:
+        if utt_id in self:
+            raise SchemaError(f"{where}: utt_id {utt_id} is repeated")
+        self[utt_id] = vector
+
+
+def read_features(path) -> FeatureTable:
+    """Load a CSV or JSONL feature table as {utt_id: vector}, named by the header or first record.
+
+    JSONL values are read by name. A repeated utt_id, or a JSONL record with
+    other names than the first, raises SchemaError.
+    """
     path = Path(path)
-    out: dict[str, np.ndarray] = {}
     if path.suffix == ".jsonl":
+        table, keys = FeatureTable(), None
         with path.open() as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 record = json.loads(line)
                 utt_id = record.pop("utt_id")
                 record.pop("voiced_frames", None)
-                out[utt_id] = np.array([float(v) for v in record.values()])
-        return out
+                if keys is None:
+                    table.names, keys = tuple(record), set(record)
+                elif record.keys() != keys:
+                    raise SchemaError(f"{path}:{lineno}: {utt_id} and the first record differ in "
+                                      f"{sorted(record.keys() ^ keys)}")
+                table.add(utt_id, np.array([float(record[n]) for n in table.names]), f"{path}:{lineno}")
+        return table
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         value_cols = slice(1, len(header) - 1)  # utt_id ... voiced_frames
-        for row in reader:
-            out[row[0]] = np.array([float(v) for v in row[value_cols]])
-    return out
+        table = FeatureTable()
+        table.names = tuple(header[value_cols])
+        for lineno, row in enumerate(reader, 2):
+            table.add(row[0], np.array([float(v) for v in row[value_cols]]), f"{path}:{lineno}")
+    return table

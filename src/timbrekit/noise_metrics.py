@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import parabolic_peak
 from .harmonics import Spectrum, band_peaks
 
 # Spectral floor relative to the peak bin before taking logs. A relative
@@ -50,11 +51,15 @@ def _cepstrum_db(spec: Spectrum, upto: int) -> np.ndarray:
     """
     mags = spec.magnitudes.reshape(-1, spec.magnitudes.shape[-1])
     peak = np.max(mags, axis=1, keepdims=True)
-    if np.any(peak <= 0):
+    silent = peak[:, 0] <= 0
+    if spec.magnitudes.ndim == 1 and silent[0]:
         raise ValueError("zero spectrum")
-    level_db = 20.0 * np.log10(np.maximum(mags, peak * _REL_SPECTRAL_FLOOR))
+    floor = np.where(silent[:, np.newaxis], 1.0, peak) * _REL_SPECTRAL_FLOOR
+    level_db = 20.0 * np.log10(np.maximum(mags, floor))
     cep = np.fft.irfft(level_db, spec.fft_size)[:, :upto]
-    return 20.0 * np.log10(np.abs(cep) + _LOG_GUARD)
+    cep_db = 20.0 * np.log10(np.abs(cep) + _LOG_GUARD)
+    cep_db[silent] = np.nan
+    return cep_db
 
 
 def _search_range(spec: Spectrum, config: CppConfig) -> tuple[int, int]:
@@ -67,23 +72,12 @@ def _search_range(spec: Spectrum, config: CppConfig) -> tuple[int, int]:
     return lo, hi
 
 
-def _refined_peak(values: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(position in bins, value) of each row's interpolated maximum over [lo, hi]."""
-    i = lo + np.argmax(values[:, lo : hi + 1], axis=1)
-    rows = np.arange(values.shape[0])
-    left, mid, right = values[rows, i - 1], values[rows, i], values[rows, i + 1]
-    denom = left - 2.0 * mid + right
-    curved = denom < 0
-    delta = 0.5 * (left - right) / np.where(curved, denom, -1.0)
-    pos = np.where(curved, i + delta, i)
-    return pos, np.where(curved, mid - 0.25 * (left - right) * delta, mid)
-
-
 def _cepstral_peak(spec: Spectrum, config: CppConfig):
     """(peak position in quefrency bins, peak dB, cepstrum dB, search top) per row."""
     lo, hi = _search_range(spec, config)
     cep_db = _cepstrum_db(spec, hi + 2)
-    pos, peak_db = _refined_peak(cep_db, lo, hi)
+    i = lo + np.argmax(cep_db[:, lo : hi + 1], axis=1)
+    pos, peak_db = parabolic_peak(cep_db, np.arange(cep_db.shape[0]), i)
     return pos, peak_db, cep_db, hi
 
 
@@ -94,7 +88,7 @@ def cpp_from_spectrum(spec: Spectrum, config: CppConfig = CppConfig()):
     for its peak over [quefrency_floor, quefrency_ceiling], the peak is
     refined by 3-point parabolic interpolation, and a least-squares line
     fitted over [trend_floor, quefrency_ceiling] is subtracted at the peak
-    quefrency.
+    quefrency. An all-zero slice raises ValueError; an all-zero row reads NaN.
     """
     pos, peak_db, cep_db, hi = _cepstral_peak(spec, config)
     peak_q = pos / spec.sample_rate

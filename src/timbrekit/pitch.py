@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer, FrameSpec, frame_blocks, frame_times, next_pow2, window_starts
+from .audio import AudioBuffer, FrameSpec, frame_blocks, frame_times, next_pow2, parabolic_peak, window_starts
 
 # Peaks within this normalized-strength margin of the best one count as
 # ties, and the shortest lag among them wins. Without this, a perfectly
@@ -126,13 +126,7 @@ def _frames_pitch(
     inner = r[:, lo:upper]
     row, lag = np.nonzero((inner > r[:, lo - 1 : upper - 1]) & (inner >= r[:, lo + 1 : upper + 1]))
     lag += lo
-    left, mid, right = r[row, lag - 1], r[row, lag], r[row, lag + 1]
-    # 3-point parabolic refinement; a flat top (no curvature) keeps the grid point.
-    denom = left - 2.0 * mid + right
-    curved = denom < 0
-    delta = 0.5 * (left - right) / np.where(curved, denom, -1.0)
-    pos = np.where(curved, lag + delta, lag)
-    value = np.where(curved, mid - 0.25 * (left - right) * delta, mid)
+    pos, value = parabolic_peak(r, row, lag)
     cand_f0 = np.minimum(np.maximum(sample_rate * _LAG_OVERSAMPLE / pos, config.floor), config.ceiling)
 
     best = np.full(live.size, -np.inf)

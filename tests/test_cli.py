@@ -236,6 +236,64 @@ class TestPrecomputedEmbeddings:
         assert len(loaded.feature_names) == 192
 
 
+class TestFeatureTableSchema:
+    """Names travel from the feature table to the checkpoint; mismatches fail as SCHEMA."""
+
+    def train(self, runner, tmp_path, features_path, manifest_path):
+        model_path = tmp_path / "model.json"
+        result = runner.invoke(main, ["train", "--manifest", str(manifest_path),
+                                      "--features", str(features_path), "--out", str(model_path),
+                                      "--epochs", "3", "--seed", "1"])
+        return result, model_path
+
+    def test_jsonl_names_reach_the_weights(self, runner, tmp_path):
+        csv_path, manifest_path = separable_training_setup(tmp_path, n_train=200, n_test=20)
+        names = [f"e{i:02d}" for i in range(26)]
+        features_path = tmp_path / "external.jsonl"
+        with csv_path.open() as src, features_path.open("w") as fh:
+            for row in list(csv.reader(src))[1:]:
+                record = {"utt_id": row[0], **dict(zip(names, map(float, row[1:-1])))}
+                fh.write(json.dumps(record) + "\n")
+        result, model_path = self.train(runner, tmp_path, features_path, manifest_path)
+        assert result.exit_code == 0, result.output
+        assert dn.load_checkpoint(model_path).feature_names == tuple(names)
+        result = run(runner, ["weights", "--model", str(model_path)])
+        assert sorted(line.split("\t")[0] for line in result.output.splitlines()) == names
+
+    def test_eval_rejects_other_feature_names(self, runner, tmp_path):
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=200, n_test=20)
+        _, model_path = self.train(runner, tmp_path, features_path, manifest_path)
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(features_path.read_text().replace("mean_f0,", "mean_pitch,", 1))
+        result = runner.invoke(main, ["eval", "--manifest", str(manifest_path),
+                                      "--features", str(renamed), "--model", str(model_path)])
+        assert result.exit_code != 0
+        assert "error: SCHEMA:" in result.output
+        assert "feature names differ in ['mean_f0', 'mean_pitch']" in result.output
+
+    def test_repeated_utt_id(self, runner, tmp_path):
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=200, n_test=20)
+        lines = features_path.read_text().splitlines()
+        features_path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        result, _ = self.train(runner, tmp_path, features_path, manifest_path)
+        assert result.exit_code != 0
+        assert "error: SCHEMA:" in result.output
+        assert "utt_id u000 is repeated" in result.output
+
+    def test_jsonl_record_with_other_names(self, runner, tmp_path):
+        features_path = tmp_path / "external.jsonl"
+        with features_path.open("w") as fh:
+            for i, names in enumerate([("a", "b"), ("a", "b"), ("a", "c")]):
+                fh.write(json.dumps({"utt_id": f"u{i:03d}", **dict.fromkeys(names, float(i))}) + "\n")
+        records = [ManifestRecord(dn.PairRecord("u000", "u001", "planted", "A"), "train")]
+        manifest_path = tmp_path / "pairs.jsonl"
+        write_manifest(manifest_path, records)
+        result, _ = self.train(runner, tmp_path, features_path, manifest_path)
+        assert result.exit_code != 0
+        assert "error: SCHEMA:" in result.output
+        assert "u002 and the first record differ in ['b', 'c']" in result.output
+
+
 class TestEvalCommand:
     def train_model(self, runner, tmp_path, **kwargs):
         features_path, manifest_path = separable_training_setup(tmp_path, **kwargs)
@@ -317,7 +375,7 @@ class TestWeightsCommand:
                      "--lr", "0.003", "--seed", "3"])
         result = run(runner, ["weights", "--model", str(model_path)])
         first = result.output.splitlines()[0]
-        # dimension 0 of a 26-wide table carries the canonical name mean_f0
+        # the acoustic table written by write_features names dimension 0 mean_f0
         assert first.startswith("mean_f0")
 
 

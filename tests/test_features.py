@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +14,7 @@ from timbrekit.features import (
     FEATURE_NAMES,
     FrameTrack,
     MEASURE_NAMES,
+    SchemaError,
     SilentUtteranceError,
     aggregate,
     extract_track,
@@ -157,7 +161,7 @@ def one_frame_track(buf, config):
         window = x[start : start + slice_win]
         fframe = formants[i]
         spectrum = magnitude_spectrum(window, sr)
-        row = {"f0": f0, "cpp": cpp_from_spectrum(spectrum, config.cpp), "rms": rms_energy(window)}
+        row = {"f0": f0, "rms": rms_energy(window)}
         row.update({f"f{k}": fframe.frequency(k) for k in range(1, 5)})
         row["dispersion"] = dispersion(fframe.frequency(1), fframe.frequency(4))
         tilt = tilt_measures(spectrum, f0, fframe)
@@ -165,6 +169,10 @@ def one_frame_track(buf, config):
         try:
             row["shr"] = shr(spectrum, f0, config.shr)
         except ValueError:
+            pass
+        try:
+            row["cpp"] = cpp_from_spectrum(spectrum, config.cpp)
+        except ValueError:  # an all-zero slice
             pass
         for name, value in row.items():
             if value is not None:
@@ -175,22 +183,41 @@ def one_frame_track(buf, config):
 class TestFrameIndependence:
     """Rows of the block-batched extraction equal the single-frame calls on that frame."""
 
-    @pytest.mark.parametrize("floor", [75.0, 100.0])
-    def test_rows_match_single_frame_calls(self, floor):
-        buf = bursts_and_gaps()
-        config = ExtractionConfig(pitch=PitchConfig(floor=floor))
-        track = extract_track(buf, config)
+    @staticmethod
+    def check_rows(buf, config):
+        """Compare extract_track with one_frame_track; returns the track and the edge-drop count."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            track = extract_track(buf, config)
         times, voiced, values, edge_drops = one_frame_track(buf, config)
-        assert voiced.sum() > FRAME_BLOCK
-        if floor == 100.0:
-            # The 480-sample pitch window is shorter than the 640-sample
-            # measure slice, so voiced frames at the buffer edges are dropped.
-            assert edge_drops > 0
         npt.assert_allclose(track.times, times, rtol=1e-12)
         npt.assert_array_equal(track.voiced, voiced)
         for name in MEASURE_NAMES:
             npt.assert_array_equal(np.isnan(track.values[name]), np.isnan(values[name]), err_msg=name)
             npt.assert_allclose(track.values[name], values[name], rtol=1e-9, atol=1e-9, err_msg=name)
+        return track, edge_drops
+
+    @pytest.mark.parametrize("floor", [60.0, 75.0, 100.0])
+    def test_rows_match_single_frame_calls(self, floor):
+        track, edge_drops = self.check_rows(bursts_and_gaps(), ExtractionConfig(pitch=PitchConfig(floor=floor)))
+        assert track.voiced.sum() > FRAME_BLOCK
+        if floor == 100.0:
+            # The 480-sample pitch window is shorter than the 640-sample
+            # measure slice, so voiced frames at the buffer edges are dropped.
+            assert edge_drops > 0
+
+    def test_voiced_slice_in_digital_silence(self):
+        # Below the 75 Hz floor the pitch window outgrows the measure slice:
+        # the last voiced frame's window still reaches the voice while its
+        # 40 ms slice is all zeros. That frame's CPP is missing; the
+        # utterance still gets a vector.
+        voice = synth(SynthSpec(kind="mixture", f0=130.0, duration=1.0, formants=VOICE_FORMANTS,
+                                tilt_db_per_octave=-6.0, noise_gain=0.004, seed=1)).samples
+        buf = AudioBuffer(np.concatenate([voice[:15700], np.zeros(4000)]), SR)
+        config = ExtractionConfig(pitch=PitchConfig(floor=60.0))
+        track, _ = self.check_rows(buf, config)
+        assert np.sum(track.voiced & np.isnan(track.values["cpp"])) >= 1
+        assert extract_vector(buf, config).voiced_frames == track.voiced.sum()
 
     def test_formant_grid_matches_single_windows(self):
         buf = bursts_and_gaps()
@@ -326,3 +353,50 @@ class TestFeatureFiles:
         write_features(path, rows, "acoustic")
         ids = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
         assert ids == sorted(ids)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_names_come_from_the_file(self, tmp_path, suffix):
+        rows = [(utt_id, vector[:13], count) for utt_id, vector, count in self.rows()]
+        path = tmp_path / f"features{suffix}"
+        write_features(path, rows, "mfcc")
+        table = read_features(path)
+        assert table.names == CEPSTRAL_NAMES
+        for utt_id, vector, _ in rows:
+            npt.assert_array_equal(table[utt_id], vector)
+
+    def test_jsonl_values_read_by_name(self, tmp_path):
+        ordered = tmp_path / "ordered.jsonl"
+        write_features(ordered, self.rows(), "acoustic")
+        rng = np.random.default_rng(3)
+        lines = ordered.read_text().splitlines()
+        shuffled = tmp_path / "shuffled.jsonl"
+        with shuffled.open("w") as fh:
+            fh.write(lines[0] + "\n")
+            for line in lines[1:]:
+                items = list(json.loads(line).items())
+                fh.write(json.dumps(dict(items[i] for i in rng.permutation(len(items)))) + "\n")
+        assert shuffled.read_text() != ordered.read_text()
+        want, got = read_features(ordered), read_features(shuffled)
+        assert got.names == want.names == FEATURE_NAMES
+        assert sorted(got) == sorted(want)
+        for utt_id in want:
+            npt.assert_array_equal(got[utt_id], want[utt_id])
+
+    def test_jsonl_record_with_other_names(self, tmp_path):
+        path = tmp_path / "features.jsonl"
+        write_features(path, self.rows(), "acoustic")
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace('"mean_f1"', '"mean_F1"')
+        path.write_text("\n".join(lines) + "\n")
+        want = r"features.jsonl:3: utt02 and the first record differ in \['mean_F1', 'mean_f1'\]"
+        with pytest.raises(SchemaError, match=want):
+            read_features(path)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_repeated_utt_id(self, tmp_path, suffix):
+        rows = self.rows()
+        rows[3] = ("utt01", rows[3][1], rows[3][2])
+        path = tmp_path / f"features{suffix}"
+        write_features(path, rows, "acoustic")
+        with pytest.raises(SchemaError, match="utt_id utt01 is repeated"):
+            read_features(path)
