@@ -217,10 +217,15 @@ def cmd_train(manifest_path, features_path, out, log_path, hidden, dropout, lr, 
     )
 
 
-def _metrics(scored) -> dict:
-    """Pair count, accuracy, and EER (None unless both labels occur) of scored pairs."""
+def _metrics(scored, curve=None) -> dict:
+    """Pair count, accuracy, and EER (None unless both labels occur) of scored pairs.
+
+    A FAR/FRR curve already built for these pairs gives the EER without a second sweep.
+    """
     entry = {"pairs": len(scored), "accuracy": evaluation.accuracy(scored), "eer": None}
-    if len({s.record.label for s in scored}) == 2:
+    if curve:
+        entry["eer"] = evaluation.eer_from_curve(curve)
+    elif len({s.record.label for s in scored}) == 2:
         entry["eer"] = evaluation.eer(scored)
     return entry
 
@@ -250,14 +255,16 @@ def cmd_eval(manifest_path, features_path, model_path, out, split):
     scores = diffnet.score_pairs(model, pairs, table)
     scored = [evaluation.ScoredPair(p, float(s)) for p, s in zip(pairs, scores)]
 
-    overall = _metrics(scored)
-    if overall["eer"] is None:
+    curve = []
+    if len({p.label for p in pairs}) == 2:
+        curve = evaluation.far_frr_curve(scored)
+    else:
         click.echo("warning: single-class split, EER is N/A", err=True)
-    curve = [] if overall["eer"] is None else evaluation.far_frr_curve(scored)
-    per_descriptor = {
-        descriptor: _metrics([s for s in scored if s.record.descriptor == descriptor])
-        for descriptor in sorted({p.descriptor for p in pairs})
-    }
+    overall = _metrics(scored, curve)
+    by_descriptor: dict[str, list] = {}
+    for s in scored:
+        by_descriptor.setdefault(s.record.descriptor, []).append(s)
+    per_descriptor = {d: _metrics(by_descriptor[d]) for d in sorted(by_descriptor)}
 
     report = {
         "split": split,

@@ -323,6 +323,29 @@ def _pair_index(pairs, features: Mapping[str, np.ndarray], descriptors):
     return table, rows, desc_idx, targets
 
 
+def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_idx: np.ndarray) -> np.ndarray:
+    """Infer-mode scores of each pair's own descriptor, with fc1 factorised over the pair.
+
+    [z_a*g, z_b*g] @ W1 = (z_a*g) @ W1[:D] + (z_b*g) @ W1[D:], and infer-mode
+    BN is affine per hidden unit, so each distinct utterance of the [U x D]
+    table is normalised, projected and BN-scaled once as a first and as a
+    second utterance; a pair costs one gather-and-add of hidden vectors plus
+    one fc2 column. Equals forward(mode="infer") on the gathered pairs up to
+    rounding order.
+    """
+    d = len(model.feature_names)
+    if table.shape[1] != d:
+        raise ValueError(f"expected {d} features per utterance, got {table.shape[1]}")
+    z = np.clip((table - model.norm_mean) / model.norm_std, -_ZSCORE_CLIP, _ZSCORE_CLIP)
+    x = z * model.feature_weights
+    scale = model.gamma / np.sqrt(model.running_var + model.bn_epsilon)
+    first = (x @ model.w1[:d] + model.b1 - model.running_mean) * scale + model.beta
+    second = (x @ model.w1[d:]) * scale
+    h = np.maximum(first[rows[:, 0]] + second[rows[:, 1]], 0.0)
+    logits = np.einsum("ph,ph->p", h, model.w2.T[desc_idx]) + model.b2[desc_idx]
+    return 1.0 / (1.0 + np.exp(-np.clip(logits, -_LOGIT_CLAMP, _LOGIT_CLAMP)))
+
+
 def train(
     pairs: list[PairRecord],
     features: Mapping[str, np.ndarray],
@@ -374,8 +397,7 @@ def train(
             # Running statistics move toward the batch moments.
             model.running_mean += model.bn_momentum * (cache["mu"] - model.running_mean)
             model.running_var += model.bn_momentum * (cache["var"] - model.running_var)
-        train_scores = forward(model, x_all, mode="infer")
-        picked = train_scores[np.arange(n), desc_idx]
+        picked = _score_rows(model, table, rows, desc_idx)
         train_acc = float(np.mean((picked >= 0.5) == (targets == 1.0)))
         log.append(
             {"epoch": epoch, "loss": epoch_loss / n, "train_accuracy": train_acc}
@@ -388,9 +410,7 @@ def score_pairs(
 ) -> np.ndarray:
     """Deterministic inference scores for each pair's own descriptor."""
     table, rows, desc_idx, _ = _pair_index(pairs, features, model.descriptors)
-    x = table[rows].reshape(len(pairs), -1)
-    scores = forward(model, x, mode="infer")
-    return scores[np.arange(len(pairs)), desc_idx]
+    return _score_rows(model, table, rows, desc_idx)
 
 
 def feature_importance(model: DiffNetModel) -> list[tuple[str, float]]:

@@ -6,6 +6,9 @@ rates are swept over every distinct score; the EER is read off at their
 crossing with linear interpolation between the two adjacent operating
 points (the interpolation runs in rate space, so any strictly increasing
 rescoring leaves the result untouched).
+
+Cost: the curve is one sort of each class plus a binary search per
+distinct score, O(N log N) in the pair count N; the EER reads one curve.
 """
 
 from __future__ import annotations
@@ -64,23 +67,26 @@ def accuracy(scored: list[ScoredPair], threshold: float = 0.5) -> float:
 
 
 def far_frr_curve(scored: list[ScoredPair]) -> list[tuple[float, float, float]]:
-    """(threshold, false-accept rate, false-reject rate) at each distinct score."""
+    """(threshold, false-accept rate, false-reject rate) at each distinct score.
+
+    A final sentinel point one above the top score has FAR 0 and FRR 1.
+    """
     scores, positive = _scores_and_positives(scored)
     if not positive.any() or positive.all():
         raise ValueError("both label classes are required")
-    pos = scores[positive]
-    neg = scores[~positive]
+    pos = np.sort(scores[positive])
+    neg = np.sort(scores[~positive])
     thresholds = np.unique(scores)
-    out = []
-    for t in thresholds:
-        out.append((float(t), float(np.mean(neg >= t)), float(np.mean(pos < t))))
+    # Rates are integer counts over the class size: neg >= t accepts, pos < t rejects.
+    far = (neg.size - np.searchsorted(neg, thresholds, side="left")) / neg.size
+    frr = np.searchsorted(pos, thresholds, side="left") / pos.size
+    out = list(zip(thresholds.tolist(), far.tolist(), frr.tolist()))
     out.append((float(thresholds[-1]) + 1.0, 0.0, 1.0))
     return out
 
 
-def eer(scored: list[ScoredPair]) -> float:
-    """Equal error rate in percent (see module docstring for the convention)."""
-    curve = far_frr_curve(scored)
+def eer_from_curve(curve: list[tuple[float, float, float]]) -> float:
+    """Equal error rate in percent at the crossing of a far_frr_curve's rates."""
     far = np.array([c[1] for c in curve])
     frr = np.array([c[2] for c in curve])
     diff = far - frr  # starts at +, ends at -, monotone nonincreasing
@@ -91,6 +97,11 @@ def eer(scored: list[ScoredPair]) -> float:
     alpha = 0.0 if d0 == d1 else d0 / (d0 - d1)
     value = far[cross - 1] + alpha * (far[cross] - far[cross - 1])
     return float(value * 100.0)
+
+
+def eer(scored: list[ScoredPair]) -> float:
+    """Equal error rate in percent (see module docstring for the convention)."""
+    return eer_from_curve(far_frr_curve(scored))
 
 
 # ---------------------------------------------------------------------------

@@ -260,11 +260,18 @@ def write_features(path, rows: list[tuple[str, np.ndarray, int]], kind: str) -> 
     """Write (utt_id, vector, frame count) rows, sorted by id.
 
     The format follows the extension: .jsonl for JSON lines, CSV otherwise.
-    Floats are written with repr, so a read round-trips bit-exactly.
+    Floats are written with repr, so a read round-trips bit-exactly. A
+    repeated utt_id, or a vector whose width differs from the kind's names,
+    raises SchemaError before anything is written.
     """
     names = feature_names_for(kind)
-    rows = sorted(rows, key=lambda r: r[0])
     path = Path(path)
+    seen = FeatureTable()
+    for utt_id, vector, _ in rows:
+        if len(vector) != len(names):
+            raise SchemaError(f"{path}: {utt_id} has {len(vector)} values, {kind} has {len(names)} names")
+        seen.add(utt_id, vector, str(path))
+    rows = sorted(rows, key=lambda r: r[0])
     if path.suffix == ".jsonl":
         with path.open("w") as fh:
             for utt_id, vector, count in rows:

@@ -1,10 +1,10 @@
 """Cross-module verification harness.
 
 Holds the independent oracles the test suite checks the fast paths
-against (a direct single-frequency DFT projection, an exhaustive-threshold
-EER sweep), single-slice cepstral measures computed from raw samples, and
-the seeded synthetic-voice corpus whose pair labels are exact by
-construction.
+against (a direct single-frequency DFT projection, exhaustive-threshold
+FAR/FRR and EER sweeps), single-slice cepstral measures computed from raw
+samples, and the seeded synthetic-voice corpus whose pair labels are
+exact by construction.
 """
 
 from __future__ import annotations
@@ -72,13 +72,11 @@ def peak_quefrency(window_samples, sample_rate: float, config: CppConfig = CppCo
     return float(pos[0] / sample_rate)
 
 
-def eer_oracle(scores, positive) -> float:
-    """Exhaustive-threshold EER in percent, pure-Python loops throughout.
+def far_frr_oracle(scores, positive) -> list[tuple[float, float, float]]:
+    """(threshold, FAR, FRR) at every distinct score plus the sentinel, pure-Python loops.
 
-    Same convention as evaluation.eer (positive class = second utterance
-    stronger, linear interpolation at the rate crossing) computed the slow
-    way: every distinct score is tried as a threshold and the rates are
-    counted one pair at a time.
+    Same convention as evaluation.far_frr_curve, computed the slow way: each
+    threshold recounts both classes one pair at a time.
     """
     scores = [float(s) for s in scores]
     positive = [bool(p) for p in positive]
@@ -93,10 +91,19 @@ def eer_oracle(scores, positive) -> float:
     for t in thresholds:
         false_accepts = sum(1 for s in neg if s >= t)
         false_rejects = sum(1 for s in pos if s < t)
-        points.append((false_accepts / len(neg), false_rejects / len(pos)))
+        points.append((t, false_accepts / len(neg), false_rejects / len(pos)))
+    return points
 
+
+def eer_oracle(scores, positive) -> float:
+    """Exhaustive-threshold EER in percent, pure-Python loops throughout.
+
+    Same convention as evaluation.eer (positive class = second utterance
+    stronger, linear interpolation at the rate crossing) computed the slow
+    way over far_frr_oracle's points.
+    """
     previous = None
-    for far, frr in points:
+    for _, far, frr in far_frr_oracle(scores, positive):
         if far - frr <= 0.0:
             if previous is None:
                 return far * 100.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from timbrekit import diffnet as dn
+from timbrekit import diffnet as dn, evaluation
 from timbrekit.audio import SynthSpec, synth, write_wav
 from timbrekit.cli import main
 from timbrekit.features import write_features
@@ -150,6 +150,18 @@ class TestExtractCommand:
         result = runner.invoke(main, ["extract", str(directory), "--out", str(tmp_path / "f.csv")])
         assert result.exit_code != 0
         assert "error: ALL_SKIPPED" in result.output
+
+    def test_repeated_stem_across_directories(self, runner, tmp_path):
+        voices = make_voice_dir(tmp_path, count=2)
+        for name, source in (("a", "utt00.wav"), ("b", "utt01.wav")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "x.wav").write_bytes((voices / source).read_bytes())
+        out = tmp_path / "f.csv"
+        result = runner.invoke(main, ["extract", str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(out)])
+        assert result.exit_code != 0
+        assert "error: SCHEMA:" in result.output
+        assert "utt_id x is repeated" in result.output
+        assert not out.exists()
 
     def test_config_override(self, runner, tmp_path):
         directory = make_voice_dir(tmp_path, count=1)
@@ -339,6 +351,37 @@ class TestEvalCommand:
                               "--features", str(features_path), "--model", str(model_path)])
         assert result.exit_code == 0
         assert "EER is N/A" in result.output or "N/A" in result.output
+
+    def test_one_curve_per_eer(self, runner, tmp_path, monkeypatch):
+        """The overall curve serves the overall EER and the report; each descriptor adds one."""
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=300, n_test=60)
+        descriptors = ("planted", "second", "third")
+        # Test labels alternate within each descriptor, so every descriptor holds both.
+        records = [
+            ManifestRecord(dn.PairRecord(e.record.utt_a, e.record.utt_b, descriptors[i % 3],
+                                         "AB"[i // 3 % 2] if e.split == "test" else e.record.label), e.split)
+            for i, e in enumerate(read_manifest(manifest_path))
+        ]
+        write_manifest(manifest_path, records)
+        model_path = tmp_path / "model.json"
+        run(runner, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
+                     "--out", str(model_path), "--epochs", "2"])
+        calls = []
+        real = evaluation.far_frr_curve
+
+        def counting(scored):
+            calls.append(len(scored))
+            return real(scored)
+
+        monkeypatch.setattr(evaluation, "far_frr_curve", counting)
+        report_path = tmp_path / "report.json"
+        result = run(runner, ["eval", "--manifest", str(manifest_path), "--features", str(features_path),
+                              "--model", str(model_path), "--out", str(report_path)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(report_path.read_text())
+        assert all(report["per_descriptor"][d]["eer"] is not None for d in descriptors)
+        assert sorted(calls) == [20] * len(descriptors) + [60]  # 1 + k calls
+        assert len(report["far_frr"]) > 0
 
     def test_report_round_trips(self, runner, tmp_path):
         features_path, manifest_path, model_path = self.train_model(

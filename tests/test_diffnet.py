@@ -182,6 +182,43 @@ class TestTrain:
             dn.train([], {}, dn.TrainConfig())
 
 
+class TestScorePairs:
+    def factorised_setup(self):
+        """50 utterances in 601 pairs over three descriptors; u07's f2 sits beyond +10 sigma."""
+        model = small_model(hidden=16)
+        rng = np.random.default_rng(11)
+        model.running_mean[:] = rng.normal(0, 0.5, 16)
+        model.running_var[:] = rng.uniform(0.3, 3.0, 16)
+        ids = [f"u{i:02d}" for i in range(50)]
+        feats = {u: rng.normal(model.norm_mean, model.norm_std) for u in ids}
+        feats["u07"][2] = model.norm_mean[2] + 25.0 * model.norm_std[2]
+        pairs = []
+        for i in range(600):
+            a, b = rng.choice(len(ids), 2, replace=False)
+            pairs.append(dn.PairRecord(ids[a], ids[b], model.descriptors[i % 3],
+                                       dn.A_STRONGER if rng.random() < 0.5 else dn.B_STRONGER))
+        pairs.append(dn.PairRecord("u07", "u01", "y", dn.B_STRONGER))
+        return model, pairs, feats
+
+    def reference(self, model, pairs, feats):
+        x = np.stack([np.concatenate([feats[p.utt_a], feats[p.utt_b]]) for p in pairs])
+        idx = [model.descriptors.index(p.descriptor) for p in pairs]
+        return dn.forward(model, x, mode="infer")[np.arange(len(pairs)), idx]
+
+    def test_matches_forward_on_gathered_pairs(self):
+        model, pairs, feats = self.factorised_setup()
+        assert np.abs(dn.normalize_input(model, np.concatenate([feats["u07"], feats["u01"]]))).max() == 10.0
+        scores = dn.score_pairs(model, pairs, feats)
+        npt.assert_allclose(scores, self.reference(model, pairs, feats), rtol=0, atol=1e-12)
+
+    def test_reloaded_checkpoint_scores_the_same(self, tmp_path):
+        model, pairs, feats = self.factorised_setup()
+        dn.save_checkpoint(model, tmp_path / "model.json")
+        loaded = dn.load_checkpoint(tmp_path / "model.json")
+        npt.assert_allclose(dn.score_pairs(loaded, pairs, feats), dn.score_pairs(model, pairs, feats),
+                            rtol=0, atol=1e-12)
+
+
 class TestFeatureImportance:
     def test_fresh_model_all_ones(self):
         model = dn.init_model(NAMES5, ("x",), dn.TrainConfig(), np.random.default_rng(0))

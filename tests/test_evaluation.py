@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from timbrekit.diffnet import A_STRONGER, B_STRONGER, PairRecord
 from timbrekit.evaluation import ScoredPair, accuracy, cost_report, eer, far_frr_curve
-from timbrekit.testkit import eer_oracle
+from timbrekit.testkit import eer_oracle, far_frr_oracle
 
 
 def scored(values):
@@ -104,6 +104,22 @@ class TestEer:
         assert 0.0 <= result <= 100.0
         slow = eer_oracle([v for v, _ in values], [lab == B_STRONGER for _, lab in values])
         assert result == pytest.approx(slow, abs=1e-12)
+
+    @given(
+        n=st.integers(min_value=2, max_value=300),
+        positive_share=st.floats(min_value=0.05, max_value=0.95),
+        decimals=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_curve_equals_threshold_loop(self, n, positive_share, decimals, seed):
+        """Heavy ties: scores rounded to 1-3 decimals; both classes always present."""
+        rng = np.random.default_rng(seed)
+        scores = np.round(rng.uniform(0, 1, n), decimals)
+        positive = rng.random(n) < positive_share
+        positive[0], positive[1] = True, False
+        values = [(float(s), B_STRONGER if p else A_STRONGER) for s, p in zip(scores, positive)]
+        assert far_frr_curve(scored(values)) == far_frr_oracle(scores, positive)
 
     def test_curve_endpoints(self):
         pairs = scored([(0.2, A_STRONGER), (0.8, B_STRONGER)])

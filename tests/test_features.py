@@ -394,9 +394,26 @@ class TestFeatureFiles:
 
     @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
     def test_repeated_utt_id(self, tmp_path, suffix):
+        path = tmp_path / f"features{suffix}"
+        write_features(path, self.rows(), "acoustic")
+        lines = path.read_text().splitlines()
+        repeated = next(line for line in lines if "utt01" in line)
+        path.write_text("\n".join(lines + [repeated]) + "\n")
+        with pytest.raises(SchemaError, match="utt_id utt01 is repeated"):
+            read_features(path)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_write_rejects_repeated_utt_id(self, tmp_path, suffix):
         rows = self.rows()
         rows[3] = ("utt01", rows[3][1], rows[3][2])
         path = tmp_path / f"features{suffix}"
-        write_features(path, rows, "acoustic")
         with pytest.raises(SchemaError, match="utt_id utt01 is repeated"):
-            read_features(path)
+            write_features(path, rows, "acoustic")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_write_rejects_other_width(self, tmp_path, suffix):
+        path = tmp_path / f"features{suffix}"
+        with pytest.raises(SchemaError, match="utt00 has 26 values, mfcc has 13 names"):
+            write_features(path, self.rows(), "mfcc")
+        assert not path.exists()
