@@ -1,7 +1,7 @@
 """timbrekit: interpretable acoustic features and pairwise timbre comparison."""
 
 from .audio import AudioBuffer, FrameSpec, SynthSpec, load_audio, resample, synth, write_wav
-from .diffnet import DiffNetModel, PairRecord, TrainConfig, train
+from .diffnet import DiffNetModel, PairColumns, PairRecord, TrainConfig, train
 from .features import (
     AcousticVector,
     CepstralVector,
@@ -15,7 +15,7 @@ from .features import (
     lfc,
     mfcc,
 )
-from .evaluation import ScoredPair, accuracy, cost_report, eer
+from .evaluation import ScoredColumns, ScoredPair, accuracy, cost_report, eer
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,7 @@ __all__ = [
     "synth",
     "write_wav",
     "DiffNetModel",
+    "PairColumns",
     "PairRecord",
     "TrainConfig",
     "train",
@@ -42,6 +43,7 @@ __all__ = [
     "extract_vector",
     "lfc",
     "mfcc",
+    "ScoredColumns",
     "ScoredPair",
     "accuracy",
     "cost_report",

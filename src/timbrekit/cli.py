@@ -168,6 +168,10 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
 
     rows = [(utt, vec, count) for utt, vec, count, reason in results if reason is None]
     skipped = [(utt, reason) for utt, _, _, reason in results if reason is not None]
+    if not rows:
+        _fail("ALL_SKIPPED", f"all {len(paths)} inputs were skipped")
+    features.write_features(out, rows, kind)
+    # The skip list belongs to the table: a failed extract leaves an earlier one as it was.
     skip_path = Path(str(out) + ".skipped.jsonl")
     if skipped:
         with skip_path.open("w") as fh:
@@ -175,9 +179,6 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
                 fh.write(json.dumps({"utt_id": utt, "reason": reason}) + "\n")
     elif skip_path.exists():
         skip_path.unlink()
-    if not rows:
-        _fail("ALL_SKIPPED", f"all {len(paths)} inputs were skipped")
-    features.write_features(out, rows, kind)
     click.echo(f"wrote {len(rows)} rows to {out}" + (f", skipped {len(skipped)}" if skipped else ""))
 
 
@@ -198,7 +199,7 @@ def cmd_train(manifest_path, features_path, out, log_path, hidden, dropout, lr, 
     records = manifest.read_manifest(manifest_path)
     for warning in manifest.check_manifest(records):
         click.echo(f"warning: {warning}", err=True)
-    train_pairs = [e.record for e in records if e.split == "train"]
+    train_pairs = records.split_pairs("train")
     if not train_pairs:
         _fail("INVALID_INPUT", "manifest has no train split")
     table = features.read_features(features_path)
@@ -217,7 +218,7 @@ def cmd_train(manifest_path, features_path, out, log_path, hidden, dropout, lr, 
     )
 
 
-def _metrics(scored, curve=None) -> dict:
+def _metrics(scored: evaluation.ScoredColumns, curve=None) -> dict:
     """Pair count, accuracy, and EER (None unless both labels occur) of scored pairs.
 
     A FAR/FRR curve already built for these pairs gives the EER without a second sweep.
@@ -225,9 +226,23 @@ def _metrics(scored, curve=None) -> dict:
     entry = {"pairs": len(scored), "accuracy": evaluation.accuracy(scored), "eer": None}
     if curve:
         entry["eer"] = evaluation.eer_from_curve(curve)
-    elif len({s.record.label for s in scored}) == 2:
+    elif _both_labels(scored):
         entry["eer"] = evaluation.eer(scored)
     return entry
+
+
+def _both_labels(scored: evaluation.ScoredColumns) -> bool:
+    return bool(scored.positive.any() and not scored.positive.all())
+
+
+def _by_descriptor(descriptor: np.ndarray) -> dict[str, np.ndarray]:
+    """Each descriptor's pair indices, in file order, from one stable argsort."""
+    names = sorted(set(descriptor))
+    code = {d: i for i, d in enumerate(names)}.__getitem__
+    codes = np.fromiter(map(code, descriptor), np.intp, len(descriptor))
+    order = np.argsort(codes, kind="stable")
+    ends = np.cumsum(np.bincount(codes, minlength=len(names)))
+    return dict(zip(names, np.split(order, ends[:-1])))
 
 
 def _pct(value) -> str:
@@ -243,8 +258,7 @@ def _pct(value) -> str:
 @_guard
 def cmd_eval(manifest_path, features_path, model_path, out, split):
     """Score the manifest's test split and report accuracy and EER."""
-    records = manifest.read_manifest(manifest_path)
-    pairs = [e.record for e in records if e.split == split]
+    pairs = manifest.read_manifest(manifest_path).split_pairs(split)
     if not pairs:
         _fail("INVALID_INPUT", f"manifest has no {split} split")
     table = features.read_features(features_path)
@@ -252,25 +266,23 @@ def cmd_eval(manifest_path, features_path, model_path, out, split):
     if table.names != model.feature_names:
         differ = sorted(set(table.names) ^ set(model.feature_names)) or "their order"
         _fail("SCHEMA", f"{features_path} and the model's feature names differ in {differ}")
-    scores = diffnet.score_pairs(model, pairs, table)
-    scored = [evaluation.ScoredPair(p, float(s)) for p, s in zip(pairs, scores)]
+    scored = evaluation.ScoredColumns(diffnet.score_pairs(model, pairs, table), pairs.b_stronger)
 
     curve = []
-    if len({p.label for p in pairs}) == 2:
+    if _both_labels(scored):
         curve = evaluation.far_frr_curve(scored)
     else:
         click.echo("warning: single-class split, EER is N/A", err=True)
     overall = _metrics(scored, curve)
-    by_descriptor: dict[str, list] = {}
-    for s in scored:
-        by_descriptor.setdefault(s.record.descriptor, []).append(s)
-    per_descriptor = {d: _metrics(by_descriptor[d]) for d in sorted(by_descriptor)}
+    per_descriptor = {
+        d: _metrics(scored.take(index)) for d, index in _by_descriptor(pairs.descriptor).items()
+    }
 
     report = {
         "split": split,
         **overall,
         "per_descriptor": per_descriptor,
-        "far_frr": [list(point) for point in curve],
+        "far_frr": curve,
     }
     if out:
         Path(out).write_text(json.dumps(report, sort_keys=True))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,6 +54,57 @@ class PairRecord:
             raise ValueError("a pair must reference two distinct utterances")
         if self.label not in (A_STRONGER, B_STRONGER):
             raise ValueError(f"label must be {A_STRONGER!r} or {B_STRONGER!r}")
+
+
+@dataclass(frozen=True)
+class PairColumns:
+    """Pairs as four arrays of equal length, one entry per pair.
+
+    utt_a, utt_b and descriptor are object arrays of str; b_stronger is
+    True where the label is B_STRONGER. train and score_pairs read pairs in
+    this form; a PairRecord sequence is converted once on entry.
+    """
+
+    utt_a: np.ndarray
+    utt_b: np.ndarray
+    descriptor: np.ndarray
+    b_stronger: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.b_stronger)
+        if any(len(col) != n for col in (self.utt_a, self.utt_b, self.descriptor)):
+            raise ValueError("pair columns must have equal lengths")
+        if self.b_stronger.dtype != bool:
+            raise ValueError("b_stronger must be a bool array")
+        if np.any(self.utt_a == self.utt_b):
+            raise ValueError("a pair must reference two distinct utterances")
+
+    @classmethod
+    def from_records(cls, pairs) -> "PairColumns":
+        n = len(pairs)
+        return cls(
+            np.fromiter((p.utt_a for p in pairs), object, n),
+            np.fromiter((p.utt_b for p in pairs), object, n),
+            np.fromiter((p.descriptor for p in pairs), object, n),
+            np.fromiter((p.label == B_STRONGER for p in pairs), bool, n),
+        )
+
+    def __len__(self) -> int:
+        return len(self.b_stronger)
+
+    def take(self, index) -> "PairColumns":
+        """The pairs at an index array or boolean mask, in that order."""
+        return PairColumns(
+            self.utt_a[index], self.utt_b[index], self.descriptor[index], self.b_stronger[index]
+        )
+
+    def record(self, i: int) -> PairRecord:
+        label = B_STRONGER if self.b_stronger[i] else A_STRONGER
+        return PairRecord(self.utt_a[i], self.utt_b[i], self.descriptor[i], label)
+
+
+def _as_columns(pairs) -> PairColumns:
+    return pairs if isinstance(pairs, PairColumns) else PairColumns.from_records(pairs)
 
 
 @dataclass(frozen=True)
@@ -301,26 +352,32 @@ def _adam_step(model: DiffNetModel, grads, state: _AdamState, config: TrainConfi
         params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
 
 
-def _pair_index(pairs, features: Mapping[str, np.ndarray], descriptors):
+def _pair_index(pairs: PairColumns, features: Mapping[str, np.ndarray], descriptors):
     """(table, rows, desc_idx, targets) for `pairs`; KeyError names missing ids and descriptors.
 
     table holds the [U x D] vectors of the distinct utterances in sorted-id
     order; rows holds each pair's [utt_a, utt_b] rows of it.
     """
-    ids = sorted({p.utt_a for p in pairs} | {p.utt_b for p in pairs})
+    ids = sorted(set(pairs.utt_a) | set(pairs.utt_b))
     missing = [u for u in ids if u not in features]
     if missing:
         raise KeyError(f"no feature vectors for: {', '.join(missing)}")
-    unknown = sorted({p.descriptor for p in pairs} - set(descriptors))
+    unknown = sorted(set(pairs.descriptor) - set(descriptors))
     if unknown:
         raise KeyError(f"descriptors not in the model vocabulary: {', '.join(unknown)}")
-    row = {u: i for i, u in enumerate(ids)}
-    desc_index = {d: i for i, d in enumerate(descriptors)}
+    row = {u: i for i, u in enumerate(ids)}.__getitem__
+    desc_index = {d: i for i, d in enumerate(descriptors)}.__getitem__
+    n = len(pairs)
     table = np.stack([features[u] for u in ids])
-    rows = np.array([(row[p.utt_a], row[p.utt_b]) for p in pairs])
-    desc_idx = np.array([desc_index[p.descriptor] for p in pairs])
-    targets = np.array([0.0 if p.label == A_STRONGER else 1.0 for p in pairs])
-    return table, rows, desc_idx, targets
+    rows = np.empty((n, 2), dtype=np.intp)
+    rows[:, 0] = np.fromiter(map(row, pairs.utt_a), np.intp, n)
+    rows[:, 1] = np.fromiter(map(row, pairs.utt_b), np.intp, n)
+    desc_idx = np.fromiter(map(desc_index, pairs.descriptor), np.intp, n)
+    return table, rows, desc_idx, pairs.b_stronger.astype(np.float64)
+
+
+# Pairs gathered per step of _score_rows: three [block x H] arrays stay in cache.
+_SCORE_BLOCK = 1024
 
 
 def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_idx: np.ndarray) -> np.ndarray:
@@ -330,8 +387,8 @@ def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_i
     BN is affine per hidden unit, so each distinct utterance of the [U x D]
     table is normalised, projected and BN-scaled once as a first and as a
     second utterance; a pair costs one gather-and-add of hidden vectors plus
-    one fc2 column. Equals forward(mode="infer") on the gathered pairs up to
-    rounding order.
+    one fc2 column, done _SCORE_BLOCK pairs at a time. Equals
+    forward(mode="infer") on the gathered pairs up to rounding order.
     """
     d = len(model.feature_names)
     if table.shape[1] != d:
@@ -341,13 +398,18 @@ def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_i
     scale = model.gamma / np.sqrt(model.running_var + model.bn_epsilon)
     first = (x @ model.w1[:d] + model.b1 - model.running_mean) * scale + model.beta
     second = (x @ model.w1[d:]) * scale
-    h = np.maximum(first[rows[:, 0]] + second[rows[:, 1]], 0.0)
-    logits = np.einsum("ph,ph->p", h, model.w2.T[desc_idx]) + model.b2[desc_idx]
+    w2t = model.w2.T
+    logits = np.empty(len(rows))
+    for start in range(0, len(rows), _SCORE_BLOCK):
+        block = slice(start, start + _SCORE_BLOCK)
+        h = np.maximum(first[rows[block, 0]] + second[rows[block, 1]], 0.0)
+        logits[block] = np.einsum("ph,ph->p", h, w2t[desc_idx[block]])
+    logits += model.b2[desc_idx]
     return 1.0 / (1.0 + np.exp(-np.clip(logits, -_LOGIT_CLAMP, _LOGIT_CLAMP)))
 
 
 def train(
-    pairs: list[PairRecord],
+    pairs: PairColumns | Sequence[PairRecord],
     features: Mapping[str, np.ndarray],
     config: TrainConfig = TrainConfig(),
     feature_names=None,
@@ -358,10 +420,11 @@ def train(
     Deterministic given the seed: initialization, shuffling, and dropout
     all draw from one generator, and reductions run in a fixed order.
     """
+    pairs = _as_columns(pairs)
     if not pairs:
         raise ValueError("no training pairs")
     if descriptors is None:
-        descriptors = tuple(sorted({p.descriptor for p in pairs}))
+        descriptors = tuple(sorted(set(pairs.descriptor)))
 
     rng = np.random.default_rng(config.seed)
 
@@ -406,10 +469,12 @@ def train(
 
 
 def score_pairs(
-    model: DiffNetModel, pairs: list[PairRecord], features: Mapping[str, np.ndarray]
+    model: DiffNetModel,
+    pairs: PairColumns | Sequence[PairRecord],
+    features: Mapping[str, np.ndarray],
 ) -> np.ndarray:
     """Deterministic inference scores for each pair's own descriptor."""
-    table, rows, desc_idx, _ = _pair_index(pairs, features, model.descriptors)
+    table, rows, desc_idx, _ = _pair_index(_as_columns(pairs), features, model.descriptors)
     return _score_rows(model, table, rows, desc_idx)
 
 

@@ -13,6 +13,7 @@ distinct score, O(N log N) in the pair count N; the EER reads one curve.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +49,43 @@ class ScoredPair:
             raise ValueError("score must be finite in [0, 1]")
 
 
+@dataclass(frozen=True)
+class ScoredColumns:
+    """Scored pairs as two arrays: each pair's score, and whether its label is B_STRONGER.
+
+    accuracy, far_frr_curve and eer take this or a ScoredPair sequence; the
+    scores are checked here once rather than pair by pair.
+    """
+
+    scores: np.ndarray
+    positive: np.ndarray
+
+    def __post_init__(self):
+        if self.scores.shape != self.positive.shape or self.scores.ndim != 1:
+            raise ValueError("scores and positive must be 1-D arrays of equal length")
+        if self.positive.dtype != bool:
+            raise ValueError("positive must be a bool array")
+        if self.scores.size and not (
+            np.isfinite(self.scores).all() and self.scores.min() >= 0.0 and self.scores.max() <= 1.0
+        ):
+            raise ValueError("score must be finite in [0, 1]")
+
+    def __len__(self) -> int:
+        return self.scores.size
+
+    def take(self, index) -> "ScoredColumns":
+        return ScoredColumns(self.scores[index], self.positive[index])
+
+
 def _scores_and_positives(scored) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(scored, ScoredColumns):
+        return scored.scores, scored.positive
     scores = np.array([s.score for s in scored], dtype=np.float64)
     positive = np.array([s.record.label == B_STRONGER for s in scored], dtype=bool)
     return scores, positive
 
 
-def accuracy(scored: list[ScoredPair], threshold: float = 0.5) -> float:
+def accuracy(scored: ScoredColumns | Sequence[ScoredPair], threshold: float = 0.5) -> float:
     """Percent of pairs whose thresholded score matches the label.
 
     Scores at or above the threshold predict the second utterance as
@@ -66,7 +97,7 @@ def accuracy(scored: list[ScoredPair], threshold: float = 0.5) -> float:
     return float(np.mean((scores >= threshold) == positive) * 100.0)
 
 
-def far_frr_curve(scored: list[ScoredPair]) -> list[tuple[float, float, float]]:
+def far_frr_curve(scored: ScoredColumns | Sequence[ScoredPair]) -> list[tuple[float, float, float]]:
     """(threshold, false-accept rate, false-reject rate) at each distinct score.
 
     A final sentinel point one above the top score has FAR 0 and FRR 1.
@@ -99,7 +130,7 @@ def eer_from_curve(curve: list[tuple[float, float, float]]) -> float:
     return float(value * 100.0)
 
 
-def eer(scored: list[ScoredPair]) -> float:
+def eer(scored: ScoredColumns | Sequence[ScoredPair]) -> float:
     """Equal error rate in percent (see module docstring for the convention)."""
     return eer_from_curve(far_frr_curve(scored))
 

@@ -2,18 +2,29 @@
 
 Record fields: utt_a, utt_b (audio paths or bare ids; a path's stem is the
 id), descriptor, label ("A" or "B", where "A" means the first utterance is
-the stronger one and maps to score 0), split ("train" or "test").
+the stronger one and maps to score 0), split ("train" or "test"). Every
+field is a string.
+
+The reader keeps the pairs as columns (diffnet.PairColumns plus a split
+column); ManifestRecord objects are built only when a caller indexes or
+iterates the Manifest.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
-from .diffnet import PairRecord, STANDARD_DESCRIPTORS
+import numpy as np
+
+from .diffnet import A_STRONGER, B_STRONGER, PairColumns, PairRecord, STANDARD_DESCRIPTORS
 
 SPLITS = ("train", "test")
+FIELDS = ("utt_a", "utt_b", "descriptor", "label", "split")
 
 
 @dataclass(frozen=True)
@@ -33,30 +44,127 @@ def utterance_id(value: str) -> str:
     return value
 
 
-def read_manifest(path) -> list[ManifestRecord]:
-    records = []
+class Manifest(Sequence):
+    """A manifest as columns: every pair, and each pair's split.
+
+    Reads as a sequence of ManifestRecord, each built when it is asked for.
+    """
+
+    def __init__(self, pairs: PairColumns, split: np.ndarray):
+        if len(split) != len(pairs):
+            raise ValueError("pair and split columns must have equal lengths")
+        self.pairs = pairs
+        self.split = split
+
+    @classmethod
+    def from_records(cls, records) -> "Manifest":
+        pairs = PairColumns.from_records([e.record for e in records])
+        return cls(pairs, np.fromiter((e.split for e in records), object, len(records)))
+
+    def __len__(self) -> int:
+        return len(self.split)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return ManifestRecord(self.pairs.record(index), self.split[index])
+
+    def split_pairs(self, split: str) -> PairColumns:
+        """The pairs of one split, in file order."""
+        return self.pairs.take(self.split == split)
+
+
+def _text(raw, key: str) -> str:
+    value = raw[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {json.dumps(value)}")
+    return value
+
+
+def _record(raw) -> ManifestRecord:
+    """One decoded line as a record; raises what makes the line bad.
+
+    The descriptor's type is checked last, so a line that is bad in another
+    way as well reports that.
+    """
+    record = PairRecord(
+        utt_a=utterance_id(_text(raw, "utt_a")),
+        utt_b=utterance_id(_text(raw, "utt_b")),
+        descriptor=raw["descriptor"],
+        label=raw["label"],
+    )
+    entry = ManifestRecord(record, raw["split"])
+    _text(raw, "descriptor")
+    return entry
+
+
+# Lines decoded per step; their dicts are dropped before the next step.
+_DECODE_LINES = 1 << 14
+
+
+def _decode_columns(fh) -> Manifest:
+    """The columns of fh's non-blank lines, each decoded on its own; raises if any line is bad.
+
+    Each field's values are interned in a table of its distinct values, so the
+    columns share one string per distinct value and the checks run over the
+    tables.
+    """
+    tables = [{} for _ in FIELDS]
+    columns = [[] for _ in FIELDS]
+    while lines := list(islice(fh, _DECODE_LINES)):
+        raws = list(map(json.loads, filter(None, map(str.strip, lines))))
+        for key, table, column in zip(FIELDS, tables, columns):
+            values = list(map(itemgetter(key), raws))
+            column += map(table.setdefault, values, values)
+    if not all(isinstance(value, str) for table in tables for value in table):
+        raise TypeError("a field is not a string")
+    raw_a, raw_b, _, labels, splits = tables
+    if not labels.keys() <= {A_STRONGER, B_STRONGER} or not splits.keys() <= set(SPLITS):
+        raise ValueError("a label or split is not one of the allowed values")
+    ids = {raw: utterance_id(raw) for raw in raw_a.keys() | raw_b.keys()}.__getitem__
+    utt_a, utt_b, descriptor, label, split = columns
+    n = len(label)
+    pairs = PairColumns(  # checks that the two ids of each pair differ
+        np.fromiter(map(ids, utt_a), object, n),
+        np.fromiter(map(ids, utt_b), object, n),
+        np.fromiter(descriptor, object, n),
+        np.fromiter(map(B_STRONGER.__eq__, label), bool, n),
+    )
+    return Manifest(pairs, np.fromiter(split, object, n))
+
+
+def _raise_first_bad_line(path) -> None:
+    """Rebuild the records one line at a time and raise the first bad line's error."""
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                raw = json.loads(line)
-                record = PairRecord(
-                    utt_a=utterance_id(raw["utt_a"]),
-                    utt_b=utterance_id(raw["utt_b"]),
-                    descriptor=raw["descriptor"],
-                    label=raw["label"],
-                )
-                records.append(ManifestRecord(record, raw["split"]))
+                _record(json.loads(line))
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad manifest record: {exc}") from exc
-    if not records:
+
+
+def read_manifest(path) -> Manifest:
+    """The manifest's pairs as columns, after checking every line.
+
+    Each line is decoded on its own. When any line is bad, the records are
+    rebuilt line by line up to the first bad one, whose error is raised as
+    `path:line: bad manifest record: ...`.
+    """
+    try:
+        with Path(path).open() as fh:
+            manifest = _decode_columns(fh)
+    except (KeyError, ValueError, TypeError):
+        _raise_first_bad_line(path)
+        raise
+    if not manifest:
         raise ValueError(f"{path}: empty manifest")
-    return records
+    return manifest
 
 
-def write_manifest(path, records: list[ManifestRecord]) -> None:
+def write_manifest(path, records: Sequence[ManifestRecord]) -> None:
     with Path(path).open("w") as fh:
         for entry in records:
             fh.write(
@@ -73,29 +181,26 @@ def write_manifest(path, records: list[ManifestRecord]) -> None:
             )
 
 
-def check_manifest(records: list[ManifestRecord]) -> list[str]:
+def check_manifest(records: Manifest | Sequence[ManifestRecord]) -> list[str]:
     """Non-fatal issues: unknown descriptors, speaker-prefix overlap across splits.
 
     Descriptors outside the standard vocabulary are legal (synthetic
     corpora use their own) but worth flagging; shared id prefixes across
     train and test suggest the speaker-disjointness contract is broken.
+    Takes a Manifest, or ManifestRecords that it turns into one.
     """
+    if not isinstance(records, Manifest):
+        records = Manifest.from_records(records)
     warnings = []
-    unknown = sorted(
-        {e.record.descriptor for e in records} - set(STANDARD_DESCRIPTORS)
-    )
+    unknown = sorted(set(records.pairs.descriptor) - set(STANDARD_DESCRIPTORS))
     if unknown:
         warnings.append(f"descriptors outside the standard vocabulary: {', '.join(unknown)}")
 
-    def prefix(utt: str) -> str:
-        return utt.rsplit("_", 1)[0]
+    def prefixes(split: str) -> set[str]:
+        pairs = records.split_pairs(split)
+        return {utt.rsplit("_", 1)[0] for utt in set(pairs.utt_a) | set(pairs.utt_b)}
 
-    by_split: dict[str, set[str]] = {s: set() for s in SPLITS}
-    for entry in records:
-        by_split[entry.split].update(
-            (prefix(entry.record.utt_a), prefix(entry.record.utt_b))
-        )
-    shared = sorted(by_split["train"] & by_split["test"])
+    shared = sorted(prefixes("train") & prefixes("test"))
     if shared:
         listed = ", ".join(shared[:5]) + ("..." if len(shared) > 5 else "")
         warnings.append(f"id prefixes appear in both train and test splits: {listed}")

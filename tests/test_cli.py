@@ -163,6 +163,28 @@ class TestExtractCommand:
         assert "utt_id x is repeated" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "earlier_skip_list"])
+    def test_failed_extract_leaves_skip_list_alone(self, runner, tmp_path, earlier):
+        voices = make_voice_dir(tmp_path, count=2, silent=1)
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "a" / "x.wav").write_bytes((voices / "utt00.wav").read_bytes())
+        (tmp_path / "a" / "quiet.wav").write_bytes((voices / "silent0.wav").read_bytes())
+        (tmp_path / "b" / "x.wav").write_bytes((voices / "utt01.wav").read_bytes())
+        out = tmp_path / "out.csv"
+        skip_path = tmp_path / "out.csv.skipped.jsonl"
+        before = b'{"utt_id": "old", "reason": "SILENT_UTTERANCE"}\n'
+        if earlier:
+            skip_path.write_bytes(before)
+        result = runner.invoke(main, ["extract", str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(out)])
+        assert result.exit_code == 1
+        assert "error: SCHEMA:" in result.output
+        assert not out.exists()
+        if earlier:
+            assert skip_path.read_bytes() == before
+        else:
+            assert not skip_path.exists()
+
     def test_config_override(self, runner, tmp_path):
         directory = make_voice_dir(tmp_path, count=1)
         out = tmp_path / "f.csv"
@@ -186,7 +208,7 @@ class TestTrainCommand:
 
     def test_unknown_id_is_named(self, runner, tmp_path):
         features_path, manifest_path = separable_training_setup(tmp_path, n_train=20, n_test=5)
-        records = read_manifest(manifest_path)
+        records = list(read_manifest(manifest_path))
         records.append(ManifestRecord(dn.PairRecord("ghost", "u000", "planted", "A"), "train"))
         write_manifest(manifest_path, records)
         result = runner.invoke(main, ["train", "--manifest", str(manifest_path),
@@ -343,7 +365,7 @@ class TestEvalCommand:
         features_path, manifest_path, model_path = self.train_model(
             tmp_path=tmp_path, runner=runner, n_train=200, n_test=0
         )
-        records = read_manifest(manifest_path)
+        records = list(read_manifest(manifest_path))
         records.append(ManifestRecord(dn.PairRecord("u000", "u001", "planted", "A"), "test"))
         records.append(ManifestRecord(dn.PairRecord("u002", "u003", "planted", "A"), "test"))
         write_manifest(manifest_path, records)
@@ -382,6 +404,29 @@ class TestEvalCommand:
         assert all(report["per_descriptor"][d]["eer"] is not None for d in descriptors)
         assert sorted(calls) == [20] * len(descriptors) + [60]  # 1 + k calls
         assert len(report["far_frr"]) > 0
+
+    def test_train_and_eval_build_no_per_pair_objects(self, runner, tmp_path, monkeypatch):
+        """Pairs travel as columns from the manifest file to the report."""
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=240, n_test=60)
+        assert len(manifest_path.read_text().splitlines()) == 300
+        built = []
+        for cls in (dn.PairRecord, ManifestRecord, evaluation.ScoredPair):
+            real = cls.__post_init__
+
+            def counting(self, real=real):
+                built.append(type(self).__name__)
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        model_path, report_path = tmp_path / "model.json", tmp_path / "report.json"
+        result = run(runner, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
+                              "--out", str(model_path), "--epochs", "2"])
+        assert result.exit_code == 0, result.output
+        result = run(runner, ["eval", "--manifest", str(manifest_path), "--features", str(features_path),
+                              "--model", str(model_path), "--out", str(report_path)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(report_path.read_text())["pairs"] == 60
+        assert built == []
 
     def test_report_round_trips(self, runner, tmp_path):
         features_path, manifest_path, model_path = self.train_model(
@@ -459,6 +504,25 @@ class TestManifest:
         path.write_text('{"utt_a": "a", "utt_b": "b", "descriptor": "x", "label": "Q", "split": "train"}\n')
         with pytest.raises(ValueError, match=":1:"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("value", [5, None, [1]], ids=["number", "null", "list"])
+    @pytest.mark.parametrize("field", ["utt_a", "utt_b", "descriptor", "label", "split"])
+    def test_non_string_field(self, runner, tmp_path, field, value):
+        good = {"utt_a": "u000", "utt_b": "u001", "descriptor": "planted", "label": "A", "split": "train"}
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        expected = f"{path}:2: bad manifest record: {field} must be"
+        with pytest.raises(ValueError) as info:
+            read_manifest(path)
+        assert str(info.value).startswith(expected)
+
+        features_path = tmp_path / "features.csv"
+        write_features(features_path, [(f"u00{i}", np.zeros(26), 1) for i in range(2)], "acoustic")
+        result = runner.invoke(main, ["train", "--manifest", str(path), "--features", str(features_path),
+                                      "--out", str(tmp_path / "model.json")])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: INVALID_INPUT: {expected}")
+        assert result.output.count("\n") == 1
 
     def test_checker_flags_unknown_descriptors_and_overlap(self):
         records = [

@@ -219,6 +219,48 @@ class TestScorePairs:
                             rtol=0, atol=1e-12)
 
 
+    def test_blocks_equal_one_gather(self, monkeypatch):
+        """2,500 pairs span several blocks and a ragged tail; the scores do not move by a bit."""
+        model = small_model(hidden=128)
+        rng = np.random.default_rng(4)
+        model.running_var[:] = rng.uniform(0.3, 3.0, 128)
+        ids = [f"u{i:02d}" for i in range(80)]
+        feats = {u: rng.normal(model.norm_mean, model.norm_std) for u in ids}
+        picks = [rng.choice(len(ids), 2, replace=False) for _ in range(2500)]
+        pairs = [dn.PairRecord(ids[a], ids[b], model.descriptors[i % 3], dn.A_STRONGER)
+                 for i, (a, b) in enumerate(picks)]
+        assert 2 * dn._SCORE_BLOCK < len(pairs) and len(pairs) % dn._SCORE_BLOCK
+        blocked = dn.score_pairs(model, pairs, feats)
+        npt.assert_array_equal(dn.score_pairs(model, dn.PairColumns.from_records(pairs), feats), blocked)
+        monkeypatch.setattr(dn, "_SCORE_BLOCK", len(pairs))
+        npt.assert_array_equal(dn.score_pairs(model, pairs, feats), blocked)
+
+
+class TestPairColumns:
+    def test_round_trips_records(self):
+        pairs, _ = separable_task(n_pairs=50)
+        columns = dn.PairColumns.from_records(pairs)
+        assert len(columns) == 50
+        assert [columns.record(i) for i in range(50)] == pairs
+        assert [columns.take(np.arange(10, 20)).record(i) for i in range(10)] == pairs[10:20]
+
+    def test_rejects_repeated_utterance_and_ragged_columns(self):
+        ids = np.array(["a", "b"], dtype=object)
+        with pytest.raises(ValueError, match="two distinct utterances"):
+            dn.PairColumns(ids, np.array(["c", "b"], dtype=object), ids, np.zeros(2, bool))
+        with pytest.raises(ValueError, match="equal lengths"):
+            dn.PairColumns(ids, ids[::-1], ids[:1], np.zeros(2, bool))
+
+    def test_train_takes_columns_or_records_alike(self):
+        pairs, feats = separable_task(n_pairs=300)
+        config = dn.TrainConfig(seed=2, epochs=2, hidden_dim=16)
+        model_r, log_r = dn.train(pairs, feats, config)
+        model_c, log_c = dn.train(dn.PairColumns.from_records(pairs), feats, config)
+        assert log_r == log_c
+        for name, tensor in model_r.parameter_groups().items():
+            npt.assert_array_equal(model_c.parameter_groups()[name], tensor)
+
+
 class TestFeatureImportance:
     def test_fresh_model_all_ones(self):
         model = dn.init_model(NAMES5, ("x",), dn.TrainConfig(), np.random.default_rng(0))

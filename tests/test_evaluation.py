@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timbrekit.diffnet import A_STRONGER, B_STRONGER, PairRecord
-from timbrekit.evaluation import ScoredPair, accuracy, cost_report, eer, far_frr_curve
+from timbrekit.evaluation import ScoredColumns, ScoredPair, accuracy, cost_report, eer, far_frr_curve
 from timbrekit.testkit import eer_oracle, far_frr_oracle
 
 
@@ -135,6 +135,31 @@ class TestScoredPair:
             ScoredPair(record, 1.5)
         with pytest.raises(ValueError):
             ScoredPair(record, float("nan"))
+
+
+class TestScoredColumns:
+    def columns(self, values):
+        scores = np.array([v for v, _ in values], dtype=np.float64)
+        return ScoredColumns(scores, np.array([lab == B_STRONGER for _, lab in values]))
+
+    def test_same_metrics_as_scored_pairs(self):
+        rng = np.random.default_rng(8)
+        values = [(float(np.round(s, 2)), B_STRONGER if rng.random() < 0.4 else A_STRONGER)
+                  for s in rng.uniform(0, 1, 300)]
+        columns, pairs = self.columns(values), scored(values)
+        assert len(columns) == 300
+        assert accuracy(columns) == accuracy(pairs)
+        assert far_frr_curve(columns) == far_frr_curve(pairs)
+        assert eer(columns) == eer(pairs)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan"), float("inf")])
+    def test_scores_checked_once(self, bad):
+        with pytest.raises(ValueError, match="finite in"):
+            ScoredColumns(np.array([0.2, bad]), np.array([True, False]))
+
+    def test_empty_errors(self):
+        with pytest.raises(ValueError):
+            accuracy(ScoredColumns(np.zeros(0), np.zeros(0, bool)))
 
 
 class TestCostReport:
