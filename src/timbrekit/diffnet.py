@@ -10,6 +10,13 @@ annotated descriptor: target 0 when the first utterance is stronger,
 
 Everything is plain numpy with explicit gradients; training is exactly
 reproducible from the seed.
+
+A training step centres the fc1 activations once: forward takes the BN
+batch variance from them and caches them, and backward reuses them. Adam
+runs over one flat buffer that the model's parameter groups are views of,
+with the step's gradients concatenated into one vector. Each of these
+gives bitwise the values of the textbook loop kept in
+testkit.train_reference, which the tests compare train against.
 """
 
 from __future__ import annotations
@@ -237,14 +244,12 @@ def forward(
     x = z * gains
     u = x @ model.w1 + model.b1
 
-    if train:
-        mu = u.mean(axis=0)
-        var = u.var(axis=0)
-    else:
-        mu = model.running_mean
-        var = model.running_var
+    mu = u.mean(axis=0) if train else model.running_mean
+    u_centered = u - mu
+    # Bitwise equal to u.var(axis=0), which centres u the same way.
+    var = (u_centered * u_centered).sum(axis=0) / u.shape[0] if train else model.running_var
     inv_sigma = 1.0 / np.sqrt(var + model.bn_epsilon)
-    u_hat = (u - mu) * inv_sigma
+    u_hat = u_centered * inv_sigma
     bn_out = model.gamma * u_hat + model.beta
     h = np.maximum(bn_out, 0.0)
 
@@ -262,19 +267,11 @@ def forward(
     if not return_cache:
         return scores[0] if single else scores
     cache = {
-        "z": z, "x": x, "u": u, "mu": mu, "var": var, "inv_sigma": inv_sigma,
+        "z": z, "x": x, "u_centered": u_centered, "mu": mu, "var": var, "inv_sigma": inv_sigma,
         "u_hat": u_hat, "bn_out": bn_out, "mask": mask, "h_drop": h_drop,
         "scores": scores, "train": train,
     }
     return (scores[0] if single else scores), cache
-
-
-def loss(scores: np.ndarray, record: PairRecord, descriptors) -> float:
-    """BCE on the single output indexed by the record's descriptor."""
-    idx = list(descriptors).index(record.descriptor)
-    target = 0.0 if record.label == A_STRONGER else 1.0
-    s = float(np.clip(np.atleast_1d(scores)[idx], _SCORE_CLAMP, 1.0 - _SCORE_CLAMP))
-    return -(target * np.log(s) + (1.0 - target) * np.log(1.0 - s))
 
 
 def batch_loss(scores: np.ndarray, desc_idx: np.ndarray, targets: np.ndarray) -> float:
@@ -308,14 +305,15 @@ def backward(
     g_gamma = (g_bn_out * cache["u_hat"]).sum(axis=0)
     g_beta = g_bn_out.sum(axis=0)
     g_u_hat = g_bn_out * model.gamma
+    g_u = g_u_hat * cache["inv_sigma"]
     if cache["train"]:
-        u_centered = cache["u"] - cache["mu"]
-        inv_sigma = cache["inv_sigma"]
-        g_var = (g_u_hat * u_centered * -0.5 * inv_sigma**3).sum(axis=0)
-        g_mu = (g_u_hat * -inv_sigma).sum(axis=0) + g_var * (-2.0 * u_centered).mean(axis=0)
-        g_u = g_u_hat * inv_sigma + g_var * 2.0 * u_centered / batch + g_mu / batch
-    else:
-        g_u = g_u_hat * cache["inv_sigma"]
+        # The textbook BN backward with its -0.5, -1 and -2 factors folded
+        # into [H] vectors; scaling by a power of two commutes with rounding,
+        # so every value is bitwise what the unfolded expressions give.
+        u_centered = cache["u_centered"]
+        g_var = (g_u_hat * u_centered * (-0.5 * cache["inv_sigma"] ** 3)).sum(axis=0)
+        g_mu = -g_u.sum(axis=0) + g_var * (-2.0 * u_centered.mean(axis=0))
+        g_u = g_u + g_var * 2.0 * u_centered / batch + g_mu / batch
 
     g_w1 = cache["x"].T @ g_u
     g_b1 = g_u.sum(axis=0)
@@ -334,22 +332,37 @@ def backward(
     }
 
 
-@dataclass
-class _AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int = 0
+class _FlatAdam:
+    """Adam over one flat buffer; the model's parameter groups become views of it.
 
+    Adam is elementwise, so one pass over the buffer gives bitwise the values
+    of one pass per group.
+    """
 
-def _adam_step(model: DiffNetModel, grads, state: _AdamState, config: TrainConfig):
-    state.t += 1
-    params = model.parameter_groups()
-    for name, grad in grads.items():
-        state.m[name] = config.beta1 * state.m[name] + (1 - config.beta1) * grad
-        state.v[name] = config.beta2 * state.v[name] + (1 - config.beta2) * grad * grad
-        m_hat = state.m[name] / (1 - config.beta1**state.t)
-        v_hat = state.v[name] / (1 - config.beta2**state.t)
-        params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+    def __init__(self, model: DiffNetModel, config: TrainConfig):
+        groups = model.parameter_groups()
+        self.names = tuple(groups)
+        self.params = np.concatenate([p.ravel() for p in groups.values()])
+        offset = 0
+        for name, p in groups.items():
+            setattr(model, name, self.params[offset : offset + p.size].reshape(p.shape))
+            offset += p.size
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        self.t = 0
+        self.config = config
+
+    def step(self, grads: Mapping[str, np.ndarray]) -> None:
+        c = self.config
+        grad = np.concatenate([grads[name].ravel() for name in self.names])
+        self.t += 1
+        self.m *= c.beta1
+        self.m += (1 - c.beta1) * grad
+        self.v *= c.beta2
+        self.v += (1 - c.beta2) * grad * grad
+        m_hat = self.m / (1 - c.beta1**self.t)
+        v_hat = self.v / (1 - c.beta2**self.t)
+        self.params -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_epsilon)
 
 
 def _pair_index(pairs: PairColumns, features: Mapping[str, np.ndarray], descriptors):
@@ -441,10 +454,7 @@ def train(
 
     model = init_model(feature_names, descriptors, config, rng, norm_mean, norm_std)
     x_all = table[rows].reshape(len(pairs), -1)
-    state = _AdamState(
-        m={k: np.zeros_like(p) for k, p in model.parameter_groups().items()},
-        v={k: np.zeros_like(p) for k, p in model.parameter_groups().items()},
-    )
+    adam = _FlatAdam(model, config)
 
     log = []
     n = len(pairs)
@@ -456,7 +466,7 @@ def train(
             scores, cache = forward(model, x_all[sel], mode="train", rng=rng, return_cache=True)
             epoch_loss += batch_loss(scores, desc_idx[sel], targets[sel]) * sel.size
             grads = backward(model, cache, desc_idx[sel], targets[sel])
-            _adam_step(model, grads, state, config)
+            adam.step(grads)
             # Running statistics move toward the batch moments.
             model.running_mean += model.bn_momentum * (cache["mu"] - model.running_mean)
             model.running_var += model.bn_momentum * (cache["var"] - model.running_var)
@@ -483,6 +493,13 @@ def feature_importance(model: DiffNetModel) -> list[tuple[str, float]]:
     return [(name, float(w)) for name, w in zip(model.feature_names, model.feature_weights)]
 
 
+# The tensors a checkpoint stores.
+_TENSORS = (
+    "feature_weights", "w1", "b1", "gamma", "beta", "running_mean", "running_var",
+    "w2", "b2", "norm_mean", "norm_std",
+)
+
+
 def save_checkpoint(model: DiffNetModel, path) -> None:
     """Versioned JSON checkpoint; floats round-trip bit-exactly via repr."""
     payload = {
@@ -492,32 +509,48 @@ def save_checkpoint(model: DiffNetModel, path) -> None:
         "dropout": model.dropout,
         "bn_momentum": model.bn_momentum,
         "bn_epsilon": model.bn_epsilon,
-        "tensors": {
-            "feature_weights": model.feature_weights.tolist(),
-            "w1": model.w1.tolist(),
-            "b1": model.b1.tolist(),
-            "gamma": model.gamma.tolist(),
-            "beta": model.beta.tolist(),
-            "running_mean": model.running_mean.tolist(),
-            "running_var": model.running_var.tolist(),
-            "w2": model.w2.tolist(),
-            "b2": model.b2.tolist(),
-            "norm_mean": model.norm_mean.tolist(),
-            "norm_std": model.norm_std.tolist(),
-        },
+        "tensors": {name: getattr(model, name).tolist() for name in _TENSORS},
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True))
 
 
 def load_checkpoint(path) -> DiffNetModel:
+    """The model saved at path; ValueError names a tensor that is missing or misshapen.
+
+    D is the number of feature names, N the number of descriptors and H the
+    length of b1.
+    """
     payload = json.loads(Path(path).read_text())
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
-    tensors = {k: np.array(v, dtype=np.float64) for k, v in payload["tensors"].items()}
+    feature_names = tuple(payload["feature_names"])
+    descriptors = tuple(payload["descriptors"])
+    stored = payload["tensors"]
+    for name in _TENSORS:
+        if name not in stored:
+            raise ValueError(f"checkpoint has no tensor {name!r}")
+    unknown = sorted(set(stored) - set(_TENSORS))
+    if unknown:
+        raise ValueError(f"checkpoint has unknown tensors: {', '.join(unknown)}")
+    tensors = {name: np.array(stored[name], dtype=np.float64) for name in _TENSORS}
+    d, n, h = len(feature_names), len(descriptors), tensors["b1"].size
+    expected = {
+        "feature_weights": (d,), "norm_mean": (d,), "norm_std": (d,),
+        "w1": (2 * d, h),
+        "b1": (h,), "gamma": (h,), "beta": (h,), "running_mean": (h,), "running_var": (h,),
+        "w2": (h, n),
+        "b2": (n,),
+    }
+    for name in _TENSORS:
+        if tensors[name].shape != expected[name]:
+            raise ValueError(
+                f"checkpoint tensor {name!r} has shape {list(tensors[name].shape)}, "
+                f"expected {list(expected[name])}"
+            )
     return DiffNetModel(
-        feature_names=tuple(payload["feature_names"]),
-        descriptors=tuple(payload["descriptors"]),
+        feature_names=feature_names,
+        descriptors=descriptors,
         dropout=payload["dropout"],
         bn_momentum=payload["bn_momentum"],
         bn_epsilon=payload["bn_epsilon"],

@@ -7,7 +7,11 @@ field is a string.
 
 The reader keeps the pairs as columns (diffnet.PairColumns plus a split
 column); ManifestRecord objects are built only when a caller indexes or
-iterates the Manifest.
+iterates the Manifest. Each stripped, non-empty line is decoded on its own
+by the C scanner that json.loads ends in, called directly and accepted only
+when the value ends the line, which accepts exactly what json.loads accepts.
+When any line is bad, the file is read again record by record with
+json.loads to name the first bad line.
 """
 
 from __future__ import annotations
@@ -101,6 +105,26 @@ def _record(raw) -> ManifestRecord:
 # Lines decoded per step; their dicts are dropped before the next step.
 _DECODE_LINES = 1 << 14
 
+# The C scanner that json.loads ends in, called without its Python wrappers.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str):
+    """The JSON value of one stripped, non-empty line; raises ValueError where json.loads(line) raises.
+
+    json.loads skips JSON whitespace around the value and rejects a leading
+    BOM; a stripped line has no whitespace at either end, and the scanner
+    finds no value at a BOM, so accepting only a scan that ends at len(line)
+    accepts exactly what json.loads accepts, with the same value.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", line, exc.value) from None
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return value
+
 
 def _decode_columns(fh) -> Manifest:
     """The columns of fh's non-blank lines, each decoded on its own; raises if any line is bad.
@@ -112,7 +136,7 @@ def _decode_columns(fh) -> Manifest:
     tables = [{} for _ in FIELDS]
     columns = [[] for _ in FIELDS]
     while lines := list(islice(fh, _DECODE_LINES)):
-        raws = list(map(json.loads, filter(None, map(str.strip, lines))))
+        raws = list(map(_decode_line, filter(None, map(str.strip, lines))))
         for key, table, column in zip(FIELDS, tables, columns):
             values = list(map(itemgetter(key), raws))
             column += map(table.setdefault, values, values)

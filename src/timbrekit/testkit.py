@@ -2,9 +2,9 @@
 
 Holds the independent oracles the test suite checks the fast paths
 against (a direct single-frequency DFT projection, exhaustive-threshold
-FAR/FRR and EER sweeps), single-slice cepstral measures computed from raw
-samples, and the seeded synthetic-voice corpus whose pair labels are
-exact by construction.
+FAR/FRR and EER sweeps, the textbook training loop, single-record BCE),
+single-slice cepstral measures computed from raw samples, and the seeded
+synthetic-voice corpus whose pair labels are exact by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import SynthSpec
-from .diffnet import A_STRONGER, B_STRONGER, PairRecord
+from .diffnet import (
+    _LOGIT_CLAMP,
+    _SCORE_CLAMP,
+    _STD_GUARD,
+    A_STRONGER,
+    B_STRONGER,
+    PairRecord,
+    TrainConfig,
+    _as_columns,
+    _pair_index,
+    _score_rows,
+    batch_loss,
+    init_model,
+    normalize_input,
+)
 from .harmonics import magnitude_spectrum
 from .noise_metrics import CppConfig, _cepstral_peak, cpp_from_spectrum
 
@@ -113,6 +127,115 @@ def eer_oracle(scores, positive) -> float:
             return (far0 + alpha * (far - far0)) * 100.0
         previous = (far, frr)
     raise AssertionError("rate curves never crossed")  # unreachable: sentinel guarantees it
+
+
+def loss(scores: np.ndarray, record: PairRecord, descriptors) -> float:
+    """BCE on the single output indexed by the record's descriptor."""
+    idx = list(descriptors).index(record.descriptor)
+    target = 0.0 if record.label == A_STRONGER else 1.0
+    s = float(np.clip(np.atleast_1d(scores)[idx], _SCORE_CLAMP, 1.0 - _SCORE_CLAMP))
+    return -(target * np.log(s) + (1.0 - target) * np.log(1.0 - s))
+
+
+def _reference_forward(model, e_pair, rng):
+    """Train-mode forward as written out: z-score the batch, BN variance from u.var."""
+    z = normalize_input(model, e_pair)
+    x = z * np.concatenate([model.feature_weights, model.feature_weights])
+    u = x @ model.w1 + model.b1
+    mu = u.mean(axis=0)
+    var = u.var(axis=0)
+    inv_sigma = 1.0 / np.sqrt(var + model.bn_epsilon)
+    u_hat = (u - mu) * inv_sigma
+    bn_out = model.gamma * u_hat + model.beta
+    h = np.maximum(bn_out, 0.0)
+    if model.dropout > 0.0:
+        mask = (rng.random(h.shape) >= model.dropout) / (1.0 - model.dropout)
+    else:
+        mask = np.ones_like(h)
+    h_drop = h * mask
+    logits = np.clip(h_drop @ model.w2 + model.b2, -_LOGIT_CLAMP, _LOGIT_CLAMP)
+    scores = 1.0 / (1.0 + np.exp(-logits))
+    cache = {"z": z, "x": x, "u": u, "mu": mu, "var": var, "inv_sigma": inv_sigma,
+             "u_hat": u_hat, "bn_out": bn_out, "mask": mask, "h_drop": h_drop}
+    return scores, cache
+
+
+def _reference_backward(model, cache, scores, desc_idx, targets) -> dict[str, np.ndarray]:
+    """Gradients of the mean batch BCE, with the textbook batch-norm backward."""
+    batch = scores.shape[0]
+    d = len(model.feature_names)
+    g_logits = np.zeros_like(scores)
+    rows = np.arange(batch)
+    g_logits[rows, desc_idx] = (scores[rows, desc_idx] - targets) / batch
+    g_w2 = cache["h_drop"].T @ g_logits
+    g_b2 = g_logits.sum(axis=0)
+    g_bn_out = (g_logits @ model.w2.T) * cache["mask"] * (cache["bn_out"] > 0.0)
+    g_gamma = (g_bn_out * cache["u_hat"]).sum(axis=0)
+    g_beta = g_bn_out.sum(axis=0)
+    g_u_hat = g_bn_out * model.gamma
+    u_centered = cache["u"] - cache["mu"]
+    inv_sigma = cache["inv_sigma"]
+    g_var = (g_u_hat * u_centered * -0.5 * inv_sigma**3).sum(axis=0)
+    g_mu = (g_u_hat * -inv_sigma).sum(axis=0) + g_var * (-2.0 * u_centered).mean(axis=0)
+    g_u = g_u_hat * inv_sigma + g_var * 2.0 * u_centered / batch + g_mu / batch
+    g_x = g_u @ model.w1.T
+    gz = g_x * cache["z"]
+    return {
+        "feature_weights": gz[:, :d].sum(axis=0) + gz[:, d:].sum(axis=0),
+        "w1": cache["x"].T @ g_u,
+        "b1": g_u.sum(axis=0),
+        "gamma": g_gamma,
+        "beta": g_beta,
+        "w2": g_w2,
+        "b2": g_b2,
+    }
+
+
+def train_reference(pairs, features, config: TrainConfig = TrainConfig(), feature_names=None,
+                    descriptors=None):
+    """diffnet.train written out step by step; train must equal it bit for bit.
+
+    Each batch is z-scored on its own, BN takes the batch variance from
+    u.var, the BN backward is the unfolded chain rule, and Adam keeps its
+    moments and updates per parameter group. Returns (model, log) as train does.
+    """
+    pairs = _as_columns(pairs)
+    if descriptors is None:
+        descriptors = tuple(sorted(set(pairs.descriptor)))
+    rng = np.random.default_rng(config.seed)
+    table, rows, desc_idx, targets = _pair_index(pairs, features, descriptors)
+    if feature_names is None:
+        feature_names = tuple(f"dim_{i:02d}" for i in range(table.shape[1]))
+    norm_std = np.maximum(table.std(axis=0), _STD_GUARD)
+    model = init_model(feature_names, descriptors, config, rng, table.mean(axis=0), norm_std)
+    x_all = table[rows].reshape(len(pairs), -1)
+    m = {k: np.zeros_like(p) for k, p in model.parameter_groups().items()}
+    v = {k: np.zeros_like(p) for k, p in model.parameter_groups().items()}
+    t = 0
+    log = []
+    n = len(pairs)
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            sel = order[start : start + config.batch_size]
+            scores, cache = _reference_forward(model, x_all[sel], rng)
+            epoch_loss += batch_loss(scores, desc_idx[sel], targets[sel]) * sel.size
+            grads = _reference_backward(model, cache, scores, desc_idx[sel], targets[sel])
+            t += 1
+            params = model.parameter_groups()
+            for name, grad in grads.items():
+                m[name] = config.beta1 * m[name] + (1 - config.beta1) * grad
+                v[name] = config.beta2 * v[name] + (1 - config.beta2) * grad * grad
+                m_hat = m[name] / (1 - config.beta1**t)
+                v_hat = v[name] / (1 - config.beta2**t)
+                params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+            model.running_mean += model.bn_momentum * (cache["mu"] - model.running_mean)
+            model.running_var += model.bn_momentum * (cache["var"] - model.running_var)
+        picked = _score_rows(model, table, rows, desc_idx)
+        train_acc = float(np.mean((picked >= 0.5) == (targets == 1.0)))
+        log.append({"epoch": epoch, "loss": epoch_loss / n, "train_accuracy": train_acc})
+    return model, log
 
 
 @dataclass(frozen=True)

@@ -428,6 +428,28 @@ class TestEvalCommand:
         assert json.loads(report_path.read_text())["pairs"] == 60
         assert built == []
 
+    @pytest.mark.parametrize("tensor,mutate,expected", [
+        ("w2", lambda t: [row + [0.0] for row in t], "has shape [128, 2], expected [128, 1]"),
+        ("w2", lambda t: [row[:-1] for row in t], "has shape [128, 0], expected [128, 1]"),
+        ("b2", lambda t: t[:-1], "has shape [0], expected [1]"),
+        ("beta", None, None),
+    ], ids=["w2_extra_column", "w2_short_column", "b2_short", "beta_missing"])
+    def test_misshapen_checkpoint_is_invalid_input(self, runner, tmp_path, tensor, mutate, expected):
+        features_path, manifest_path, model_path = self.train_model(
+            tmp_path=tmp_path, runner=runner, n_train=200, n_test=40
+        )
+        payload = json.loads(model_path.read_text())
+        if mutate is None:
+            del payload["tensors"][tensor]
+        else:
+            payload["tensors"][tensor] = mutate(payload["tensors"][tensor])
+        model_path.write_text(json.dumps(payload))
+        result = run(runner, ["eval", "--manifest", str(manifest_path), "--features", str(features_path),
+                              "--model", str(model_path)])
+        assert result.exit_code == 1
+        detail = f"checkpoint tensor '{tensor}' {expected}" if expected else f"checkpoint has no tensor '{tensor}'"
+        assert result.output == f"error: INVALID_INPUT: {detail}\n"
+
     def test_report_round_trips(self, runner, tmp_path):
         features_path, manifest_path, model_path = self.train_model(
             tmp_path=tmp_path, runner=runner, n_train=300, n_test=100

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from timbrekit import diffnet as dn
+from timbrekit import diffnet as dn, testkit
 
 NAMES5 = tuple(f"f{i}" for i in range(5))
 
@@ -67,15 +67,15 @@ class TestForward:
 class TestLoss:
     def test_half_score_is_ln2(self):
         record = dn.PairRecord("a", "b", "x", dn.A_STRONGER)
-        assert dn.loss(np.array([0.5, 0.9, 0.1]), record, ("x", "y", "z")) == pytest.approx(np.log(2.0))
+        assert testkit.loss(np.array([0.5, 0.9, 0.1]), record, ("x", "y", "z")) == pytest.approx(np.log(2.0))
 
     def test_confident_correct_is_tiny(self):
         record = dn.PairRecord("a", "b", "x", dn.A_STRONGER)
-        assert dn.loss(np.array([0.0]), record, ("x",)) == pytest.approx(1e-7, abs=1e-8)
+        assert testkit.loss(np.array([0.0]), record, ("x",)) == pytest.approx(1e-7, abs=1e-8)
 
     def test_wrong_confidence(self):
         record = dn.PairRecord("a", "b", "x", dn.A_STRONGER)
-        assert dn.loss(np.array([0.9]), record, ("x",)) == pytest.approx(-np.log(0.1), rel=1e-6)
+        assert testkit.loss(np.array([0.9]), record, ("x",)) == pytest.approx(-np.log(0.1), rel=1e-6)
 
 
 class TestBackward:
@@ -180,6 +180,21 @@ class TestTrain:
     def test_empty_pairs(self):
         with pytest.raises(ValueError):
             dn.train([], {}, dn.TrainConfig())
+
+    @pytest.mark.parametrize("n_pairs,dim,hidden", [(700, 26, 32), (769, 5, 7)])
+    def test_equals_the_textbook_loop_bitwise(self, n_pairs, dim, hidden):
+        """Dropout 0.3, two descriptors, a ragged last batch (of one pair in the second case)."""
+        pairs, feats = separable_task(n_pairs=n_pairs, n_utts=40, dim=dim, seed=12)
+        pairs = [dn.PairRecord(p.utt_a, p.utt_b, ("planted", "second")[i % 2], p.label)
+                 for i, p in enumerate(pairs)]
+        config = dn.TrainConfig(hidden_dim=hidden, dropout=0.3, epochs=3, seed=4)
+        assert n_pairs % config.batch_size
+        model, log = dn.train(pairs, feats, config)
+        expected, expected_log = testkit.train_reference(pairs, feats, config)
+        assert log == expected_log
+        for name in ("feature_weights", "w1", "b1", "gamma", "beta", "running_mean", "running_var",
+                     "w2", "b2", "norm_mean", "norm_std"):
+            assert np.array_equal(getattr(model, name), getattr(expected, name)), name
 
 
 class TestScorePairs:

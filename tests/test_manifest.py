@@ -4,7 +4,7 @@ import json
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from timbrekit import manifest
@@ -71,10 +71,42 @@ corruptions = st.one_of(
 )
 
 
+# JSON pieces and the characters json.loads treats differently from str.strip.
+fragments = st.sampled_from((
+    "{", "}", "[", "]", ":", ",", '"utt_a"', '"A"', '"\\u00e9"', '"x', "NaN", "Infinity",
+    "-Infinity", "1", "-0.0", "2.5e3", "null", "true", " ", "\t", "\ufeff", "\u00a0",
+))
+record_text = records.map(json.dumps)
+edges = st.sampled_from(("", " ", "\ufeff", "\u00a0", " x", "{}", " {}", "NaN", ",", "]"))
+candidate_lines = st.one_of(
+    record_text,
+    st.lists(fragments, min_size=1, max_size=12).map("".join),
+    st.builds(lambda text, cut: text[:cut], record_text, st.integers(min_value=0, max_value=120)),
+    st.builds(lambda head, text, tail: head + text + tail, edges, record_text, edges),
+    st.builds(lambda a, sep, b: a + sep + b, record_text, st.sampled_from(("", " ", ",")), record_text),
+    st.text(max_size=20),
+)
+
+
 def error_text(path) -> str:
     with pytest.raises(ValueError) as info:
         read_manifest(path)
     return str(info.value)
+
+
+class TestDecodeLine:
+    @given(text=candidate_lines)
+    @settings(max_examples=400, deadline=None)
+    def test_accepts_what_json_loads_accepts(self, text):
+        line = text.strip()
+        assume(line)
+        try:
+            expected = json.loads(line)
+        except ValueError:
+            with pytest.raises(ValueError):
+                manifest._decode_line(line)
+        else:
+            assert repr(manifest._decode_line(line)) == repr(expected)
 
 
 class TestColumnarReader:
