@@ -1,7 +1,8 @@
 """Cross-module verification harness.
 
 Holds the independent oracles the test suite checks the fast paths
-against (a direct single-frequency DFT projection, exhaustive-threshold
+against (a direct single-frequency DFT projection, the synthetic comb
+rendered line by line with np.cos, exhaustive-threshold
 FAR/FRR and EER sweeps, the textbook training loop, single-record BCE),
 single-slice cepstral measures computed from raw samples, and the seeded
 synthetic-voice corpus whose pair labels are exact by construction.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import SynthSpec
+from .audio import SynthSpec, _peak_normalize, _resonate
 from .diffnet import (
     _LOGIT_CLAMP,
     _SCORE_CLAMP,
@@ -67,6 +68,48 @@ def dft_amplitude_oracle(samples, freq: float, sample_rate: float) -> float:
     if magnitude <= 0.0:
         return _ORACLE_FLOOR_DB
     return float(max(20.0 * np.log10(magnitude), _ORACLE_FLOOR_DB))
+
+
+def comb_reference(spec: SynthSpec) -> np.ndarray:
+    """Samples of a pulse_train, resonated_pulses or mixture spec, one np.cos per line.
+
+    The oracle for synth's phasor kernel: the same lines, phases (one scalar
+    draw per line, harmonics first, then subharmonics, then noise), noise,
+    resonators and peak normalization, with each line evaluated on its own.
+    """
+    sr = spec.sample_rate
+    n = int(round(spec.duration * sr))
+    t = np.arange(n) / sr
+    rng = np.random.default_rng(spec.seed)
+    x = np.zeros(n)
+    if spec.kind in ("pulse_train", "resonated_pulses"):
+        k_max = int(np.floor(0.475 * sr / spec.f0))
+        for k in range(1, k_max + 1):
+            x += np.cos(2.0 * np.pi * spec.f0 * (k * t))
+        x /= k_max
+        if spec.kind == "pulse_train":
+            return x * spec.amplitude
+        return _peak_normalize(_resonate(x, spec.formants, sr), spec.amplitude)
+    if spec.kind != "mixture":
+        raise ValueError(f"{spec.kind!r} is not a comb kind")
+
+    top = 0.45 * sr
+    combs = [(0.0, 1.0)]
+    if spec.subharmonic_gain > 0:
+        combs.append((0.5, spec.subharmonic_gain))
+    for offset, gain in combs:
+        k = 1
+        while (k - offset) * spec.f0 <= top:
+            freq = (k - offset) * spec.f0
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            envelope = 10.0 ** (spec.tilt_db_per_octave * np.log2(freq / spec.f0) / 20.0)
+            x += gain * envelope * np.cos(2.0 * np.pi * freq * t + phase)
+            k += 1
+    if spec.noise_gain > 0:
+        x = x + spec.noise_gain * rng.uniform(-1.0, 1.0, n)
+    if spec.formants:
+        x = _resonate(x, spec.formants, sr)
+    return _peak_normalize(x, spec.amplitude)
 
 
 def cpp(window_samples, sample_rate: float, config: CppConfig = CppConfig()) -> float:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -19,6 +20,9 @@ from timbrekit.audio import (
     window_starts,
     write_wav,
 )
+from timbrekit.testkit import comb_reference
+
+VOICE = ((500.0, 80.0), (1500.0, 100.0), (2500.0, 150.0), (3500.0, 200.0))
 
 
 def make_wav(path, payload: bytes, *, fmt=1, channels=1, rate=16000, bits=16):
@@ -80,6 +84,16 @@ class TestLoadAudio:
         with pytest.raises(AudioError):
             load_audio(path)
 
+    @pytest.mark.parametrize("fmt,bits,payload", [
+        (1, 16, struct.pack("<2h", 16384, -16384)),
+        (1, 32, struct.pack("<2i", 2**30, -(2**30))),
+        (3, 32, struct.pack("<2f", 0.5, -0.5)),
+    ], ids=["pcm16", "pcm32", "float32"])
+    def test_trailing_partial_sample_dropped(self, tmp_path, fmt, bits, payload):
+        path = make_wav(tmp_path / "cut.wav", payload[:-1], fmt=fmt, bits=bits)
+        buf = load_audio(path, target_rate=None)
+        npt.assert_array_equal(buf.samples, [0.5])
+
     def test_not_a_wav(self, tmp_path):
         path = tmp_path / "junk.wav"
         path.write_bytes(b"not audio at all, just bytes")
@@ -94,6 +108,63 @@ class TestLoadAudio:
         assert buf.sample_rate == 16000
         # duration preserved within one sample period
         assert abs(buf.samples.size - 48000 * 16000 / 48000) <= 1
+
+
+def _fmt_chunk(tag, channels, bits, extension: bytes) -> bytes:
+    block = max(channels * bits // 8, 1)
+    body = struct.pack("<HHIIHH", tag, channels, 16000, 16000 * block, block, bits) + extension
+    return b"fmt " + struct.pack("<I", len(body)) + body
+
+
+@st.composite
+def riff_files(draw, floats=False):
+    """RIFF/WAVE bytes with fuzzed fmt and data chunks; the header rate stays 16 kHz.
+
+    With floats=True the format is always IEEE float32 (plain or extensible)
+    and the payload mixes finite, NaN and infinite samples.
+    """
+    tag = draw(st.sampled_from([3, 0xFFFE] if floats else [1, 3, 0xFFFE]))
+    channels = draw(st.integers(0, 8))
+    bits = 32 if floats else draw(st.sampled_from([0, 8, 12, 16, 24, 32, 64]))
+    extension = b""
+    if tag == 0xFFFE:  # cbSize, valid bits, mask, then a GUID cut anywhere
+        subformat = 3 if floats else draw(st.sampled_from([1, 3, 0xFFFE, 7]))
+        guid = struct.pack("<H", subformat) + bytes(14)
+        extension = struct.pack("<HHI", 22, bits, 0) + guid[: draw(st.integers(0, 16))]
+    if floats or draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from([0.25, -1.0, np.nan, np.inf, -np.inf]), max_size=12))
+        payload = struct.pack(f"<{len(values)}f", *values)[: draw(st.integers(0, 48))]
+    else:
+        payload = draw(st.binary(max_size=64))
+    declared = max(0, len(payload) + draw(st.sampled_from([0, 0, -1, 1, 3, 1 << 20, -len(payload)])))
+    chunks = [_fmt_chunk(tag, channels, bits, extension), b"data" + struct.pack("<I", declared) + payload]
+    if draw(st.booleans()):
+        chunks.reverse()
+    body = b"WAVE" + b"".join(chunks)[: draw(st.integers(0, 200))]
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _finite_buffer_or_audio_error(directory, raw):
+    path = directory / "f.wav"
+    path.write_bytes(raw)
+    try:
+        buf = load_audio(path)
+    except AudioError:
+        return
+    assert buf.sample_rate == 16000
+    assert buf.samples.size > 0 and np.all(np.isfinite(buf.samples))
+
+
+class TestWavFuzz:
+    @given(raw=riff_files())
+    @settings(max_examples=300, deadline=None)
+    def test_any_header(self, tmp_path_factory, raw):
+        _finite_buffer_or_audio_error(tmp_path_factory.mktemp("fuzz"), raw)
+
+    @given(raw=riff_files(floats=True))
+    @settings(max_examples=150, deadline=None)
+    def test_float_payloads(self, tmp_path_factory, raw):
+        _finite_buffer_or_audio_error(tmp_path_factory.mktemp("fuzz"), raw)
 
 
 class TestResample:
@@ -183,6 +254,42 @@ class TestSynth:
                          noise_gain=0.2, seed=9)
         a, b = synth(spec), synth(spec)
         npt.assert_array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("kind,f0,rate,duration,knobs", [
+        ("mixture", 95.0, 16000, 3.0, dict(subharmonic_gain=0.08, noise_gain=0.005, formants=VOICE,
+                                         tilt_db_per_octave=-6.0)),
+        ("mixture", 173.3, 22050, 1.0, dict(tilt_db_per_octave=-3.0)),
+        ("mixture", 260.0, 44100, 0.5, dict(subharmonic_gain=0.2, formants=VOICE)),
+        ("mixture", 600.0, 48000, 2.0, dict(subharmonic_gain=0.05, noise_gain=0.01, tilt_db_per_octave=-9.0)),
+        ("mixture", 60.0, 16000, 1.0, dict(subharmonic_gain=1.0, tilt_db_per_octave=-2.0)),
+        ("mixture", 173.3, 48000, 3.0, dict(subharmonic_gain=0.1, noise_gain=0.005, formants=VOICE,
+                                          tilt_db_per_octave=-6.0)),
+        ("pulse_train", 60.0, 48000, 1.5, {}),
+        ("pulse_train", 173.3, 22050, 0.5, {}),
+        ("resonated_pulses", 95.0, 44100, 1.0, dict(formants=VOICE)),
+        ("resonated_pulses", 260.0, 16000, 3.0, dict(formants=VOICE)),
+        ("resonated_pulses", 600.0, 22050, 2.0, dict(formants=VOICE)),
+    ])
+    def test_comb_matches_line_by_line_oracle(self, kind, f0, rate, duration, knobs):
+        spec = SynthSpec(kind=kind, f0=f0, duration=duration, sample_rate=rate, seed=int(f0), **knobs)
+        assert np.max(np.abs(synth(spec).samples - comb_reference(spec))) <= 1e-9
+
+    def test_pulse_train_memory_flat_in_line_count(self):
+        spec = SynthSpec(kind="pulse_train", f0=60.0, duration=0.5, sample_rate=48000)  # 380 lines
+        tracemalloc.start()
+        try:
+            synth(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_mixture_without_lines_rejected(self):
+        with pytest.raises(ValueError, match=r"f0 7500.0 Hz .* 7200 Hz"):
+            synth(SynthSpec(kind="mixture", f0=7500.0))
+        # a subharmonic line alone (3750 Hz) still renders
+        buf = synth(SynthSpec(kind="mixture", f0=7500.0, subharmonic_gain=0.5, amplitude=0.5))
+        assert np.max(np.abs(buf.samples)) == pytest.approx(0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -93,6 +93,13 @@ class TestSynthCommand:
         assert result.exit_code != 0
         assert "error:" in result.output
 
+    def test_mixture_without_lines_fails_with_reason(self, runner, tmp_path):
+        out = tmp_path / "x.wav"
+        result = runner.invoke(main, ["synth", "--kind", "mixture", "--f0", "7500", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "error: INVALID_INPUT: f0 7500.0 Hz" in result.output
+        assert not out.exists()
+
     def test_seeded_noise_deterministic_bytes(self, runner, tmp_path):
         args = ["synth", "--kind", "white_noise", "--seed", "9", "--dur", "0.5"]
         run(runner, args + ["--out", str(tmp_path / "a.wav")])
@@ -119,7 +126,7 @@ class TestExtractCommand:
         assert result.exit_code == 0
         with out.open() as fh:
             assert len(list(csv.reader(fh))) == 10  # header + 9
-        skip = [json.loads(line) for line in (tmp_path / "features.csv.skipped.jsonl").open()]
+        skip = [json.loads(line) for line in (tmp_path / "features.csv.skipped.jsonl").read_text().splitlines()]
         assert skip == [{"utt_id": "silent0", "reason": "SILENT_UTTERANCE"}]
 
     def test_mfcc_has_13_columns(self, runner, tmp_path):
