@@ -15,7 +15,7 @@ from .features import (
     lfc,
     mfcc,
 )
-from .evaluation import ScoredColumns, ScoredPair, accuracy, cost_report, eer
+from .evaluation import ScoredColumns, accuracy, cost_report, eer
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "lfc",
     "mfcc",
     "ScoredColumns",
-    "ScoredPair",
     "accuracy",
     "cost_report",
     "eer",

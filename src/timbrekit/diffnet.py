@@ -425,10 +425,13 @@ def train(
     pairs: PairColumns | Sequence[PairRecord],
     features: Mapping[str, np.ndarray],
     config: TrainConfig = TrainConfig(),
-    feature_names=None,
+    *,
+    feature_names,
     descriptors=None,
 ) -> tuple[DiffNetModel, list[dict]]:
     """Fit a model; returns it plus a per-epoch loss/accuracy log.
+
+    feature_names names the columns of the feature vectors, in order.
 
     Deterministic given the seed: initialization, shuffling, and dropout
     all draw from one generator, and reductions run in a fixed order.
@@ -443,8 +446,6 @@ def train(
 
     # Z-score statistics over the distinct training utterances.
     table, rows, desc_idx, targets = _pair_index(pairs, features, descriptors)
-    if feature_names is None:
-        feature_names = tuple(f"dim_{i:02d}" for i in range(table.shape[1]))
     if table.shape[1] != len(feature_names):
         raise ValueError(
             f"feature vectors have {table.shape[1]} dims, expected {len(feature_names)}"
@@ -493,7 +494,8 @@ def feature_importance(model: DiffNetModel) -> list[tuple[str, float]]:
     return [(name, float(w)) for name, w in zip(model.feature_names, model.feature_weights)]
 
 
-# The tensors a checkpoint stores.
+# The top-level fields and the tensors a checkpoint stores.
+_FIELDS = ("feature_names", "descriptors", "dropout", "bn_momentum", "bn_epsilon", "tensors")
 _TENSORS = (
     "feature_weights", "w1", "b1", "gamma", "beta", "running_mean", "running_var",
     "w2", "b2", "norm_mean", "norm_std",
@@ -515,15 +517,20 @@ def save_checkpoint(model: DiffNetModel, path) -> None:
 
 
 def load_checkpoint(path) -> DiffNetModel:
-    """The model saved at path; ValueError names a tensor that is missing or misshapen.
+    """The model saved at path; ValueError names a field or tensor that is missing or misshapen.
 
     D is the number of feature names, N the number of descriptors and H the
     length of b1.
     """
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("checkpoint is not a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
+    for name in _FIELDS:
+        if name not in payload:
+            raise ValueError(f"checkpoint has no field {name!r}")
     feature_names = tuple(payload["feature_names"])
     descriptors = tuple(payload["descriptors"])
     stored = payload["tensors"]

@@ -13,20 +13,12 @@ distinct score, O(N log N) in the pair count N; the EER reads one curve.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import INTERNAL_RATE, next_pow2
-from .diffnet import (
-    B_STRONGER,
-    DiffNetModel,
-    PairRecord,
-    STANDARD_DESCRIPTORS,
-    TrainConfig,
-    init_model,
-)
+from .diffnet import DiffNetModel, STANDARD_DESCRIPTORS, TrainConfig, init_model
 from .features import (
     CEPSTRAL_STEP,
     CEPSTRAL_WINDOW,
@@ -40,21 +32,11 @@ from .pitch import _LAG_OVERSAMPLE
 
 
 @dataclass(frozen=True)
-class ScoredPair:
-    record: PairRecord
-    score: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0 or not np.isfinite(self.score):
-            raise ValueError("score must be finite in [0, 1]")
-
-
-@dataclass(frozen=True)
 class ScoredColumns:
     """Scored pairs as two arrays: each pair's score, and whether its label is B_STRONGER.
 
-    accuracy, far_frr_curve and eer take this or a ScoredPair sequence; the
-    scores are checked here once rather than pair by pair.
+    accuracy, far_frr_curve and eer take this; the scores are checked here
+    once rather than pair by pair.
     """
 
     scores: np.ndarray
@@ -77,15 +59,7 @@ class ScoredColumns:
         return ScoredColumns(self.scores[index], self.positive[index])
 
 
-def _scores_and_positives(scored) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(scored, ScoredColumns):
-        return scored.scores, scored.positive
-    scores = np.array([s.score for s in scored], dtype=np.float64)
-    positive = np.array([s.record.label == B_STRONGER for s in scored], dtype=bool)
-    return scores, positive
-
-
-def accuracy(scored: ScoredColumns | Sequence[ScoredPair], threshold: float = 0.5) -> float:
+def accuracy(scored: ScoredColumns, threshold: float = 0.5) -> float:
     """Percent of pairs whose thresholded score matches the label.
 
     Scores at or above the threshold predict the second utterance as
@@ -93,16 +67,15 @@ def accuracy(scored: ScoredColumns | Sequence[ScoredPair], threshold: float = 0.
     """
     if not scored:
         raise ValueError("no scored pairs")
-    scores, positive = _scores_and_positives(scored)
-    return float(np.mean((scores >= threshold) == positive) * 100.0)
+    return float(np.mean((scored.scores >= threshold) == scored.positive) * 100.0)
 
 
-def far_frr_curve(scored: ScoredColumns | Sequence[ScoredPair]) -> list[tuple[float, float, float]]:
+def far_frr_curve(scored: ScoredColumns) -> list[tuple[float, float, float]]:
     """(threshold, false-accept rate, false-reject rate) at each distinct score.
 
     A final sentinel point one above the top score has FAR 0 and FRR 1.
     """
-    scores, positive = _scores_and_positives(scored)
+    scores, positive = scored.scores, scored.positive
     if not positive.any() or positive.all():
         raise ValueError("both label classes are required")
     pos = np.sort(scores[positive])
@@ -130,7 +103,7 @@ def eer_from_curve(curve: list[tuple[float, float, float]]) -> float:
     return float(value * 100.0)
 
 
-def eer(scored: ScoredColumns | Sequence[ScoredPair]) -> float:
+def eer(scored: ScoredColumns) -> float:
     """Equal error rate in percent (see module docstring for the convention)."""
     return eer_from_curve(far_frr_curve(scored))
 

@@ -307,8 +307,10 @@ class FeatureTable(dict):
 def read_features(path) -> FeatureTable:
     """Load a CSV or JSONL feature table as {utt_id: vector}, named by the header or first record.
 
-    JSONL values are read by name. A repeated utt_id, or a JSONL record with
-    other names than the first, raises SchemaError.
+    JSONL values are read by name. A repeated utt_id, a CSV row with another
+    field count than the header, a JSONL line that is not an object with an
+    utt_id, or a JSONL record with other names than the first, raises
+    SchemaError naming the line.
     """
     path = Path(path)
     if path.suffix == ".jsonl":
@@ -316,6 +318,8 @@ def read_features(path) -> FeatureTable:
         with path.open() as fh:
             for lineno, line in enumerate(fh, 1):
                 record = json.loads(line)
+                if not isinstance(record, dict) or "utt_id" not in record:
+                    raise SchemaError(f"{path}:{lineno}: the record is not a JSON object with an utt_id")
                 utt_id = record.pop("utt_id")
                 record.pop("voiced_frames", None)
                 if keys is None:
@@ -332,5 +336,9 @@ def read_features(path) -> FeatureTable:
         table = FeatureTable()
         table.names = tuple(header[value_cols])
         for lineno, row in enumerate(reader, 2):
+            if len(row) != len(header):
+                utt_id = row[0] if row else "a blank row"
+                raise SchemaError(f"{path}:{lineno}: {utt_id} has {len(row)} fields, "
+                                  f"the header has {len(header)}")
             table.add(row[0], np.array([float(v) for v in row[value_cols]]), f"{path}:{lineno}")
     return table

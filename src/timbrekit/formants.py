@@ -108,20 +108,15 @@ def burg(window_samples: np.ndarray, order: int, return_reflections: bool = Fals
     reflection coefficients are bounded by 1 in magnitude (Cauchy-Schwarz),
     so the model polynomial 1 + sum a_k z^-k is minimum phase.
 
-    A [frames x n] matrix is fitted row by row in one pass and gives
-    [frames x order] arrays. One window raises ValueError when it has no
-    signal energy or non-finite samples; in a matrix such rows read NaN.
+    The rows of a [frames x n] matrix (a 1-D window is one row) are fitted
+    in one pass and give [frames x order] arrays. Rows with no signal
+    energy or with non-finite samples read NaN.
     """
-    x = np.asarray(window_samples, dtype=np.float64)
-    n = x.shape[-1]
+    frames = np.atleast_2d(np.asarray(window_samples, dtype=np.float64))
+    n = frames.shape[1]
     if n <= order:
         raise ValueError(f"window of {n} samples cannot support order {order}")
-    frames = np.atleast_2d(x)
     usable = np.all(np.isfinite(frames), axis=1) & np.any(frames, axis=1)
-    if x.ndim == 1 and not usable[0]:
-        if not np.all(np.isfinite(x)):
-            raise ValueError("window contains non-finite samples")
-        raise ValueError("all-zero window")
     frames = np.where(usable[:, np.newaxis], frames, 0.0)
 
     rows = frames.shape[0]
@@ -143,31 +138,27 @@ def burg(window_samples: np.ndarray, order: int, return_reflections: bool = Fals
             f, b = f[:, 1:] + k[:, np.newaxis] * b[:, 1:], b[:, :-1] + k[:, np.newaxis] * f[:, :-1]
     a[~usable] = np.nan
     reflections[~usable] = np.nan
-    if x.ndim == 1:
-        a, reflections = a[0], reflections[0]
     if return_reflections:
-        return a[..., 1:], reflections
-    return a[..., 1:]
+        return a[:, 1:], reflections
+    return a[:, 1:]
 
 
 def roots_to_formants(
     lpc: np.ndarray, analysis_rate: float, config: FormantConfig = FormantConfig()
-):
+) -> FormantTrack:
     """Map LPC polynomial roots to (frequency, bandwidth) resonances.
 
     A root r*exp(i*theta) with theta in (0, pi) becomes frequency
     theta*rate/(2*pi) and bandwidth -ln(r)*rate/pi. Roots outside
     (50 Hz, ceiling - 50 Hz) or broader than max_bandwidth are dropped.
 
-    One coefficient vector gives a FormantFrame and raises ValueError when
-    non-finite. A [frames x order] matrix gives a FormantTrack, with the
-    roots of every row from one batched eigenvalue call on the stacked
-    companion matrices; non-finite rows read as empty frames.
+    A [frames x order] matrix (a 1-D coefficient vector is one row) gives
+    a FormantTrack, with the roots of every row from one batched
+    eigenvalue call on the stacked companion matrices; non-finite rows
+    read as empty frames.
     """
     coeffs = np.atleast_2d(np.asarray(lpc, dtype=np.float64))
     finite = np.all(np.isfinite(coeffs), axis=1)
-    if np.ndim(lpc) == 1 and not finite[0]:
-        raise ValueError("non-finite LPC coefficients")
     rows, order = coeffs.shape
     companion = np.zeros((rows, order, order))
     companion[:, 0, :] = -np.where(finite[:, np.newaxis], coeffs, 0.0)
@@ -198,8 +189,6 @@ def roots_to_formants(
     repeated = np.any(np.diff(freq, axis=1) <= 0, axis=1)
     freq[repeated] = np.nan
     bandwidth[repeated] = np.nan
-    if np.ndim(lpc) == 1:
-        return FormantTrack(freq, bandwidth)[0]
     return FormantTrack(freq, bandwidth)
 
 
@@ -221,7 +210,7 @@ def formant_track(
     """Per-frame formants on the 10 ms grid (or at the given center times).
 
     Frames whose window falls outside the buffer, or where the LPC fit
-    degenerates, yield an empty FormantFrame rather than failing.
+    degenerates, are empty (all-NaN rows) rather than failing.
     """
     work = resample(buf, config.analysis_rate)
     rate = work.sample_rate
@@ -249,10 +238,5 @@ def formant_track(
 
 
 def dispersion(f1, f4):
-    """Average spacing (f4 - f1)/3; None when either input is missing.
-
-    Per-frame arrays give an array, NaN wherever F1 or F4 is NaN.
-    """
-    if f1 is None or f4 is None:
-        return None
+    """Average spacing (f4 - f1)/3 per frame; NaN wherever F1 or F4 is NaN."""
     return (f4 - f1) / 3.0

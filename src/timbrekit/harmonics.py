@@ -6,9 +6,9 @@ resonances add at those frequencies, and differenced into the four
 spectral-shape measures. Amplitudes are dB re full scale; only differences
 enter the feature vector, so the reference cancels.
 
-Every measure also takes a [frames x window] matrix of slices (with
-per-frame f0 and a FormantTrack) and returns arrays, NaN where a single
-slice would give None; the single-slice call is its one-row case.
+Every measure takes slices as the rows of a [frames x window] matrix (a
+1-D slice is a one-row matrix), with one f0 per row and a FormantTrack,
+and returns one value per row, NaN where the value is missing.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import next_pow2
-from .formants import FormantFrame, FormantTrack
+from .formants import FormantTrack
 
 _DB_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One-sided linear magnitude spectrum of one slice, or one row per slice."""
+    """One-sided linear magnitude spectra, [slices x bins]."""
 
     frequencies: np.ndarray
     magnitudes: np.ndarray
@@ -34,7 +34,7 @@ class Spectrum:
 
     @property
     def fft_size(self) -> int:
-        return 2 * (self.magnitudes.shape[-1] - 1)
+        return 2 * (self.magnitudes.shape[1] - 1)
 
     @property
     def bin_hz(self) -> float:
@@ -47,18 +47,18 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class TiltMeasures:
-    """Corrected harmonic amplitude differences, dB; None (NaN per frame) where undefined."""
+    """Corrected harmonic amplitude differences in dB, one per row; NaN where undefined."""
 
-    h1_h2: float | None
-    h2_h4: float | None
-    h4_h2k: float | None
-    h2k_h5k: float | None
+    h1_h2: np.ndarray
+    h2_h4: np.ndarray
+    h4_h2k: np.ndarray
+    h2k_h5k: np.ndarray
 
 
 def magnitude_spectrum(window_samples: np.ndarray, sample_rate: float) -> Spectrum:
-    """Hann-windowed magnitude spectrum, zero-padded to a power of two >= 4x."""
-    x = np.asarray(window_samples, dtype=np.float64)
-    n = x.shape[-1]
+    """Hann-windowed magnitude spectrum of each row, zero-padded to a power of two >= 4x."""
+    x = np.atleast_2d(np.asarray(window_samples, dtype=np.float64))
+    n = x.shape[1]
     if n == 0:
         raise ValueError("empty window")
     nfft = next_pow2(4 * n)
@@ -79,29 +79,21 @@ def band_peaks(magnitudes: np.ndarray, starts: np.ndarray, stops: np.ndarray) ->
     return np.max(np.where(idx < stops[..., np.newaxis], values, -np.inf), axis=-1)
 
 
-def _harmonic_levels(spec: Spectrum, targets: np.ndarray, f0: np.ndarray):
-    """(peak dB with NaN, snapped harmonic) for [rows x bands] targets and per-row f0."""
+def harmonic_levels(spec: Spectrum, targets: np.ndarray, f0: np.ndarray):
+    """(peak dB, snapped harmonic) for [rows x bands] targets and one f0 per row.
+
+    Each target snaps to the nearest harmonic of its row's f0, and the
+    level is the peak within +-f0/4 of that harmonic, tolerant of small f0
+    error while excluding the neighbors. Levels are NaN where the band lies
+    beyond Nyquist.
+    """
     f0 = f0[:, np.newaxis]
     harmonic = np.maximum(1.0, np.rint(targets / f0)) * f0
     starts = np.searchsorted(spec.frequencies, harmonic - f0 / 4.0, side="left")
     stops = np.searchsorted(spec.frequencies, harmonic + f0 / 4.0, side="right")
     ok = (targets > 0) & (targets < spec.nyquist) & (starts < spec.frequencies.size) & (stops > starts)
-    mags = spec.magnitudes.reshape(-1, spec.frequencies.size)
-    peaks = band_peaks(mags, np.where(ok, starts, 0), np.where(ok, stops, 1))
+    peaks = band_peaks(spec.magnitudes, np.where(ok, starts, 0), np.where(ok, stops, 1))
     return np.where(ok, 20.0 * np.log10(peaks + _DB_GUARD), np.nan), harmonic
-
-
-def harmonic_amplitude(spec: Spectrum, target: float, f0: float) -> float | None:
-    """Peak level (dB) near the harmonic of f0 closest to `target`.
-
-    The search band is +-f0/4 around the snapped harmonic, tolerant of
-    small f0 error while excluding the neighbors. Returns None when the
-    band lies beyond Nyquist.
-    """
-    if f0 <= 0:
-        raise ValueError("f0 must be positive")
-    level, _ = _harmonic_levels(spec, np.array([[float(target)]]), np.array([float(f0)]))
-    return None if np.isnan(level[0, 0]) else float(level[0, 0])
 
 
 def correction_db(freq, formants, sample_rate: float):
@@ -124,55 +116,39 @@ def correction_db(freq, formants, sample_rate: float):
     return np.nansum(10.0 * np.log10(num / den), axis=-1)
 
 
-def formant_correction(amp_db, freq, formants, sample_rate: float):
-    """Remove formant gain from a measured harmonic amplitude ("starred" value).
-
-    None when the amplitude is missing or no formant is given. Arrays work
-    as in correction_db, and NaN amplitudes stay NaN.
-    """
-    if amp_db is None or len(formants) == 0:
-        return None
-    return amp_db - correction_db(freq, formants, sample_rate)
-
-
-def _formant_pairs(formants: FormantFrame | FormantTrack) -> np.ndarray:
+def _formant_pairs(formants: FormantTrack) -> np.ndarray:
     """[rows x K x 2] (frequency, bandwidth) pairs, NaN-padded to K >= 2."""
-    if isinstance(formants, FormantFrame):
-        pairs = np.array(formants.formants, dtype=np.float64).reshape(1, -1, 2)
-    else:
-        pairs = np.stack([formants.frequencies, formants.bandwidths], axis=-1)
+    pairs = np.stack([formants.frequencies, formants.bandwidths], axis=-1)
     return np.pad(pairs, ((0, 0), (0, max(0, 2 - pairs.shape[1])), (0, 0)), constant_values=np.nan)
 
 
-def tilt_measures(spec: Spectrum, f0, formants: FormantFrame | FormantTrack) -> TiltMeasures:
-    """The four spectral-shape differences for one voiced slice (or one per row).
+def tilt_measures(spec: Spectrum, f0, formants: FormantTrack) -> TiltMeasures:
+    """The four spectral-shape differences of each voiced slice (row).
 
     H1, H2, H4 sit at harmonics 1, 2, 4; H2kHz and H5kHz at the harmonics
-    nearest 2 and 5 kHz. All but H5kHz are corrected for formant gain
-    (H1/H2/H4 with F1 and F2, H2kHz with every detected formant). Any
-    missing constituent makes the affected difference None.
+    nearest 2 and 5 kHz. All but H5kHz have the formant gain at their
+    frequency removed ("starred" values: H1/H2/H4 with F1 and F2, H2kHz
+    with every detected formant). Any missing constituent makes the
+    affected difference NaN.
     """
     fs = spec.sample_rate
     f0 = np.atleast_1d(np.asarray(f0, dtype=np.float64))
     targets = np.column_stack([f0, 2 * f0, 4 * f0, np.full_like(f0, 2000.0), np.full_like(f0, 5000.0)])
-    raw, snapped = _harmonic_levels(spec, targets, f0)
+    raw, snapped = harmonic_levels(spec, targets, f0)
 
     pairs = _formant_pairs(formants)
     first_two = pairs[:, :2]
-    h1, h2, h4 = (formant_correction(raw[:, i], snapped[:, i], first_two, fs) for i in range(3))
-    h2k = formant_correction(raw[:, 3], snapped[:, 3], pairs, fs)
+    h1, h2, h4 = (raw[:, i] - correction_db(snapped[:, i], first_two, fs) for i in range(3))
+    h2k = raw[:, 3] - correction_db(snapped[:, 3], pairs, fs)
     h5k = raw[:, 4]  # uncorrected by convention
     diffs = np.column_stack([h1 - h2, h2 - h4, h4 - h2k, h2k - h5k])
     diffs[np.isnan(pairs[:, 1, 0])] = np.nan  # F1 or F2 missing
-    if spec.magnitudes.ndim == 1:
-        return TiltMeasures(*(None if np.isnan(v) else float(v) for v in diffs[0]))
     return TiltMeasures(*diffs.T)
 
 
 def rms_energy(window_samples: np.ndarray):
-    """Root mean square of the raw slice (or of each row), no taper."""
-    x = np.asarray(window_samples, dtype=np.float64)
-    if x.shape[-1] == 0:
+    """Root mean square of each row of raw slices, no taper."""
+    x = np.atleast_2d(np.asarray(window_samples, dtype=np.float64))
+    if x.shape[1] == 0:
         raise ValueError("empty window")
-    rms = np.sqrt(np.mean(x * x, axis=-1))
-    return float(rms) if x.ndim == 1 else rms
+    return np.sqrt(np.mean(x * x, axis=1))

@@ -60,11 +60,6 @@ class Manifest(Sequence):
         self.pairs = pairs
         self.split = split
 
-    @classmethod
-    def from_records(cls, records) -> "Manifest":
-        pairs = PairColumns.from_records([e.record for e in records])
-        return cls(pairs, np.fromiter((e.split for e in records), object, len(records)))
-
     def __len__(self) -> int:
         return len(self.split)
 
@@ -205,23 +200,20 @@ def write_manifest(path, records: Sequence[ManifestRecord]) -> None:
             )
 
 
-def check_manifest(records: Manifest | Sequence[ManifestRecord]) -> list[str]:
+def check_manifest(manifest: Manifest) -> list[str]:
     """Non-fatal issues: unknown descriptors, speaker-prefix overlap across splits.
 
     Descriptors outside the standard vocabulary are legal (synthetic
     corpora use their own) but worth flagging; shared id prefixes across
     train and test suggest the speaker-disjointness contract is broken.
-    Takes a Manifest, or ManifestRecords that it turns into one.
     """
-    if not isinstance(records, Manifest):
-        records = Manifest.from_records(records)
     warnings = []
-    unknown = sorted(set(records.pairs.descriptor) - set(STANDARD_DESCRIPTORS))
+    unknown = sorted(set(manifest.pairs.descriptor) - set(STANDARD_DESCRIPTORS))
     if unknown:
         warnings.append(f"descriptors outside the standard vocabulary: {', '.join(unknown)}")
 
     def prefixes(split: str) -> set[str]:
-        pairs = records.split_pairs(split)
+        pairs = manifest.split_pairs(split)
         return {utt.rsplit("_", 1)[0] for utt in set(pairs.utt_a) | set(pairs.utt_b)}
 
     shared = sorted(prefixes("train") & prefixes("test"))

@@ -2,8 +2,9 @@
 subharmonic-to-harmonic ratio.
 
 Both operate on the same Hann-windowed slice spectrum the tilt measures
-use, so an extraction pass computes that spectrum once per frame. Given a
-spectrum with one row per slice (and per-row f0), both return arrays.
+use, so an extraction pass computes that spectrum once per frame. Both
+take a spectrum with one row per slice (and one f0 per row) and return
+one value per row, NaN where the value is missing.
 """
 
 from __future__ import annotations
@@ -48,12 +49,11 @@ def _cepstrum_db(spec: Spectrum, upto: int) -> np.ndarray:
     Quefrency 0 soaks up the overall signal level, so everything past it
     is exactly invariant to amplitude scaling. Only the first `upto`
     quefrency bins are converted (all that peak search and trend need).
+    An all-zero row reads NaN.
     """
-    mags = spec.magnitudes.reshape(-1, spec.magnitudes.shape[-1])
+    mags = spec.magnitudes
     peak = np.max(mags, axis=1, keepdims=True)
     silent = peak[:, 0] <= 0
-    if spec.magnitudes.ndim == 1 and silent[0]:
-        raise ValueError("zero spectrum")
     floor = np.where(silent[:, np.newaxis], 1.0, peak) * _REL_SPECTRAL_FLOOR
     level_db = 20.0 * np.log10(np.maximum(mags, floor))
     cep = np.fft.irfft(level_db, spec.fft_size)[:, :upto]
@@ -82,13 +82,13 @@ def _cepstral_peak(spec: Spectrum, config: CppConfig):
 
 
 def cpp_from_spectrum(spec: Spectrum, config: CppConfig = CppConfig()):
-    """Cepstral peak prominence (dB) of a slice spectrum, or of each row.
+    """Cepstral peak prominence (dB) of each row of a slice spectrum.
 
     The dB power spectrum is inverse-transformed; the cepstrum is scanned
     for its peak over [quefrency_floor, quefrency_ceiling], the peak is
     refined by 3-point parabolic interpolation, and a least-squares line
     fitted over [trend_floor, quefrency_ceiling] is subtracted at the peak
-    quefrency. An all-zero slice raises ValueError; an all-zero row reads NaN.
+    quefrency. An all-zero row reads NaN.
     """
     pos, peak_db, cep_db, hi = _cepstral_peak(spec, config)
     peak_q = pos / spec.sample_rate
@@ -101,8 +101,7 @@ def cpp_from_spectrum(spec: Spectrum, config: CppConfig = CppConfig()):
     v_mean = values.mean(axis=1)
     slope = ((values - v_mean[:, np.newaxis]) @ q_centered) / (q_centered @ q_centered)
     intercept = v_mean - slope * q_mean
-    prominence = peak_db - (slope * peak_q + intercept)
-    return float(prominence[0]) if spec.magnitudes.ndim == 1 else prominence
+    return peak_db - (slope * peak_q + intercept)
 
 
 def shr(spec: Spectrum, f0, config: ShrConfig = ShrConfig()):
@@ -110,16 +109,13 @@ def shr(spec: Spectrum, f0, config: ShrConfig = ShrConfig()):
 
     Sums the peak magnitude within +-f0/8 of each harmonic k*f0 and of
     each half-integer multiple (k - 1/2)*f0, k = 1..K, with K capped both
-    by harmonic_count_max and by Nyquist. A single slice raises ValueError
-    with fewer than two harmonics below Nyquist; per row such entries
-    read NaN.
+    by harmonic_count_max and by Nyquist. Rows with fewer than two
+    harmonics below Nyquist read NaN.
     """
     f0 = np.atleast_1d(np.asarray(f0, dtype=np.float64))
     if np.any(f0 <= 0):
         raise ValueError("f0 must be positive")
     count = np.minimum(config.harmonic_count_max, np.floor(spec.nyquist / f0))
-    if spec.magnitudes.ndim == 1 and count[0] < 2:
-        raise ValueError("fewer than two harmonics below Nyquist")
 
     k = np.arange(1, config.harmonic_count_max + 1)
     f0 = f0[:, np.newaxis]
@@ -128,11 +124,9 @@ def shr(spec: Spectrum, f0, config: ShrConfig = ShrConfig()):
     stops = np.maximum(
         np.searchsorted(spec.frequencies, centers + f0 / 8.0, side="right"), starts + 1
     )
-    mags = spec.magnitudes.reshape(-1, spec.frequencies.size)
-    peaks = np.where(np.tile(k <= count[:, np.newaxis], 2), band_peaks(mags, starts, stops), 0.0)
+    peaks = np.where(np.tile(k <= count[:, np.newaxis], 2), band_peaks(spec.magnitudes, starts, stops), 0.0)
     harmonic_sum, subharmonic_sum = np.split(peaks, 2, axis=1)
     ratio_db = 20.0 * np.log10(
         (subharmonic_sum.sum(axis=1) + _LOG_GUARD) / (harmonic_sum.sum(axis=1) + _LOG_GUARD)
     )
-    ratio_db = np.where(count >= 2, np.maximum(ratio_db, config.floor_db), np.nan)
-    return float(ratio_db[0]) if spec.magnitudes.ndim == 1 else ratio_db
+    return np.where(count >= 2, np.maximum(ratio_db, config.floor_db), np.nan)

@@ -5,6 +5,10 @@ mean-subtracted, Hann-tapered frame is divided (in the lag domain) by the
 ACF of the taper itself, which undoes the taper's own decay and leaves an
 estimate of the signal's true periodicity in [0, 1]. There is no
 cross-frame path search; each frame picks its own best lag.
+
+frame_pitch takes frames as the rows of a [frames x window] matrix and
+returns one f0 per row, NaN where unvoiced; pitch_track feeds it the
+utterance a block of frames at a time.
 """
 
 from __future__ import annotations
@@ -77,26 +81,15 @@ def _window_and_acf(n: int, nfft: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def frame_pitch(
-    window_samples: np.ndarray,
-    config: PitchConfig,
-    sample_rate: float,
-    global_peak: float,
-) -> tuple[float | None, float]:
-    """Estimate (f0, strength) for one frame; f0 is None when unvoiced.
-
-    global_peak is the absolute peak of the whole utterance; frames whose
-    own peak falls below silence_threshold times it are gated out before
-    any correlation is computed.
-    """
-    x = np.asarray(window_samples, dtype=np.float64)
-    f0, strength = _frames_pitch(x[np.newaxis], config, sample_rate, global_peak)
-    return (None if np.isnan(f0[0]) else float(f0[0])), float(strength[0])
-
-
-def _frames_pitch(
     frames: np.ndarray, config: PitchConfig, sample_rate: float, global_peak: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """frame_pitch over the rows of a [frames x window] matrix: (f0 with NaN, strength)."""
+    """(f0, strength) for each row of a [frames x window] matrix; f0 is NaN where unvoiced.
+
+    A 1-D window is a one-row matrix. global_peak is the absolute peak of
+    the whole utterance; rows whose own peak falls below silence_threshold
+    times it are gated out before any correlation is computed.
+    """
+    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     n = frames.shape[1]
     lag_min = max(2, int(np.ceil(sample_rate / config.ceiling)))
     lag_max = int(np.floor(sample_rate / config.floor))
@@ -155,7 +148,7 @@ def pitch_track(
     times = frame_times(buf, FrameSpec(step=step, window=window))
     starts, win = window_starts(times, window, buf.sample_rate)
     blocks = [
-        _frames_pitch(frames, config, buf.sample_rate, global_peak)
+        frame_pitch(frames, config, buf.sample_rate, global_peak)
         for frames in frame_blocks(buf.samples, starts, win)
     ]
     f0 = np.concatenate([f for f, _ in blocks])

@@ -57,7 +57,7 @@ def dft_amplitude_oracle(samples, freq: float, sample_rate: float) -> float:
     """Level (dB) of the Hann-windowed frame at exactly `freq`.
 
     A direct projection onto one complex exponential, sharing only the dB
-    reference with harmonic_amplitude; clamped at -120 dB for silence.
+    reference with harmonics.harmonic_levels; clamped at -120 dB for silence.
     """
     x = np.asarray(samples, dtype=np.float64)
     if freq >= sample_rate / 2.0:
@@ -113,14 +113,14 @@ def comb_reference(spec: SynthSpec) -> np.ndarray:
 
 
 def cpp(window_samples, sample_rate: float, config: CppConfig = CppConfig()) -> float:
-    """Cepstral peak prominence (dB) of one slice of raw samples."""
+    """Cepstral peak prominence (dB) of one slice of raw samples; NaN for an all-zero slice."""
     x = np.asarray(window_samples, dtype=np.float64)
     need = int(np.ceil(2.0 * config.quefrency_ceiling * sample_rate))
     if x.size < need:
         raise ValueError(
             f"window of {x.size} samples is under twice the quefrency ceiling ({need})"
         )
-    return cpp_from_spectrum(magnitude_spectrum(x, sample_rate), config)
+    return float(cpp_from_spectrum(magnitude_spectrum(x, sample_rate), config)[0])
 
 
 def peak_quefrency(window_samples, sample_rate: float, config: CppConfig = CppConfig()) -> float:
@@ -234,7 +234,7 @@ def _reference_backward(model, cache, scores, desc_idx, targets) -> dict[str, np
     }
 
 
-def train_reference(pairs, features, config: TrainConfig = TrainConfig(), feature_names=None,
+def train_reference(pairs, features, config: TrainConfig = TrainConfig(), *, feature_names,
                     descriptors=None):
     """diffnet.train written out step by step; train must equal it bit for bit.
 
@@ -247,8 +247,6 @@ def train_reference(pairs, features, config: TrainConfig = TrainConfig(), featur
         descriptors = tuple(sorted(set(pairs.descriptor)))
     rng = np.random.default_rng(config.seed)
     table, rows, desc_idx, targets = _pair_index(pairs, features, descriptors)
-    if feature_names is None:
-        feature_names = tuple(f"dim_{i:02d}" for i in range(table.shape[1]))
     norm_std = np.maximum(table.std(axis=0), _STD_GUARD)
     model = init_model(feature_names, descriptors, config, rng, table.mean(axis=0), norm_std)
     x_all = table[rows].reshape(len(pairs), -1)

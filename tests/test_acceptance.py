@@ -17,7 +17,7 @@ from timbrekit import evaluation as ev
 from timbrekit.audio import AudioBuffer, SynthSpec, synth
 from timbrekit.features import FEATURE_NAMES, MEASURE_NAMES, extract_track, extract_vector
 from timbrekit.formants import formant_track
-from timbrekit.harmonics import harmonic_amplitude, magnitude_spectrum
+from timbrekit.harmonics import harmonic_levels, magnitude_spectrum
 from timbrekit.noise_metrics import shr
 from timbrekit.pitch import pitch_track
 from timbrekit.testkit import (
@@ -84,9 +84,10 @@ def test_dsp_oracle_suite():
     buf = synth(SynthSpec(kind="mixture", f0=200.0, duration=0.5, tilt_db_per_octave=-6.0, seed=3))
     x = middle_slice(buf)
     spectrum = magnitude_spectrum(x, SR)
-    for target in (200.0, 400.0, 800.0, 2000.0, 5000.0):
+    targets = (200.0, 400.0, 800.0, 2000.0, 5000.0)
+    levels, _ = harmonic_levels(spectrum, np.array([targets]), np.array([200.0]))
+    for target, got in zip(targets, levels[0]):
         harmonic = max(1, round(target / 200.0)) * 200.0
-        got = harmonic_amplitude(spectrum, target, 200.0)
         want = dft_amplitude_oracle(x, harmonic, SR)
         checks[f"harmonic_{int(target)}"] = abs(got - want) <= 0.5
 
@@ -102,11 +103,11 @@ def test_dsp_oracle_suite():
     values = []
     for gain in (0.0, 0.05, 0.1, 0.3, 1.0):
         mix = synth(SynthSpec(kind="mixture", f0=200.0, duration=0.5, subharmonic_gain=gain, seed=6))
-        values.append(shr(magnitude_spectrum(middle_slice(mix), SR), 200.0))
+        values.append(shr(magnitude_spectrum(middle_slice(mix), SR), 200.0)[0])
     checks["shr_monotone"] = all(b >= a for a, b in zip(values, values[1:]))
     mix = synth(SynthSpec(kind="mixture", f0=200.0, duration=0.5, subharmonic_gain=0.1, seed=1))
     checks["shr_minus20_at_gain_0.1"] = abs(
-        shr(magnitude_spectrum(middle_slice(mix), SR), 200.0) + 20.0
+        shr(magnitude_spectrum(middle_slice(mix), SR), 200.0)[0] + 20.0
     ) <= 1.0
 
     elapsed = time.monotonic() - started
@@ -164,8 +165,8 @@ def test_numerical_correctness():
         i, j = rng.choice(30, 2, replace=False)
         label = dn.A_STRONGER if feats[ids[i]][0] > feats[ids[j]][0] else dn.B_STRONGER
         pairs.append(dn.PairRecord(ids[i], ids[j], "d", label))
-    m1, _ = dn.train(pairs, feats, dn.TrainConfig(seed=5, epochs=5))
-    m2, _ = dn.train(pairs, feats, dn.TrainConfig(seed=5, epochs=5))
+    m1, _ = dn.train(pairs, feats, dn.TrainConfig(seed=5, epochs=5), feature_names=FEATURE_NAMES)
+    m2, _ = dn.train(pairs, feats, dn.TrainConfig(seed=5, epochs=5), feature_names=FEATURE_NAMES)
     checks["training_bitwise"] = all(
         np.array_equal(getattr(m1, k), getattr(m2, k)) for k in m1.parameter_groups()
     ) and np.array_equal(m1.running_mean, m2.running_mean)
@@ -179,29 +180,19 @@ def test_metric_oracles():
 
     scores = rng.uniform(0, 1, 1000)
     labels = rng.random(1000) < 0.5
-    scored = [
-        ev.ScoredPair(dn.PairRecord(f"a{i}", f"b{i}", "d", dn.B_STRONGER if pos else dn.A_STRONGER), float(s))
-        for i, (s, pos) in enumerate(zip(scores, labels))
-    ]
+    scored = ev.ScoredColumns(scores, labels)
     fast = ev.eer(scored)
     slow = eer_oracle(scores.tolist(), labels.tolist())
     checks["eer_equals_enumeration"] = abs(fast - slow) <= 1e-12
 
-    separated = [
-        ev.ScoredPair(dn.PairRecord(f"a{i}", f"b{i}", "d", dn.A_STRONGER), s) for i, s in enumerate((0.1, 0.2))
-    ] + [
-        ev.ScoredPair(dn.PairRecord(f"c{i}", f"d{i}", "d", dn.B_STRONGER), s) for i, s in enumerate((0.8, 0.9))
-    ]
+    separated = ev.ScoredColumns(np.array([0.1, 0.2, 0.8, 0.9]), np.array([False, False, True, True]))
     checks["separated_eer_0"] = ev.eer(separated) == 0.0
     checks["separated_acc_100"] = ev.accuracy(separated) == 100.0
 
-    permuted = [
-        ev.ScoredPair(
-            dn.PairRecord(f"a{i}", f"b{i}", "d", rng.choice([dn.A_STRONGER, dn.B_STRONGER])),
-            float(s),
-        )
-        for i, s in enumerate(rng.uniform(0, 1, 1500))
-    ]
+    permuted_scores = rng.uniform(0, 1, 1500)
+    permuted = ev.ScoredColumns(permuted_scores, np.array(
+        [rng.choice([dn.A_STRONGER, dn.B_STRONGER]) == dn.B_STRONGER for _ in permuted_scores]
+    ))
     accuracy = ev.accuracy(permuted)
     checks["permuted_labels_chance"] = 45.0 <= accuracy <= 55.0
 
@@ -215,7 +206,7 @@ def test_end_to_end_synthetic_comparison(corpus_run):
         pairs = [p for p in corpus.split_pairs("test") if p.descriptor == descriptor]
         model = models[descriptor]
         scores = dn.score_pairs(model, pairs, features)
-        scored = [ev.ScoredPair(p, float(s)) for p, s in zip(pairs, scores)]
+        scored = ev.ScoredColumns(scores, np.array([p.label == dn.B_STRONGER for p in pairs]))
         accuracy = ev.accuracy(scored)
         error_rate = ev.eer(scored)
         ranked = [n for n, _ in sorted(dn.feature_importance(model), key=lambda kv: -abs(kv[1]))]
@@ -298,7 +289,7 @@ def test_vctk_rva_conditional():
     test_pairs = [r.record for r in records if r.split == "test"]
     model, _ = dn.train(train_pairs, features, dn.TrainConfig(seed=0), feature_names=FEATURE_NAMES)
     scores = dn.score_pairs(model, test_pairs, features)
-    scored = [ev.ScoredPair(p, float(s)) for p, s in zip(test_pairs, scores)]
+    scored = ev.ScoredColumns(scores, np.array([p.label == dn.B_STRONGER for p in test_pairs]))
     accuracy = ev.accuracy(scored)
     error_rate = ev.eer(scored)
     print(f"\n  unseen split: acc {accuracy:.2f}%, eer {error_rate:.2f}%")

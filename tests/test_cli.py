@@ -334,6 +334,30 @@ class TestFeatureTableSchema:
         assert "error: SCHEMA:" in result.output
         assert "u002 and the first record differ in ['b', 'c']" in result.output
 
+    def test_eval_rejects_a_ragged_csv_row(self, runner, tmp_path):
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=200, n_test=20)
+        _, model_path = self.train(runner, tmp_path, features_path, manifest_path)
+        lines = features_path.read_text().splitlines()
+        fields = lines[2].split(",")
+        lines[2] = ",".join(fields[:5] + fields[6:])
+        features_path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["eval", "--manifest", str(manifest_path),
+                                      "--features", str(features_path), "--model", str(model_path)])
+        assert result.exit_code == 1
+        assert result.output == (f"error: SCHEMA: {features_path}:3: {fields[0]} has 27 fields, "
+                                 "the header has 28\n")
+
+    @pytest.mark.parametrize("line", ['{"a": 1.0, "b": 1.0}', "[1.0, 1.0]"], ids=["no_utt_id", "array"])
+    def test_jsonl_line_that_is_not_a_record(self, runner, tmp_path, line):
+        features_path = tmp_path / "external.jsonl"
+        features_path.write_text("\n".join(['{"utt_id": "u000", "a": 0.0, "b": 0.0}', line]) + "\n")
+        manifest_path = tmp_path / "pairs.jsonl"
+        write_manifest(manifest_path, [ManifestRecord(dn.PairRecord("u000", "u001", "planted", "A"), "train")])
+        result, _ = self.train(runner, tmp_path, features_path, manifest_path)
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == (f"error: SCHEMA: {features_path}:2: the record is not "
+                                                  "a JSON object with an utt_id")
+
 
 class TestEvalCommand:
     def train_model(self, runner, tmp_path, **kwargs):
@@ -417,7 +441,7 @@ class TestEvalCommand:
         features_path, manifest_path = separable_training_setup(tmp_path, n_train=240, n_test=60)
         assert len(manifest_path.read_text().splitlines()) == 300
         built = []
-        for cls in (dn.PairRecord, ManifestRecord, evaluation.ScoredPair):
+        for cls in (dn.PairRecord, ManifestRecord):
             real = cls.__post_init__
 
             def counting(self, real=real):
@@ -455,6 +479,20 @@ class TestEvalCommand:
                               "--model", str(model_path)])
         assert result.exit_code == 1
         detail = f"checkpoint tensor '{tensor}' {expected}" if expected else f"checkpoint has no tensor '{tensor}'"
+        assert result.output == f"error: INVALID_INPUT: {detail}\n"
+
+    @pytest.mark.parametrize("payload,detail", [
+        (lambda p: [p], "checkpoint is not a JSON object"),
+        (lambda p: {k: v for k, v in p.items() if k != "dropout"}, "checkpoint has no field 'dropout'"),
+    ], ids=["array", "dropout_missing"])
+    def test_malformed_checkpoint_is_invalid_input(self, runner, tmp_path, payload, detail):
+        features_path, manifest_path, model_path = self.train_model(
+            tmp_path=tmp_path, runner=runner, n_train=200, n_test=40
+        )
+        model_path.write_text(json.dumps(payload(json.loads(model_path.read_text()))))
+        result = run(runner, ["eval", "--manifest", str(manifest_path), "--features", str(features_path),
+                              "--model", str(model_path)])
+        assert result.exit_code == 1
         assert result.output == f"error: INVALID_INPUT: {detail}\n"
 
     def test_report_round_trips(self, runner, tmp_path):
@@ -553,18 +591,20 @@ class TestManifest:
         assert result.output.startswith(f"error: INVALID_INPUT: {expected}")
         assert result.output.count("\n") == 1
 
-    def test_checker_flags_unknown_descriptors_and_overlap(self):
+    def test_checker_flags_unknown_descriptors_and_overlap(self, tmp_path):
         records = [
             ManifestRecord(dn.PairRecord("spk1_001", "spk2_001", "sparkly", "A"), "train"),
             ManifestRecord(dn.PairRecord("spk1_002", "spk3_001", "Bright", "B"), "test"),
         ]
-        warnings = check_manifest(records)
+        write_manifest(tmp_path / "m.jsonl", records)
+        warnings = check_manifest(read_manifest(tmp_path / "m.jsonl"))
         assert any("sparkly" in w for w in warnings)
         assert any("spk1" in w for w in warnings)
 
-    def test_checker_quiet_on_clean_manifest(self):
+    def test_checker_quiet_on_clean_manifest(self, tmp_path):
         records = [
             ManifestRecord(dn.PairRecord("spk1_001", "spk2_001", "Bright", "A"), "train"),
             ManifestRecord(dn.PairRecord("spk3_001", "spk4_001", "Bright", "B"), "test"),
         ]
-        assert check_manifest(records) == []
+        write_manifest(tmp_path / "m.jsonl", records)
+        assert check_manifest(read_manifest(tmp_path / "m.jsonl")) == []

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +7,11 @@ import pytest
 from timbrekit import diffnet as dn, testkit
 
 NAMES5 = tuple(f"f{i}" for i in range(5))
+
+
+def dim_names(dim=26):
+    """Column names for separable_task's feature vectors."""
+    return tuple(f"dim_{i:02d}" for i in range(dim))
 
 
 def small_model(seed=42, hidden=8, dropout=0.0, descriptors=("x", "y", "z")):
@@ -133,15 +140,16 @@ class TestBackward:
 class TestTrain:
     def test_separable_task_99pct_within_30_epochs(self):
         pairs, feats = separable_task()
-        _, log = dn.train(pairs, feats, dn.TrainConfig(seed=3, learning_rate=3e-3))
+        _, log = dn.train(pairs, feats, dn.TrainConfig(seed=3, learning_rate=3e-3),
+                          feature_names=dim_names())
         assert len(log) == 30
         assert log[-1]["train_accuracy"] >= 0.99
 
     def test_deterministic_given_seed(self, tmp_path):
         pairs, feats = separable_task(n_pairs=300, n_utts=20)
         config = dn.TrainConfig(seed=5, epochs=3)
-        a, _ = dn.train(pairs, feats, config)
-        b, _ = dn.train(pairs, feats, config)
+        a, _ = dn.train(pairs, feats, config, feature_names=dim_names())
+        b, _ = dn.train(pairs, feats, config, feature_names=dim_names())
         for name in a.parameter_groups():
             npt.assert_array_equal(getattr(a, name), getattr(b, name))
         npt.assert_array_equal(a.running_mean, b.running_mean)
@@ -157,7 +165,8 @@ class TestTrain:
                           rng.choice([dn.A_STRONGER, dn.B_STRONGER]))
             for p in pairs
         ]
-        model, _ = dn.train(shuffled[:1200], feats, dn.TrainConfig(seed=1, epochs=10))
+        model, _ = dn.train(shuffled[:1200], feats, dn.TrainConfig(seed=1, epochs=10),
+                            feature_names=dim_names())
         scores = dn.score_pairs(model, shuffled[1200:], feats)
         labels = np.array([p.label == dn.B_STRONGER for p in shuffled[1200:]])
         accuracy = np.mean((scores >= 0.5) == labels) * 100
@@ -165,7 +174,7 @@ class TestTrain:
 
     def test_z_score_statistics(self):
         pairs, feats = separable_task(n_pairs=200, n_utts=40)
-        model, _ = dn.train(pairs, feats, dn.TrainConfig(seed=2, epochs=1))
+        model, _ = dn.train(pairs, feats, dn.TrainConfig(seed=2, epochs=1), feature_names=dim_names())
         table = np.stack([feats[u] for u in sorted(feats)])
         z = (table - model.norm_mean) / model.norm_std
         assert np.abs(z.mean(axis=0)).max() < 1e-10
@@ -175,11 +184,11 @@ class TestTrain:
         pairs, feats = separable_task(n_pairs=50, n_utts=10)
         del feats["u003"]
         with pytest.raises(KeyError, match="u003"):
-            dn.train(pairs, feats, dn.TrainConfig(epochs=1))
+            dn.train(pairs, feats, dn.TrainConfig(epochs=1), feature_names=dim_names())
 
     def test_empty_pairs(self):
         with pytest.raises(ValueError):
-            dn.train([], {}, dn.TrainConfig())
+            dn.train([], {}, dn.TrainConfig(), feature_names=())
 
     @pytest.mark.parametrize("n_pairs,dim,hidden", [(700, 26, 32), (769, 5, 7)])
     def test_equals_the_textbook_loop_bitwise(self, n_pairs, dim, hidden):
@@ -189,8 +198,8 @@ class TestTrain:
                  for i, p in enumerate(pairs)]
         config = dn.TrainConfig(hidden_dim=hidden, dropout=0.3, epochs=3, seed=4)
         assert n_pairs % config.batch_size
-        model, log = dn.train(pairs, feats, config)
-        expected, expected_log = testkit.train_reference(pairs, feats, config)
+        model, log = dn.train(pairs, feats, config, feature_names=dim_names(dim))
+        expected, expected_log = testkit.train_reference(pairs, feats, config, feature_names=dim_names(dim))
         assert log == expected_log
         for name in ("feature_weights", "w1", "b1", "gamma", "beta", "running_mean", "running_var",
                      "w2", "b2", "norm_mean", "norm_std"):
@@ -269,8 +278,9 @@ class TestPairColumns:
     def test_train_takes_columns_or_records_alike(self):
         pairs, feats = separable_task(n_pairs=300)
         config = dn.TrainConfig(seed=2, epochs=2, hidden_dim=16)
-        model_r, log_r = dn.train(pairs, feats, config)
-        model_c, log_c = dn.train(dn.PairColumns.from_records(pairs), feats, config)
+        model_r, log_r = dn.train(pairs, feats, config, feature_names=dim_names())
+        model_c, log_c = dn.train(dn.PairColumns.from_records(pairs), feats, config,
+                                  feature_names=dim_names())
         assert log_r == log_c
         for name, tensor in model_r.parameter_groups().items():
             npt.assert_array_equal(model_c.parameter_groups()[name], tensor)
@@ -283,20 +293,21 @@ class TestFeatureImportance:
 
     def test_planted_feature_ranks_first(self):
         pairs, feats = separable_task()
-        model, _ = dn.train(pairs, feats, dn.TrainConfig(seed=3, learning_rate=3e-3))
+        model, _ = dn.train(pairs, feats, dn.TrainConfig(seed=3, learning_rate=3e-3),
+                            feature_names=dim_names())
         ranked = sorted(dn.feature_importance(model), key=lambda kv: -abs(kv[1]))
         assert ranked[0][0] == "dim_00"
 
     def test_length_matches_features(self):
         pairs, feats = separable_task(n_pairs=100, n_utts=20)
-        model, _ = dn.train(pairs, feats, dn.TrainConfig(epochs=1))
+        model, _ = dn.train(pairs, feats, dn.TrainConfig(epochs=1), feature_names=dim_names())
         assert len(dn.feature_importance(model)) == 26
 
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         pairs, feats = separable_task(n_pairs=200, n_utts=20)
-        model, _ = dn.train(pairs, feats, dn.TrainConfig(seed=9, epochs=2))
+        model, _ = dn.train(pairs, feats, dn.TrainConfig(seed=9, epochs=2), feature_names=dim_names())
         path = tmp_path / "model.json"
         dn.save_checkpoint(model, path)
         loaded = dn.load_checkpoint(path)
@@ -314,6 +325,18 @@ class TestCheckpoint:
         path.write_text('{"format_version": 99}')
         with pytest.raises(ValueError):
             dn.load_checkpoint(path)
+
+    def test_payload_must_be_an_object_with_every_field(self, tmp_path):
+        path = tmp_path / "model.json"
+        dn.save_checkpoint(small_model(), path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps([payload]))
+        with pytest.raises(ValueError, match="checkpoint is not a JSON object"):
+            dn.load_checkpoint(path)
+        for field in ("feature_names", "descriptors", "dropout", "bn_momentum", "bn_epsilon", "tensors"):
+            path.write_text(json.dumps({k: v for k, v in payload.items() if k != field}))
+            with pytest.raises(ValueError, match=f"checkpoint has no field '{field}'"):
+                dn.load_checkpoint(path)
 
 
 class TestPairRecord:
@@ -333,7 +356,8 @@ class TestPairRecord:
                           dn.B_STRONGER if p.label == dn.A_STRONGER else dn.A_STRONGER)
             for p in pairs
         ]
-        model, _ = dn.train(pairs + flipped, feats, dn.TrainConfig(seed=6, learning_rate=3e-3))
+        model, _ = dn.train(pairs + flipped, feats, dn.TrainConfig(seed=6, learning_rate=3e-3),
+                            feature_names=dim_names())
         # held-out pairs: fresh combinations over the same utterances
         ids = sorted(feats)
         seen = {(p.utt_a, p.utt_b) for p in pairs + flipped}

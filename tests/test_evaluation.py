@@ -3,18 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timbrekit.diffnet import A_STRONGER, B_STRONGER, PairRecord
-from timbrekit.evaluation import ScoredColumns, ScoredPair, accuracy, cost_report, eer, far_frr_curve
+from timbrekit.diffnet import A_STRONGER, B_STRONGER
+from timbrekit.evaluation import ScoredColumns, accuracy, cost_report, eer, far_frr_curve
 from timbrekit.testkit import eer_oracle, far_frr_oracle
 
 
 def scored(values):
     """values: list of (score, label)."""
-    out = []
-    for i, (score, label) in enumerate(values):
-        record = PairRecord(f"a{i}", f"b{i}", "desc", label)
-        out.append(ScoredPair(record, score))
-    return out
+    scores = np.array([score for score, _ in values], dtype=np.float64)
+    return ScoredColumns(scores, np.array([label == B_STRONGER for _, label in values], dtype=bool))
 
 
 class TestAccuracy:
@@ -34,7 +31,7 @@ class TestAccuracy:
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            accuracy([])
+            accuracy(scored([]))
 
     def test_accuracy_plus_error_is_100(self):
         rng = np.random.default_rng(0)
@@ -44,8 +41,8 @@ class TestAccuracy:
         acc = accuracy(pairs)
         err = 100.0 * sum(
             1
-            for p in pairs
-            if (p.score >= 0.5) != (p.record.label == B_STRONGER)
+            for score, positive in zip(pairs.scores, pairs.positive)
+            if (score >= 0.5) != positive
         ) / len(pairs)
         assert acc + err == 100.0
 
@@ -128,30 +125,7 @@ class TestEer:
         assert curve[-1][1] == 0.0 and curve[-1][2] == 1.0
 
 
-class TestScoredPair:
-    def test_score_bounds(self):
-        record = PairRecord("a", "b", "x", A_STRONGER)
-        with pytest.raises(ValueError):
-            ScoredPair(record, 1.5)
-        with pytest.raises(ValueError):
-            ScoredPair(record, float("nan"))
-
-
 class TestScoredColumns:
-    def columns(self, values):
-        scores = np.array([v for v, _ in values], dtype=np.float64)
-        return ScoredColumns(scores, np.array([lab == B_STRONGER for _, lab in values]))
-
-    def test_same_metrics_as_scored_pairs(self):
-        rng = np.random.default_rng(8)
-        values = [(float(np.round(s, 2)), B_STRONGER if rng.random() < 0.4 else A_STRONGER)
-                  for s in rng.uniform(0, 1, 300)]
-        columns, pairs = self.columns(values), scored(values)
-        assert len(columns) == 300
-        assert accuracy(columns) == accuracy(pairs)
-        assert far_frr_curve(columns) == far_frr_curve(pairs)
-        assert eer(columns) == eer(pairs)
-
     @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan"), float("inf")])
     def test_scores_checked_once(self, bad):
         with pytest.raises(ValueError, match="finite in"):

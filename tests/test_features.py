@@ -25,7 +25,7 @@ from timbrekit.features import (
     write_features,
 )
 from timbrekit.formants import (
-    FormantFrame,
+    FormantTrack,
     _gaussian_window,
     burg,
     dispersion,
@@ -117,23 +117,22 @@ def bursts_and_gaps():
 
 
 def one_window_formants(buf, centers, config):
-    """formant_track's frames at `centers`, from the one-window burg and roots_to_formants."""
+    """formant_track's frames at `centers`, from one-row burg and roots_to_formants calls."""
     work = resample(buf, config.analysis_rate)
     rate = work.sample_rate
     alpha = np.exp(-2.0 * np.pi * config.pre_emphasis_from / rate)
     emphasized = np.concatenate([work.samples[:1], work.samples[1:] - alpha * work.samples[:-1]])
     win = int(round(config.window * rate))
-    frames = []
+    rows = []
     for center in centers:
         start = int(round(center * rate - win / 2.0))
-        try:
-            if start < 0 or start + win > emphasized.size:
-                raise ValueError("window outside the buffer")
+        if 0 <= start and start + win <= emphasized.size:
             lpc = burg(emphasized[start : start + win] * _gaussian_window(win), config.lpc_order)
-            frames.append(roots_to_formants(lpc, rate, config))
-        except ValueError:
-            frames.append(FormantFrame())
-    return frames
+        else:  # the window is outside the buffer
+            lpc = np.full(config.lpc_order, np.nan)
+        rows.append(roots_to_formants(lpc, rate, config))
+    return FormantTrack(np.concatenate([r.frequencies for r in rows]),
+                        np.concatenate([r.bandwidths for r in rows]))
 
 
 def one_frame_track(buf, config):
@@ -151,7 +150,7 @@ def one_frame_track(buf, config):
     for i, center in enumerate(times):
         start = int(round(center * sr - pitch_win / 2.0))
         f0, _ = frame_pitch(x[start : start + pitch_win], config.pitch, sr, global_peak)
-        if f0 is None:
+        if np.isnan(f0[0]):
             continue
         start = int(round(center * sr - slice_win / 2.0))
         if start < 0 or start + slice_win > x.size:
@@ -159,29 +158,22 @@ def one_frame_track(buf, config):
             continue
         voiced[i] = True
         window = x[start : start + slice_win]
-        fframe = formants[i]
+        frame = formants[i : i + 1]
         spectrum = magnitude_spectrum(window, sr)
         row = {"f0": f0, "rms": rms_energy(window)}
-        row.update({f"f{k}": fframe.frequency(k) for k in range(1, 5)})
-        row["dispersion"] = dispersion(fframe.frequency(1), fframe.frequency(4))
-        tilt = tilt_measures(spectrum, f0, fframe)
+        row.update({f"f{k}": frame.frequencies[:, k - 1] for k in range(1, 5)})
+        row["dispersion"] = dispersion(frame.frequencies[:, 0], frame.frequencies[:, 3])
+        tilt = tilt_measures(spectrum, f0, frame)
         row.update({name: getattr(tilt, name) for name in ("h1_h2", "h2_h4", "h4_h2k", "h2k_h5k")})
-        try:
-            row["shr"] = shr(spectrum, f0, config.shr)
-        except ValueError:
-            pass
-        try:
-            row["cpp"] = cpp_from_spectrum(spectrum, config.cpp)
-        except ValueError:  # an all-zero slice
-            pass
+        row["shr"] = shr(spectrum, f0, config.shr)
+        row["cpp"] = cpp_from_spectrum(spectrum, config.cpp)  # NaN for an all-zero slice
         for name, value in row.items():
-            if value is not None:
-                values[name][i] = value
+            values[name][i] = value[0]
     return times, voiced, values, edge_drops
 
 
 class TestFrameIndependence:
-    """Rows of the block-batched extraction equal the single-frame calls on that frame."""
+    """Rows of the block-batched extraction equal one-row calls on that frame."""
 
     @staticmethod
     def check_rows(buf, config):
@@ -417,3 +409,29 @@ class TestFeatureFiles:
         with pytest.raises(SchemaError, match="utt00 has 26 values, mfcc has 13 names"):
             write_features(path, self.rows(), "mfcc")
         assert not path.exists()
+
+    @pytest.mark.parametrize("delete", [1, 26], ids=["first_value", "last_value"])
+    def test_csv_row_with_a_missing_field(self, tmp_path, delete):
+        path = tmp_path / "features.csv"
+        write_features(path, self.rows(), "acoustic")
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        assert fields[0] == "utt01"
+        lines[2] = ",".join(fields[:delete] + fields[delete + 1 :])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="features.csv:3: utt01 has 27 fields, the header has 28"):
+            read_features(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"mean_f0": 1.0}',
+        '[1.0, 2.0]',
+        '"utt01"',
+    ], ids=["no_utt_id", "array", "string"])
+    def test_jsonl_line_that_is_not_a_record(self, tmp_path, line):
+        path = tmp_path / "features.jsonl"
+        write_features(path, self.rows(), "acoustic")
+        lines = path.read_text().splitlines()
+        lines[1] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="features.jsonl:2: the record is not a JSON object with an utt_id"):
+            read_features(path)

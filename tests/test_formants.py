@@ -29,7 +29,7 @@ class TestBurg:
         a2 = -rho * rho
         noise = np.random.default_rng(0).standard_normal(10000)
         x = lfilter([1.0], [1.0, -a1, -a2], noise)
-        coeffs = burg(x, 2)
+        coeffs = burg(x, 2)[0]
         root = np.roots(np.concatenate(([1.0], coeffs)))[0]
         recovered = abs(np.angle(root)) * rate / (2 * np.pi)
         assert abs(recovered - f_true) / f_true < 0.02
@@ -42,12 +42,11 @@ class TestBurg:
     def test_unit_impulse_degenerates_to_zero(self):
         x = np.zeros(100)
         x[0] = 1.0
-        coeffs = burg(x, 4)
+        coeffs = burg(x, 4)[0]
         npt.assert_array_equal(coeffs, np.zeros(4))
 
     def test_all_zero_window_errors(self):
-        with pytest.raises(ValueError):
-            burg(np.zeros(100), 4)
+        assert np.isnan(burg(np.zeros(100), 4)[0]).all()
 
     def test_window_shorter_than_order_errors(self):
         with pytest.raises(ValueError):
@@ -57,7 +56,7 @@ class TestBurg:
     def test_stability_all_roots_inside_unit_circle(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(0, 1, 400) + np.sin(np.arange(400) * rng.uniform(0.05, 2.0))
-        coeffs = burg(x, 10)
+        coeffs = burg(x, 10)[0]
         roots = np.roots(np.concatenate(([1.0], coeffs)))
         assert np.all(np.abs(roots) < 1.0)
 
@@ -66,7 +65,7 @@ class TestRootsToFormants:
     def test_single_pole_pair_analytic(self):
         rate = 11000.0
         poly = pair_poly(1200.0, -np.log(0.97) * rate / np.pi, rate)  # radius exactly 0.97
-        frame = roots_to_formants(poly[1:], rate)
+        frame = roots_to_formants(poly[1:], rate)[0]
         assert len(frame) == 1
         assert frame.frequency(1) == pytest.approx(1200.0, abs=1.0)
         assert frame.bandwidth(1) == pytest.approx(-np.log(0.97) * rate / np.pi, rel=1e-9)
@@ -74,7 +73,7 @@ class TestRootsToFormants:
     def test_real_roots_only_empty(self):
         # (1 - 0.5 z^-1)(1 + 0.25 z^-1): both roots on the real axis
         poly = np.polymul([1.0, -0.5], [1.0, 0.25])
-        frame = roots_to_formants(poly[1:], 11000.0)
+        frame = roots_to_formants(poly[1:], 11000.0)[0]
         assert len(frame) == 0
 
     def test_five_pairs_recovered_ascending(self):
@@ -83,7 +82,7 @@ class TestRootsToFormants:
         poly = np.array([1.0])
         for f in freqs:
             poly = np.polymul(poly, pair_poly(f, 90.0, rate))
-        frame = roots_to_formants(poly[1:], rate)
+        frame = roots_to_formants(poly[1:], rate)[0]
         got = [frame.frequency(i) for i in range(1, 6)]
         npt.assert_allclose(got, freqs, rtol=1e-6)
 
@@ -93,7 +92,7 @@ class TestRootsToFormants:
         poly = np.array([1.0])
         for f, b in wanted:
             poly = np.polymul(poly, pair_poly(f, b, rate))
-        frame = roots_to_formants(poly[1:], rate)
+        frame = roots_to_formants(poly[1:], rate)[0]
         for i, (f, b) in enumerate(wanted, start=1):
             assert frame.frequency(i) == pytest.approx(f, rel=1e-9)
             assert frame.bandwidth(i) == pytest.approx(b, rel=1e-9)
@@ -101,7 +100,7 @@ class TestRootsToFormants:
     def test_bandwidth_filter(self):
         rate = 11000.0
         poly = pair_poly(2000.0, 1200.0, rate)  # broader than max_bandwidth
-        assert len(roots_to_formants(poly[1:], rate)) == 0
+        assert len(roots_to_formants(poly[1:], rate)[0]) == 0
 
 
 class TestFormantTrack:
@@ -162,8 +161,8 @@ class TestDispersion:
         assert dispersion(800.0, 800.0) == 0.0
 
     def test_missing_propagates(self):
-        assert dispersion(500.0, None) is None
-        assert dispersion(None, 3500.0) is None
+        assert np.isnan(dispersion(500.0, np.nan))
+        assert np.isnan(dispersion(np.nan, 3500.0))
 
 
 def test_formant_frame_ordering_enforced():

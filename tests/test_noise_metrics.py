@@ -45,8 +45,7 @@ class TestCpp:
             cpp(np.ones(300), SR)
 
     def test_zero_window(self):
-        with pytest.raises(ValueError):
-            cpp(np.zeros(640), SR)
+        assert np.isnan(cpp(np.zeros(640), SR))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -57,38 +56,37 @@ class TestShr:
     def test_pure_comb_clamps_to_floor(self):
         buf = synth(SynthSpec(kind="mixture", f0=200.0, duration=0.5, seed=1))
         spec = magnitude_spectrum(middle_slice(buf), SR)
-        assert shr(spec, 200.0) == -30.0
+        assert shr(spec, 200.0)[0] == -30.0
 
     def test_period_doubled_equal_combs(self):
         buf = synth(SynthSpec(kind="mixture", f0=200.0, duration=0.5, subharmonic_gain=1.0, seed=1))
         spec = magnitude_spectrum(middle_slice(buf), SR)
-        assert shr(spec, 200.0) == pytest.approx(0.0, abs=1.0)
+        assert shr(spec, 200.0)[0] == pytest.approx(0.0, abs=1.0)
 
     def test_tenth_amplitude_subharmonics(self):
         buf = synth(SynthSpec(kind="mixture", f0=200.0, duration=0.5, subharmonic_gain=0.1, seed=1))
         spec = magnitude_spectrum(middle_slice(buf), SR)
-        assert shr(spec, 200.0) == pytest.approx(-20.0, abs=1.0)
+        assert shr(spec, 200.0)[0] == pytest.approx(-20.0, abs=1.0)
 
     def test_monotone_in_subharmonic_gain(self):
         values = []
         for gain in (0.0, 0.05, 0.1, 0.3, 1.0):
             buf = synth(SynthSpec(kind="mixture", f0=200.0, duration=0.5,
                                   subharmonic_gain=gain, seed=6))
-            values.append(shr(magnitude_spectrum(middle_slice(buf), SR), 200.0))
+            values.append(shr(magnitude_spectrum(middle_slice(buf), SR), 200.0)[0])
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[-1] > values[0]
 
     def test_amplitude_invariance(self):
         buf = synth(SynthSpec(kind="mixture", f0=180.0, duration=0.5, subharmonic_gain=0.2, seed=2))
         x = middle_slice(buf)
-        a = shr(magnitude_spectrum(x, SR), 180.0)
-        b = shr(magnitude_spectrum(x * 11.0, SR), 180.0)
+        a = shr(magnitude_spectrum(x, SR), 180.0)[0]
+        b = shr(magnitude_spectrum(x * 11.0, SR), 180.0)[0]
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_too_few_harmonics(self):
         spec = magnitude_spectrum(np.ones(640), SR)
-        with pytest.raises(ValueError):
-            shr(spec, 7000.0)
+        assert np.isnan(shr(spec, 7000.0)[0])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
