@@ -9,10 +9,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter, resample_poly
+from scipy.linalg.blas import dtbsv
 
 INTERNAL_RATE = 16000
 
@@ -227,14 +228,52 @@ def write_wav(path, buf: AudioBuffer) -> None:
 
 
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
-    """Band-limited polyphase resampling; identity when rates match."""
+    """Band-limited polyphase resampling; identity when rates match.
+
+    The filter and the output grid are those of SciPy's resample_poly with
+    its defaults (see _polyphase_taps): output sample o sits at input time
+    o * down / up, the input is zero outside the buffer, and there are
+    ceil(n * up / down) outputs. Each output phase is one matrix-vector
+    product over a strided view of the input.
+    """
     if target_rate <= 0:
         raise ValueError("target rate must be positive")
     if target_rate == buf.sample_rate:
         return buf
     ratio = Fraction(int(target_rate), buf.sample_rate)
-    out = resample_poly(buf.samples, ratio.numerator, ratio.denominator)
+    up, down = ratio.numerator, ratio.denominator
+    n_out = -(-buf.samples.size * up // down)
+    taps = _polyphase_taps(up, down)
+    reach = taps.shape[1] // 2
+    view = np.lib.stride_tricks.sliding_window_view(np.pad(buf.samples, reach), taps.shape[1])
+    out = np.empty(n_out)
+    for r in range(min(up, n_out)):
+        phase = out[r::up]
+        phase[:] = view[r * down // up :: down][: phase.size] @ taps[r]
     return AudioBuffer(out, target_rate)
+
+
+@lru_cache(maxsize=8)
+def _polyphase_taps(up: int, down: int) -> np.ndarray:
+    """[up x (2K + 1)] read-only taps, one row per output phase r = o mod up, for coprime up and down.
+
+    The prototype filter is a Kaiser-windowed sinc (beta 5) with cutoff
+    1/max(up, down) of Nyquist and half-length L = 10 * max(up, down) taps
+    on the upsampled grid, scaled to a DC gain of up. Output o = r + j * up
+    is taps[r] dotted with the 2K + 1 inputs centred on input
+    r * down // up + j * down, where K = L // up + 1 covers every tap.
+    """
+    half = 10 * max(up, down)
+    cutoff = 1.0 / max(up, down)
+    m = np.arange(-half, half + 1)
+    h = cutoff * np.sinc(cutoff * m) * np.kaiser(2 * half + 1, 5.0)
+    h *= up / np.sum(h)
+    reach = half // up + 1
+    # Tap s of phase r weighs input centre - reach + s, at filter offset (r * down) % up + (reach - s) * up.
+    offset = (np.arange(up) * down % up)[:, np.newaxis] + (reach - np.arange(2 * reach + 1)) * up
+    taps = np.where(np.abs(offset) <= half, h[np.clip(offset + half, 0, 2 * half)], 0.0)
+    taps.setflags(write=False)
+    return taps
 
 
 # Frames go through the batched measures this many at a time, so transient
@@ -366,10 +405,21 @@ def _pulse_train(t: np.ndarray, f0: float, sr: float) -> np.ndarray:
 
 
 def _resonate(x: np.ndarray, formants, sr: float) -> np.ndarray:
+    """The cascade of two-pole resonators y[n] = x[n] + 2r*cos(w)*y[n-1] - r**2*y[n-2].
+
+    Each resonator is one unit lower-triangular banded system with two
+    subdiagonals, solved by forward substitution (BLAS dtbsv). That is the
+    same recursion as a direct-form filter; only the order in which each
+    sample's three terms are added differs.
+    """
+    x = np.array(x, dtype=np.float64)
+    band = np.ones((3, x.size), order="F")  # rows: diagonal, first and second subdiagonal
     for freq, bandwidth in formants:
         r = np.exp(-np.pi * bandwidth / sr)
         omega = 2.0 * np.pi * freq / sr
-        x = lfilter([1.0], [1.0, -2.0 * r * np.cos(omega), r * r], x)
+        band[1] = -2.0 * r * np.cos(omega)
+        band[2] = r * r
+        x = dtbsv(2, band, x, lower=1, diag=1, overwrite_x=1)
     return x
 
 

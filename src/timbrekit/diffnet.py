@@ -22,6 +22,7 @@ testkit.train_reference, which the tests compare train against.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -517,8 +518,10 @@ def save_checkpoint(model: DiffNetModel, path) -> None:
 
 
 def load_checkpoint(path) -> DiffNetModel:
-    """The model saved at path; ValueError names a field or tensor that is missing or misshapen.
+    """The model saved at path; ValueError names a field or tensor that is missing, mistyped or misshapen.
 
+    The names are lists of strings, the BN scalars finite numbers, dropout
+    a finite number in [0, 1) and the tensors an object of number arrays.
     D is the number of feature names, N the number of descriptors and H the
     length of b1.
     """
@@ -531,16 +534,23 @@ def load_checkpoint(path) -> DiffNetModel:
     for name in _FIELDS:
         if name not in payload:
             raise ValueError(f"checkpoint has no field {name!r}")
-    feature_names = tuple(payload["feature_names"])
-    descriptors = tuple(payload["descriptors"])
+    feature_names = _string_list(payload, "feature_names")
+    descriptors = _string_list(payload, "descriptors")
+    dropout = _finite(payload, "dropout")
+    bn_momentum = _finite(payload, "bn_momentum")
+    bn_epsilon = _finite(payload, "bn_epsilon")
+    if not 0 <= dropout < 1:
+        raise ValueError(f"checkpoint field 'dropout' is {dropout!r}, not in [0, 1)")
     stored = payload["tensors"]
+    if not isinstance(stored, dict):
+        raise ValueError("checkpoint field 'tensors' is not an object")
     for name in _TENSORS:
         if name not in stored:
             raise ValueError(f"checkpoint has no tensor {name!r}")
     unknown = sorted(set(stored) - set(_TENSORS))
     if unknown:
         raise ValueError(f"checkpoint has unknown tensors: {', '.join(unknown)}")
-    tensors = {name: np.array(stored[name], dtype=np.float64) for name in _TENSORS}
+    tensors = {name: _number_array(stored, name) for name in _TENSORS}
     d, n, h = len(feature_names), len(descriptors), tensors["b1"].size
     expected = {
         "feature_weights": (d,), "norm_mean": (d,), "norm_std": (d,),
@@ -558,8 +568,30 @@ def load_checkpoint(path) -> DiffNetModel:
     return DiffNetModel(
         feature_names=feature_names,
         descriptors=descriptors,
-        dropout=payload["dropout"],
-        bn_momentum=payload["bn_momentum"],
-        bn_epsilon=payload["bn_epsilon"],
+        dropout=dropout,
+        bn_momentum=bn_momentum,
+        bn_epsilon=bn_epsilon,
         **tensors,
     )
+
+
+def _string_list(payload: dict, name: str) -> tuple[str, ...]:
+    value = payload[name]
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ValueError(f"checkpoint field {name!r} is not a list of strings")
+    return tuple(value)
+
+
+def _finite(payload: dict, name: str) -> float:
+    value = payload[name]
+    # The bound is False for inf and NaN, and for ints no float can hold.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"checkpoint field {name!r} is {value!r}, not a finite number")
+    return value
+
+
+def _number_array(stored: dict, name: str) -> np.ndarray:
+    try:
+        return np.array(stored[name], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"checkpoint tensor {name!r} is not an array of numbers") from None

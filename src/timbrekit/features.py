@@ -307,8 +307,9 @@ class FeatureTable(dict):
 def read_features(path) -> FeatureTable:
     """Load a CSV or JSONL feature table as {utt_id: vector}, named by the header or first record.
 
-    JSONL values are read by name. A repeated utt_id, a CSV row with another
-    field count than the header, a JSONL line that is not an object with an
+    JSONL values are read by name and blank lines are skipped. A repeated
+    utt_id, a CSV file without a header, a CSV row with another field count
+    than the header, a JSONL line that is not JSON or not an object with an
     utt_id, or a JSONL record with other names than the first, raises
     SchemaError naming the line.
     """
@@ -317,7 +318,14 @@ def read_features(path) -> FeatureTable:
         table, keys = FeatureTable(), None
         with path.open() as fh:
             for lineno, line in enumerate(fh, 1):
-                record = json.loads(line)
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{path}:{lineno}: the line is not JSON "
+                                      f"({exc.msg} at column {exc.colno})") from None
                 if not isinstance(record, dict) or "utt_id" not in record:
                     raise SchemaError(f"{path}:{lineno}: the record is not a JSON object with an utt_id")
                 utt_id = record.pop("utt_id")
@@ -331,7 +339,9 @@ def read_features(path) -> FeatureTable:
         return table
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: the file has no header")
         value_cols = slice(1, len(header) - 1)  # utt_id ... voiced_frames
         table = FeatureTable()
         table.names = tuple(header[value_cols])

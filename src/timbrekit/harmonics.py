@@ -29,7 +29,6 @@ class Spectrum:
 
     frequencies: np.ndarray
     magnitudes: np.ndarray
-    window_length: int
     sample_rate: float
 
     @property
@@ -64,7 +63,7 @@ def magnitude_spectrum(window_samples: np.ndarray, sample_rate: float) -> Spectr
     nfft = next_pow2(4 * n)
     mags = np.abs(np.fft.rfft(x * np.hanning(n), nfft))
     freqs = np.fft.rfftfreq(nfft, 1.0 / sample_rate)
-    return Spectrum(freqs, mags, n, float(sample_rate))
+    return Spectrum(freqs, mags, float(sample_rate))
 
 
 def band_peaks(magnitudes: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:

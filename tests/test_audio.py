@@ -1,12 +1,19 @@
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter, resample_poly
 
+import timbrekit
 from timbrekit.audio import (
     AudioBuffer,
     AudioError,
@@ -16,6 +23,7 @@ from timbrekit.audio import (
     frame_times,
     load_audio,
     resample,
+    _resonate,
     synth,
     window_starts,
     write_wav,
@@ -203,6 +211,57 @@ class TestResample:
         buf = synth(SynthSpec(kind="sine", f0=440.0, duration=0.1))
         with pytest.raises(ValueError):
             resample(buf, 0)
+
+    @pytest.mark.parametrize("rate,target", [(16000, 11025), (22050, 16000), (44100, 16000), (48000, 16000),
+                                             (8000, 16000)])
+    @pytest.mark.parametrize("seconds,samples", [(0, 1), (0, 2), (0, 5), (0, 441), (3, 0)])
+    def test_matches_resample_poly(self, rate, target, seconds, samples):
+        n = seconds * rate + samples
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        ratio = Fraction(target, rate)
+        expected = resample_poly(x, ratio.numerator, ratio.denominator)
+        out = resample(AudioBuffer(x, rate), target)
+        assert out.sample_rate == target
+        assert out.samples.shape == expected.shape
+        npt.assert_allclose(out.samples, expected, rtol=0.0, atol=1e-12)
+
+
+class TestResonate:
+    @pytest.mark.parametrize("rate", [16000, 22050, 44100])
+    def test_matches_lfilter(self, rate):
+        x = np.random.default_rng(rate).uniform(-1.0, 1.0, 2 * rate)
+        x[:: rate // 100] += 20.0  # a pulse train rings the resonators the way synth does
+        expected = x
+        for freq, bandwidth in VOICE:
+            r = np.exp(-np.pi * bandwidth / rate)
+            expected = lfilter([1.0], [1.0, -2.0 * r * np.cos(2.0 * np.pi * freq / rate), r * r], expected)
+        before = x.copy()
+        out = _resonate(x, VOICE, rate)
+        npt.assert_array_equal(x, before)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_commands_leave_scipy_signal_unimported(tmp_path):
+    """The CLI, testkit, synth and extract (with on-read resampling) never import scipy.signal."""
+    script = """
+import sys
+from click.testing import CliRunner
+import timbrekit.cli, timbrekit.testkit
+wav, table = sys.argv[1:]
+runner = CliRunner()
+for args in (["synth", "--kind", "mixture", "--f0", "140", "--amplitude", "0.4", "--tilt", "-6",
+              "--formants", "500:80,1500:100,2500:150,3500:200", "--noise-gain", "0.005",
+              "--rate", "22050", "--out", wav], ["extract", wav, "--out", table]):
+    result = runner.invoke(timbrekit.cli.main, args)
+    assert result.exit_code == 0, result.output
+assert "scipy.signal" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy.signal"))
+"""
+    src = str(Path(timbrekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "v.wav"), str(tmp_path / "v.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "v.csv").read_text().count("\n") == 2
 
 
 class TestFrameSlices:

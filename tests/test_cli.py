@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from timbrekit import diffnet as dn, evaluation
 from timbrekit.audio import SynthSpec, synth, write_wav
 from timbrekit.cli import main
-from timbrekit.features import write_features
+from timbrekit.features import read_features, write_features
 from timbrekit.manifest import ManifestRecord, check_manifest, read_manifest, write_manifest
 
 
@@ -358,6 +358,34 @@ class TestFeatureTableSchema:
         assert result.output.splitlines()[-1] == (f"error: SCHEMA: {features_path}:2: the record is not "
                                                   "a JSON object with an utt_id")
 
+    def test_jsonl_table_with_a_trailing_blank_line(self, runner, tmp_path):
+        csv_path, manifest_path = separable_training_setup(tmp_path, n_train=200, n_test=20)
+        features_path = tmp_path / "external.jsonl"
+        table = read_features(csv_path)
+        write_features(features_path, [(utt, vector, 1) for utt, vector in table.items()], "acoustic")
+        features_path.write_text(features_path.read_text() + "\n")
+        result, model_path = self.train(runner, tmp_path, features_path, manifest_path)
+        assert result.exit_code == 0, result.output
+        assert dn.load_checkpoint(model_path).feature_names == table.names
+
+    def test_jsonl_line_that_is_not_json(self, runner, tmp_path):
+        features_path = tmp_path / "external.jsonl"
+        features_path.write_text('{"utt_id": "u000", "a": 0.0}\n\n{"utt_id": "u001", "a": }\n')
+        manifest_path = tmp_path / "pairs.jsonl"
+        write_manifest(manifest_path, [ManifestRecord(dn.PairRecord("u000", "u001", "planted", "A"), "train")])
+        result, _ = self.train(runner, tmp_path, features_path, manifest_path)
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == (f"error: SCHEMA: {features_path}:3: the line is not JSON "
+                                                  "(Expecting value at column 25)")
+
+    def test_empty_csv_table(self, runner, tmp_path):
+        _, manifest_path = separable_training_setup(tmp_path, n_train=200, n_test=20)
+        features_path = tmp_path / "empty.csv"
+        features_path.write_text("")
+        result, _ = self.train(runner, tmp_path, features_path, manifest_path)
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == f"error: SCHEMA: {features_path}: the file has no header"
+
 
 class TestEvalCommand:
     def train_model(self, runner, tmp_path, **kwargs):
@@ -484,16 +512,22 @@ class TestEvalCommand:
     @pytest.mark.parametrize("payload,detail", [
         (lambda p: [p], "checkpoint is not a JSON object"),
         (lambda p: {k: v for k, v in p.items() if k != "dropout"}, "checkpoint has no field 'dropout'"),
-    ], ids=["array", "dropout_missing"])
+        (lambda p: {**p, "feature_names": 5}, "checkpoint field 'feature_names' is not a list of strings"),
+        (lambda p: {**p, "descriptors": None}, "checkpoint field 'descriptors' is not a list of strings"),
+        (lambda p: {**p, "bn_epsilon": "x"}, "checkpoint field 'bn_epsilon' is 'x', not a finite number"),
+        (lambda p: {**p, "dropout": "x"}, "checkpoint field 'dropout' is 'x', not a finite number"),
+        (lambda p: {**p, "tensors": []}, "checkpoint field 'tensors' is not an object"),
+    ], ids=["array", "dropout_missing", "feature_names_number", "descriptors_null", "bn_epsilon_string",
+            "dropout_string", "tensors_array"])
     def test_malformed_checkpoint_is_invalid_input(self, runner, tmp_path, payload, detail):
         features_path, manifest_path, model_path = self.train_model(
             tmp_path=tmp_path, runner=runner, n_train=200, n_test=40
         )
         model_path.write_text(json.dumps(payload(json.loads(model_path.read_text()))))
-        result = run(runner, ["eval", "--manifest", str(manifest_path), "--features", str(features_path),
-                              "--model", str(model_path)])
-        assert result.exit_code == 1
-        assert result.output == f"error: INVALID_INPUT: {detail}\n"
+        for args in (["eval", "--manifest", str(manifest_path), "--features", str(features_path)], ["weights"]):
+            result = run(runner, [*args, "--model", str(model_path)])
+            assert result.exit_code == 1
+            assert result.output == f"error: INVALID_INPUT: {detail}\n"
 
     def test_report_round_trips(self, runner, tmp_path):
         features_path, manifest_path, model_path = self.train_model(

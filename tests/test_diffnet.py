@@ -337,6 +337,32 @@ class TestCheckpoint:
             path.write_text(json.dumps({k: v for k, v in payload.items() if k != field}))
             with pytest.raises(ValueError, match=f"checkpoint has no field '{field}'"):
                 dn.load_checkpoint(path)
+        wrong_types = [
+            ("feature_names", 5, "is not a list of strings"),
+            ("feature_names", ["a", 1], "is not a list of strings"),
+            ("descriptors", None, "is not a list of strings"),
+            ("descriptors", "planted", "is not a list of strings"),
+            ("dropout", "x", "is 'x', not a finite number"),
+            ("dropout", True, "is True, not a finite number"),
+            ("dropout", 1.0, r"is 1.0, not in \[0, 1\)"),
+            ("dropout", -0.1, r"is -0.1, not in \[0, 1\)"),
+            ("bn_momentum", [0.1], r"is \[0.1\], not a finite number"),
+            ("bn_epsilon", "x", "is 'x', not a finite number"),
+            ("bn_epsilon", float("inf"), "is inf, not a finite number"),
+            ("bn_epsilon", float("nan"), "is nan, not a finite number"),
+            ("bn_epsilon", 10**400, "is 1000+, not a finite number"),
+            ("tensors", [], "is not an object"),
+        ]
+        for field, value, detail in wrong_types:
+            path.write_text(json.dumps({**payload, field: value}))
+            with pytest.raises(ValueError, match=f"checkpoint field '{field}' {detail}"):
+                dn.load_checkpoint(path)
+        for value in ("x", {"a": 1}, [[1.0], 2.0]):
+            path.write_text(json.dumps({**payload, "tensors": {**payload["tensors"], "b2": value}}))
+            with pytest.raises(ValueError, match="checkpoint tensor 'b2' is not an array of numbers"):
+                dn.load_checkpoint(path)
+        path.write_text(json.dumps({**payload, "dropout": 0}))
+        assert dn.load_checkpoint(path).dropout == 0
 
 
 class TestPairRecord:

@@ -435,3 +435,28 @@ class TestFeatureFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="features.jsonl:2: the record is not a JSON object with an utt_id"):
             read_features(path)
+
+    def test_jsonl_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "features.jsonl"
+        write_features(path, self.rows(), "acoustic")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "", *lines[1:], "  "]) + "\n\n")
+        table = read_features(path)
+        assert list(table) == [utt for utt, _, _ in self.rows()]
+        for utt, vector, _ in self.rows():
+            npt.assert_array_equal(table[utt], vector)
+
+    @pytest.mark.parametrize("line,column", [("{", 2), ('{"utt_id": "utt01"} x', 21)], ids=["truncated", "extra"])
+    def test_jsonl_line_that_is_not_json(self, tmp_path, line, column):
+        path = tmp_path / "features.jsonl"
+        write_features(path, self.rows(), "acoustic")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "", line, *lines[1:]]) + "\n")
+        with pytest.raises(SchemaError, match=f"features.jsonl:3: the line is not JSON .* at column {column}"):
+            read_features(path)
+
+    def test_empty_csv_has_no_header(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("")
+        with pytest.raises(SchemaError, match="features.csv: the file has no header"):
+            read_features(path)
