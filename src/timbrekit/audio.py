@@ -13,7 +13,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 
 INTERNAL_RATE = 16000
 
@@ -404,23 +403,61 @@ def _pulse_train(t: np.ndarray, f0: float, sr: float) -> np.ndarray:
     return _phasor_sum(t, f0, np.ones(k_max)) / k_max  # pulse peaks hit exactly 1
 
 
+# Samples per block of the resonators: one [64 x 64] Toeplitz product per block.
+_RESONATOR_BLOCK = 64
+# Entry [j, i] is i - j. Indexing h followed by 64 zeros with it gives the
+# transposed Toeplitz matrix of h: negative lags wrap around onto the zeros.
+_BLOCK_LAGS = np.subtract.outer(np.arange(_RESONATOR_BLOCK), np.arange(_RESONATOR_BLOCK)).T
+_BLOCK_LAGS.setflags(write=False)
+
+
 def _resonate(x: np.ndarray, formants, sr: float) -> np.ndarray:
     """The cascade of two-pole resonators y[n] = x[n] + 2r*cos(w)*y[n-1] - r**2*y[n-2].
 
-    Each resonator is one unit lower-triangular banded system with two
-    subdiagonals, solved by forward substitution (BLAS dtbsv). That is the
-    same recursion as a direct-form filter; only the order in which each
-    sample's three terms are added differs.
+    Each resonator runs in blocks of B = 64 samples. A block's output is
+    its input times the lower-triangular Toeplitz matrix of the impulse
+    response h (h[0] = 1, h[1] = 2r*cos(w)), plus y[-1] * h[1:B+1] -
+    r**2 * y[-2] * h[:B], the response to the last two outputs y[-1] and
+    y[-2] of the previous block. Only those two carries pass from block to
+    block, in a short loop on Python floats; the rest is one matrix product
+    over all blocks. The samples match a direct-form filter to about 1e-14
+    of the peak: only the order in which the terms are added differs.
     """
-    x = np.array(x, dtype=np.float64)
-    band = np.ones((3, x.size), order="F")  # rows: diagonal, first and second subdiagonal
+    x = np.asarray(x, dtype=np.float64)
+    size, block = x.size, _RESONATOR_BLOCK
+    rows = -(-size // block)
+    padded = np.zeros(rows * block)
+    padded[:size] = x
+    # Each row holds one block's samples, then the two outputs carried into it.
+    state = np.empty((rows, block + 2))
+    state[:, :block] = padded.reshape(rows, block)
     for freq, bandwidth in formants:
         r = np.exp(-np.pi * bandwidth / sr)
-        omega = 2.0 * np.pi * freq / sr
-        band[1] = -2.0 * r * np.cos(omega)
-        band[2] = r * r
-        x = dtbsv(2, band, x, lower=1, diag=1, overwrite_x=1)
-    return x
+        a1, a2 = float(2.0 * r * np.cos(2.0 * np.pi * freq / sr)), float(r * r)
+        taps = [1.0, a1]
+        for _ in range(block - 1):
+            taps.append(a1 * taps[-1] - a2 * taps[-2])
+        h = np.array(taps)
+        # One block's step: the transposed Toeplitz matrix, then the carries' responses.
+        step = np.empty((block + 2, block))
+        step[:block] = np.concatenate([h[:block], np.zeros(block)])[_BLOCK_LAGS]
+        step[block] = h[1:]
+        step[block + 1] = -a2 * h[:-1]
+        ends = state[:, :block] @ step[:block, -2:]  # each block's last two outputs before its carries
+        # The carries y1, y2 add y1 * h[B] - y2 * r**2 * h[B-1] to a block's last output and
+        # y1 * h[B-1] - y2 * r**2 * h[B-2] to the one before it.
+        c11, c12 = taps[block], a2 * taps[block - 1]
+        c21, c22 = taps[block - 1], a2 * taps[block - 2]
+        y1 = y2 = 0.0
+        carried1, carried2 = [], []
+        for second_last, last in zip(*ends.T.tolist()):
+            carried1.append(y1)
+            carried2.append(y2)
+            y1, y2 = last + y1 * c11 - y2 * c12, second_last + y1 * c21 - y2 * c22
+        state[:, block] = carried1
+        state[:, block + 1] = carried2
+        state[:, :block] = state @ step
+    return state[:, :block].ravel()[:size]
 
 
 def _comb(t: np.ndarray, spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:

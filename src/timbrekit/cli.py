@@ -196,6 +196,10 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
 @_guard
 def cmd_train(manifest_path, features_path, out, log_path, hidden, dropout, lr, batch_size, epochs, seed):
     """Train on the manifest's train split; deterministic under --seed."""
+    config = diffnet.TrainConfig(
+        hidden_dim=hidden, dropout=dropout, learning_rate=lr,
+        batch_size=batch_size, epochs=epochs, seed=seed,
+    )
     records = manifest.read_manifest(manifest_path)
     for warning in manifest.check_manifest(records):
         click.echo(f"warning: {warning}", err=True)
@@ -203,10 +207,6 @@ def cmd_train(manifest_path, features_path, out, log_path, hidden, dropout, lr, 
     if not train_pairs:
         _fail("INVALID_INPUT", "manifest has no train split")
     table = features.read_features(features_path)
-    config = diffnet.TrainConfig(
-        hidden_dim=hidden, dropout=dropout, learning_rate=lr,
-        batch_size=batch_size, epochs=epochs, seed=seed,
-    )
     model, log = diffnet.train(train_pairs, table, config, feature_names=table.names)
     diffnet.save_checkpoint(model, out)
     if log_path:

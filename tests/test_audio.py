@@ -227,9 +227,13 @@ class TestResample:
 
 
 class TestResonate:
-    @pytest.mark.parametrize("rate", [16000, 22050, 44100])
-    def test_matches_lfilter(self, rate):
-        x = np.random.default_rng(rate).uniform(-1.0, 1.0, 2 * rate)
+    @pytest.mark.parametrize("rate,size", [
+        *[pytest.param(rate, 2 * rate, id=str(rate)) for rate in (16000, 22050, 44100, 48000)],
+        # Lengths on the edges of the 64-sample blocks.
+        *[pytest.param(16000, size, id=f"16000-{size}samples") for size in (1, 63, 64, 65, 129)],
+    ])
+    def test_matches_lfilter(self, rate, size):
+        x = np.random.default_rng(rate).uniform(-1.0, 1.0, size)
         x[:: rate // 100] += 20.0  # a pulse train rings the resonators the way synth does
         expected = x
         for freq, bandwidth in VOICE:
@@ -238,30 +242,60 @@ class TestResonate:
         before = x.copy()
         out = _resonate(x, VOICE, rate)
         npt.assert_array_equal(x, before)
+        assert out.shape == x.shape
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_commands_leave_scipy_signal_unimported(tmp_path):
-    """The CLI, testkit, synth and extract (with on-read resampling) never import scipy.signal."""
+def test_commands_run_without_scipy(tmp_path):
+    """testkit imports, and every command runs, with scipy impossible to import: synth (a
+    resonated mixture at 22.05 kHz), extract of acoustic and MFCC tables (resampling on
+    read), train, eval, weights and flops."""
     script = """
 import sys
+from pathlib import Path
+
+
+class NoScipy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"no module named {name!r}")
+
+
+sys.meta_path.insert(0, NoScipy)
 from click.testing import CliRunner
 import timbrekit.cli, timbrekit.testkit
-wav, table = sys.argv[1:]
-runner = CliRunner()
-for args in (["synth", "--kind", "mixture", "--f0", "140", "--amplitude", "0.4", "--tilt", "-6",
-              "--formants", "500:80,1500:100,2500:150,3500:200", "--noise-gain", "0.005",
-              "--rate", "22050", "--out", wav], ["extract", wav, "--out", table]):
-    result = runner.invoke(timbrekit.cli.main, args)
-    assert result.exit_code == 0, result.output
-assert "scipy.signal" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy.signal"))
+
+work = Path(sys.argv[1])
+voices, pairs, table, model = work / "voices", work / "pairs.jsonl", work / "acoustic.csv", work / "model.json"
+voices.mkdir()
+lines = [("train", 0, 1), ("train", 1, 2), ("train", 2, 0), ("test", 0, 2)]
+pairs.write_text("".join(
+    f'{{"utt_a": "v{a}", "utt_b": "v{b}", "descriptor": "higher", "label": "{"B" if b > a else "A"}", '
+    f'"split": "{split}"}}\\n' for split, a, b in lines))
+commands = [["synth", "--kind", "mixture", "--f0", str(120 + 40 * i), "--dur", "0.5", "--amplitude", "0.4",
+             "--tilt", "-6", "--formants", "500:80,1500:100,2500:150,3500:200", "--noise-gain", "0.005",
+             "--rate", "22050", "--seed", str(i), "--out", str(voices / f"v{i}.wav")] for i in range(3)]
+commands += [
+    ["extract", str(voices), "--kind", "mfcc", "--out", str(work / "mfcc.csv")],
+    ["extract", str(voices), "--kind", "acoustic", "--out", str(table)],
+    ["train", "--manifest", str(pairs), "--features", str(table), "--out", str(model), "--epochs", "2"],
+    ["eval", "--manifest", str(pairs), "--features", str(table), "--model", str(model)],
+    ["weights", "--model", str(model)],
+    ["flops", "--kind", "mfcc", "--model", str(model)],
+]
+for args in commands:
+    result = CliRunner().invoke(timbrekit.cli.main, args)
+    assert result.exit_code == 0, (args[0], result.output, result.exception)
+assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 """
     src = str(Path(timbrekit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "v.wav"), str(tmp_path / "v.csv")],
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "v.csv").read_text().count("\n") == 2
+    for table in ("mfcc.csv", "acoustic.csv"):
+        assert (tmp_path / table).read_text().count("\n") == 4  # the header and three voices
 
 
 class TestFrameSlices:

@@ -225,6 +225,18 @@ class TestTrainCommand:
         assert "error: COVERAGE" in result.output
         assert "ghost" in result.output
 
+    @pytest.mark.parametrize("option,value,field", [
+        ("--epochs", "0", "epochs"), ("--batch-size", "0", "batch_size"), ("--batch-size", "-5", "batch_size"),
+    ])
+    def test_loop_sizes_below_one_are_invalid_input(self, runner, tmp_path, option, value, field):
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=20, n_test=5)
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
+                                      "--out", str(out), option, value])
+        assert result.exit_code == 1
+        assert result.output == f"error: INVALID_INPUT: {field} must be at least 1, got {value}\n"
+        assert not out.exists()
+
     def test_same_seed_identical_checkpoints(self, runner, tmp_path):
         features_path, manifest_path = separable_training_setup(tmp_path, n_train=300, n_test=50)
         paths = [tmp_path / "m1.json", tmp_path / "m2.json"]
@@ -377,6 +389,19 @@ class TestFeatureTableSchema:
         assert result.exit_code == 1
         assert result.output.splitlines()[-1] == (f"error: SCHEMA: {features_path}:3: the line is not JSON "
                                                   "(Expecting value at column 25)")
+
+    def test_train_rejects_a_nan_cell(self, runner, tmp_path):
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=200, n_test=20)
+        lines = features_path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = "nan"
+        lines[2] = ",".join(fields)
+        features_path.write_text("\n".join(lines) + "\n")
+        result, model_path = self.train(runner, tmp_path, features_path, manifest_path)
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == (f"error: SCHEMA: {features_path}:3: {fields[0]} mean_f2 "
+                                                  "is not a finite number: nan")
+        assert not model_path.exists()
 
     def test_empty_csv_table(self, runner, tmp_path):
         _, manifest_path = separable_training_setup(tmp_path, n_train=200, n_test=20)

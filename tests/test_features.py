@@ -6,19 +6,35 @@ import numpy.testing as npt
 import pytest
 
 from conftest import VOICE_FORMANTS
-from timbrekit.audio import FRAME_BLOCK, AudioBuffer, SynthSpec, resample, synth
+from timbrekit.audio import (
+    FRAME_BLOCK,
+    AudioBuffer,
+    FrameSpec,
+    SynthSpec,
+    frame_blocks,
+    frame_times,
+    resample,
+    synth,
+    window_starts,
+)
 from timbrekit.features import (
+    _DCT_BASIS,
     CEPSTRAL_NAMES,
+    CEPSTRAL_STEP,
+    CEPSTRAL_WINDOW,
     EmptyFeatureError,
     ExtractionConfig,
     FEATURE_NAMES,
     FrameTrack,
     MEASURE_NAMES,
+    MEL_FFT,
+    N_FILTERS,
     SchemaError,
     SilentUtteranceError,
     aggregate,
     extract_track,
     extract_vector,
+    filterbank_matrix,
     lfc,
     mfcc,
     read_features,
@@ -316,6 +332,23 @@ class TestCepstral:
         buf = synth(SynthSpec(kind="white_noise", duration=0.5, seed=9))
         assert np.linalg.norm(mfcc(buf).values - lfc(buf).values) > 0.0
 
+    def test_dct_basis_matches_scipy(self, voiced_buffer):
+        from scipy.fft import dct  # the oracle; timbrekit itself imports no scipy
+
+        def oracle(rows):
+            return dct(rows, type=2, norm="ortho", axis=1)[:, : len(CEPSTRAL_NAMES)]
+
+        random_rows = np.random.default_rng(0).uniform(-25.0, 10.0, (50, N_FILTERS))
+        npt.assert_allclose(random_rows @ _DCT_BASIS, oracle(random_rows), rtol=0.0, atol=1e-12)
+        # The log mel energies of a synthetic voice, framed as mfcc frames it.
+        times = frame_times(voiced_buffer, FrameSpec(step=CEPSTRAL_STEP, window=CEPSTRAL_WINDOW))
+        starts, win = window_starts(times, CEPSTRAL_WINDOW, SR)
+        frames = np.concatenate(list(frame_blocks(voiced_buffer.samples, starts, win)))
+        power = np.abs(np.fft.rfft(frames * np.hanning(win), MEL_FFT)) ** 2
+        log_energy = np.log(np.maximum(power @ filterbank_matrix(MEL_FFT, SR, "mel").T, 1e-10))
+        npt.assert_allclose(log_energy @ _DCT_BASIS, oracle(log_energy), rtol=0.0, atol=1e-12)
+        npt.assert_allclose(mfcc(voiced_buffer).values, oracle(log_energy).mean(axis=0), rtol=0.0, atol=1e-12)
+
 
 class TestFeatureFiles:
     def rows(self):
@@ -454,6 +487,46 @@ class TestFeatureFiles:
         path.write_text("\n".join([lines[0], "", line, *lines[1:]]) + "\n")
         with pytest.raises(SchemaError, match=f"features.jsonl:3: the line is not JSON .* at column {column}"):
             read_features(path)
+
+    def jsonl_with_mean_f2(self, tmp_path, value: str):
+        """A JSONL table whose utt02 record, on line 3, holds the JSON text `value` as mean_f2."""
+        path = tmp_path / "features.jsonl"
+        write_features(path, self.rows(), "acoustic")
+        lines = path.read_text().splitlines()
+        written = json.dumps(json.loads(lines[2])["mean_f2"])
+        lines[2] = lines[2].replace(f'"mean_f2": {written}', f'"mean_f2": {value}')
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("value,shown", [
+        ("null", "null"), ("true", "true"), ('"1.5"', '"1.5"'), ('"x"', '"x"'), ("[1.0]", "[1.0]"),
+        ("NaN", "nan"), ("-Infinity", "-inf"), ("1e400", "inf"),
+    ], ids=["null", "bool", "numeric_string", "string", "array", "nan", "minus_infinity", "overflow"])
+    def test_jsonl_value_that_is_not_a_finite_number(self, tmp_path, value, shown):
+        path = self.jsonl_with_mean_f2(tmp_path, value)
+        with pytest.raises(SchemaError) as info:
+            read_features(path)
+        assert str(info.value) == f"{path}:3: utt02 mean_f2 is not a finite number: {shown}"
+
+    @pytest.mark.parametrize("cell,shown", [
+        ("abc", "abc"), ("", ""), ("nan", "nan"), ("-inf", "-inf"), ("1e999", "inf"),
+    ], ids=["word", "empty", "nan", "minus_inf", "overflow"])
+    def test_csv_cell_that_is_not_a_finite_number(self, tmp_path, cell, shown):
+        path = tmp_path / "features.csv"
+        write_features(path, self.rows(), "acoustic")
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[1 + FEATURE_NAMES.index("mean_f2")] = cell
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as info:
+            read_features(path)
+        assert str(info.value) == f"{path}:4: utt02 mean_f2 is not a finite number: {shown}"
+
+    def test_jsonl_integers_are_numbers(self, tmp_path):
+        vector = read_features(self.jsonl_with_mean_f2(tmp_path, "3"))["utt02"]
+        assert vector[FEATURE_NAMES.index("mean_f2")] == 3.0
+        assert vector.dtype == np.float64
 
     def test_empty_csv_has_no_header(self, tmp_path):
         path = tmp_path / "features.csv"
