@@ -276,9 +276,11 @@ def _polyphase_taps(up: int, down: int) -> np.ndarray:
 
 
 # Frames go through the batched measures this many at a time, so transient
-# memory stays flat on long recordings; 3 s of audio on the 10 ms grid is
-# one block.
-FRAME_BLOCK = 320
+# memory stays flat on long recordings. At 128 rows the largest per-block
+# arrays, the [rows x 4096] float64 inverse transforms of the pitch ACF and
+# of CPP, are 4 MiB, the L2 of the 2-vCPU reference VM (2 MiB per core);
+# 320 rows made them 10 MiB at no gain in speed, and 64 rows was slower.
+FRAME_BLOCK = 128
 
 
 def next_pow2(n: int) -> int:

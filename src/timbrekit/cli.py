@@ -151,6 +151,8 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
     Skipped utterances (silent or unreadable) land next to the output in
     <out>.skipped.jsonl with a reason, not in the feature table.
     """
+    if jobs < 1:
+        _fail("INVALID_INPUT", f"--jobs must be at least 1, got {jobs}")
     config = _extraction_config(config_arg)
     paths = []
     for item in inputs:
@@ -160,8 +162,10 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
         _fail("INVALID_INPUT", "no input files")
 
     tasks = [(str(p), kind, config) for p in paths]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool starts all its workers on the first submit, so it gets no more than there are files.
+    workers = min(jobs, len(paths))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_extract_one, tasks))
     else:
         results = [_extract_one(t) for t in tasks]

@@ -459,7 +459,6 @@ def train(
     norm_std = np.maximum(table.std(axis=0), _STD_GUARD)
 
     model = init_model(feature_names, descriptors, config, rng, norm_mean, norm_std)
-    x_all = table[rows].reshape(len(pairs), -1)
     adam = _FlatAdam(model, config)
 
     log = []
@@ -469,7 +468,9 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             sel = order[start : start + config.batch_size]
-            scores, cache = forward(model, x_all[sel], mode="train", rng=rng, return_cache=True)
+            # Each batch gathers its own [B x 2D] pair rows, so memory grows with U*D + P, not P*D.
+            x = table[rows[sel]].reshape(sel.size, -1)
+            scores, cache = forward(model, x, mode="train", rng=rng, return_cache=True)
             epoch_loss += batch_loss(scores, desc_idx[sel], targets[sel]) * sel.size
             grads = backward(model, cache, desc_idx[sel], targets[sel])
             adam.step(grads)

@@ -325,12 +325,14 @@ def read_features(path) -> FeatureTable:
     """Load a CSV or JSONL feature table as {utt_id: vector}, named by the header or first record.
 
     JSONL values are read by name and blank lines are skipped. A repeated
-    utt_id, a CSV file without a header, a CSV row with another field count
-    than the header, a JSONL line that is not JSON or not an object with an
-    utt_id, a JSONL record with other names than the first, or a value that
-    is not a finite number (a JSONL value that is not a JSON number, a CSV
-    cell that float() does not parse, NaN or an infinity in either), raises
-    SchemaError naming the line.
+    utt_id, a CSV file without a header or whose header does not run from
+    utt_id to voiced_frames, a CSV row with another field count than the
+    header or whose voiced_frames is not a non-negative integer, a JSONL
+    line that is not JSON or not an object with an utt_id, a JSONL record
+    with other names than the first, or a value that is not a finite number
+    (a JSONL value that is not a JSON number, a CSV cell that float() does
+    not parse, NaN or an infinity in either), raises SchemaError naming the
+    line, or the header.
     """
     path = Path(path)
     if path.suffix == ".jsonl":
@@ -366,7 +368,10 @@ def read_features(path) -> FeatureTable:
         header = next(reader, None)
         if header is None:
             raise SchemaError(f"{path}: the file has no header")
-        value_cols = slice(1, len(header) - 1)  # utt_id ... voiced_frames
+        if header[:1] != ["utt_id"] or header[-1:] != ["voiced_frames"]:
+            raise SchemaError(f"{path}: the header must start with utt_id and end with voiced_frames, "
+                              f"got {','.join(header)}")
+        value_cols = slice(1, len(header) - 1)
         table = FeatureTable()
         table.names = tuple(header[value_cols])
         for lineno, row in enumerate(reader, 2):
@@ -374,6 +379,9 @@ def read_features(path) -> FeatureTable:
                 utt_id = row[0] if row else "a blank row"
                 raise SchemaError(f"{path}:{lineno}: {utt_id} has {len(row)} fields, "
                                   f"the header has {len(header)}")
+            if not (row[-1].isascii() and row[-1].isdigit()):
+                raise SchemaError(f"{path}:{lineno}: {row[0]} voiced_frames is not a non-negative integer: "
+                                  f"{row[-1]!r}")
             try:
                 vector = np.array([float(v) for v in row[value_cols]])
             except ValueError:

@@ -98,7 +98,7 @@ def _record(raw) -> ManifestRecord:
 
 
 # Lines decoded per step; their dicts are dropped before the next step.
-_DECODE_LINES = 1 << 14
+_DECODE_LINES = 1 << 10
 
 # The C scanner that json.loads ends in, called without its Python wrappers.
 _scan_once = json.JSONDecoder().scan_once

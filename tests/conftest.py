@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,23 @@ def voiced_buffer():
 
 def middle_slice(buf, n=640, start=2000):
     return np.asarray(buf.samples[start : start + n])
+
+
+def traced(fn):
+    """(fn(), bytes it allocated and still holds, its peak bytes) as tracemalloc counts them.
+
+    tracemalloc also sees numpy's array buffers; memory allocated before the
+    call is not counted.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, current - base, peak - base

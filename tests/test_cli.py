@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from timbrekit import diffnet as dn, evaluation
+from timbrekit import cli, diffnet as dn, evaluation
 from timbrekit.audio import SynthSpec, synth, write_wav
 from timbrekit.cli import main
 from timbrekit.features import read_features, write_features
@@ -143,6 +143,42 @@ class TestExtractCommand:
         run(runner, ["extract", str(directory), "--out", str(a)])
         run(runner, ["extract", str(directory), "--out", str(b), "--jobs", "2"])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (4096, 3)])
+    def test_pool_gets_no_more_workers_than_files(self, runner, tmp_path, monkeypatch, jobs, workers):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        directory = make_voice_dir(tmp_path, count=3)
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        run(runner, ["extract", str(directory), "--out", str(serial)])
+        assert started == []
+        run(runner, ["extract", str(directory), "--out", str(pooled), "--jobs", str(jobs)])
+        assert started == [workers]
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_are_invalid_input(self, runner, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        directory = make_voice_dir(tmp_path, count=1)
+        out = tmp_path / "f.csv"
+        result = runner.invoke(main, ["extract", str(directory), "--out", str(out), "--jobs", jobs])
+        assert result.exit_code == 1
+        assert result.output == f"error: INVALID_INPUT: --jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
 
     def test_explicit_file_list(self, runner, tmp_path):
         directory = make_voice_dir(tmp_path, count=3)

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import traced
 from timbrekit import diffnet as dn, testkit
 
 NAMES5 = tuple(f"f{i}" for i in range(5))
@@ -189,6 +190,20 @@ class TestTrain:
     def test_empty_pairs(self):
         with pytest.raises(ValueError):
             dn.train([], {}, dn.TrainConfig(), feature_names=())
+
+    def test_peak_memory_does_not_grow_with_pair_features(self):
+        """Each batch gathers its own pair rows: 50k pairs never stand as one [P x 2D] matrix (20.8 MB)."""
+        n_pairs, n_utts = 50_000, 500
+        rng = np.random.default_rng(8)
+        ids = np.array([f"u{i:03d}" for i in range(n_utts)], dtype=object)
+        feats = {u: rng.normal(0, 1, 26) for u in ids}
+        a = rng.integers(0, n_utts, n_pairs)
+        b = (a + rng.integers(1, n_utts, n_pairs)) % n_utts
+        pairs = dn.PairColumns(ids[a], ids[b], np.full(n_pairs, "planted", dtype=object), b > a)
+        config = dn.TrainConfig(hidden_dim=32, epochs=1)
+        (_, log), _, peak = traced(lambda: dn.train(pairs, feats, config, feature_names=dim_names()))
+        assert len(log) == 1
+        assert peak < 8e6
 
     @pytest.mark.parametrize("n_pairs,dim,hidden", [(700, 26, 32), (769, 5, 7)])
     def test_equals_the_textbook_loop_bitwise(self, n_pairs, dim, hidden):

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import VOICE_FORMANTS
+from conftest import VOICE_FORMANTS, traced
 from timbrekit.audio import (
     FRAME_BLOCK,
     AudioBuffer,
@@ -103,6 +103,14 @@ class TestExtractTrack:
         track = extract_track(buf)
         for name in MEASURE_NAMES:
             assert np.all(np.isnan(track.values[name][~track.voiced]))
+
+    def test_peak_memory_does_not_grow_with_duration(self):
+        """The measures run FRAME_BLOCK frames at a time, so a 20 s voice peaks as low as a 3 s one."""
+        buf = synth(SynthSpec(kind="mixture", f0=130.0, duration=20.0, formants=VOICE_FORMANTS,
+                              tilt_db_per_octave=-6.0, noise_gain=0.004, seed=1))
+        track, _, peak = traced(lambda: extract_track(buf))
+        assert peak < 16e6
+        assert track.voiced.mean() > 0.95
 
     def test_determinism_bitwise(self, voiced_buffer):
         a = extract_track(voiced_buffer)
@@ -522,6 +530,36 @@ class TestFeatureFiles:
         with pytest.raises(SchemaError) as info:
             read_features(path)
         assert str(info.value) == f"{path}:4: utt02 mean_f2 is not a finite number: {shown}"
+
+    @pytest.mark.parametrize("header", [
+        "utt_id,a,b", "id,a,voiced_frames", "a,utt_id,voiced_frames", "utt_id", "voiced_frames", "",
+    ], ids=["no_voiced_frames", "no_utt_id", "utt_id_not_first", "utt_id_alone", "voiced_frames_alone", "blank"])
+    def test_csv_header_must_run_from_utt_id_to_voiced_frames(self, tmp_path, header):
+        path = tmp_path / "features.csv"
+        width = len(header.split(","))
+        path.write_text(header + "\n" + ",".join(["u1"] + ["1"] * (width - 1)) + "\n")
+        with pytest.raises(SchemaError) as info:
+            read_features(path)
+        assert str(info.value) == (f"{path}: the header must start with utt_id and end with voiced_frames, "
+                                   f"got {header}")
+
+    @pytest.mark.parametrize("cell", ["abc", "", "-1", "1.5"], ids=["word", "empty", "negative", "fraction"])
+    def test_csv_voiced_frames_that_is_not_a_count(self, tmp_path, cell):
+        path = tmp_path / "features.csv"
+        write_features(path, self.rows(), "acoustic")
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[-1] = cell
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as info:
+            read_features(path)
+        assert str(info.value) == f"{path}:4: utt02 voiced_frames is not a non-negative integer: {cell!r}"
+
+    def test_csv_voiced_frames_of_zero_is_a_count(self, tmp_path):
+        path = tmp_path / "features.csv"
+        write_features(path, [(utt, vector, 0) for utt, vector, _ in self.rows()], "acoustic")
+        assert sorted(read_features(path)) == [utt for utt, _, _ in self.rows()]
 
     def test_jsonl_integers_are_numbers(self, tmp_path):
         vector = read_features(self.jsonl_with_mean_f2(tmp_path, "3"))["utt02"]

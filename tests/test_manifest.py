@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced
 from timbrekit import manifest
 from timbrekit.diffnet import PairRecord
 from timbrekit.manifest import FIELDS, ManifestRecord, SPLITS, read_manifest, utterance_id
@@ -163,6 +164,18 @@ class TestColumnarReader:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"pairs\.jsonl:1: bad manifest record: Extra data"):
             read_manifest(path)
+
+    def test_peak_memory_above_the_columns_is_bounded(self, tmp_path):
+        """Lines are decoded _DECODE_LINES at a time, so the decoded dicts of 60k lines never stand at once."""
+        path = tmp_path / "pairs.jsonl"
+        with path.open("w") as fh:
+            for i in range(60_000):
+                fh.write(json.dumps({"utt_a": f"spk{i % 300:03d}_a{i % 7}", "utt_b": f"spk{i * 7 % 300:03d}_b{i % 5}",
+                                     "descriptor": "bright", "label": "AB"[i % 2],
+                                     "split": "train" if i % 4 else "test"}) + "\n")
+        pairs, kept, peak = traced(lambda: read_manifest(path))
+        assert len(pairs) == 60_000
+        assert peak - kept < 6e6
 
     def test_split_pairs_are_columns_in_file_order(self, tmp_path):
         raws = [
