@@ -318,25 +318,24 @@ def frame_times(buf: AudioBuffer, spec: FrameSpec) -> np.ndarray:
     return (np.arange(0, n - win + 1, hop) + win / 2.0) / buf.sample_rate
 
 
-def window_starts(times: np.ndarray, window: float, sample_rate: int) -> tuple[np.ndarray, int]:
-    """(first sample, length) of the `window`-second windows centered at `times`.
+def frame_blocks(samples: np.ndarray, sample_rate: int, times, window: float):
+    """Yield (rows, frames) for the `window`-second windows centred at `times`, FRAME_BLOCK rows at a time.
 
-    Starts may fall outside the buffer; callers decide what an edge means.
+    A window's first sample is round(time * sample_rate - win / 2), where
+    win = round(window * sample_rate). Only windows that lie inside the
+    buffer are yielded: rows holds their ascending indices into `times`,
+    and frames[j] is the [win] slice of the window at times[rows[j]]. A
+    buffer shorter than one window yields nothing.
     """
     win = int(round(window * sample_rate))
-    starts = np.rint(np.asarray(times, dtype=np.float64) * sample_rate - win / 2.0)
-    return starts.astype(np.intp), win
-
-
-def frame_blocks(samples: np.ndarray, starts: np.ndarray, win: int):
-    """Yield [rows x win] frame matrices, FRAME_BLOCK rows at a time.
-
-    Row i of the concatenated blocks is samples[starts[i] : starts[i] + win];
-    every window must lie inside the buffer.
-    """
+    starts = np.rint(np.asarray(times, dtype=np.float64) * sample_rate - win / 2.0).astype(np.intp)
+    inside = np.flatnonzero((starts >= 0) & (starts + win <= samples.size))
+    if inside.size == 0:
+        return
     view = np.lib.stride_tricks.sliding_window_view(samples, win)
-    for lo in range(0, len(starts), FRAME_BLOCK):
-        yield view[starts[lo : lo + FRAME_BLOCK]]
+    for lo in range(0, inside.size, FRAME_BLOCK):
+        rows = inside[lo : lo + FRAME_BLOCK]
+        yield rows, view[starts[rows]]
 
 
 def synth(spec: SynthSpec) -> AudioBuffer:

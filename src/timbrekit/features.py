@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import INTERNAL_RATE, AudioBuffer, FrameSpec, frame_blocks, frame_times, resample, window_starts
+from .audio import INTERNAL_RATE, AudioBuffer, FrameSpec, frame_blocks, frame_times, resample
 from .formants import FormantConfig, dispersion, formant_track
 from .harmonics import magnitude_spectrum, rms_energy, tilt_measures
 from .noise_metrics import CppConfig, ShrConfig, cpp_from_spectrum, shr
@@ -143,34 +143,34 @@ class CepstralVector:
 def extract_track(buf: AudioBuffer, config: ExtractionConfig = ExtractionConfig()) -> FrameTrack:
     """All 13 raw measures on the 10 ms grid; unvoiced frames all-NaN.
 
-    A frame whose pitch window fits the buffer but whose measure slice
-    does not counts as unvoiced. The measures run on the voiced slices a
-    block at a time.
+    Formants are tracked at the frames pitch_track voices, and the other
+    measures run on their measure slices a block at a time. A frame is
+    voiced only when frame_blocks yields its slice, so one whose pitch
+    window fits the buffer but whose slice does not stays unvoiced.
     """
     buf = resample(buf, INTERNAL_RATE)
     ptrack = pitch_track(buf, config.pitch, config.frame.step)
-    starts, win = window_starts(ptrack.times, config.frame.window, buf.sample_rate)
-    voiced = ptrack.voiced & (starts >= 0) & (starts + win <= buf.samples.size)
-    rows = np.flatnonzero(voiced)
-    formants = formant_track(buf, config.formant, config.frame.step, centers=ptrack.times[rows])
+    candidates = np.flatnonzero(ptrack.voiced)
+    centers = ptrack.times[candidates]
+    formants = formant_track(buf, centers, config.formant)
 
+    voiced = np.zeros(ptrack.times.size, dtype=bool)
     values = {name: np.full(ptrack.times.size, np.nan) for name in MEASURE_NAMES}
-    values["f0"][rows] = ptrack.f0[rows]
-    for k in range(1, 5):
-        values[f"f{k}"][rows] = formants.frequencies[:, k - 1]
-    values["dispersion"][rows] = dispersion(formants.frequencies[:, 0], formants.frequencies[:, 3])
-    lo = 0
-    for frames in frame_blocks(buf.samples, starts[rows], win):
-        block = slice(lo, lo + frames.shape[0])
-        lo = block.stop
-        at = rows[block]
+    for rows, frames in frame_blocks(buf.samples, buf.sample_rate, centers, config.frame.window):
+        at = candidates[rows]
+        voiced[at] = True
+        f0, found = ptrack.f0[at], formants[rows]
+        values["f0"][at] = f0
+        for k in range(1, 5):
+            values[f"f{k}"][at] = found.frequencies[:, k - 1]
+        values["dispersion"][at] = dispersion(found.frequencies[:, 0], found.frequencies[:, 3])
         spectrum = magnitude_spectrum(frames, buf.sample_rate)
-        tilt = tilt_measures(spectrum, ptrack.f0[at], formants[block])
+        tilt = tilt_measures(spectrum, f0, found)
         for name in ("h1_h2", "h2_h4", "h4_h2k", "h2k_h5k"):
             values[name][at] = getattr(tilt, name)
         values["cpp"][at] = cpp_from_spectrum(spectrum, config.cpp)
         values["rms"][at] = rms_energy(frames)
-        values["shr"][at] = shr(spectrum, ptrack.f0[at], config.shr)  # NaN where f0 is too high
+        values["shr"][at] = shr(spectrum, f0, config.shr)  # NaN where f0 is too high
     return FrameTrack(times=ptrack.times, voiced=voiced, values=values)
 
 
@@ -237,12 +237,10 @@ def _cepstral(buf: AudioBuffer, scale: str, nfft: int) -> CepstralVector:
     """
     buf = resample(buf, INTERNAL_RATE)
     times = frame_times(buf, FrameSpec(step=CEPSTRAL_STEP, window=CEPSTRAL_WINDOW))
-    starts, win = window_starts(times, CEPSTRAL_WINDOW, buf.sample_rate)
     bank = filterbank_matrix(nfft, buf.sample_rate, scale)
-    window = np.hanning(win)
     total = np.zeros(len(CEPSTRAL_NAMES))
-    for frames in frame_blocks(buf.samples, starts, win):
-        power = np.abs(np.fft.rfft(frames * window, nfft)) ** 2
+    for _, frames in frame_blocks(buf.samples, buf.sample_rate, times, CEPSTRAL_WINDOW):
+        power = np.abs(np.fft.rfft(frames * np.hanning(frames.shape[1]), nfft)) ** 2
         log_energy = np.log(np.maximum(power @ bank.T, _LOG_FLOOR))
         total += (log_energy @ _DCT_BASIS).sum(axis=0)
     return CepstralVector(total / times.size, times.size)
@@ -329,10 +327,11 @@ def read_features(path) -> FeatureTable:
     utt_id to voiced_frames, a CSV row with another field count than the
     header or whose voiced_frames is not a non-negative integer, a JSONL
     line that is not JSON or not an object with an utt_id, a JSONL record
-    with other names than the first, or a value that is not a finite number
-    (a JSONL value that is not a JSON number, a CSV cell that float() does
-    not parse, NaN or an infinity in either), raises SchemaError naming the
-    line, or the header.
+    with other names than the first or whose voiced_frames, when present,
+    is not a JSON number with a non-negative integral value, or a value
+    that is not a finite number (a JSONL value that is not a JSON number, a
+    CSV cell that float() does not parse, NaN or an infinity in either),
+    raises SchemaError naming the line, or the header.
     """
     path = Path(path)
     if path.suffix == ".jsonl":
@@ -350,7 +349,10 @@ def read_features(path) -> FeatureTable:
                 if not isinstance(record, dict) or "utt_id" not in record:
                     raise SchemaError(f"{path}:{lineno}: the record is not a JSON object with an utt_id")
                 utt_id = record.pop("utt_id")
-                record.pop("voiced_frames", None)
+                count = record.pop("voiced_frames", 0.0)
+                if type(count) is not float or count < 0 or not count.is_integer():
+                    raise SchemaError(f"{path}:{lineno}: {utt_id} voiced_frames is not a non-negative integer: "
+                                      f"{json.dumps(count)}")
                 if keys is None:
                     table.names, keys = tuple(record), set(record)
                 elif record.keys() != keys:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .audio import AudioBuffer, FrameSpec, frame_blocks, frame_times, resample, window_starts
+from .audio import AudioBuffer, frame_blocks, resample
 
 
 class Formant(NamedTuple):
@@ -82,7 +82,7 @@ class FormantTrack(Sequence):
 
     Row i holds frame i's formants in ascending frequency order, NaN past
     the last one found. An index yields that frame as a FormantFrame, a
-    slice the FormantTrack of those frames.
+    slice or an integer array the FormantTrack of those frames.
     """
 
     frequencies: np.ndarray
@@ -92,7 +92,7 @@ class FormantTrack(Sequence):
         return self.frequencies.shape[0]
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
+        if isinstance(index, (slice, np.ndarray)):
             return FormantTrack(self.frequencies[index], self.bandwidths[index])
         freqs, bws = self.frequencies[index], self.bandwidths[index]
         found = np.isfinite(freqs)
@@ -101,7 +101,7 @@ class FormantTrack(Sequence):
         )
 
 
-def burg(window_samples: np.ndarray, order: int, return_reflections: bool = False):
+def burg(window_samples: np.ndarray, order: int) -> np.ndarray:
     """Burg's method: LPC coefficients a_1..a_p of the all-pole model.
 
     Minimizes the summed forward and backward prediction error. The
@@ -109,7 +109,7 @@ def burg(window_samples: np.ndarray, order: int, return_reflections: bool = Fals
     so the model polynomial 1 + sum a_k z^-k is minimum phase.
 
     The rows of a [frames x n] matrix (a 1-D window is one row) are fitted
-    in one pass and give [frames x order] arrays. Rows with no signal
+    in one pass and give a [frames x order] array. Rows with no signal
     energy or with non-finite samples read NaN.
     """
     frames = np.atleast_2d(np.asarray(window_samples, dtype=np.float64))
@@ -122,7 +122,6 @@ def burg(window_samples: np.ndarray, order: int, return_reflections: bool = Fals
     rows = frames.shape[0]
     a = np.zeros((rows, order + 1))
     a[:, 0] = 1.0
-    reflections = np.zeros((rows, order))
     # Stage-m errors are kept aligned so f[:, i] pairs with b[:, i].
     f = frames[:, 1:]
     b = frames[:, :-1]
@@ -132,14 +131,10 @@ def burg(window_samples: np.ndarray, order: int, return_reflections: bool = Fals
         # coefficients of that row stay as they are.
         live = den > 0
         k = np.where(live, -2.0 * np.einsum("ij,ij->i", f, b) / np.where(live, den, 1.0), 0.0)
-        reflections[:, m - 1] = k
         a[:, 1 : m + 1] = a[:, 1 : m + 1] + k[:, np.newaxis] * a[:, m - 1 :: -1]
         if m < order:
             f, b = f[:, 1:] + k[:, np.newaxis] * b[:, 1:], b[:, :-1] + k[:, np.newaxis] * f[:, :-1]
     a[~usable] = np.nan
-    reflections[~usable] = np.nan
-    if return_reflections:
-        return a[:, 1:], reflections
     return a[:, 1:]
 
 
@@ -201,13 +196,8 @@ def _gaussian_window(n: int) -> np.ndarray:
     return w
 
 
-def formant_track(
-    buf: AudioBuffer,
-    config: FormantConfig = FormantConfig(),
-    step: float = 0.010,
-    centers=None,
-) -> FormantTrack:
-    """Per-frame formants on the 10 ms grid (or at the given center times).
+def formant_track(buf: AudioBuffer, centers, config: FormantConfig = FormantConfig()) -> FormantTrack:
+    """Per-frame formants of the `config.window` windows centred at `centers` (s), one row per centre.
 
     Frames whose window falls outside the buffer, or where the LPC fit
     degenerates, are empty (all-NaN rows) rather than failing.
@@ -219,19 +209,11 @@ def formant_track(
     emphasized[0] = work.samples[0]
     emphasized[1:] = work.samples[1:] - alpha * work.samples[:-1]
 
-    if centers is None:
-        centers = frame_times(work, FrameSpec(step=step, window=config.window))
-    starts, win = window_starts(centers, config.window, rate)
-    taper = _gaussian_window(win)
-    inside = np.flatnonzero((starts >= 0) & (starts + win <= emphasized.size))
-
-    shape = (starts.size, config.max_formants)
+    shape = (len(centers), config.max_formants)
     frequencies, bandwidths = np.full(shape, np.nan), np.full(shape, np.nan)
-    lo = 0
-    for frames in frame_blocks(emphasized, starts[inside], win):
-        rows = inside[lo : lo + frames.shape[0]]
-        lo += frames.shape[0]
-        found = roots_to_formants(burg(frames * taper, config.lpc_order), rate, config)
+    for rows, frames in frame_blocks(emphasized, rate, centers, config.window):
+        lpc = burg(frames * _gaussian_window(frames.shape[1]), config.lpc_order)
+        found = roots_to_formants(lpc, rate, config)
         frequencies[rows] = found.frequencies
         bandwidths[rows] = found.bandwidths
     return FormantTrack(frequencies, bandwidths)

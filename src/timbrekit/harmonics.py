@@ -36,10 +36,6 @@ class Spectrum:
         return 2 * (self.magnitudes.shape[1] - 1)
 
     @property
-    def bin_hz(self) -> float:
-        return self.sample_rate / self.fft_size
-
-    @property
     def nyquist(self) -> float:
         return self.sample_rate / 2.0
 

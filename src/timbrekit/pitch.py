@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer, FrameSpec, frame_blocks, frame_times, next_pow2, parabolic_peak, window_starts
+from .audio import AudioBuffer, FrameSpec, frame_blocks, frame_times, next_pow2, parabolic_peak
 
 # Peaks within this normalized-strength margin of the best one count as
 # ties, and the shortest lag among them wins. Without this, a perfectly
@@ -146,11 +146,7 @@ def pitch_track(
         )
     global_peak = float(np.max(np.abs(buf.samples)))
     times = frame_times(buf, FrameSpec(step=step, window=window))
-    starts, win = window_starts(times, window, buf.sample_rate)
-    blocks = [
-        frame_pitch(frames, config, buf.sample_rate, global_peak)
-        for frames in frame_blocks(buf.samples, starts, win)
-    ]
-    f0 = np.concatenate([f for f, _ in blocks])
-    strength = np.concatenate([s for _, s in blocks])
+    f0, strength = np.full(times.size, np.nan), np.zeros(times.size)
+    for rows, frames in frame_blocks(buf.samples, buf.sample_rate, times, window):
+        f0[rows], strength[rows] = frame_pitch(frames, config, buf.sample_rate, global_peak)
     return PitchTrack(times=times, f0=f0, strength=strength)

@@ -1,7 +1,8 @@
 """Cross-module verification harness.
 
 Holds the independent oracles the test suite checks the fast paths
-against (a direct single-frequency DFT projection, the synthetic comb
+against (a direct single-frequency DFT projection, the Levinson step-down
+from LPC to reflection coefficients, the synthetic comb
 rendered line by line with np.cos, exhaustive-threshold
 FAR/FRR and EER sweeps, the textbook training loop, single-record BCE),
 single-slice cepstral measures computed from raw samples, and the seeded
@@ -68,6 +69,21 @@ def dft_amplitude_oracle(samples, freq: float, sample_rate: float) -> float:
     if magnitude <= 0.0:
         return _ORACLE_FLOOR_DB
     return float(max(20.0 * np.log10(magnitude), _ORACLE_FLOOR_DB))
+
+
+def reflections_from_lpc(lpc) -> np.ndarray:
+    """Reflection coefficients k_1..k_p of the model 1 + sum a_k z^-k, by the Levinson step-down recursion.
+
+    Stage m's last coefficient is k_m, and stage m - 1's a_i is
+    (a_i - k_m * a_(m-i)) / (1 - k_m**2), so no k_m past the first may be
+    +-1. The model is minimum phase exactly when every |k_m| < 1.
+    """
+    a = np.array(lpc, dtype=np.float64)
+    reflections = np.empty(a.size)
+    for m in range(a.size, 0, -1):
+        reflections[m - 1] = k = a[m - 1]
+        a = (a[: m - 1] - k * a[: m - 1][::-1]) / (1.0 - k * k)
+    return reflections
 
 
 def comb_reference(spec: SynthSpec) -> np.ndarray:

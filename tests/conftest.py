@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from timbrekit.audio import SynthSpec, synth
+from timbrekit.audio import FrameSpec, SynthSpec, frame_times, synth
+from timbrekit.formants import FormantConfig
 
 VOICE_FORMANTS = ((500.0, 80.0), (1500.0, 100.0), (2500.0, 150.0), (3500.0, 200.0))
 
@@ -21,6 +22,11 @@ def voiced_buffer():
             kind="resonated_pulses", f0=120.0, duration=1.0, formants=VOICE_FORMANTS
         )
     )
+
+
+def formant_grid(buf):
+    """Centres (s) of the 25 ms formant windows every 10 ms that fit the buffer."""
+    return frame_times(buf, FrameSpec(window=FormantConfig().window))
 
 
 def middle_slice(buf, n=640, start=2000):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import VOICE_FORMANTS, middle_slice
+from conftest import VOICE_FORMANTS, formant_grid, middle_slice
 from timbrekit import diffnet as dn
 from timbrekit import evaluation as ev
 from timbrekit.audio import AudioBuffer, SynthSpec, synth
@@ -74,7 +74,8 @@ def test_dsp_oracle_suite():
     for f0 in (110.0, 140.0):
         spec = SynthSpec(kind="mixture", f0=f0, duration=1.0, formants=VOICE_FORMANTS,
                          tilt_db_per_octave=-6.0, noise_gain=0.004, seed=int(f0))
-        frames = formant_track(synth(spec))
+        buf = synth(spec)
+        frames = formant_track(buf, formant_grid(buf))
         for k, truth in enumerate((500.0, 1500.0, 2500.0, 3500.0), start=1):
             values = [f.frequency(k) for f in frames if f.frequency(k) is not None]
             err = abs(np.median(values) - truth) / truth

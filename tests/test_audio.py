@@ -15,6 +15,7 @@ from scipy.signal import lfilter, resample_poly
 
 import timbrekit
 from timbrekit.audio import (
+    FRAME_BLOCK,
     AudioBuffer,
     AudioError,
     FrameSpec,
@@ -25,7 +26,6 @@ from timbrekit.audio import (
     resample,
     _resonate,
     synth,
-    window_starts,
     write_wav,
 )
 from timbrekit.testkit import comb_reference
@@ -298,12 +298,18 @@ assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
         assert (tmp_path / table).read_text().count("\n") == 4  # the header and three voices
 
 
+def framed(samples, times, window=0.040, rate=16000):
+    """The (rows, frames) blocks of frame_blocks, concatenated."""
+    blocks = list(frame_blocks(samples, rate, times, window))
+    return np.concatenate([r for r, _ in blocks]), np.concatenate([f for _, f in blocks])
+
+
 class TestFrameSlices:
     def test_one_second_grid(self):
         buf = synth(SynthSpec(kind="sine", f0=100.0, duration=1.0))
         times = frame_times(buf, FrameSpec())
-        starts, win = window_starts(times, FrameSpec().window, buf.sample_rate)
-        frames = np.concatenate(list(frame_blocks(buf.samples, starts, win)))
+        rows, frames = framed(buf.samples, times, FrameSpec().window, buf.sample_rate)
+        npt.assert_array_equal(rows, np.arange(97))
         assert frames.shape == (97, 640)
         npt.assert_array_equal(frames[1], buf.samples[160:800])
         assert times[0] == pytest.approx(0.020)
@@ -325,6 +331,30 @@ class TestFrameSlices:
         buf = AudioBuffer(np.ones(n), 16000)
         times = frame_times(buf, FrameSpec())
         assert len(times) == (n - 640) // 160 + 1
+
+    def test_edge_windows_are_skipped(self):
+        # 40 ms windows in a 1 s buffer: -10 ms and 990 ms run off the edges.
+        samples = np.arange(16000.0)
+        times = np.array([-0.010, 0.020, 0.500, 0.990, 0.980, 1.500])
+        rows, frames = framed(samples, times)
+        npt.assert_array_equal(rows, [1, 2, 4])
+        npt.assert_array_equal(frames[:, 0], [0.0, 7680.0, 15360.0])
+        assert frames[2, -1] == 15999.0
+
+    def test_buffer_shorter_than_the_window_yields_nothing(self):
+        assert list(frame_blocks(np.ones(300), 16000, np.array([0.01, 0.02]), 0.040)) == []
+
+    def test_rows_concatenate_across_the_block_boundary(self):
+        samples = np.arange(48000.0)
+        starts = 160 * np.arange(-5, 306)  # off the start, through 3 s of buffer, off the end
+        times = (starts + 320) / 16000
+        inside = np.flatnonzero((starts >= 0) & (starts + 640 <= samples.size))
+        blocks = list(frame_blocks(samples, 16000, times, 0.040))
+        assert len(blocks) > 1
+        assert [rows.size for rows, _ in blocks[:-1]] == [FRAME_BLOCK] * (len(blocks) - 1)
+        rows = np.concatenate([r for r, _ in blocks])
+        npt.assert_array_equal(rows, inside)
+        npt.assert_array_equal(np.concatenate([f[:, 0] for _, f in blocks]), starts[inside])
 
 
 class TestSynth:

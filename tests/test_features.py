@@ -15,7 +15,6 @@ from timbrekit.audio import (
     frame_times,
     resample,
     synth,
-    window_starts,
 )
 from timbrekit.features import (
     _DCT_BASIS,
@@ -238,9 +237,9 @@ class TestFrameIndependence:
     def test_formant_grid_matches_single_windows(self):
         buf = bursts_and_gaps()
         config = ExtractionConfig().formant
-        frames = formant_track(buf, config)
+        centers = 0.0125 + 0.010 * np.arange(int((buf.duration - 0.025) / 0.010) + 1)
+        frames = formant_track(buf, centers, config)
         assert len(frames) > FRAME_BLOCK
-        centers = 0.0125 + 0.010 * np.arange(len(frames))
         want = one_window_formants(buf, centers, config)
         for got, expected in zip(frames, want):
             assert len(got) == len(expected)
@@ -350,9 +349,9 @@ class TestCepstral:
         npt.assert_allclose(random_rows @ _DCT_BASIS, oracle(random_rows), rtol=0.0, atol=1e-12)
         # The log mel energies of a synthetic voice, framed as mfcc frames it.
         times = frame_times(voiced_buffer, FrameSpec(step=CEPSTRAL_STEP, window=CEPSTRAL_WINDOW))
-        starts, win = window_starts(times, CEPSTRAL_WINDOW, SR)
-        frames = np.concatenate(list(frame_blocks(voiced_buffer.samples, starts, win)))
-        power = np.abs(np.fft.rfft(frames * np.hanning(win), MEL_FFT)) ** 2
+        blocks = frame_blocks(voiced_buffer.samples, SR, times, CEPSTRAL_WINDOW)
+        frames = np.concatenate([f for _, f in blocks])
+        power = np.abs(np.fft.rfft(frames * np.hanning(frames.shape[1]), MEL_FFT)) ** 2
         log_energy = np.log(np.maximum(power @ filterbank_matrix(MEL_FFT, SR, "mel").T, 1e-10))
         npt.assert_allclose(log_energy @ _DCT_BASIS, oracle(log_energy), rtol=0.0, atol=1e-12)
         npt.assert_allclose(mfcc(voiced_buffer).values, oracle(log_energy).mean(axis=0), rtol=0.0, atol=1e-12)
@@ -560,6 +559,24 @@ class TestFeatureFiles:
         path = tmp_path / "features.csv"
         write_features(path, [(utt, vector, 0) for utt, vector, _ in self.rows()], "acoustic")
         assert sorted(read_features(path)) == [utt for utt, _, _ in self.rows()]
+
+    @pytest.mark.parametrize("value,shown", [
+        ('"abc"', '"abc"'), ("-4", "-4.0"), ("3.5", "3.5"), ("true", "true"), ("null", "null"),
+        ("3", None), ("0", None), (None, None),
+    ], ids=["string", "negative", "fraction", "bool", "null", "three", "zero", "absent"])
+    def test_jsonl_voiced_frames_must_be_a_count(self, tmp_path, value, shown):
+        path = tmp_path / "features.jsonl"
+        write_features(path, self.rows(), "acoustic")
+        lines = path.read_text().splitlines()
+        assert lines[2].endswith(', "voiced_frames": 92}')
+        lines[2] = lines[2][: -len(', "voiced_frames": 92}')] + (f', "voiced_frames": {value}}}' if value else "}")
+        path.write_text("\n".join(lines) + "\n")
+        if shown is None:
+            npt.assert_array_equal(read_features(path)["utt02"], self.rows()[2][1])
+            return
+        with pytest.raises(SchemaError) as info:
+            read_features(path)
+        assert str(info.value) == f"{path}:3: utt02 voiced_frames is not a non-negative integer: {shown}"
 
     def test_jsonl_integers_are_numbers(self, tmp_path):
         vector = read_features(self.jsonl_with_mean_f2(tmp_path, "3"))["utt02"]

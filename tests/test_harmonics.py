@@ -47,7 +47,7 @@ class TestMagnitudeSpectrum:
         spec = magnitude_spectrum(x, SR)
         assert spec.fft_size == 4096
         peak_freq = spec.frequencies[int(np.argmax(spec.magnitudes))]
-        assert abs(peak_freq - 1000.0) <= spec.bin_hz
+        assert abs(peak_freq - 1000.0) <= spec.sample_rate / spec.fft_size
 
     def test_parseval(self):
         rng = np.random.default_rng(5)

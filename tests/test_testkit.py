@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from timbrekit.audio import SynthSpec, synth
@@ -8,6 +9,7 @@ from timbrekit.testkit import (
     build_timbre_corpus,
     dft_amplitude_oracle,
     eer_oracle,
+    reflections_from_lpc,
 )
 
 
@@ -34,6 +36,12 @@ class TestEerOracle:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             eer_oracle([0.5, 0.6], [True, True])
+
+
+class TestReflectionsFromLpc:
+    def test_hand_built_second_order_model(self):
+        # Step-up from k = (0.5, -0.3): a = (0.5,), then (0.5 + (-0.3)(0.5), -0.3).
+        npt.assert_allclose(reflections_from_lpc([0.35, -0.3]), [0.5, -0.3], rtol=1e-12)
 
 
 class TestCorpus:
