@@ -5,7 +5,6 @@ from .diffnet import DiffNetModel, PairColumns, PairRecord, TrainConfig, train
 from .features import (
     AcousticVector,
     CepstralVector,
-    ExtractionConfig,
     FEATURE_NAMES,
     FrameTrack,
     MEASURE_NAMES,
@@ -34,7 +33,6 @@ __all__ = [
     "train",
     "AcousticVector",
     "CepstralVector",
-    "ExtractionConfig",
     "FEATURE_NAMES",
     "FrameTrack",
     "MEASURE_NAMES",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import diffnet, evaluation, features, manifest
 from .audio import AudioError, SYNTH_KINDS, SynthSpec, load_audio, synth, write_wav
+from .pitch import PitchConfig
 
 FEATURE_KINDS = ("acoustic", "mfcc", "lfc")
 
@@ -97,37 +99,37 @@ def cmd_synth(kind, f0, dur, amplitude, formants, subharmonic_gain, noise_gain, 
     click.echo(f"wrote {out}")
 
 
-def _extraction_config(config_arg: str | None) -> features.ExtractionConfig:
-    config = features.ExtractionConfig()
+def _pitch_config(config_arg: str | None) -> PitchConfig:
+    """The PitchConfig of --config: a JSON object, or a file holding one, whose only key is "pitch"."""
     if not config_arg:
-        return config
-    text = config_arg
-    if not text.lstrip().startswith("{"):
-        text = Path(config_arg).read_text()
-    overrides = json.loads(text)
-    for section, fields in overrides.items():
-        if not hasattr(config, section):
-            raise ValueError(f"unknown config section {section!r}")
-        current = getattr(config, section)
-        try:
-            if dataclasses.is_dataclass(current) and isinstance(fields, dict):
-                replacement = dataclasses.replace(current, **fields)
-            else:
-                replacement = fields
-            config = dataclasses.replace(config, **{section: replacement})
-        except TypeError as exc:
-            raise ValueError(f"bad config override for {section!r}: {exc}") from None
-    return config
+        return PitchConfig()
+    text = config_arg if config_arg.lstrip().startswith("{") else Path(config_arg).read_text()
+    overrides = json.loads(text, parse_int=float)
+    if not isinstance(overrides, dict):
+        raise ValueError(f"--config is not a JSON object: {text.strip()}")
+    others = sorted(overrides.keys() - {"pitch"})
+    if others:
+        raise ValueError(f"--config sets only pitch, not {', '.join(others)}")
+    fields = overrides.get("pitch", {})
+    if not isinstance(fields, dict):
+        raise ValueError(f"--config pitch is not a JSON object: {json.dumps(fields)}")
+    names = [f.name for f in dataclasses.fields(PitchConfig)]
+    for name, value in fields.items():
+        if name not in names:
+            raise ValueError(f"--config pitch has no field {name}; its fields are {', '.join(names)}")
+        if type(value) is not float or not math.isfinite(value):
+            raise ValueError(f"--config pitch.{name} is not a finite number: {json.dumps(value)}")
+    return PitchConfig(**fields)
 
 
 def _extract_one(args) -> tuple[str, np.ndarray | None, int, str | None]:
     """Worker: (utt_id, vector, frames, skip_reason). Top level for pickling."""
-    path, kind, config = args
+    path, kind, pitch = args
     utt_id = Path(path).stem
     try:
         buf = load_audio(path)
         if kind == "acoustic":
-            vector = features.extract_vector(buf, config)
+            vector = features.extract_vector(buf, pitch)
             return utt_id, vector.values, vector.voiced_frames, None
         fn = features.mfcc if kind == "mfcc" else features.lfc
         vector = fn(buf)
@@ -143,7 +145,8 @@ def _extract_one(args) -> tuple[str, np.ndarray | None, int, str | None]:
 @click.option("--kind", type=click.Choice(FEATURE_KINDS), default="acoustic", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help=".csv or .jsonl")
 @click.option("--jobs", type=int, default=1, show_default=True)
-@click.option("--config", "config_arg", default=None, help="JSON override string or file.")
+@click.option("--config", "config_arg", default=None,
+              help='Pitch settings as JSON or a JSON file, e.g. {"pitch": {"floor": 60}}.')
 @_guard
 def cmd_extract(inputs, kind, out, jobs, config_arg):
     """Extract per-utterance feature vectors from WAV files or directories.
@@ -153,7 +156,7 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
     """
     if jobs < 1:
         _fail("INVALID_INPUT", f"--jobs must be at least 1, got {jobs}")
-    config = _extraction_config(config_arg)
+    pitch = _pitch_config(config_arg)
     paths = []
     for item in inputs:
         p = Path(item)
@@ -161,7 +164,7 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
     if not paths:
         _fail("INVALID_INPUT", "no input files")
 
-    tasks = [(str(p), kind, config) for p in paths]
+    tasks = [(str(p), kind, pitch) for p in paths]
     # The pool starts all its workers on the first submit, so it gets no more than there are files.
     workers = min(jobs, len(paths))
     if workers > 1:

@@ -22,13 +22,15 @@ from .diffnet import DiffNetModel, STANDARD_DESCRIPTORS, TrainConfig, init_model
 from .features import (
     CEPSTRAL_STEP,
     CEPSTRAL_WINDOW,
-    ExtractionConfig,
+    FRAME,
     LINEAR_FFT,
     MEL_FFT,
     feature_names_for,
     filterbank_matrix,
 )
-from .pitch import _LAG_OVERSAMPLE
+from .formants import ANALYSIS_RATE, LPC_ORDER, WINDOW as FORMANT_WINDOW
+from .noise_metrics import HARMONIC_COUNT_MAX, QUEFRENCY_CEILING
+from .pitch import _LAG_OVERSAMPLE, PitchConfig
 
 
 @dataclass(frozen=True)
@@ -184,15 +186,16 @@ def _dense_flops(n_in: int, n_out: int) -> int:
     return 2 * n_in * n_out + n_out
 
 
-def _acoustic_breakdown(config: ExtractionConfig) -> dict[str, int]:
+def _acoustic_breakdown() -> dict[str, int]:
     sr = INTERNAL_RATE
-    frames = int(round(1.0 / config.frame.step))
-    slice_n = int(round(config.frame.window * sr))
+    frames = int(round(1.0 / FRAME.step))
+    slice_n = int(round(FRAME.window * sr))
     slice_fft = next_pow2(4 * slice_n)
     slice_bins = slice_fft // 2 + 1
 
-    pitch_n = int(round(3.0 / config.pitch.floor * sr))
-    lag_max = int(sr / config.pitch.floor)
+    floor = PitchConfig().floor
+    pitch_n = int(round(3.0 / floor * sr))
+    lag_max = int(sr / floor)
     pitch_fft = next_pow2(pitch_n + lag_max + 2)
     pitch = (
         4 * pitch_n  # mean removal and taper
@@ -204,18 +207,16 @@ def _acoustic_breakdown(config: ExtractionConfig) -> dict[str, int]:
         + 24  # parabolic refinement and gating
     )
 
-    fo_rate = config.formant.analysis_rate
-    fo_n = int(round(config.formant.window * fo_rate))
-    order = config.formant.lpc_order
-    burg_stages = sum(6 * (fo_n - 1 - m) for m in range(order))
-    formants = fo_n + burg_stages + 10 * order**3 + 6 * order
+    fo_n = int(round(FORMANT_WINDOW * ANALYSIS_RATE))
+    burg_stages = sum(6 * (fo_n - 1 - m) for m in range(LPC_ORDER))
+    formants = fo_n + burg_stages + 10 * LPC_ORDER**3 + 6 * LPC_ORDER
 
     bin_hz = sr / slice_fft
     harmonic_bands = int(5 * (_NOMINAL_F0 / 2.0 / bin_hz)) * 2
     correction = 4 * 4 * 14  # up to 4 harmonics x 4 formants x closed-form term
-    shr_bands = int(2 * 10 * (_NOMINAL_F0 / 4.0 / bin_hz)) * 2
+    shr_bands = int(2 * HARMONIC_COUNT_MAX * (_NOMINAL_F0 / 4.0 / bin_hz)) * 2
 
-    cpp_bins = int(config.cpp.quefrency_ceiling * sr) + 2
+    cpp_bins = int(QUEFRENCY_CEILING * sr) + 2
     cpp = 2 * slice_bins + _real_fft_flops(slice_fft) + 4 * cpp_bins + 6 * cpp_bins
 
     resample_taps = 2 * 10 * 16 + 1  # polyphase kaiser design for 16 k -> 11 k
@@ -231,7 +232,7 @@ def _acoustic_breakdown(config: ExtractionConfig) -> dict[str, int]:
     breakdown = {name: flops * frames for name, flops in per_frame.items()}
     breakdown["global_peak_scan"] = 2 * sr
     breakdown["formant_rate_resample"] = int(
-        2 * np.ceil(resample_taps / 11) * fo_rate + 2 * fo_rate
+        2 * np.ceil(resample_taps / 11) * ANALYSIS_RATE + 2 * ANALYSIS_RATE
     )
     breakdown["pooling"] = 4 * 26 * frames
     return breakdown
@@ -270,19 +271,16 @@ def _classifier_breakdown(model: DiffNetModel) -> dict[str, int]:
     }
 
 
-def cost_report(
-    feature_kind: str,
-    model: DiffNetModel | None = None,
-    config: ExtractionConfig = ExtractionConfig(),
-) -> CostReport:
+def cost_report(feature_kind: str, model: DiffNetModel | None = None) -> CostReport:
     """Closed-form operation tallies for extraction and the classifier.
 
-    Pure function of the configuration: nothing is measured. When no model
-    is given a default-shaped one (H=128, 18 descriptors) is costed.
+    Nothing is measured: the acoustic tally reads the fixed extraction
+    constants and costs the default 75 Hz pitch floor. When no model is
+    given a default-shaped one (H=128, 18 descriptors) is costed.
     """
     names = feature_names_for(feature_kind)
     if feature_kind == "acoustic":
-        breakdown = _acoustic_breakdown(config)
+        breakdown = _acoustic_breakdown()
     else:
         breakdown = _cepstral_breakdown(feature_kind)
     if model is None:

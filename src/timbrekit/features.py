@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .audio import INTERNAL_RATE, AudioBuffer, FrameSpec, frame_blocks, frame_times, resample
-from .formants import FormantConfig, dispersion, formant_track
+from .formants import dispersion, formant_track
 from .harmonics import magnitude_spectrum, rms_energy, tilt_measures
-from .noise_metrics import CppConfig, ShrConfig, cpp_from_spectrum, shr
+from .noise_metrics import cpp_from_spectrum, shr
 from .pitch import PitchConfig, pitch_track
 
 # Canonical order of the 13 raw measures; the feature vector is their
@@ -44,6 +45,12 @@ FEATURE_NAMES = tuple(f"mean_{n}" for n in MEASURE_NAMES) + tuple(
     f"cov_{n}" for n in MEASURE_NAMES
 )
 CEPSTRAL_NAMES = tuple(f"c{i:02d}" for i in range(13))
+
+# The extraction grid is pitch_track's 10 ms hop with a 40 ms measure slice
+# around each voiced frame (FrameSpec's defaults); a vector needs at least
+# MIN_VOICED_FRAMES voiced frames.
+FRAME = FrameSpec()
+MIN_VOICED_FRAMES = 10
 
 _COV_EPSILON = 1e-9
 _LOG_FLOOR = 1e-10
@@ -82,16 +89,6 @@ class EmptyFeatureError(ValueError):
         super().__init__(f"feature {feature} has no values on voiced frames")
         self.feature = feature
         self.reason = f"EMPTY_FEATURE:{feature}"
-
-
-@dataclass(frozen=True)
-class ExtractionConfig:
-    frame: FrameSpec = field(default_factory=FrameSpec)
-    pitch: PitchConfig = field(default_factory=PitchConfig)
-    formant: FormantConfig = field(default_factory=FormantConfig)
-    cpp: CppConfig = field(default_factory=CppConfig)
-    shr: ShrConfig = field(default_factory=ShrConfig)
-    min_voiced_frames: int = 10
 
 
 @dataclass(frozen=True)
@@ -140,23 +137,25 @@ class CepstralVector:
         object.__setattr__(self, "values", values)
 
 
-def extract_track(buf: AudioBuffer, config: ExtractionConfig = ExtractionConfig()) -> FrameTrack:
+def extract_track(buf: AudioBuffer, pitch: PitchConfig = PitchConfig()) -> FrameTrack:
     """All 13 raw measures on the 10 ms grid; unvoiced frames all-NaN.
 
-    Formants are tracked at the frames pitch_track voices, and the other
-    measures run on their measure slices a block at a time. A frame is
-    voiced only when frame_blocks yields its slice, so one whose pitch
-    window fits the buffer but whose slice does not stays unvoiced.
+    `pitch` is the one setting: the formant, CPP and SHR analyses and the
+    40 ms measure slice are fixed. Formants are tracked at the frames
+    pitch_track voices, and the other measures run on their measure slices
+    a block at a time. A frame is voiced only when frame_blocks yields its
+    slice, so one whose pitch window fits the buffer but whose slice does
+    not stays unvoiced.
     """
     buf = resample(buf, INTERNAL_RATE)
-    ptrack = pitch_track(buf, config.pitch, config.frame.step)
+    ptrack = pitch_track(buf, pitch)
     candidates = np.flatnonzero(ptrack.voiced)
     centers = ptrack.times[candidates]
-    formants = formant_track(buf, centers, config.formant)
+    formants = formant_track(buf, centers)
 
     voiced = np.zeros(ptrack.times.size, dtype=bool)
     values = {name: np.full(ptrack.times.size, np.nan) for name in MEASURE_NAMES}
-    for rows, frames in frame_blocks(buf.samples, buf.sample_rate, centers, config.frame.window):
+    for rows, frames in frame_blocks(buf.samples, buf.sample_rate, centers, FRAME.window):
         at = candidates[rows]
         voiced[at] = True
         f0, found = ptrack.f0[at], formants[rows]
@@ -168,13 +167,13 @@ def extract_track(buf: AudioBuffer, config: ExtractionConfig = ExtractionConfig(
         tilt = tilt_measures(spectrum, f0, found)
         for name in ("h1_h2", "h2_h4", "h4_h2k", "h2k_h5k"):
             values[name][at] = getattr(tilt, name)
-        values["cpp"][at] = cpp_from_spectrum(spectrum, config.cpp)
+        values["cpp"][at] = cpp_from_spectrum(spectrum)
         values["rms"][at] = rms_energy(frames)
-        values["shr"][at] = shr(spectrum, f0, config.shr)  # NaN where f0 is too high
+        values["shr"][at] = shr(spectrum, f0)  # NaN where f0 is too high
     return FrameTrack(times=ptrack.times, voiced=voiced, values=values)
 
 
-def aggregate(track: FrameTrack, min_voiced_frames: int = 10) -> AcousticVector:
+def aggregate(track: FrameTrack, min_voiced_frames: int = MIN_VOICED_FRAMES) -> AcousticVector:
     """Pool a FrameTrack into the 26-dim vector (means then CoVs).
 
     Raises SilentUtteranceError below the voiced-frame minimum and
@@ -196,9 +195,9 @@ def aggregate(track: FrameTrack, min_voiced_frames: int = 10) -> AcousticVector:
     return AcousticVector(np.array(means + covs), voiced_count)
 
 
-def extract_vector(buf: AudioBuffer, config: ExtractionConfig = ExtractionConfig()) -> AcousticVector:
+def extract_vector(buf: AudioBuffer, pitch: PitchConfig = PitchConfig()) -> AcousticVector:
     """extract_track + aggregate in one call."""
-    return aggregate(extract_track(buf, config), config.min_voiced_frames)
+    return aggregate(extract_track(buf, pitch))
 
 
 def _hz_to_mel(hz):
@@ -315,16 +314,33 @@ class FeatureTable(dict):
         self[utt_id] = vector
 
 
+class _RepeatedName(ValueError):
+    """A JSON object names one key twice; the message is the name."""
+
+
+def _repeated(names) -> str | None:
+    """The first of `names` that occurs more than once, or None."""
+    return next((name for name, count in Counter(names).items() if count > 1), None)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        raise _RepeatedName(_repeated(name for name, _ in pairs))
+    return record
+
+
 # JSON integers come back as floats, so a value is a number exactly when it is a float.
-_JSONL_DECODER = json.JSONDecoder(parse_int=float)
+_JSONL_DECODER = json.JSONDecoder(parse_int=float, object_pairs_hook=_unique_keys)
 
 
 def read_features(path) -> FeatureTable:
     """Load a CSV or JSONL feature table as {utt_id: vector}, named by the header or first record.
 
     JSONL values are read by name and blank lines are skipped. A repeated
-    utt_id, a CSV file without a header or whose header does not run from
-    utt_id to voiced_frames, a CSV row with another field count than the
+    utt_id, a name repeated in the CSV header or in a JSONL record, a CSV
+    file without a header or whose header does not run from utt_id to
+    voiced_frames, a CSV row with another field count than the
     header or whose voiced_frames is not a non-negative integer, a JSONL
     line that is not JSON or not an object with an utt_id, a JSONL record
     with other names than the first or whose voiced_frames, when present,
@@ -346,6 +362,8 @@ def read_features(path) -> FeatureTable:
                 except json.JSONDecodeError as exc:
                     raise SchemaError(f"{path}:{lineno}: the line is not JSON "
                                       f"({exc.msg} at column {exc.colno})") from None
+                except _RepeatedName as exc:
+                    raise SchemaError(f"{path}:{lineno}: the record repeats the name {exc}") from None
                 if not isinstance(record, dict) or "utt_id" not in record:
                     raise SchemaError(f"{path}:{lineno}: the record is not a JSON object with an utt_id")
                 utt_id = record.pop("utt_id")
@@ -373,6 +391,8 @@ def read_features(path) -> FeatureTable:
         if header[:1] != ["utt_id"] or header[-1:] != ["voiced_frames"]:
             raise SchemaError(f"{path}: the header must start with utt_id and end with voiced_frames, "
                               f"got {','.join(header)}")
+        if (name := _repeated(header)) is not None:
+            raise SchemaError(f"{path}: the header repeats the name {name}")
         value_cols = slice(1, len(header) - 1)
         table = FeatureTable()
         table.names = tuple(header[value_cols])

@@ -18,32 +18,21 @@ import numpy as np
 from .audio import AudioBuffer, frame_blocks, resample
 
 
+# The fixed analysis: up to five resonances below a 5500 Hz ceiling, each
+# narrower than 700 Hz, from an order-10 Burg fit of 25 ms windows
+# pre-emphasized from 50 Hz, at twice the ceiling.
+MAX_FORMANTS = 5
+CEILING = 5500.0
+PRE_EMPHASIS_FROM = 50.0
+MAX_BANDWIDTH = 700.0
+WINDOW = 0.025
+LPC_ORDER = 2 * MAX_FORMANTS
+ANALYSIS_RATE = int(round(2.0 * CEILING))
+
+
 class Formant(NamedTuple):
     frequency: float
     bandwidth: float
-
-
-@dataclass(frozen=True)
-class FormantConfig:
-    max_formants: int = 5
-    ceiling: float = 5500.0
-    pre_emphasis_from: float = 50.0
-    max_bandwidth: float = 700.0
-    window: float = 0.025
-
-    def __post_init__(self):
-        if self.max_formants < 1:
-            raise ValueError("need at least one formant")
-        if self.ceiling <= 0:
-            raise ValueError("ceiling must be positive")
-
-    @property
-    def lpc_order(self) -> int:
-        return 2 * self.max_formants
-
-    @property
-    def analysis_rate(self) -> int:
-        return int(round(2.0 * self.ceiling))
 
 
 @dataclass(frozen=True)
@@ -138,14 +127,13 @@ def burg(window_samples: np.ndarray, order: int) -> np.ndarray:
     return a[:, 1:]
 
 
-def roots_to_formants(
-    lpc: np.ndarray, analysis_rate: float, config: FormantConfig = FormantConfig()
-) -> FormantTrack:
+def roots_to_formants(lpc: np.ndarray, analysis_rate: float) -> FormantTrack:
     """Map LPC polynomial roots to (frequency, bandwidth) resonances.
 
     A root r*exp(i*theta) with theta in (0, pi) becomes frequency
     theta*rate/(2*pi) and bandwidth -ln(r)*rate/pi. Roots outside
-    (50 Hz, ceiling - 50 Hz) or broader than max_bandwidth are dropped.
+    (50 Hz, CEILING - 50 Hz) or broader than MAX_BANDWIDTH are dropped,
+    and the lowest MAX_FORMANTS of the rest are kept.
 
     A [frames x order] matrix (a 1-D coefficient vector is one row) gives
     a FormantTrack, with the roots of every row from one batched
@@ -170,12 +158,12 @@ def roots_to_formants(
         & (radius > 0)
         & (radius < 1)
         & (freq > 50.0)
-        & (freq < config.ceiling - 50.0)
+        & (freq < CEILING - 50.0)
         & (bandwidth > 0)
-        & (bandwidth < config.max_bandwidth)
+        & (bandwidth < MAX_BANDWIDTH)
     )
     freq = np.where(keep, freq, np.inf)
-    ranked = np.argsort(freq, axis=1, kind="stable")[:, : config.max_formants]
+    ranked = np.argsort(freq, axis=1, kind="stable")[:, :MAX_FORMANTS]
     freq = np.take_along_axis(freq, ranked, axis=1)
     bandwidth = np.take_along_axis(bandwidth, ranked, axis=1)
     bandwidth[np.isinf(freq)] = np.nan
@@ -196,24 +184,27 @@ def _gaussian_window(n: int) -> np.ndarray:
     return w
 
 
-def formant_track(buf: AudioBuffer, centers, config: FormantConfig = FormantConfig()) -> FormantTrack:
-    """Per-frame formants of the `config.window` windows centred at `centers` (s), one row per centre.
+def formant_track(buf: AudioBuffer, centers) -> FormantTrack:
+    """Per-frame formants of the 25 ms windows centred at `centers` (s), one row per centre.
 
-    Frames whose window falls outside the buffer, or where the LPC fit
-    degenerates, are empty (all-NaN rows) rather than failing.
+    The buffer is resampled to ANALYSIS_RATE and pre-emphasized, and each
+    Gaussian-tapered window gets an order-LPC_ORDER Burg fit whose roots
+    give up to MAX_FORMANTS resonances. Frames whose window falls outside
+    the buffer, or where the LPC fit degenerates, are empty (all-NaN rows)
+    rather than failing.
     """
-    work = resample(buf, config.analysis_rate)
+    work = resample(buf, ANALYSIS_RATE)
     rate = work.sample_rate
-    alpha = np.exp(-2.0 * np.pi * config.pre_emphasis_from / rate)
+    alpha = np.exp(-2.0 * np.pi * PRE_EMPHASIS_FROM / rate)
     emphasized = np.empty_like(work.samples)
     emphasized[0] = work.samples[0]
     emphasized[1:] = work.samples[1:] - alpha * work.samples[:-1]
 
-    shape = (len(centers), config.max_formants)
+    shape = (len(centers), MAX_FORMANTS)
     frequencies, bandwidths = np.full(shape, np.nan), np.full(shape, np.nan)
-    for rows, frames in frame_blocks(emphasized, rate, centers, config.window):
-        lpc = burg(frames * _gaussian_window(frames.shape[1]), config.lpc_order)
-        found = roots_to_formants(lpc, rate, config)
+    for rows, frames in frame_blocks(emphasized, rate, centers, WINDOW):
+        lpc = burg(frames * _gaussian_window(frames.shape[1]), LPC_ORDER)
+        found = roots_to_formants(lpc, rate)
         frequencies[rows] = found.frequencies
         bandwidths[rows] = found.bandwidths
     return FormantTrack(frequencies, bandwidths)

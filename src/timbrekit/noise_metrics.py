@@ -9,8 +9,6 @@ one value per row, NaN where the value is missing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .audio import parabolic_peak
@@ -21,26 +19,14 @@ from .harmonics import Spectrum, band_peaks
 _REL_SPECTRAL_FLOOR = 1e-6
 _LOG_GUARD = 1e-30
 
-
-@dataclass(frozen=True)
-class CppConfig:
-    quefrency_floor: float = 1.0 / 500.0
-    quefrency_ceiling: float = 1.0 / 60.0
-    trend_floor: float = 0.001  # trend fitted over [trend_floor, quefrency_ceiling]
-
-    def __post_init__(self):
-        if not 0 < self.quefrency_floor < self.quefrency_ceiling:
-            raise ValueError("need 0 < quefrency_floor < quefrency_ceiling")
-
-
-@dataclass(frozen=True)
-class ShrConfig:
-    harmonic_count_max: int = 10
-    floor_db: float = -30.0
-
-    def __post_init__(self):
-        if self.harmonic_count_max < 2:
-            raise ValueError("need at least two harmonics")
+# CPP searches quefrencies 1/500 to 1/60 s (f0 of 60 to 500 Hz) for its peak
+# and fits the trend line from 1 ms up; SHR sums up to 10 harmonics and
+# reads no lower than -30 dB.
+QUEFRENCY_FLOOR = 1.0 / 500.0
+QUEFRENCY_CEILING = 1.0 / 60.0
+TREND_FLOOR = 0.001
+HARMONIC_COUNT_MAX = 10
+SHR_FLOOR_DB = -30.0
 
 
 def _cepstrum_db(spec: Spectrum, upto: int) -> np.ndarray:
@@ -62,38 +48,36 @@ def _cepstrum_db(spec: Spectrum, upto: int) -> np.ndarray:
     return cep_db
 
 
-def _search_range(spec: Spectrum, config: CppConfig) -> tuple[int, int]:
-    lo = int(np.ceil(config.quefrency_floor * spec.sample_rate))
-    hi = min(
-        int(np.floor(config.quefrency_ceiling * spec.sample_rate)), spec.fft_size // 2 - 2
-    )
+def _search_range(spec: Spectrum) -> tuple[int, int]:
+    lo = int(np.ceil(QUEFRENCY_FLOOR * spec.sample_rate))
+    hi = min(int(np.floor(QUEFRENCY_CEILING * spec.sample_rate)), spec.fft_size // 2 - 2)
     if hi <= lo or lo < 2:
         raise ValueError("quefrency search range is empty at this sample rate")
     return lo, hi
 
 
-def _cepstral_peak(spec: Spectrum, config: CppConfig):
+def _cepstral_peak(spec: Spectrum):
     """(peak position in quefrency bins, peak dB, cepstrum dB, search top) per row."""
-    lo, hi = _search_range(spec, config)
+    lo, hi = _search_range(spec)
     cep_db = _cepstrum_db(spec, hi + 2)
     i = lo + np.argmax(cep_db[:, lo : hi + 1], axis=1)
     pos, peak_db = parabolic_peak(cep_db, np.arange(cep_db.shape[0]), i)
     return pos, peak_db, cep_db, hi
 
 
-def cpp_from_spectrum(spec: Spectrum, config: CppConfig = CppConfig()):
+def cpp_from_spectrum(spec: Spectrum):
     """Cepstral peak prominence (dB) of each row of a slice spectrum.
 
     The dB power spectrum is inverse-transformed; the cepstrum is scanned
-    for its peak over [quefrency_floor, quefrency_ceiling], the peak is
+    for its peak over [QUEFRENCY_FLOOR, QUEFRENCY_CEILING], the peak is
     refined by 3-point parabolic interpolation, and a least-squares line
-    fitted over [trend_floor, quefrency_ceiling] is subtracted at the peak
+    fitted over [TREND_FLOOR, QUEFRENCY_CEILING] is subtracted at the peak
     quefrency. An all-zero row reads NaN.
     """
-    pos, peak_db, cep_db, hi = _cepstral_peak(spec, config)
+    pos, peak_db, cep_db, hi = _cepstral_peak(spec)
     peak_q = pos / spec.sample_rate
 
-    t0 = max(2, int(np.ceil(config.trend_floor * spec.sample_rate)))
+    t0 = max(2, int(np.ceil(TREND_FLOOR * spec.sample_rate)))
     quefrency = np.arange(t0, hi + 1) / spec.sample_rate
     values = cep_db[:, t0 : hi + 1]
     q_mean = quefrency.mean()
@@ -104,20 +88,20 @@ def cpp_from_spectrum(spec: Spectrum, config: CppConfig = CppConfig()):
     return peak_db - (slope * peak_q + intercept)
 
 
-def shr(spec: Spectrum, f0, config: ShrConfig = ShrConfig()):
-    """Subharmonic-to-harmonic ratio in dB, clamped at config.floor_db.
+def shr(spec: Spectrum, f0):
+    """Subharmonic-to-harmonic ratio in dB, clamped at SHR_FLOOR_DB.
 
     Sums the peak magnitude within +-f0/8 of each harmonic k*f0 and of
     each half-integer multiple (k - 1/2)*f0, k = 1..K, with K capped both
-    by harmonic_count_max and by Nyquist. Rows with fewer than two
+    by HARMONIC_COUNT_MAX and by Nyquist. Rows with fewer than two
     harmonics below Nyquist read NaN.
     """
     f0 = np.atleast_1d(np.asarray(f0, dtype=np.float64))
     if np.any(f0 <= 0):
         raise ValueError("f0 must be positive")
-    count = np.minimum(config.harmonic_count_max, np.floor(spec.nyquist / f0))
+    count = np.minimum(HARMONIC_COUNT_MAX, np.floor(spec.nyquist / f0))
 
-    k = np.arange(1, config.harmonic_count_max + 1)
+    k = np.arange(1, HARMONIC_COUNT_MAX + 1)
     f0 = f0[:, np.newaxis]
     centers = np.concatenate([k * f0, (k - 0.5) * f0], axis=1)
     starts = np.searchsorted(spec.frequencies, centers - f0 / 8.0, side="left")
@@ -129,4 +113,4 @@ def shr(spec: Spectrum, f0, config: ShrConfig = ShrConfig()):
     ratio_db = 20.0 * np.log10(
         (subharmonic_sum.sum(axis=1) + _LOG_GUARD) / (harmonic_sum.sum(axis=1) + _LOG_GUARD)
     )
-    return np.where(count >= 2, np.maximum(ratio_db, config.floor_db), np.nan)
+    return np.where(count >= 2, np.maximum(ratio_db, SHR_FLOOR_DB), np.nan)

@@ -135,17 +135,15 @@ def frame_pitch(
     return f0, strength
 
 
-def pitch_track(
-    buf: AudioBuffer, config: PitchConfig = PitchConfig(), step: float = 0.010
-) -> PitchTrack:
-    """Track f0 every `step` seconds with a 3-period-of-floor analysis window."""
+def pitch_track(buf: AudioBuffer, config: PitchConfig = PitchConfig()) -> PitchTrack:
+    """Track f0 every 10 ms with a 3-period-of-floor window; FrameSpec rejects a floor above 300 Hz."""
     window = 3.0 / config.floor
     if buf.duration < window:
         raise ValueError(
             f"buffer of {buf.duration:.3f} s is shorter than the {window:.3f} s pitch window"
         )
     global_peak = float(np.max(np.abs(buf.samples)))
-    times = frame_times(buf, FrameSpec(step=step, window=window))
+    times = frame_times(buf, FrameSpec(window=window))
     f0, strength = np.full(times.size, np.nan), np.zeros(times.size)
     for rows, frames in frame_blocks(buf.samples, buf.sample_rate, times, window):
         f0[rows], strength[rows] = frame_pitch(frames, config, buf.sample_rate, global_peak)

@@ -33,7 +33,7 @@ from .diffnet import (
     normalize_input,
 )
 from .harmonics import magnitude_spectrum
-from .noise_metrics import CppConfig, _cepstral_peak, cpp_from_spectrum
+from .noise_metrics import QUEFRENCY_CEILING, _cepstral_peak, cpp_from_spectrum
 
 _ORACLE_FLOOR_DB = -120.0
 
@@ -128,20 +128,20 @@ def comb_reference(spec: SynthSpec) -> np.ndarray:
     return _peak_normalize(x, spec.amplitude)
 
 
-def cpp(window_samples, sample_rate: float, config: CppConfig = CppConfig()) -> float:
+def cpp(window_samples, sample_rate: float) -> float:
     """Cepstral peak prominence (dB) of one slice of raw samples; NaN for an all-zero slice."""
     x = np.asarray(window_samples, dtype=np.float64)
-    need = int(np.ceil(2.0 * config.quefrency_ceiling * sample_rate))
+    need = int(np.ceil(2.0 * QUEFRENCY_CEILING * sample_rate))
     if x.size < need:
         raise ValueError(
             f"window of {x.size} samples is under twice the quefrency ceiling ({need})"
         )
-    return float(cpp_from_spectrum(magnitude_spectrum(x, sample_rate), config)[0])
+    return float(cpp_from_spectrum(magnitude_spectrum(x, sample_rate))[0])
 
 
-def peak_quefrency(window_samples, sample_rate: float, config: CppConfig = CppConfig()) -> float:
+def peak_quefrency(window_samples, sample_rate: float) -> float:
     """Quefrency (s) of the cepstral peak of one slice; its reciprocal estimates f0."""
-    pos, _, _, _ = _cepstral_peak(magnitude_spectrum(window_samples, sample_rate), config)
+    pos, _, _, _ = _cepstral_peak(magnitude_spectrum(window_samples, sample_rate))
     return float(pos[0] / sample_rate)
 
 

@@ -7,10 +7,11 @@ import pytest
 from click.testing import CliRunner
 
 from timbrekit import cli, diffnet as dn, evaluation
-from timbrekit.audio import SynthSpec, synth, write_wav
+from timbrekit.audio import SynthSpec, load_audio, synth, write_wav
 from timbrekit.cli import main
-from timbrekit.features import read_features, write_features
+from timbrekit.features import extract_vector, read_features, write_features
 from timbrekit.manifest import ManifestRecord, check_manifest, read_manifest, write_manifest
+from timbrekit.pitch import PitchConfig
 
 
 @pytest.fixture
@@ -234,6 +235,39 @@ class TestExtractCommand:
         result = run(runner, ["extract", str(directory), "--out", str(out),
                               "--config", '{"pitch": {"floor": 60.0}}'])
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("source", ["string", "file"])
+    def test_config_sets_the_pitch_floor(self, runner, tmp_path, source):
+        directory = make_voice_dir(tmp_path, count=1)
+        out = tmp_path / "f.csv"
+        config = '{"pitch": {"floor": 60}}'
+        if source == "file":
+            (tmp_path / "config.json").write_text(config)
+            config = str(tmp_path / "config.json")
+        run(runner, ["extract", str(directory), "--out", str(out), "--config", config])
+        want = extract_vector(load_audio(directory / "utt00.wav"), PitchConfig(floor=60.0))
+        assert np.array_equal(read_features(out)["utt00"], want.values)
+        assert not np.array_equal(want.values, extract_vector(load_audio(directory / "utt00.wav")).values)
+
+    @pytest.mark.parametrize("config,detail", [
+        ('{"formant": {"max_formants": 3}}', "--config sets only pitch, not formant"),
+        ('{"cpp": {}}', "--config sets only pitch, not cpp"),
+        ('{"shr": {}}', "--config sets only pitch, not shr"),
+        ('{"frame": {}}', "--config sets only pitch, not frame"),
+        ('{"min_voiced_frames": 5}', "--config sets only pitch, not min_voiced_frames"),
+        ('{"pitch": 5}', "--config pitch is not a JSON object: 5.0"),
+        ('{"pitch": {"bogus": 1}}',
+         "--config pitch has no field bogus; its fields are floor, ceiling, voicing_threshold, silence_threshold"),
+        ('{"pitch": {"floor": "x"}}', '--config pitch.floor is not a finite number: "x"'),
+    ], ids=["formant", "cpp", "shr", "frame", "min_voiced_frames", "pitch_number", "pitch_unknown_field",
+            "pitch_floor_string"])
+    def test_config_other_than_pitch_fields_is_invalid_input(self, runner, tmp_path, config, detail):
+        directory = make_voice_dir(tmp_path, count=1)
+        out = tmp_path / "f.csv"
+        result = runner.invoke(main, ["extract", str(directory), "--out", str(out), "--config", config])
+        assert result.exit_code == 1
+        assert result.output == f"error: INVALID_INPUT: {detail}\n"
+        assert not out.exists()
 
 
 class TestTrainCommand:

@@ -22,8 +22,8 @@ from timbrekit.features import (
     CEPSTRAL_STEP,
     CEPSTRAL_WINDOW,
     EmptyFeatureError,
-    ExtractionConfig,
     FEATURE_NAMES,
+    FRAME,
     FrameTrack,
     MEASURE_NAMES,
     MEL_FFT,
@@ -40,6 +40,10 @@ from timbrekit.features import (
     write_features,
 )
 from timbrekit.formants import (
+    ANALYSIS_RATE,
+    LPC_ORDER,
+    PRE_EMPHASIS_FROM,
+    WINDOW,
     FormantTrack,
     _gaussian_window,
     burg,
@@ -139,40 +143,40 @@ def bursts_and_gaps():
     return AudioBuffer(np.concatenate(parts), SR)
 
 
-def one_window_formants(buf, centers, config):
+def one_window_formants(buf, centers):
     """formant_track's frames at `centers`, from one-row burg and roots_to_formants calls."""
-    work = resample(buf, config.analysis_rate)
+    work = resample(buf, ANALYSIS_RATE)
     rate = work.sample_rate
-    alpha = np.exp(-2.0 * np.pi * config.pre_emphasis_from / rate)
+    alpha = np.exp(-2.0 * np.pi * PRE_EMPHASIS_FROM / rate)
     emphasized = np.concatenate([work.samples[:1], work.samples[1:] - alpha * work.samples[:-1]])
-    win = int(round(config.window * rate))
+    win = int(round(WINDOW * rate))
     rows = []
     for center in centers:
         start = int(round(center * rate - win / 2.0))
         if 0 <= start and start + win <= emphasized.size:
-            lpc = burg(emphasized[start : start + win] * _gaussian_window(win), config.lpc_order)
+            lpc = burg(emphasized[start : start + win] * _gaussian_window(win), LPC_ORDER)
         else:  # the window is outside the buffer
-            lpc = np.full(config.lpc_order, np.nan)
-        rows.append(roots_to_formants(lpc, rate, config))
+            lpc = np.full(LPC_ORDER, np.nan)
+        rows.append(roots_to_formants(lpc, rate))
     return FormantTrack(np.concatenate([r.frequencies for r in rows]),
                         np.concatenate([r.bandwidths for r in rows]))
 
 
-def one_frame_track(buf, config):
+def one_frame_track(buf, pitch):
     """extract_track's per-frame series recomputed one frame at a time, and the edge-drop count."""
     sr, x = buf.sample_rate, buf.samples
-    pitch_win = int(round(3.0 / config.pitch.floor * sr))
-    slice_win = int(round(config.frame.window * sr))
-    hop = int(round(config.frame.step * sr))
+    pitch_win = int(round(3.0 / pitch.floor * sr))
+    slice_win = int(round(FRAME.window * sr))
+    hop = int(round(FRAME.step * sr))
     times = (np.arange(0, x.size - pitch_win + 1, hop) + pitch_win / 2.0) / sr
-    formants = one_window_formants(buf, times, config.formant)
+    formants = one_window_formants(buf, times)
     global_peak = float(np.max(np.abs(x)))
     voiced = np.zeros(times.size, dtype=bool)
     values = {name: np.full(times.size, np.nan) for name in MEASURE_NAMES}
     edge_drops = 0
     for i, center in enumerate(times):
         start = int(round(center * sr - pitch_win / 2.0))
-        f0, _ = frame_pitch(x[start : start + pitch_win], config.pitch, sr, global_peak)
+        f0, _ = frame_pitch(x[start : start + pitch_win], pitch, sr, global_peak)
         if np.isnan(f0[0]):
             continue
         start = int(round(center * sr - slice_win / 2.0))
@@ -188,8 +192,8 @@ def one_frame_track(buf, config):
         row["dispersion"] = dispersion(frame.frequencies[:, 0], frame.frequencies[:, 3])
         tilt = tilt_measures(spectrum, f0, frame)
         row.update({name: getattr(tilt, name) for name in ("h1_h2", "h2_h4", "h4_h2k", "h2k_h5k")})
-        row["shr"] = shr(spectrum, f0, config.shr)
-        row["cpp"] = cpp_from_spectrum(spectrum, config.cpp)  # NaN for an all-zero slice
+        row["shr"] = shr(spectrum, f0)
+        row["cpp"] = cpp_from_spectrum(spectrum)  # NaN for an all-zero slice
         for name, value in row.items():
             values[name][i] = value[0]
     return times, voiced, values, edge_drops
@@ -199,12 +203,12 @@ class TestFrameIndependence:
     """Rows of the block-batched extraction equal one-row calls on that frame."""
 
     @staticmethod
-    def check_rows(buf, config):
+    def check_rows(buf, pitch):
         """Compare extract_track with one_frame_track; returns the track and the edge-drop count."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            track = extract_track(buf, config)
-        times, voiced, values, edge_drops = one_frame_track(buf, config)
+            track = extract_track(buf, pitch)
+        times, voiced, values, edge_drops = one_frame_track(buf, pitch)
         npt.assert_allclose(track.times, times, rtol=1e-12)
         npt.assert_array_equal(track.voiced, voiced)
         for name in MEASURE_NAMES:
@@ -214,7 +218,7 @@ class TestFrameIndependence:
 
     @pytest.mark.parametrize("floor", [60.0, 75.0, 100.0])
     def test_rows_match_single_frame_calls(self, floor):
-        track, edge_drops = self.check_rows(bursts_and_gaps(), ExtractionConfig(pitch=PitchConfig(floor=floor)))
+        track, edge_drops = self.check_rows(bursts_and_gaps(), PitchConfig(floor=floor))
         assert track.voiced.sum() > FRAME_BLOCK
         if floor == 100.0:
             # The 480-sample pitch window is shorter than the 640-sample
@@ -229,18 +233,17 @@ class TestFrameIndependence:
         voice = synth(SynthSpec(kind="mixture", f0=130.0, duration=1.0, formants=VOICE_FORMANTS,
                                 tilt_db_per_octave=-6.0, noise_gain=0.004, seed=1)).samples
         buf = AudioBuffer(np.concatenate([voice[:15700], np.zeros(4000)]), SR)
-        config = ExtractionConfig(pitch=PitchConfig(floor=60.0))
-        track, _ = self.check_rows(buf, config)
+        pitch = PitchConfig(floor=60.0)
+        track, _ = self.check_rows(buf, pitch)
         assert np.sum(track.voiced & np.isnan(track.values["cpp"])) >= 1
-        assert extract_vector(buf, config).voiced_frames == track.voiced.sum()
+        assert extract_vector(buf, pitch).voiced_frames == track.voiced.sum()
 
     def test_formant_grid_matches_single_windows(self):
         buf = bursts_and_gaps()
-        config = ExtractionConfig().formant
         centers = 0.0125 + 0.010 * np.arange(int((buf.duration - 0.025) / 0.010) + 1)
-        frames = formant_track(buf, centers, config)
+        frames = formant_track(buf, centers)
         assert len(frames) > FRAME_BLOCK
-        want = one_window_formants(buf, centers, config)
+        want = one_window_formants(buf, centers)
         for got, expected in zip(frames, want):
             assert len(got) == len(expected)
             for k in range(1, len(expected) + 1):
@@ -433,6 +436,26 @@ class TestFeatureFiles:
         path.write_text("\n".join(lines + [repeated]) + "\n")
         with pytest.raises(SchemaError, match="utt_id utt01 is repeated"):
             read_features(path)
+
+    def test_csv_header_repeating_a_name(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("utt_id,a,a,voiced_frames\nu1,1.0,2.0,3\n")
+        with pytest.raises(SchemaError) as info:
+            read_features(path)
+        assert str(info.value) == f"{path}: the header repeats the name a"
+
+    @pytest.mark.parametrize("name,repeat", [
+        ("mean_f2", '"mean_f2": 7.0'), ("utt_id", '"utt_id": "utt09"'),
+    ], ids=["value", "utt_id"])
+    def test_jsonl_record_repeating_a_name(self, tmp_path, name, repeat):
+        path = tmp_path / "features.jsonl"
+        write_features(path, self.rows(), "acoustic")
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2][:-1] + f", {repeat}}}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as info:
+            read_features(path)
+        assert str(info.value) == f"{path}:3: the record repeats the name {name}"
 
     @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
     def test_write_rejects_repeated_utt_id(self, tmp_path, suffix):

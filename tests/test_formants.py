@@ -6,8 +6,9 @@ from scipy.signal import lfilter
 from conftest import VOICE_FORMANTS, formant_grid
 from timbrekit.audio import AudioBuffer, SynthSpec, synth
 from timbrekit.formants import (
+    ANALYSIS_RATE,
+    LPC_ORDER,
     Formant,
-    FormantConfig,
     FormantFrame,
     burg,
     dispersion,
@@ -177,6 +178,5 @@ def test_formant_frame_ordering_enforced():
 
 
 def test_config_properties():
-    config = FormantConfig()
-    assert config.lpc_order == 10
-    assert config.analysis_rate == 11000
+    assert LPC_ORDER == 10
+    assert ANALYSIS_RATE == 11000

@@ -4,7 +4,7 @@ import pytest
 from conftest import middle_slice
 from timbrekit.audio import SynthSpec, synth
 from timbrekit.harmonics import magnitude_spectrum
-from timbrekit.noise_metrics import CppConfig, ShrConfig, shr
+from timbrekit.noise_metrics import cpp_from_spectrum, shr
 from timbrekit.testkit import cpp, peak_quefrency
 
 SR = 16000
@@ -47,9 +47,11 @@ class TestCpp:
     def test_zero_window(self):
         assert np.isnan(cpp(np.zeros(640), SR))
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CppConfig(quefrency_floor=0.1, quefrency_ceiling=0.01)
+    def test_search_range_empty_at_a_low_rate(self):
+        # At 500 Hz the 1/500 s quefrency floor is one bin, under the two the search needs.
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 64)
+        with pytest.raises(ValueError, match="quefrency search range is empty at this sample rate"):
+            cpp_from_spectrum(magnitude_spectrum(x, 500))
 
 
 class TestShr:
@@ -87,7 +89,3 @@ class TestShr:
     def test_too_few_harmonics(self):
         spec = magnitude_spectrum(np.ones(640), SR)
         assert np.isnan(shr(spec, 7000.0)[0])
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ShrConfig(harmonic_count_max=1)
