@@ -193,9 +193,9 @@ def _acoustic_breakdown() -> dict[str, int]:
     slice_fft = next_pow2(4 * slice_n)
     slice_bins = slice_fft // 2 + 1
 
-    floor = PitchConfig().floor
-    pitch_n = int(round(3.0 / floor * sr))
-    lag_max = int(sr / floor)
+    config = PitchConfig()
+    pitch_n = int(round(config.window * sr))
+    lag_max = int(sr / config.floor)
     pitch_fft = next_pow2(pitch_n + lag_max + 2)
     pitch = (
         4 * pitch_n  # mean removal and taper

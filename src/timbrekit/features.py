@@ -283,18 +283,36 @@ def write_features(path, rows: list[tuple[str, np.ndarray, int]], kind: str) -> 
         seen.add(utt_id, vector, str(path))
     rows = sorted(rows, key=lambda r: r[0])
     if path.suffix == ".jsonl":
-        with path.open("w") as fh:
+        with path.open("w", encoding="utf-8") as fh:
             for utt_id, vector, count in rows:
                 record = {"utt_id": utt_id}
                 record.update({n: float(v) for n, v in zip(names, vector)})
                 record["voiced_frames"] = int(count)
                 fh.write(json.dumps(record) + "\n")
         return
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["utt_id", *names, "voiced_frames"])
         for utt_id, vector, count in rows:
             writer.writerow([utt_id, *[repr(float(v)) for v in vector], int(count)])
+
+
+def utf8_lines(fh, path):
+    """(lineno, line) for each line of fh, from 1; raises ValueError at the first line that is not UTF-8.
+
+    fh is opened with encoding="utf-8" and errors="surrogateescape", which
+    reads each byte that is not UTF-8 as a lone surrogate that no UTF-8 text
+    decodes to, so the line that holds it fails to encode back.
+    """
+    for lineno, line in enumerate(fh, 1):
+        if not line.isascii():
+            try:
+                line.encode()
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise ValueError(f"{path}:{lineno}: byte 0x{byte:02x} at column {exc.start + 1} "
+                                 "is not UTF-8") from None
+        yield lineno, line
 
 
 class SchemaError(ValueError):
@@ -347,13 +365,14 @@ def read_features(path) -> FeatureTable:
     is not a JSON number with a non-negative integral value, or a value
     that is not a finite number (a JSONL value that is not a JSON number, a
     CSV cell that float() does not parse, NaN or an infinity in either),
-    raises SchemaError naming the line, or the header.
+    raises SchemaError naming the line, or the header. A line holding a
+    byte that is not UTF-8 raises ValueError naming the line and the byte.
     """
     path = Path(path)
     if path.suffix == ".jsonl":
         table, keys, lines = FeatureTable(), None, []
-        with path.open() as fh:
-            for lineno, line in enumerate(fh, 1):
+        with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in utf8_lines(fh, path):
                 line = line.strip()
                 if not line:
                     continue
@@ -383,8 +402,8 @@ def read_features(path) -> FeatureTable:
                 table.add(utt_id, np.array(values), f"{path}:{lineno}")
                 lines.append(lineno)
         return _finite(table, path, lines)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(line for _, line in utf8_lines(fh, path))
         header = next(reader, None)
         if header is None:
             raise SchemaError(f"{path}: the file has no header")

@@ -7,16 +7,19 @@ field is a string.
 
 The reader keeps the pairs as columns (diffnet.PairColumns plus a split
 column); ManifestRecord objects are built only when a caller indexes or
-iterates the Manifest. Each stripped, non-empty line is decoded on its own
-by the C scanner that json.loads ends in, called directly and accepted only
-when the value ends the line, which accepts exactly what json.loads accepts.
-When any line is bad, the file is read again record by record with
-json.loads to name the first bad line.
+iterates the Manifest. A block of lines that all have write_manifest's
+exact layout is read by one anchored regex pass. Any other block is decoded
+line by line: each stripped, non-empty line goes to the C scanner that
+json.loads ends in, called directly and accepted only when the value ends
+the line, which accepts exactly what json.loads accepts. When any line is
+bad, the file is read again record by record with json.loads to name the
+first bad line.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
@@ -26,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffnet import A_STRONGER, B_STRONGER, PairColumns, PairRecord, STANDARD_DESCRIPTORS
+from .features import utf8_lines
 
 SPLITS = ("train", "test")
 FIELDS = ("utt_a", "utt_b", "descriptor", "label", "split")
@@ -97,7 +101,7 @@ def _record(raw) -> ManifestRecord:
     return entry
 
 
-# Lines decoded per step; their dicts are dropped before the next step.
+# Lines decoded per step; their text and values are dropped before the next step.
 _DECODE_LINES = 1 << 10
 
 # The C scanner that json.loads ends in, called without its Python wrappers.
@@ -121,19 +125,34 @@ def _decode_line(line: str):
     return value
 
 
+# One whole line in write_manifest's layout (json.dumps' default separators,
+# FIELDS in order), each value a JSON string with no escape and no control
+# character; such a string decodes to its literal text.
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_CANONICAL_LINE = re.compile(
+    r"^\{" + ", ".join(f'"{key}": {_STRING}' for key in FIELDS) + r"\}(?:\n|\Z)", re.M
+)
+_FIELD_VALUES = itemgetter(*FIELDS)
+
+
 def _decode_columns(fh) -> Manifest:
     """The columns of fh's non-blank lines, each decoded on its own; raises if any line is bad.
 
-    Each field's values are interned in a table of its distinct values, so the
-    columns share one string per distinct value and the checks run over the
-    tables.
+    A block whose every line matches _CANONICAL_LINE takes its values from
+    the regex groups, which equal what json.loads gives: the pattern is
+    anchored at both ends of a line and a match spans one line, so as many
+    matches as lines means every line matched in full. Any other block goes
+    line by line through _decode_line. Each field's values are interned in a
+    table of its distinct values, so the columns share one string per
+    distinct value and the checks run over the tables.
     """
     tables = [{} for _ in FIELDS]
     columns = [[] for _ in FIELDS]
     while lines := list(islice(fh, _DECODE_LINES)):
-        raws = list(map(_decode_line, filter(None, map(str.strip, lines))))
-        for key, table, column in zip(FIELDS, tables, columns):
-            values = list(map(itemgetter(key), raws))
+        rows = _CANONICAL_LINE.findall("".join(lines))
+        if len(rows) != len(lines):
+            rows = map(_FIELD_VALUES, map(_decode_line, filter(None, map(str.strip, lines))))
+        for table, column, values in zip(tables, columns, zip(*rows)):
             column += map(table.setdefault, values, values)
     if not all(isinstance(value, str) for table in tables for value in table):
         raise TypeError("a field is not a string")
@@ -153,9 +172,12 @@ def _decode_columns(fh) -> Manifest:
 
 
 def _raise_first_bad_line(path) -> None:
-    """Rebuild the records one line at a time and raise the first bad line's error."""
-    with Path(path).open() as fh:
-        for lineno, line in enumerate(fh, start=1):
+    """Rebuild the records one line at a time and raise the first bad line's error.
+
+    A line holding a byte that is not UTF-8 is bad too.
+    """
+    with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in utf8_lines(fh, path):
             line = line.strip()
             if not line:
                 continue
@@ -170,10 +192,11 @@ def read_manifest(path) -> Manifest:
 
     Each line is decoded on its own. When any line is bad, the records are
     rebuilt line by line up to the first bad one, whose error is raised as
-    `path:line: bad manifest record: ...`.
+    `path:line: bad manifest record: ...`, or `path:line: byte 0x.. at column
+    .. is not UTF-8`.
     """
     try:
-        with Path(path).open() as fh:
+        with Path(path).open(encoding="utf-8") as fh:
             manifest = _decode_columns(fh)
     except (KeyError, ValueError, TypeError):
         _raise_first_bad_line(path)
@@ -184,7 +207,7 @@ def read_manifest(path) -> Manifest:
 
 
 def write_manifest(path, records: Sequence[ManifestRecord]) -> None:
-    with Path(path).open("w") as fh:
+    with Path(path).open("w", encoding="utf-8") as fh:
         for entry in records:
             fh.write(
                 json.dumps(

@@ -28,9 +28,16 @@ from .audio import AudioBuffer, FrameSpec, frame_blocks, frame_times, next_pow2,
 # takes before the tracker accepts the doubled period as the pitch.
 _SHORT_LAG_MARGIN = 0.08
 
+# The tracker's hop in seconds (FrameSpec's default step), and its window in
+# periods of the floor; the window must span the hop.
+_HOP = FrameSpec.step
+_WINDOW_PERIODS = 3.0
+
 
 @dataclass(frozen=True)
 class PitchConfig:
+    """Tracker settings; the analysis window spans three periods of the floor."""
+
     floor: float = 75.0
     ceiling: float = 600.0
     voicing_threshold: float = 0.45
@@ -39,10 +46,18 @@ class PitchConfig:
     def __post_init__(self):
         if not 0 < self.floor < self.ceiling:
             raise ValueError("need 0 < floor < ceiling")
+        if self.window < _HOP:
+            raise ValueError(f"floor {self.floor:g} Hz is above {_WINDOW_PERIODS / _HOP:g} Hz: its "
+                             f"{_WINDOW_PERIODS:g}-period window is under the {_HOP * 1000:g} ms hop")
         if not 0 <= self.voicing_threshold <= 1:
             raise ValueError("voicing_threshold must be in [0, 1]")
         if self.silence_threshold < 0:
             raise ValueError("silence_threshold must be nonnegative")
+
+    @property
+    def window(self) -> float:
+        """The analysis window in seconds: three periods of the floor."""
+        return _WINDOW_PERIODS / self.floor
 
 
 @dataclass(frozen=True)
@@ -136,8 +151,8 @@ def frame_pitch(
 
 
 def pitch_track(buf: AudioBuffer, config: PitchConfig = PitchConfig()) -> PitchTrack:
-    """Track f0 every 10 ms with a 3-period-of-floor window; FrameSpec rejects a floor above 300 Hz."""
-    window = 3.0 / config.floor
+    """Track f0 every 10 ms with the config's 3-period-of-floor window."""
+    window = config.window
     if buf.duration < window:
         raise ValueError(
             f"buffer of {buf.duration:.3f} s is shorter than the {window:.3f} s pitch window"

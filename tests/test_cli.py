@@ -249,6 +249,18 @@ class TestExtractCommand:
         assert np.array_equal(read_features(out)["utt00"], want.values)
         assert not np.array_equal(want.values, extract_vector(load_audio(directory / "utt00.wav")).values)
 
+    def test_config_floor_of_300_hz_tracks(self, runner, tmp_path):
+        """300 Hz is the highest floor whose 3-period window spans the 10 ms hop."""
+        directory = tmp_path / "wavs"
+        directory.mkdir()
+        formants = ((500.0, 80.0), (1500.0, 100.0), (2500.0, 150.0), (3500.0, 200.0))
+        write_wav(directory / "high.wav", synth(SynthSpec(kind="mixture", f0=420.0, duration=1.0, amplitude=0.4,
+                                                          formants=formants, tilt_db_per_octave=-6.0, seed=3)))
+        out = tmp_path / "f.csv"
+        run(runner, ["extract", str(directory), "--out", str(out), "--config", '{"pitch": {"floor": 300}}'])
+        want = extract_vector(load_audio(directory / "high.wav"), PitchConfig(floor=300.0))
+        assert np.array_equal(read_features(out)["high"], want.values)
+
     @pytest.mark.parametrize("config,detail", [
         ('{"formant": {"max_formants": 3}}', "--config sets only pitch, not formant"),
         ('{"cpp": {}}', "--config sets only pitch, not cpp"),
@@ -259,8 +271,11 @@ class TestExtractCommand:
         ('{"pitch": {"bogus": 1}}',
          "--config pitch has no field bogus; its fields are floor, ceiling, voicing_threshold, silence_threshold"),
         ('{"pitch": {"floor": "x"}}', '--config pitch.floor is not a finite number: "x"'),
+        ('{"pitch": {"floor": 400}}', "floor 400 Hz is above 300 Hz: its 3-period window is under the 10 ms hop"),
+        ('{"pitch": {"floor": 300.5}}',
+         "floor 300.5 Hz is above 300 Hz: its 3-period window is under the 10 ms hop"),
     ], ids=["formant", "cpp", "shr", "frame", "min_voiced_frames", "pitch_number", "pitch_unknown_field",
-            "pitch_floor_string"])
+            "pitch_floor_string", "pitch_floor_400", "pitch_floor_300.5"])
     def test_config_other_than_pitch_fields_is_invalid_input(self, runner, tmp_path, config, detail):
         directory = make_voice_dir(tmp_path, count=1)
         out = tmp_path / "f.csv"
@@ -719,6 +734,22 @@ class TestManifest:
         assert result.exit_code == 1
         assert result.output.startswith(f"error: INVALID_INPUT: {expected}")
         assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("spoiled", ["manifest", "features"])
+    def test_byte_that_is_not_utf8_is_one_error_line(self, runner, tmp_path, spoiled):
+        good = {"utt_a": "u000", "utt_b": "u001", "descriptor": "Bright", "label": "A", "split": "train"}
+        manifest_path = tmp_path / "m.jsonl"
+        manifest_path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "label": "B"}) + "\n")
+        features_path = tmp_path / "features.csv"
+        write_features(features_path, [(f"u00{i}", np.zeros(26), 1) for i in range(2)], "acoustic")
+        path = manifest_path if spoiled == "manifest" else features_path
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = b"\xff" + lines[1]
+        path.write_bytes(b"\n".join(lines))
+        result = runner.invoke(main, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
+                                      "--out", str(tmp_path / "model.json")])
+        assert result.exit_code == 1
+        assert result.output == f"error: INVALID_INPUT: {path}:2: byte 0xff at column 1 is not UTF-8\n"
 
     def test_checker_flags_unknown_descriptors_and_overlap(self, tmp_path):
         records = [

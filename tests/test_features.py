@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -388,6 +389,17 @@ class TestFeatureFiles:
         write_features(path, rows, "acoustic")
         ids = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
         assert ids == sorted(ids)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, suffix):
+        path = tmp_path / f"features{suffix}"
+        write_features(path, self.rows(), "acoustic")
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"utt0", b"utt\xff0")
+        path.write_bytes(b"\n".join(lines))
+        column = lines[2].index(b"\xff") + 1
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: byte 0xff at column {column} is not UTF-8")):
+            read_features(path)
 
     @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
     def test_names_come_from_the_file(self, tmp_path, suffix):

@@ -113,3 +113,12 @@ def test_config_validation():
         PitchConfig(floor=600.0, ceiling=75.0)
     with pytest.raises(ValueError):
         PitchConfig(voicing_threshold=1.5)
+    # The window spans three periods of the floor and must span the 10 ms hop.
+    for floor in (400.0, 300.5):
+        with pytest.raises(ValueError, match=f"floor {floor:g} Hz is above 300 Hz"):
+            PitchConfig(floor=floor)
+    config = PitchConfig(floor=300.0)
+    assert config.window == 0.010
+    track = pitch_track(synth(SynthSpec(kind="sine", f0=400.0, duration=0.5)), config)
+    assert track.voiced_count > 0
+    npt.assert_allclose(track.f0[track.voiced], 400.0, rtol=0.01)
