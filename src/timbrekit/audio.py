@@ -6,6 +6,7 @@ All processing downstream of this module runs at a fixed internal rate of
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -277,9 +278,12 @@ def _polyphase_taps(up: int, down: int) -> np.ndarray:
 
 # Frames go through the batched measures this many at a time, so transient
 # memory stays flat on long recordings. At 128 rows the largest per-block
-# arrays, the [rows x 4096] float64 inverse transforms of the pitch ACF and
-# of CPP, are 4 MiB, the L2 of the 2-vCPU reference VM (2 MiB per core);
-# 320 rows made them 10 MiB at no gain in speed, and 64 rows was slower.
+# array is the slice spectrum's [rows x 2049] complex rfft, 4.2 MB; the
+# pitch ACF and the cepstrum are formed at only the [rows x 751] and
+# [rows x 252] columns the measures read. On the 2-vCPU reference VM, 64
+# rows extracted about 12% slower than 128, and 256 rows no faster, while
+# a 20 s voice peaked at 7.3, 9.6 and 18.7 MB (tracemalloc) at 64, 128 and
+# 256 rows.
 FRAME_BLOCK = 128
 
 
@@ -298,6 +302,70 @@ def parabolic_peak(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tu
     curved = denom < 0
     delta = 0.5 * (left - right) / np.where(curved, denom, -1.0)
     return np.where(curved, cols + delta, cols), np.where(curved, mid - 0.25 * (left - right) * delta, mid)
+
+
+# Past this many bytes a cosine basis stops paying for the memory it holds:
+# at a 50 Hz pitch floor the 9.7 MB basis was within the spread of the FFT,
+# and at 30 Hz the 33 MB one was slower (34 against 27 ms per second of
+# audio), so irfft_columns takes the FFT there. The 16 kHz extraction's
+# bases, 3.1 MB for the pitch ACF and 2.1 MB for CPP, are under it.
+_COSINE_BASIS_CAP = 4 << 20
+
+
+@lru_cache(maxsize=8)
+def _cosine_basis(height: int, n: int, cols: range, folded: bool) -> np.ndarray:
+    """Read-only [height x len(cols)] basis: c_k cos(2 pi k q / n) / n for k < height, q in cols.
+
+    c_0 = 1, and so is c_(n/4) of a folded basis (the row that pairs with
+    itself); every other c_k is 2. The angle comes from k q mod n,
+    which float64 holds exactly, so it stays accurate at any lag.
+    """
+    # The basis lives as long as the process, so it gets a mapping of its
+    # own: taken from the malloc heap it pins the per-block temporaries
+    # freed below it, which raised the classify benchmark's peak RSS by
+    # 10 MB for 5 MB of bases.
+    size = height * len(cols)
+    basis = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), np.float64, count=size).reshape(height, len(cols))
+    np.multiply.outer(np.arange(height, dtype=np.float64), np.asarray(cols, dtype=np.float64), out=basis)
+    np.fmod(basis, n, out=basis)
+    basis *= 2.0 * np.pi / n
+    np.cos(basis, out=basis)
+    basis[1:] *= 2.0 / n
+    basis[0] /= n
+    if folded and 4 * (height - 1) == n:
+        basis[-1] /= 2.0
+    basis.setflags(write=False)
+    return basis
+
+
+def irfft_columns(x: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
+    """np.fft.irfft(x, n)[:, start:stop] for a matrix x of real half-spectra, as cosine products.
+
+    x is [rows x bins] with bins <= n // 2 + 1, a real even spectrum
+    zero-padded to n points, so output q is
+    (x_0 + 2 sum_{0<k<n/2} x_k cos(2 pi k q / n) + x_(n/2) (-1)^q) / n.
+    Only columns start..stop-1 are computed, each as a product with a
+    cached basis. A full half-spectrum of even n is folded first: since
+    cos(2 pi (n/2 - k) q / n) = (-1)^q cos(2 pi k q / n), even q read
+    S_k = x_k + x_(n/2-k) and odd q read D_k = x_k - x_(n/2-k) over
+    k <= n/4, which halves both the multiply-adds and the basis. Where
+    the basis would exceed _COSINE_BASIS_CAP bytes the inverse FFT runs.
+    """
+    bins = x.shape[1]
+    if bins > n // 2 + 1:
+        raise ValueError(f"{bins} bins do not fit a {n}-point real spectrum")
+    folded = n % 2 == 0 and bins == n // 2 + 1
+    height = n // 4 + 1 if folded else bins
+    if 8 * height * (stop - start) > _COSINE_BASIS_CAP:
+        return np.fft.irfft(x, n)[:, start:stop]
+    if not folded:
+        return x @ _cosine_basis(height, n, range(start, stop), False)
+    mirror = x[:, n // 2 - height + 1 :][:, ::-1]
+    out = np.empty((x.shape[0], stop - start))
+    even, odd = range(start + start % 2, stop, 2), range(start + 1 - start % 2, stop, 2)
+    out[:, start % 2 :: 2] = (x[:, :height] + mirror) @ _cosine_basis(height, n, even, True)
+    out[:, 1 - start % 2 :: 2] = (x[:, :height] - mirror) @ _cosine_basis(height, n, odd, True)
+    return out
 
 
 def frame_times(buf: AudioBuffer, spec: FrameSpec) -> np.ndarray:

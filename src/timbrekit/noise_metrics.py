@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .audio import parabolic_peak
+from .audio import irfft_columns, parabolic_peak
 from .harmonics import Spectrum, band_peaks
 
 # Spectral floor relative to the peak bin before taking logs. A relative
@@ -29,40 +29,24 @@ HARMONIC_COUNT_MAX = 10
 SHR_FLOOR_DB = -30.0
 
 
-def _cepstrum_db(spec: Spectrum, upto: int) -> np.ndarray:
-    """Magnitude (in dB) of the inverse transform of the dB power spectrum, per row.
+def _cepstrum_db(spec: Spectrum, start: int, stop: int) -> np.ndarray:
+    """Magnitude (in dB) of the real cepstrum at quefrency bins start..stop-1, per row.
 
-    Quefrency 0 soaks up the overall signal level, so everything past it
-    is exactly invariant to amplitude scaling. Only the first `upto`
-    quefrency bins are converted (all that peak search and trend need).
-    An all-zero row reads NaN.
+    The cepstrum is the inverse transform of the dB power spectrum, real
+    and even, so irfft_columns forms just these bins as folded cosine
+    products. Quefrency 0 soaks up the overall signal level, so everything
+    past it is exactly invariant to amplitude scaling. An all-zero row
+    reads NaN.
     """
     mags = spec.magnitudes
     peak = np.max(mags, axis=1, keepdims=True)
     silent = peak[:, 0] <= 0
-    floor = np.where(silent[:, np.newaxis], 1.0, peak) * _REL_SPECTRAL_FLOOR
-    level_db = 20.0 * np.log10(np.maximum(mags, floor))
-    cep = np.fft.irfft(level_db, spec.fft_size)[:, :upto]
-    cep_db = 20.0 * np.log10(np.abs(cep) + _LOG_GUARD)
+    level_db = np.maximum(mags, np.where(silent[:, np.newaxis], 1.0, peak) * _REL_SPECTRAL_FLOOR)
+    np.log10(level_db, out=level_db)
+    level_db *= 20.0
+    cep_db = 20.0 * np.log10(np.abs(irfft_columns(level_db, spec.fft_size, start, stop)) + _LOG_GUARD)
     cep_db[silent] = np.nan
     return cep_db
-
-
-def _search_range(spec: Spectrum) -> tuple[int, int]:
-    lo = int(np.ceil(QUEFRENCY_FLOOR * spec.sample_rate))
-    hi = min(int(np.floor(QUEFRENCY_CEILING * spec.sample_rate)), spec.fft_size // 2 - 2)
-    if hi <= lo or lo < 2:
-        raise ValueError("quefrency search range is empty at this sample rate")
-    return lo, hi
-
-
-def _cepstral_peak(spec: Spectrum):
-    """(peak position in quefrency bins, peak dB, cepstrum dB, search top) per row."""
-    lo, hi = _search_range(spec)
-    cep_db = _cepstrum_db(spec, hi + 2)
-    i = lo + np.argmax(cep_db[:, lo : hi + 1], axis=1)
-    pos, peak_db = parabolic_peak(cep_db, np.arange(cep_db.shape[0]), i)
-    return pos, peak_db, cep_db, hi
 
 
 def cpp_from_spectrum(spec: Spectrum):
@@ -74,12 +58,21 @@ def cpp_from_spectrum(spec: Spectrum):
     fitted over [TREND_FLOOR, QUEFRENCY_CEILING] is subtracted at the peak
     quefrency. An all-zero row reads NaN.
     """
-    pos, peak_db, cep_db, hi = _cepstral_peak(spec)
-    peak_q = pos / spec.sample_rate
-
+    lo = int(np.ceil(QUEFRENCY_FLOOR * spec.sample_rate))
+    hi = min(int(np.floor(QUEFRENCY_CEILING * spec.sample_rate)), spec.fft_size // 2 - 2)
+    if hi <= lo or lo < 2:
+        raise ValueError("quefrency search range is empty at this sample rate")
     t0 = max(2, int(np.ceil(TREND_FLOOR * spec.sample_rate)))
+    # Column j of cep_db is quefrency bin first + j: the trend reads t0..hi
+    # and the peak search lo - 1..hi + 1.
+    first = min(t0, lo - 1)
+    cep_db = _cepstrum_db(spec, first, hi + 2)
+    i = lo - first + np.argmax(cep_db[:, lo - first : hi - first + 1], axis=1)
+    pos, peak_db = parabolic_peak(cep_db, np.arange(cep_db.shape[0]), i)
+    peak_q = (pos + first) / spec.sample_rate
+
     quefrency = np.arange(t0, hi + 1) / spec.sample_rate
-    values = cep_db[:, t0 : hi + 1]
+    values = cep_db[:, t0 - first : hi + 1 - first]
     q_mean = quefrency.mean()
     q_centered = quefrency - q_mean
     v_mean = values.mean(axis=1)

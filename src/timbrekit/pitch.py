@@ -1,10 +1,14 @@
 """Fundamental frequency estimation and the voiced/unvoiced gate.
 
-The estimator is a frame-local normalized autocorrelation: the ACF of the
+The estimator is a frame-local normalized autocorrelation (Boersma 1993,
+"Accurate short-term analysis of the fundamental frequency and the
+harmonics-to-noise ratio of a sampled sound"): the ACF of the
 mean-subtracted, Hann-tapered frame is divided (in the lag domain) by the
 ACF of the taper itself, which undoes the taper's own decay and leaves an
-estimate of the signal's true periodicity in [0, 1]. There is no
-cross-frame path search; each frame picks its own best lag.
+estimate of the signal's true periodicity in [0, 1]. Both ACFs are the
+inverse transform of a power spectrum on a 4x oversampled lag grid, formed
+only at lag 0 and the lags the peak search reads. There is no cross-frame
+path search; each frame picks its own best lag.
 
 frame_pitch takes frames as the rows of a [frames x window] matrix and
 returns one f0 per row, NaN where unvoiced; pitch_track feeds it the
@@ -18,7 +22,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer, FrameSpec, frame_blocks, frame_times, next_pow2, parabolic_peak
+from .audio import (
+    AudioBuffer,
+    FrameSpec,
+    frame_blocks,
+    frame_times,
+    irfft_columns,
+    next_pow2,
+    parabolic_peak,
+)
 
 # Peaks within this normalized-strength margin of the best one count as
 # ties, and the shortest lag among them wins. Without this, a perfectly
@@ -85,11 +97,23 @@ class PitchTrack:
 _LAG_OVERSAMPLE = 4
 
 
+def _lag_acf(power: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ACF at lag 0, ACF at oversampled lags start..stop-1) of each row of an nfft-point power spectrum.
+
+    Both are np.fft.irfft(power, 4 * nfft) at those lags: lag 0 is the
+    weighted sum of the bins, and the others come from irfft_columns, so
+    no lag the peak search does not read is formed.
+    """
+    m = _LAG_OVERSAMPLE * 2 * (power.shape[1] - 1)
+    return (2.0 * power.sum(axis=1) - power[:, 0]) / m, irfft_columns(power, m, start, stop)
+
+
 @lru_cache(maxsize=8)
-def _window_and_acf(n: int, nfft: int) -> tuple[np.ndarray, np.ndarray]:
+def _window_and_acf(n: int, nfft: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Hann taper and its ACF at lags start..stop-1 over its ACF at lag 0."""
     w = np.hanning(n)
-    power = np.abs(np.fft.rfft(w, nfft)) ** 2
-    acf = np.fft.irfft(power, _LAG_OVERSAMPLE * nfft)
+    zero, acf = _lag_acf(np.abs(np.fft.rfft(w, nfft))[np.newaxis] ** 2, start, stop)
+    acf = acf[0] / zero[0]
     w.setflags(write=False)
     acf.setflags(write=False)
     return w, acf
@@ -118,24 +142,25 @@ def frame_pitch(
         return f0, strength
     live = np.flatnonzero(np.max(np.abs(frames), axis=1) >= config.silence_threshold * global_peak)
 
+    # Peaks are searched at oversampled lags lo..upper - 1, and the parabola
+    # reads one lag either side, so lags lo - 1..upper are all that is formed.
+    lo = _LAG_OVERSAMPLE * lag_min
+    upper = _LAG_OVERSAMPLE * (lag_max + 1) + 1
     nfft = next_pow2(n + lag_max + 2)
-    w, w_acf = _window_and_acf(n, nfft)
+    w, w_acf = _window_and_acf(n, nfft, lo - 1, upper + 1)
     x = frames[live]
     xw = (x - x.mean(axis=1, keepdims=True)) * w
-    power = np.abs(np.fft.rfft(xw, nfft)) ** 2
-    acf = np.fft.irfft(power, _LAG_OVERSAMPLE * nfft)
-    energetic = acf[:, 0] > 0
+    zero, acf = _lag_acf(np.abs(np.fft.rfft(xw, nfft)) ** 2, lo - 1, upper + 1)
+    energetic = zero > 0
     live = live[energetic]
-    upper = _LAG_OVERSAMPLE * (lag_max + 1) + 1
-    acf = acf[energetic, : upper + 1]
-    r = (acf / acf[:, :1]) / (w_acf[: upper + 1] / w_acf[0])
+    r = (acf[energetic] / zero[energetic, np.newaxis]) / w_acf
 
-    lo = _LAG_OVERSAMPLE * lag_min
-    inner = r[:, lo:upper]
-    row, lag = np.nonzero((inner > r[:, lo - 1 : upper - 1]) & (inner >= r[:, lo + 1 : upper + 1]))
-    lag += lo
-    pos, value = parabolic_peak(r, row, lag)
-    cand_f0 = np.minimum(np.maximum(sample_rate * _LAG_OVERSAMPLE / pos, config.floor), config.ceiling)
+    inner = r[:, 1:-1]
+    row, lag = np.nonzero((inner > r[:, :-2]) & (inner >= r[:, 2:]))
+    pos, value = parabolic_peak(r, row, lag + 1)
+    cand_f0 = np.minimum(
+        np.maximum(sample_rate * _LAG_OVERSAMPLE / (pos + (lo - 1)), config.floor), config.ceiling
+    )
 
     best = np.full(live.size, -np.inf)
     np.maximum.at(best, row, value)

@@ -3,10 +3,11 @@
 Holds the independent oracles the test suite checks the fast paths
 against (a direct single-frequency DFT projection, the Levinson step-down
 from LPC to reflection coefficients, the synthetic comb
-rendered line by line with np.cos, exhaustive-threshold
-FAR/FRR and EER sweeps, the textbook training loop, single-record BCE),
-single-slice cepstral measures computed from raw samples, and the seeded
-synthetic-voice corpus whose pair labels are exact by construction.
+rendered line by line with np.cos, the full inverse FFTs of the pitch
+ACF and of the cepstrum, CPP written out over the whole cepstrum,
+exhaustive-threshold FAR/FRR and EER sweeps, the textbook training loop,
+single-record BCE), and the seeded synthetic-voice corpus whose pair
+labels are exact by construction.
 """
 
 from __future__ import annotations
@@ -32,8 +33,14 @@ from .diffnet import (
     init_model,
     normalize_input,
 )
-from .harmonics import magnitude_spectrum
-from .noise_metrics import QUEFRENCY_CEILING, _cepstral_peak, cpp_from_spectrum
+from .harmonics import Spectrum, magnitude_spectrum
+from .noise_metrics import (
+    _LOG_GUARD,
+    _REL_SPECTRAL_FLOOR,
+    QUEFRENCY_CEILING,
+    QUEFRENCY_FLOOR,
+    TREND_FLOOR,
+)
 
 _ORACLE_FLOOR_DB = -120.0
 
@@ -128,21 +135,73 @@ def comb_reference(spec: SynthSpec) -> np.ndarray:
     return _peak_normalize(x, spec.amplitude)
 
 
-def cpp(window_samples, sample_rate: float) -> float:
-    """Cepstral peak prominence (dB) of one slice of raw samples; NaN for an all-zero slice."""
+def acf_reference(power) -> np.ndarray:
+    """All 4 * nfft lags of the oversampled ACF of each row of an nfft-point power spectrum.
+
+    The full inverse FFT that pitch._lag_acf forms only a few columns of.
+    """
+    power = np.atleast_2d(np.asarray(power, dtype=np.float64))
+    return np.fft.irfft(power, 4 * 2 * (power.shape[1] - 1))
+
+
+def cepstrum_reference(level_db) -> np.ndarray:
+    """The full real cepstrum of each row of a one-sided dB spectrum, by the inverse FFT."""
+    level_db = np.atleast_2d(np.asarray(level_db, dtype=np.float64))
+    return np.fft.irfft(level_db, 2 * (level_db.shape[1] - 1))
+
+
+def cepstral_peak_reference(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """(peak quefrency in s, CPP in dB) of each row of a slice spectrum, one row at a time.
+
+    CPP's definition written out over the whole cepstrum_reference: the dB
+    spectrum above _REL_SPECTRAL_FLOOR times its peak, the log-magnitude
+    cepstrum, its largest bin in [QUEFRENCY_FLOOR, QUEFRENCY_CEILING]
+    refined by a 3-point parabola, and np.polyfit's line over
+    [TREND_FLOOR, QUEFRENCY_CEILING] subtracted there. cpp and
+    peak_quefrency read it for one slice. An all-zero row reads NaN twice.
+    """
+    sr = spec.sample_rate
+    lo = int(np.ceil(QUEFRENCY_FLOOR * sr))
+    hi = min(int(np.floor(QUEFRENCY_CEILING * sr)), spec.fft_size // 2 - 2)
+    t0 = max(2, int(np.ceil(TREND_FLOOR * sr)))
+    peak_q, prominence = [], []
+    for mags in spec.magnitudes:
+        if mags.max() <= 0:
+            peak_q.append(np.nan)
+            prominence.append(np.nan)
+            continue
+        level_db = 20.0 * np.log10(np.maximum(mags, _REL_SPECTRAL_FLOOR * mags.max()))
+        cep_db = 20.0 * np.log10(np.abs(cepstrum_reference(level_db)[0]) + _LOG_GUARD)
+        k = lo + int(np.argmax(cep_db[lo : hi + 1]))
+        left, mid, right = cep_db[k - 1 : k + 2]
+        curve = left - 2.0 * mid + right
+        shift = 0.5 * (left - right) / curve if curve < 0 else 0.0
+        q = (k + shift) / sr
+        slope, intercept = np.polyfit(np.arange(t0, hi + 1) / sr, cep_db[t0 : hi + 1], 1)
+        peak_q.append(q)
+        prominence.append(mid - 0.25 * (left - right) * shift - (slope * q + intercept))
+    return np.array(peak_q), np.array(prominence)
+
+
+def _slice_cepstral_peak(window_samples, sample_rate: float) -> tuple[float, float]:
     x = np.asarray(window_samples, dtype=np.float64)
     need = int(np.ceil(2.0 * QUEFRENCY_CEILING * sample_rate))
     if x.size < need:
         raise ValueError(
             f"window of {x.size} samples is under twice the quefrency ceiling ({need})"
         )
-    return float(cpp_from_spectrum(magnitude_spectrum(x, sample_rate))[0])
+    peak_q, prominence = cepstral_peak_reference(magnitude_spectrum(x, sample_rate))
+    return float(peak_q[0]), float(prominence[0])
+
+
+def cpp(window_samples, sample_rate: float) -> float:
+    """Cepstral peak prominence (dB) of one slice of raw samples; NaN for an all-zero slice."""
+    return _slice_cepstral_peak(window_samples, sample_rate)[1]
 
 
 def peak_quefrency(window_samples, sample_rate: float) -> float:
     """Quefrency (s) of the cepstral peak of one slice; its reciprocal estimates f0."""
-    pos, _, _, _ = _cepstral_peak(magnitude_spectrum(window_samples, sample_rate))
-    return float(pos[0] / sample_rate)
+    return _slice_cepstral_peak(window_samples, sample_rate)[0]
 
 
 def far_frr_oracle(scores, positive) -> list[tuple[float, float, float]]:

@@ -18,7 +18,7 @@ from timbrekit.audio import AudioBuffer, SynthSpec, synth
 from timbrekit.features import FEATURE_NAMES, MEASURE_NAMES, extract_track, extract_vector
 from timbrekit.formants import formant_track
 from timbrekit.harmonics import harmonic_levels, magnitude_spectrum
-from timbrekit.noise_metrics import shr
+from timbrekit.noise_metrics import cpp_from_spectrum, shr
 from timbrekit.pitch import pitch_track
 from timbrekit.testkit import (
     CORPUS_DESCRIPTORS,
@@ -92,13 +92,17 @@ def test_dsp_oracle_suite():
         want = dft_amplitude_oracle(x, harmonic, SR)
         checks[f"harmonic_{int(target)}"] = abs(got - want) <= 0.5
 
-    # CPP contrast across 20 seeds
-    contrasts = []
+    # CPP contrast across 20 seeds, by the full-cepstrum oracle, which the
+    # shipped cosine-product CPP must match on every slice
+    contrasts, slices = [], []
     for seed in range(20):
         pulses = synth(SynthSpec(kind="pulse_train", f0=100.0 + 10 * seed, duration=0.5))
         noise = synth(SynthSpec(kind="white_noise", duration=0.5, seed=seed))
-        contrasts.append(cpp(middle_slice(pulses), SR) - cpp(middle_slice(noise), SR))
+        slices += [middle_slice(pulses), middle_slice(noise)]
+        contrasts.append(cpp(slices[-2], SR) - cpp(slices[-1], SR))
     checks["cpp_contrast_20_seeds"] = min(contrasts) > 5.0
+    shipped = cpp_from_spectrum(magnitude_spectrum(np.array(slices), SR))
+    checks["cpp_matches_oracle"] = np.allclose(shipped, [cpp(x, SR) for x in slices], rtol=0, atol=1e-9)
 
     # SHR: monotone in subharmonic gain; -20 dB at gain 0.1
     values = []
