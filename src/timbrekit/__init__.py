@@ -1,11 +1,10 @@
 """timbrekit: interpretable acoustic features and pairwise timbre comparison."""
 
-from .audio import AudioBuffer, FrameSpec, SynthSpec, load_audio, resample, synth, write_wav
+from .audio import AudioBuffer, SynthSpec, load_audio, resample, synth, write_wav
 from .diffnet import DiffNetModel, PairColumns, PairRecord, TrainConfig, train
 from .features import (
-    AcousticVector,
-    CepstralVector,
     FEATURE_NAMES,
+    FeatureVector,
     FrameTrack,
     MEASURE_NAMES,
     aggregate,
@@ -20,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AudioBuffer",
-    "FrameSpec",
     "SynthSpec",
     "load_audio",
     "resample",
@@ -31,9 +29,8 @@ __all__ = [
     "PairRecord",
     "TrainConfig",
     "train",
-    "AcousticVector",
-    "CepstralVector",
     "FEATURE_NAMES",
+    "FeatureVector",
     "FrameTrack",
     "MEASURE_NAMES",
     "aggregate",

@@ -17,6 +17,10 @@ import numpy as np
 
 INTERNAL_RATE = 16000
 
+# The analysis hop in seconds: the pitch track, the measure slices around
+# its frames and the cepstral baselines all step by it.
+HOP = 0.010
+
 SYNTH_KINDS = ("sine", "pulse_train", "resonated_pulses", "white_noise", "mixture")
 
 # RIFF format tags we decode.
@@ -58,20 +62,6 @@ class AudioBuffer:
     def duration(self) -> float:
         """Length in seconds."""
         return self.samples.size / self.sample_rate
-
-
-@dataclass(frozen=True)
-class FrameSpec:
-    """Analysis grid: hop and window length in seconds."""
-
-    step: float = 0.010
-    window: float = 0.040
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.window < self.step:
-            raise ValueError("window must be at least one step")
 
 
 @dataclass(frozen=True)
@@ -368,16 +358,16 @@ def irfft_columns(x: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def frame_times(buf: AudioBuffer, spec: FrameSpec) -> np.ndarray:
-    """Center times (s) of the full windows on the analysis grid.
+def frame_times(buf: AudioBuffer, window: float) -> np.ndarray:
+    """Center times (s) of the full `window`-second windows, one every HOP seconds.
 
-    Windows are centered: the first center sits at window/2 and the hop is
-    spec.step. Windows that would run past the end are dropped.
+    Windows are centered: the first center sits at window/2. Windows that
+    would run past the end are dropped.
     """
-    win = int(round(spec.window * buf.sample_rate))
-    hop = int(round(spec.step * buf.sample_rate))
+    win = int(round(window * buf.sample_rate))
+    hop = int(round(HOP * buf.sample_rate))
     if win < 1 or hop < 1:
-        raise ValueError("window and step must cover at least one sample")
+        raise ValueError("window and hop must cover at least one sample")
     n = buf.samples.size
     if n < win:
         raise ValueError(

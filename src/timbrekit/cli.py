@@ -130,9 +130,8 @@ def _extract_one(args) -> tuple[str, np.ndarray | None, int, str | None]:
         buf = load_audio(path)
         if kind == "acoustic":
             vector = features.extract_vector(buf, pitch)
-            return utt_id, vector.values, vector.voiced_frames, None
-        fn = features.mfcc if kind == "mfcc" else features.lfc
-        vector = fn(buf)
+        else:
+            vector = (features.mfcc if kind == "mfcc" else features.lfc)(buf)
         return utt_id, vector.values, vector.frames, None
     except (features.SilentUtteranceError, features.EmptyFeatureError) as exc:
         return utt_id, None, 0, exc.reason

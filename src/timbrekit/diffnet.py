@@ -22,6 +22,7 @@ testkit.train_reference, which the tests compare train against.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +47,12 @@ _ZSCORE_CLIP = 10.0
 _STD_GUARD = 1e-12
 
 CHECKPOINT_VERSION = 1
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults);
+# train and testkit.train_reference both read them.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -122,9 +129,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 256
     epochs: int = 30
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -132,6 +136,8 @@ class TrainConfig:
             raise ValueError("hidden_dim must be positive")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a finite positive number, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -344,7 +350,7 @@ class _FlatAdam:
     of one pass per group.
     """
 
-    def __init__(self, model: DiffNetModel, config: TrainConfig):
+    def __init__(self, model: DiffNetModel, learning_rate: float):
         groups = model.parameter_groups()
         self.names = tuple(groups)
         self.params = np.concatenate([p.ravel() for p in groups.values()])
@@ -355,19 +361,18 @@ class _FlatAdam:
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
         self.t = 0
-        self.config = config
+        self.learning_rate = learning_rate
 
     def step(self, grads: Mapping[str, np.ndarray]) -> None:
-        c = self.config
         grad = np.concatenate([grads[name].ravel() for name in self.names])
         self.t += 1
-        self.m *= c.beta1
-        self.m += (1 - c.beta1) * grad
-        self.v *= c.beta2
-        self.v += (1 - c.beta2) * grad * grad
-        m_hat = self.m / (1 - c.beta1**self.t)
-        v_hat = self.v / (1 - c.beta2**self.t)
-        self.params -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_epsilon)
+        self.m *= ADAM_BETA1
+        self.m += (1 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1 - ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1 - ADAM_BETA1**self.t)
+        v_hat = self.v / (1 - ADAM_BETA2**self.t)
+        self.params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def _pair_index(pairs: PairColumns, features: Mapping[str, np.ndarray], descriptors):
@@ -459,7 +464,7 @@ def train(
     norm_std = np.maximum(table.std(axis=0), _STD_GUARD)
 
     model = init_model(feature_names, descriptors, config, rng, norm_mean, norm_std)
-    adam = _FlatAdam(model, config)
+    adam = _FlatAdam(model, config.learning_rate)
 
     log = []
     n = len(pairs)
@@ -526,7 +531,8 @@ def load_checkpoint(path) -> DiffNetModel:
     """The model saved at path; ValueError names a field or tensor that is missing, mistyped or misshapen.
 
     The names are lists of strings, the BN scalars finite numbers, dropout
-    a finite number in [0, 1) and the tensors an object of number arrays.
+    a finite number in [0, 1) and the tensors an object of arrays of finite
+    numbers; a NaN or infinity is named with its tensor and index.
     D is the number of feature names, N the number of descriptors and H the
     length of b1.
     """
@@ -597,6 +603,13 @@ def _finite(payload: dict, name: str) -> float:
 
 def _number_array(stored: dict, name: str) -> np.ndarray:
     try:
-        return np.array(stored[name], dtype=np.float64)
+        array = np.array(stored[name], dtype=np.float64)
     except (TypeError, ValueError):
         raise ValueError(f"checkpoint tensor {name!r} is not an array of numbers") from None
+    # json.loads reads the NaN and Infinity literals that json.dumps writes.
+    finite = np.isfinite(array)
+    if not finite.all():
+        at = np.argwhere(~finite)[0]
+        raise ValueError(f"checkpoint tensor {name!r} holds {array[tuple(at)]} at {at.tolist()}, "
+                         "not a finite number")
+    return array

@@ -17,16 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import INTERNAL_RATE, next_pow2
+from .audio import HOP, INTERNAL_RATE, next_pow2
 from .diffnet import DiffNetModel, STANDARD_DESCRIPTORS, TrainConfig, init_model
 from .features import (
-    CEPSTRAL_STEP,
-    CEPSTRAL_WINDOW,
-    FRAME,
-    LINEAR_FFT,
-    MEL_FFT,
-    feature_names_for,
-    filterbank_matrix,
+    CEPSTRAL_WINDOW, LINEAR_FFT, MEASURE_WINDOW, MEL_FFT, feature_names_for, filterbank_matrix,
 )
 from .formants import ANALYSIS_RATE, LPC_ORDER, WINDOW as FORMANT_WINDOW
 from .noise_metrics import HARMONIC_COUNT_MAX, QUEFRENCY_CEILING
@@ -61,15 +55,15 @@ class ScoredColumns:
         return ScoredColumns(self.scores[index], self.positive[index])
 
 
-def accuracy(scored: ScoredColumns, threshold: float = 0.5) -> float:
-    """Percent of pairs whose thresholded score matches the label.
+def accuracy(scored: ScoredColumns) -> float:
+    """Percent of pairs whose score, thresholded at 0.5, matches the label.
 
-    Scores at or above the threshold predict the second utterance as
-    stronger (ties go to B).
+    Scores at or above 0.5 predict the second utterance as stronger (ties
+    go to B).
     """
     if not scored:
         raise ValueError("no scored pairs")
-    return float(np.mean((scored.scores >= threshold) == scored.positive) * 100.0)
+    return float(np.mean((scored.scores >= 0.5) == scored.positive) * 100.0)
 
 
 def far_frr_curve(scored: ScoredColumns) -> list[tuple[float, float, float]]:
@@ -117,7 +111,7 @@ def eer(scored: ScoredColumns) -> float:
 # separately; a complex FFT of size n costs 5*n*log2(n); real-input or
 # real-output transforms cost half of that; a dense layer in->out costs
 # 2*in*out + out; transcendental calls count as one op; root finding for a
-# degree-p polynomial counts as 10*p^3. Frame rate is 1/step with every
+# degree-p polynomial counts as 10*p^3. Frame rate is 1/HOP with every
 # frame assumed voiced (the worst case), and per-frame harmonic band scans
 # are tallied at a nominal 150 Hz f0.
 
@@ -196,8 +190,8 @@ def _acoustic_breakdown() -> dict[str, int]:
     about 150 M flops/s, not 45 M), in less time.
     """
     sr = INTERNAL_RATE
-    frames = int(round(1.0 / FRAME.step))
-    slice_n = int(round(FRAME.window * sr))
+    frames = int(round(1.0 / HOP))
+    slice_n = int(round(MEASURE_WINDOW * sr))
     slice_fft = next_pow2(4 * slice_n)
     slice_bins = slice_fft // 2 + 1
 
@@ -248,7 +242,7 @@ def _acoustic_breakdown() -> dict[str, int]:
 
 def _cepstral_breakdown(kind: str) -> dict[str, int]:
     sr = INTERNAL_RATE
-    frames = int(round(1.0 / CEPSTRAL_STEP))
+    frames = int(round(1.0 / HOP))
     n = int(round(CEPSTRAL_WINDOW * sr))
     nfft = MEL_FFT if kind == "mfcc" else LINEAR_FFT
     bank = filterbank_matrix(nfft, sr, "mel" if kind == "mfcc" else "linear")

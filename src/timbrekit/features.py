@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import INTERNAL_RATE, AudioBuffer, FrameSpec, frame_blocks, frame_times, resample
+from .audio import INTERNAL_RATE, AudioBuffer, frame_blocks, frame_times, resample
 from .formants import dispersion, formant_track
 from .harmonics import magnitude_spectrum, rms_energy, tilt_measures
 from .noise_metrics import cpp_from_spectrum, shr
@@ -46,10 +46,10 @@ FEATURE_NAMES = tuple(f"mean_{n}" for n in MEASURE_NAMES) + tuple(
 )
 CEPSTRAL_NAMES = tuple(f"c{i:02d}" for i in range(13))
 
-# The extraction grid is pitch_track's 10 ms hop with a 40 ms measure slice
-# around each voiced frame (FrameSpec's defaults); a vector needs at least
+# The extraction grid is pitch_track's 10 ms hop (audio.HOP) with a 40 ms
+# measure slice around each voiced frame; a vector needs at least
 # MIN_VOICED_FRAMES voiced frames.
-FRAME = FrameSpec()
+MEASURE_WINDOW = 0.040
 MIN_VOICED_FRAMES = 10
 
 _COV_EPSILON = 1e-9
@@ -63,7 +63,6 @@ _LOG_FLOOR = 1e-10
 MEL_FFT = 1024
 LINEAR_FFT = 512
 CEPSTRAL_WINDOW = 0.025
-CEPSTRAL_STEP = 0.010
 N_FILTERS = 26
 BAND_TOP = 8000.0
 # The first 13 columns of the orthonormal DCT-II on N_FILTERS points:
@@ -104,35 +103,21 @@ class FrameTrack:
 
 
 @dataclass(frozen=True)
-class AcousticVector:
-    """The 26-dimensional utterance embedding, ordered per FEATURE_NAMES."""
+class FeatureVector:
+    """One utterance's read-only, finite feature values and the frames they pool.
 
-    values: np.ndarray
-    voiced_frames: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (len(FEATURE_NAMES),):
-            raise ValueError(f"expected {len(FEATURE_NAMES)} values")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("acoustic vector must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class CepstralVector:
-    """13 utterance-mean cepstral coefficients (MFCC or linear-frequency)."""
+    The values follow FEATURE_NAMES for the acoustic set (frames counts the
+    voiced frames) and CEPSTRAL_NAMES for mfcc and lfc (frames counts every
+    frame).
+    """
 
     values: np.ndarray
     frames: int
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (len(CEPSTRAL_NAMES),):
-            raise ValueError(f"expected {len(CEPSTRAL_NAMES)} values")
         if not np.all(np.isfinite(values)):
-            raise ValueError("cepstral vector must be finite")
+            raise ValueError("a feature vector must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -155,7 +140,7 @@ def extract_track(buf: AudioBuffer, pitch: PitchConfig = PitchConfig()) -> Frame
 
     voiced = np.zeros(ptrack.times.size, dtype=bool)
     values = {name: np.full(ptrack.times.size, np.nan) for name in MEASURE_NAMES}
-    for rows, frames in frame_blocks(buf.samples, buf.sample_rate, centers, FRAME.window):
+    for rows, frames in frame_blocks(buf.samples, buf.sample_rate, centers, MEASURE_WINDOW):
         at = candidates[rows]
         voiced[at] = True
         f0, found = ptrack.f0[at], formants[rows]
@@ -173,7 +158,7 @@ def extract_track(buf: AudioBuffer, pitch: PitchConfig = PitchConfig()) -> Frame
     return FrameTrack(times=ptrack.times, voiced=voiced, values=values)
 
 
-def aggregate(track: FrameTrack, min_voiced_frames: int = MIN_VOICED_FRAMES) -> AcousticVector:
+def aggregate(track: FrameTrack, min_voiced_frames: int = MIN_VOICED_FRAMES) -> FeatureVector:
     """Pool a FrameTrack into the 26-dim vector (means then CoVs).
 
     Raises SilentUtteranceError below the voiced-frame minimum and
@@ -192,10 +177,10 @@ def aggregate(track: FrameTrack, min_voiced_frames: int = MIN_VOICED_FRAMES) -> 
             raise EmptyFeatureError(name)
         means.append(float(np.mean(x)))
         covs.append(float(np.std(x) / (abs(float(np.mean(x))) + _COV_EPSILON)))
-    return AcousticVector(np.array(means + covs), voiced_count)
+    return FeatureVector(np.array(means + covs), voiced_count)
 
 
-def extract_vector(buf: AudioBuffer, pitch: PitchConfig = PitchConfig()) -> AcousticVector:
+def extract_vector(buf: AudioBuffer, pitch: PitchConfig = PitchConfig()) -> FeatureVector:
     """extract_track + aggregate in one call."""
     return aggregate(extract_track(buf, pitch))
 
@@ -227,7 +212,7 @@ def filterbank_matrix(nfft: int, sample_rate: float, scale: str) -> np.ndarray:
     return bank
 
 
-def _cepstral(buf: AudioBuffer, scale: str, nfft: int) -> CepstralVector:
+def _cepstral(buf: AudioBuffer, scale: str, nfft: int) -> FeatureVector:
     """The mean over all 25 ms frames of the 13 cepstra of the `scale` filterbank's log energies.
 
     Each frame's cepstra are its log energies times _DCT_BASIS, the product
@@ -235,22 +220,22 @@ def _cepstral(buf: AudioBuffer, scale: str, nfft: int) -> CepstralVector:
     an orthonormal DCT-II to about 1e-14.
     """
     buf = resample(buf, INTERNAL_RATE)
-    times = frame_times(buf, FrameSpec(step=CEPSTRAL_STEP, window=CEPSTRAL_WINDOW))
+    times = frame_times(buf, CEPSTRAL_WINDOW)
     bank = filterbank_matrix(nfft, buf.sample_rate, scale)
     total = np.zeros(len(CEPSTRAL_NAMES))
     for _, frames in frame_blocks(buf.samples, buf.sample_rate, times, CEPSTRAL_WINDOW):
         power = np.abs(np.fft.rfft(frames * np.hanning(frames.shape[1]), nfft)) ** 2
         log_energy = np.log(np.maximum(power @ bank.T, _LOG_FLOOR))
         total += (log_energy @ _DCT_BASIS).sum(axis=0)
-    return CepstralVector(total / times.size, times.size)
+    return FeatureVector(total / times.size, times.size)
 
 
-def mfcc(buf: AudioBuffer) -> CepstralVector:
+def mfcc(buf: AudioBuffer) -> FeatureVector:
     """13 mel-frequency cepstral coefficients, mean-pooled over all frames."""
     return _cepstral(buf, "mel", MEL_FFT)
 
 
-def lfc(buf: AudioBuffer) -> CepstralVector:
+def lfc(buf: AudioBuffer) -> FeatureVector:
     """The linear-frequency variant of mfcc (same pipeline, uniform centers)."""
     return _cepstral(buf, "linear", LINEAR_FFT)
 

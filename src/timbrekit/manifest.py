@@ -9,11 +9,9 @@ The reader keeps the pairs as columns (diffnet.PairColumns plus a split
 column); ManifestRecord objects are built only when a caller indexes or
 iterates the Manifest. A block of lines that all have write_manifest's
 exact layout is read by one anchored regex pass. Any other block is decoded
-line by line: each stripped, non-empty line goes to the C scanner that
-json.loads ends in, called directly and accepted only when the value ends
-the line, which accepts exactly what json.loads accepts. When any line is
-bad, the file is read again record by record with json.loads to name the
-first bad line.
+line by line: each stripped, non-empty line goes to json.loads. When any
+line is bad, the file is read again record by record to name the first bad
+line.
 """
 
 from __future__ import annotations
@@ -104,26 +102,6 @@ def _record(raw) -> ManifestRecord:
 # Lines decoded per step; their text and values are dropped before the next step.
 _DECODE_LINES = 1 << 10
 
-# The C scanner that json.loads ends in, called without its Python wrappers.
-_scan_once = json.JSONDecoder().scan_once
-
-
-def _decode_line(line: str):
-    """The JSON value of one stripped, non-empty line; raises ValueError where json.loads(line) raises.
-
-    json.loads skips JSON whitespace around the value and rejects a leading
-    BOM; a stripped line has no whitespace at either end, and the scanner
-    finds no value at a BOM, so accepting only a scan that ends at len(line)
-    accepts exactly what json.loads accepts, with the same value.
-    """
-    try:
-        value, end = _scan_once(line, 0)
-    except StopIteration as exc:
-        raise json.JSONDecodeError("Expecting value", line, exc.value) from None
-    if end != len(line):
-        raise json.JSONDecodeError("Extra data", line, end)
-    return value
-
 
 # One whole line in write_manifest's layout (json.dumps' default separators,
 # FIELDS in order), each value a JSON string with no escape and no control
@@ -142,7 +120,7 @@ def _decode_columns(fh) -> Manifest:
     the regex groups, which equal what json.loads gives: the pattern is
     anchored at both ends of a line and a match spans one line, so as many
     matches as lines means every line matched in full. Any other block goes
-    line by line through _decode_line. Each field's values are interned in a
+    line by line through json.loads. Each field's values are interned in a
     table of its distinct values, so the columns share one string per
     distinct value and the checks run over the tables.
     """
@@ -151,7 +129,7 @@ def _decode_columns(fh) -> Manifest:
     while lines := list(islice(fh, _DECODE_LINES)):
         rows = _CANONICAL_LINE.findall("".join(lines))
         if len(rows) != len(lines):
-            rows = map(_FIELD_VALUES, map(_decode_line, filter(None, map(str.strip, lines))))
+            rows = map(_FIELD_VALUES, map(json.loads, filter(None, map(str.strip, lines))))
         for table, column, values in zip(tables, columns, zip(*rows)):
             column += map(table.setdefault, values, values)
     if not all(isinstance(value, str) for table in tables for value in table):

@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .audio import (
+    HOP,
     AudioBuffer,
-    FrameSpec,
     frame_blocks,
     frame_times,
     irfft_columns,
@@ -40,9 +40,7 @@ from .audio import (
 # takes before the tracker accepts the doubled period as the pitch.
 _SHORT_LAG_MARGIN = 0.08
 
-# The tracker's hop in seconds (FrameSpec's default step), and its window in
-# periods of the floor; the window must span the hop.
-_HOP = FrameSpec.step
+# The tracker's window in periods of the floor; the window must span the hop.
 _WINDOW_PERIODS = 3.0
 
 
@@ -58,9 +56,9 @@ class PitchConfig:
     def __post_init__(self):
         if not 0 < self.floor < self.ceiling:
             raise ValueError("need 0 < floor < ceiling")
-        if self.window < _HOP:
-            raise ValueError(f"floor {self.floor:g} Hz is above {_WINDOW_PERIODS / _HOP:g} Hz: its "
-                             f"{_WINDOW_PERIODS:g}-period window is under the {_HOP * 1000:g} ms hop")
+        if self.window < HOP:
+            raise ValueError(f"floor {self.floor:g} Hz is above {_WINDOW_PERIODS / HOP:g} Hz: its "
+                             f"{_WINDOW_PERIODS:g}-period window is under the {HOP * 1000:g} ms hop")
         if not 0 <= self.voicing_threshold <= 1:
             raise ValueError("voicing_threshold must be in [0, 1]")
         if self.silence_threshold < 0:
@@ -183,7 +181,7 @@ def pitch_track(buf: AudioBuffer, config: PitchConfig = PitchConfig()) -> PitchT
             f"buffer of {buf.duration:.3f} s is shorter than the {window:.3f} s pitch window"
         )
     global_peak = float(np.max(np.abs(buf.samples)))
-    times = frame_times(buf, FrameSpec(window=window))
+    times = frame_times(buf, window)
     f0, strength = np.full(times.size, np.nan), np.zeros(times.size)
     for rows, frames in frame_blocks(buf.samples, buf.sample_rate, times, window):
         f0[rows], strength[rows] = frame_pitch(frames, config, buf.sample_rate, global_peak)

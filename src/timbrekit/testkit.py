@@ -23,6 +23,9 @@ from .diffnet import (
     _SCORE_CLAMP,
     _STD_GUARD,
     A_STRONGER,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     B_STRONGER,
     PairRecord,
     TrainConfig,
@@ -341,11 +344,11 @@ def train_reference(pairs, features, config: TrainConfig = TrainConfig(), *, fea
             t += 1
             params = model.parameter_groups()
             for name, grad in grads.items():
-                m[name] = config.beta1 * m[name] + (1 - config.beta1) * grad
-                v[name] = config.beta2 * v[name] + (1 - config.beta2) * grad * grad
-                m_hat = m[name] / (1 - config.beta1**t)
-                v_hat = v[name] / (1 - config.beta2**t)
-                params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+                m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * grad
+                v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * grad * grad
+                m_hat = m[name] / (1 - ADAM_BETA1**t)
+                v_hat = v[name] / (1 - ADAM_BETA2**t)
+                params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
             model.running_mean += model.bn_momentum * (cache["mu"] - model.running_mean)
             model.running_var += model.bn_momentum * (cache["var"] - model.running_var)
         picked = _score_rows(model, table, rows, desc_idx)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from timbrekit.audio import FrameSpec, SynthSpec, frame_times, synth
+from timbrekit.audio import SynthSpec, frame_times, synth
 from timbrekit import formants
 
 VOICE_FORMANTS = ((500.0, 80.0), (1500.0, 100.0), (2500.0, 150.0), (3500.0, 200.0))
@@ -26,7 +26,7 @@ def voiced_buffer():
 
 def formant_grid(buf):
     """Centres (s) of the 25 ms formant windows every 10 ms that fit the buffer."""
-    return frame_times(buf, FrameSpec(window=formants.WINDOW))
+    return frame_times(buf, formants.WINDOW)
 
 
 def middle_slice(buf, n=640, start=2000):

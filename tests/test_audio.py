@@ -18,7 +18,6 @@ from timbrekit.audio import (
     FRAME_BLOCK,
     AudioBuffer,
     AudioError,
-    FrameSpec,
     SynthSpec,
     frame_blocks,
     frame_times,
@@ -307,8 +306,8 @@ def framed(samples, times, window=0.040, rate=16000):
 class TestFrameSlices:
     def test_one_second_grid(self):
         buf = synth(SynthSpec(kind="sine", f0=100.0, duration=1.0))
-        times = frame_times(buf, FrameSpec())
-        rows, frames = framed(buf.samples, times, FrameSpec().window, buf.sample_rate)
+        times = frame_times(buf, 0.040)
+        rows, frames = framed(buf.samples, times, 0.040, buf.sample_rate)
         npt.assert_array_equal(rows, np.arange(97))
         assert frames.shape == (97, 640)
         npt.assert_array_equal(frames[1], buf.samples[160:800])
@@ -317,19 +316,19 @@ class TestFrameSlices:
 
     def test_single_window_fit(self):
         buf = synth(SynthSpec(kind="sine", f0=100.0, duration=0.040))
-        assert len(frame_times(buf, FrameSpec())) == 1
+        assert len(frame_times(buf, 0.040)) == 1
 
     def test_below_minimum_errors(self):
         buf = synth(SynthSpec(kind="sine", f0=100.0, duration=0.039))
         with pytest.raises(ValueError):
-            frame_times(buf, FrameSpec())
+            frame_times(buf, 0.040)
 
     @given(duration=st.floats(min_value=0.04, max_value=3.0))
     @settings(max_examples=40, deadline=None)
     def test_count_formula(self, duration):
         n = int(round(duration * 16000))
         buf = AudioBuffer(np.ones(n), 16000)
-        times = frame_times(buf, FrameSpec())
+        times = frame_times(buf, 0.040)
         assert len(times) == (n - 640) // 160 + 1
 
     def test_edge_windows_are_skipped(self):

@@ -77,6 +77,13 @@ def separable_training_setup(tmp_path, n_train=3000, n_test=400, flip_test_label
     return features_path, manifest_path
 
 
+def with_entry(payload, tensor, index, value):
+    """The checkpoint payload with one entry of one tensor replaced; json.dumps writes NaN and Infinity."""
+    stored = np.array(payload["tensors"][tensor])
+    stored[index] = value
+    return {**payload, "tensors": {**payload["tensors"], tensor: stored.tolist()}}
+
+
 class TestSynthCommand:
     def test_writes_playable_wav(self, runner, tmp_path):
         out = tmp_path / "t.wav"
@@ -320,6 +327,17 @@ class TestTrainCommand:
                                       "--out", str(out), option, value])
         assert result.exit_code == 1
         assert result.output == f"error: INVALID_INPUT: {field} must be at least 1, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
+    def test_learning_rate_must_be_finite_and_positive(self, runner, tmp_path, value):
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=20, n_test=5)
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
+                                      "--out", str(out), "--lr", value])
+        assert result.exit_code == 1
+        assert result.output == (f"error: INVALID_INPUT: learning_rate must be a finite positive number, "
+                                 f"got {float(value)}\n")
         assert not out.exists()
 
     def test_same_seed_identical_checkpoints(self, runner, tmp_path):
@@ -627,8 +645,12 @@ class TestEvalCommand:
         (lambda p: {**p, "bn_epsilon": "x"}, "checkpoint field 'bn_epsilon' is 'x', not a finite number"),
         (lambda p: {**p, "dropout": "x"}, "checkpoint field 'dropout' is 'x', not a finite number"),
         (lambda p: {**p, "tensors": []}, "checkpoint field 'tensors' is not an object"),
+        (lambda p: with_entry(p, "w1", (5, 2), float("nan")),
+         "checkpoint tensor 'w1' holds nan at [5, 2], not a finite number"),
+        (lambda p: with_entry(p, "norm_std", (7,), float("inf")),
+         "checkpoint tensor 'norm_std' holds inf at [7], not a finite number"),
     ], ids=["array", "dropout_missing", "feature_names_number", "descriptors_null", "bn_epsilon_string",
-            "dropout_string", "tensors_array"])
+            "dropout_string", "tensors_array", "w1_nan", "norm_std_inf"])
     def test_malformed_checkpoint_is_invalid_input(self, runner, tmp_path, payload, detail):
         features_path, manifest_path, model_path = self.train_model(
             tmp_path=tmp_path, runner=runner, n_train=200, n_test=40

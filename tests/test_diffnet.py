@@ -376,6 +376,14 @@ class TestCheckpoint:
             path.write_text(json.dumps({**payload, "tensors": {**payload["tensors"], "b2": value}}))
             with pytest.raises(ValueError, match="checkpoint tensor 'b2' is not an array of numbers"):
                 dn.load_checkpoint(path)
+        non_finite = [("w1", [3, 1], float("nan")), ("norm_std", [2], float("inf")), ("b2", [0], float("-inf"))]
+        for tensor, at, value in non_finite:
+            stored = np.array(payload["tensors"][tensor])
+            stored[tuple(at)] = value
+            path.write_text(json.dumps({**payload, "tensors": {**payload["tensors"], tensor: stored.tolist()}}))
+            with pytest.raises(ValueError) as info:
+                dn.load_checkpoint(path)
+            assert str(info.value) == f"checkpoint tensor '{tensor}' holds {value} at {at}, not a finite number"
         path.write_text(json.dumps({**payload, "dropout": 0}))
         assert dn.load_checkpoint(path).dropout == 0
 

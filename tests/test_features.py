@@ -11,7 +11,7 @@ from timbrekit.audio import (
     _cosine_basis,
     FRAME_BLOCK,
     AudioBuffer,
-    FrameSpec,
+    HOP,
     SynthSpec,
     frame_blocks,
     frame_times,
@@ -21,13 +21,12 @@ from timbrekit.audio import (
 from timbrekit.features import (
     _DCT_BASIS,
     CEPSTRAL_NAMES,
-    CEPSTRAL_STEP,
     CEPSTRAL_WINDOW,
     EmptyFeatureError,
     FEATURE_NAMES,
-    FRAME,
     FrameTrack,
     MEASURE_NAMES,
+    MEASURE_WINDOW,
     MEL_FFT,
     N_FILTERS,
     SchemaError,
@@ -175,8 +174,8 @@ def one_frame_track(buf, pitch):
     """extract_track's per-frame series recomputed one frame at a time, and the edge-drop count."""
     sr, x = buf.sample_rate, buf.samples
     pitch_win = int(round(3.0 / pitch.floor * sr))
-    slice_win = int(round(FRAME.window * sr))
-    hop = int(round(FRAME.step * sr))
+    slice_win = int(round(MEASURE_WINDOW * sr))
+    hop = int(round(HOP * sr))
     times = (np.arange(0, x.size - pitch_win + 1, hop) + pitch_win / 2.0) / sr
     formants = one_window_formants(buf, times)
     global_peak = float(np.max(np.abs(x)))
@@ -245,7 +244,7 @@ class TestFrameIndependence:
         pitch = PitchConfig(floor=60.0)
         track, _ = self.check_rows(buf, pitch)
         assert np.sum(track.voiced & np.isnan(track.values["cpp"])) >= 1
-        assert extract_vector(buf, pitch).voiced_frames == track.voiced.sum()
+        assert extract_vector(buf, pitch).frames == track.voiced.sum()
 
     def test_formant_grid_matches_single_windows(self):
         buf = bursts_and_gaps()
@@ -292,7 +291,7 @@ class TestAggregate:
         vector = aggregate(track)
         assert vector.values[0] == 120.0
         assert vector.values[13] == 0.0
-        assert vector.voiced_frames == 20
+        assert vector.frames == 20
 
     def test_alternating_f0(self):
         track = track_from_series(f0=np.array([100.0, 110.0] * 10))
@@ -360,7 +359,7 @@ class TestCepstral:
         random_rows = np.random.default_rng(0).uniform(-25.0, 10.0, (50, N_FILTERS))
         npt.assert_allclose(random_rows @ _DCT_BASIS, oracle(random_rows), rtol=0.0, atol=1e-12)
         # The log mel energies of a synthetic voice, framed as mfcc frames it.
-        times = frame_times(voiced_buffer, FrameSpec(step=CEPSTRAL_STEP, window=CEPSTRAL_WINDOW))
+        times = frame_times(voiced_buffer, CEPSTRAL_WINDOW)
         blocks = frame_blocks(voiced_buffer.samples, SR, times, CEPSTRAL_WINDOW)
         frames = np.concatenate([f for _, f in blocks])
         power = np.abs(np.fft.rfft(frames * np.hanning(frames.shape[1]), MEL_FFT)) ** 2
