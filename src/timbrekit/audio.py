@@ -118,13 +118,12 @@ class SynthSpec:
             raise ValueError("gains must be nonnegative")
 
 
-def load_audio(path, target_rate: int | None = INTERNAL_RATE) -> AudioBuffer:
-    """Read a RIFF/WAVE file as a mono buffer.
+def load_audio(path) -> AudioBuffer:
+    """Read a RIFF/WAVE file as a mono buffer at INTERNAL_RATE.
 
     Accepts linear PCM at 8/16/24/32 bits and IEEE float32, any channel
     count (channels are averaged). Integer samples are normalized by their
-    full-scale magnitude (e.g. int16 by 32768). Resamples to target_rate
-    unless target_rate is None.
+    full-scale magnitude (e.g. int16 by 32768).
     """
     path = Path(path)
     try:
@@ -141,10 +140,7 @@ def load_audio(path, target_rate: int | None = INTERNAL_RATE) -> AudioBuffer:
         samples = samples[:usable].reshape(-1, n_channels).mean(axis=1)
     if samples.size == 0:
         raise AudioError(f"{path}: zero-length audio")
-    buf = AudioBuffer(samples, rate)
-    if target_rate is not None and rate != target_rate:
-        buf = resample(buf, target_rate)
-    return buf
+    return resample(AudioBuffer(samples, rate), INTERNAL_RATE)
 
 
 def _parse_riff(raw: bytes, path) -> tuple[tuple[int, int, int, int], bytes]:

@@ -159,7 +159,10 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
     paths = []
     for item in inputs:
         p = Path(item)
-        paths.extend(sorted(p.glob("*.wav")) if p.is_dir() else [p])
+        if p.is_dir():
+            paths.extend(sorted(q for q in p.iterdir() if q.name.lower().endswith(".wav")))
+        else:
+            paths.append(p)
     if not paths:
         _fail("INVALID_INPUT", "no input files")
 

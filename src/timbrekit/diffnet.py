@@ -238,14 +238,13 @@ def forward(
     rng: np.random.Generator | None = None,
     return_cache: bool = False,
 ):
-    """Scores in (0, 1) for each descriptor; [N] for one pair, [B, N] batched.
+    """[B, N] scores in (0, 1) for each descriptor; a 1-D pair is a one-row batch.
 
     Train mode uses batch statistics for BN and samples an inverted
     dropout mask from rng; infer mode uses running statistics and no
     dropout, and is fully deterministic. No state is mutated here;
     running-statistic updates happen in the training loop.
     """
-    single = np.asarray(e_pair).ndim == 1
     z = normalize_input(model, e_pair)
     train = mode == "train"
     if mode not in ("train", "infer"):
@@ -276,13 +275,13 @@ def forward(
     scores = 1.0 / (1.0 + np.exp(-logits))
 
     if not return_cache:
-        return scores[0] if single else scores
+        return scores
     cache = {
         "z": z, "x": x, "u_centered": u_centered, "mu": mu, "var": var, "inv_sigma": inv_sigma,
         "u_hat": u_hat, "bn_out": bn_out, "mask": mask, "h_drop": h_drop,
         "scores": scores, "train": train,
     }
-    return (scores[0] if single else scores), cache
+    return scores, cache
 
 
 def batch_loss(scores: np.ndarray, desc_idx: np.ndarray, targets: np.ndarray) -> float:
@@ -530,9 +529,11 @@ def save_checkpoint(model: DiffNetModel, path) -> None:
 def load_checkpoint(path) -> DiffNetModel:
     """The model saved at path; ValueError names a field or tensor that is missing, mistyped or misshapen.
 
-    The names are lists of strings, the BN scalars finite numbers, dropout
-    a finite number in [0, 1) and the tensors an object of arrays of finite
-    numbers; a NaN or infinity is named with its tensor and index.
+    The names are lists of strings, the BN scalars finite numbers with
+    bn_epsilon above 0, dropout a finite number in [0, 1) and the tensors
+    an object of arrays of finite numbers, with running_var at or above 0
+    and norm_std above 0; an entry out of range is named with its tensor
+    and index.
     D is the number of feature names, N the number of descriptors and H the
     length of b1.
     """
@@ -552,6 +553,8 @@ def load_checkpoint(path) -> DiffNetModel:
     bn_epsilon = _finite(payload, "bn_epsilon")
     if not 0 <= dropout < 1:
         raise ValueError(f"checkpoint field 'dropout' is {dropout!r}, not in [0, 1)")
+    if not bn_epsilon > 0:
+        raise ValueError(f"checkpoint field 'bn_epsilon' is {bn_epsilon!r}, not a positive number")
     stored = payload["tensors"]
     if not isinstance(stored, dict):
         raise ValueError("checkpoint field 'tensors' is not an object")
@@ -576,6 +579,9 @@ def load_checkpoint(path) -> DiffNetModel:
                 f"checkpoint tensor {name!r} has shape {list(tensors[name].shape)}, "
                 f"expected {list(expected[name])}"
             )
+    # Infer-mode BN divides by sqrt(running_var + bn_epsilon) and the z-score by norm_std.
+    _check_entries("running_var", tensors["running_var"], tensors["running_var"] >= 0, "a non-negative number")
+    _check_entries("norm_std", tensors["norm_std"], tensors["norm_std"] > 0, "a positive number")
     return DiffNetModel(
         feature_names=feature_names,
         descriptors=descriptors,
@@ -607,9 +613,12 @@ def _number_array(stored: dict, name: str) -> np.ndarray:
     except (TypeError, ValueError):
         raise ValueError(f"checkpoint tensor {name!r} is not an array of numbers") from None
     # json.loads reads the NaN and Infinity literals that json.dumps writes.
-    finite = np.isfinite(array)
-    if not finite.all():
-        at = np.argwhere(~finite)[0]
-        raise ValueError(f"checkpoint tensor {name!r} holds {array[tuple(at)]} at {at.tolist()}, "
-                         "not a finite number")
+    _check_entries(name, array, np.isfinite(array), "a finite number")
     return array
+
+
+def _check_entries(name: str, array: np.ndarray, holds: np.ndarray, what: str) -> None:
+    """ValueError naming the tensor and index of the first entry where `holds` is False."""
+    if not holds.all():
+        at = np.argwhere(~holds)[0]
+        raise ValueError(f"checkpoint tensor {name!r} holds {array[tuple(at)]} at {at.tolist()}, not {what}")

@@ -158,16 +158,16 @@ def extract_track(buf: AudioBuffer, pitch: PitchConfig = PitchConfig()) -> Frame
     return FrameTrack(times=ptrack.times, voiced=voiced, values=values)
 
 
-def aggregate(track: FrameTrack, min_voiced_frames: int = MIN_VOICED_FRAMES) -> FeatureVector:
+def aggregate(track: FrameTrack) -> FeatureVector:
     """Pool a FrameTrack into the 26-dim vector (means then CoVs).
 
     Raises SilentUtteranceError below the voiced-frame minimum and
     EmptyFeatureError if any measure never took a value.
     """
     voiced_count = int(track.voiced.sum())
-    if voiced_count < min_voiced_frames:
+    if voiced_count < MIN_VOICED_FRAMES:
         raise SilentUtteranceError(
-            f"{voiced_count} voiced frames (need {min_voiced_frames})"
+            f"{voiced_count} voiced frames (need {MIN_VOICED_FRAMES})"
         )
     means, covs = [], []
     for name in MEASURE_NAMES:

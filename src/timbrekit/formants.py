@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,48 +29,14 @@ LPC_ORDER = 2 * MAX_FORMANTS
 ANALYSIS_RATE = int(round(2.0 * CEILING))
 
 
-class Formant(NamedTuple):
-    frequency: float
-    bandwidth: float
-
-
-@dataclass(frozen=True)
-class FormantFrame:
-    """Resonances of one frame, strictly ascending in frequency.
-
-    Absent formants read as None through frequency()/bandwidth(); labels
-    are positional (1-based) in ascending frequency order.
-    """
-
-    formants: tuple[Formant, ...] = ()
-
-    def __post_init__(self):
-        freqs = [f.frequency for f in self.formants]
-        if any(b <= a for a, b in zip(freqs, freqs[1:])):
-            raise ValueError("formants must be strictly ascending in frequency")
-
-    def frequency(self, index: int) -> float | None:
-        """Frequency of formant `index` (1-based), or None if missing."""
-        if 1 <= index <= len(self.formants):
-            return self.formants[index - 1].frequency
-        return None
-
-    def bandwidth(self, index: int) -> float | None:
-        if 1 <= index <= len(self.formants):
-            return self.formants[index - 1].bandwidth
-        return None
-
-    def __len__(self) -> int:
-        return len(self.formants)
-
-
 @dataclass(frozen=True, eq=False)
 class FormantTrack(Sequence):
     """Per-frame resonances as [frames x max_formants] arrays.
 
     Row i holds frame i's formants in ascending frequency order, NaN past
-    the last one found. An index yields that frame as a FormantFrame, a
-    slice or an integer array the FormantTrack of those frames.
+    the last one found. An int index yields that frame's found formants as
+    a [k x 2] array of (frequency, bandwidth) rows, a slice or an integer
+    array the FormantTrack of those frames.
     """
 
     frequencies: np.ndarray
@@ -85,9 +50,7 @@ class FormantTrack(Sequence):
             return FormantTrack(self.frequencies[index], self.bandwidths[index])
         freqs, bws = self.frequencies[index], self.bandwidths[index]
         found = np.isfinite(freqs)
-        return FormantFrame(
-            tuple(Formant(float(f), float(b)) for f, b in zip(freqs[found], bws[found]))
-        )
+        return np.column_stack([freqs[found], bws[found]])
 
 
 def burg(window_samples: np.ndarray, order: int) -> np.ndarray:

@@ -17,6 +17,7 @@ utterance a block of frames at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,6 +55,9 @@ class PitchConfig:
     silence_threshold: float = 0.03
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if not 0 < self.floor < self.ceiling:
             raise ValueError("need 0 < floor < ceiling")
         if self.window < HOP:

@@ -45,32 +45,32 @@ def make_wav(path, payload: bytes, *, fmt=1, channels=1, rate=16000, bits=16):
 class TestLoadAudio:
     def test_int16_normalization(self, tmp_path):
         path = make_wav(tmp_path / "a.wav", struct.pack("<3h", 0, 16384, -16384))
-        buf = load_audio(path, target_rate=None)
+        buf = load_audio(path)
         npt.assert_array_equal(buf.samples, [0.0, 0.5, -0.5])
         assert buf.sample_rate == 16000
 
     def test_stereo_channels_averaged(self, tmp_path):
         frames = struct.pack("<2h", 32767, 0)  # L ~1.0, R 0.0
         path = make_wav(tmp_path / "st.wav", frames, channels=2)
-        buf = load_audio(path, target_rate=None)
+        buf = load_audio(path)
         assert buf.samples.shape == (1,)
         assert abs(buf.samples[0] - 0.5) < 1e-4
 
     def test_float32(self, tmp_path):
         path = make_wav(tmp_path / "f.wav", struct.pack("<3f", 0.25, -1.0, 1.0), fmt=3, bits=32)
-        buf = load_audio(path, target_rate=None)
+        buf = load_audio(path)
         npt.assert_allclose(buf.samples, [0.25, -1.0, 1.0])
 
     def test_int24(self, tmp_path):
         value = 4194304  # 2^22 -> 0.5 at 24-bit full scale
         payload = struct.pack("<i", value)[:3] + struct.pack("<i", -value)[:3]
         path = make_wav(tmp_path / "d.wav", payload, bits=24)
-        buf = load_audio(path, target_rate=None)
+        buf = load_audio(path)
         npt.assert_allclose(buf.samples, [0.5, -0.5])
 
     def test_uint8(self, tmp_path):
         path = make_wav(tmp_path / "b.wav", bytes([128, 192, 64]), bits=8)
-        buf = load_audio(path, target_rate=None)
+        buf = load_audio(path)
         npt.assert_allclose(buf.samples, [0.0, 0.5, -0.5])
 
     def test_extensible_format(self, tmp_path):
@@ -83,7 +83,7 @@ class TestLoadAudio:
         raw += b"fmt " + fmt + b"data" + struct.pack("<I", len(payload)) + payload
         path = tmp_path / "ext.wav"
         path.write_bytes(raw)
-        buf = load_audio(path, target_rate=None)
+        buf = load_audio(path)
         npt.assert_array_equal(buf.samples, [0.5, -0.5])
 
     def test_zero_length_rejected(self, tmp_path):
@@ -98,7 +98,7 @@ class TestLoadAudio:
     ], ids=["pcm16", "pcm32", "float32"])
     def test_trailing_partial_sample_dropped(self, tmp_path, fmt, bits, payload):
         path = make_wav(tmp_path / "cut.wav", payload[:-1], fmt=fmt, bits=bits)
-        buf = load_audio(path, target_rate=None)
+        buf = load_audio(path)
         npt.assert_array_equal(buf.samples, [0.5])
 
     def test_not_a_wav(self, tmp_path):
@@ -427,7 +427,7 @@ class TestSynth:
         buf = synth(SynthSpec(kind="sine", f0=440.0, duration=0.2, amplitude=0.5))
         path = tmp_path / "rt.wav"
         write_wav(path, buf)
-        back = load_audio(path, target_rate=None)
+        back = load_audio(path)
         assert back.sample_rate == buf.sample_rate
         npt.assert_allclose(back.samples, buf.samples, atol=1.0 / 32000)
 

@@ -196,6 +196,16 @@ class TestExtractCommand:
         assert result.exit_code == 0
         assert len(out.read_text().splitlines()) == 3  # header + 2
 
+    def test_directory_takes_wav_suffix_in_any_case(self, runner, tmp_path):
+        directory = make_voice_dir(tmp_path, count=2)
+        (directory / "utt00.wav").rename(directory / "A.WAV")
+        (directory / "utt01.wav").rename(directory / "b.wav")
+        (directory / "notes.txt").write_text("not audio")
+        out = tmp_path / "f.csv"
+        result = run(runner, ["extract", str(directory), "--out", str(out)])
+        assert result.output == f"wrote 2 rows to {out}\n"
+        assert list(read_features(out)) == ["A", "b"]
+
     def test_all_skipped_is_an_error(self, runner, tmp_path):
         directory = make_voice_dir(tmp_path, count=0, silent=2)
         result = runner.invoke(main, ["extract", str(directory), "--out", str(tmp_path / "f.csv")])
@@ -649,8 +659,16 @@ class TestEvalCommand:
          "checkpoint tensor 'w1' holds nan at [5, 2], not a finite number"),
         (lambda p: with_entry(p, "norm_std", (7,), float("inf")),
          "checkpoint tensor 'norm_std' holds inf at [7], not a finite number"),
+        (lambda p: {**p, "bn_epsilon": -1}, "checkpoint field 'bn_epsilon' is -1, not a positive number"),
+        (lambda p: with_entry(p, "running_var", (0,), -5.0),
+         "checkpoint tensor 'running_var' holds -5.0 at [0], not a non-negative number"),
+        (lambda p: with_entry(p, "norm_std", (0,), 0.0),
+         "checkpoint tensor 'norm_std' holds 0.0 at [0], not a positive number"),
+        (lambda p: with_entry(p, "norm_std", (0,), -1.0),
+         "checkpoint tensor 'norm_std' holds -1.0 at [0], not a positive number"),
     ], ids=["array", "dropout_missing", "feature_names_number", "descriptors_null", "bn_epsilon_string",
-            "dropout_string", "tensors_array", "w1_nan", "norm_std_inf"])
+            "dropout_string", "tensors_array", "w1_nan", "norm_std_inf", "bn_epsilon_negative",
+            "running_var_negative", "norm_std_zero", "norm_std_negative"])
     def test_malformed_checkpoint_is_invalid_input(self, runner, tmp_path, payload, detail):
         features_path, manifest_path, model_path = self.train_model(
             tmp_path=tmp_path, runner=runner, n_train=200, n_test=40

@@ -48,7 +48,7 @@ class TestForward:
         model.w2[:] = 0.0
         model.b2[:] = 0.0
         scores = dn.forward(model, np.random.default_rng(1).normal(0, 1, 10))
-        npt.assert_array_equal(scores, np.full(3, 0.5))
+        npt.assert_array_equal(scores, np.full((1, 3), 0.5))
 
     def test_infer_deterministic_bitwise(self):
         model = small_model()

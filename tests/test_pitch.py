@@ -108,6 +108,13 @@ def test_strength_bounds():
     assert np.all(track.f0[track.voiced] <= 600.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["floor", "ceiling", "voicing_threshold", "silence_threshold"])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {value}$"):
+        PitchConfig(**{field: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PitchConfig(floor=600.0, ceiling=75.0)
