@@ -6,6 +6,7 @@ All processing downstream of this module runs at a fixed internal rate of
 
 from __future__ import annotations
 
+import math
 import mmap
 import struct
 from dataclasses import dataclass
@@ -105,6 +106,10 @@ class SynthSpec:
     def __post_init__(self):
         if self.kind not in SYNTH_KINDS:
             raise ValueError(f"unknown synth kind {self.kind!r}")
+        for name in ("f0", "duration", "amplitude", "subharmonic_gain", "noise_gain", "tilt_db_per_octave"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.sample_rate <= 0:
@@ -112,8 +117,8 @@ class SynthSpec:
         if self.kind != "white_noise" and self.f0 <= 0:
             raise ValueError("f0 must be positive")
         for freq, bandwidth in self.formants:
-            if freq <= 0 or bandwidth <= 0:
-                raise ValueError("formant frequencies and bandwidths must be positive")
+            if not (0 < freq < math.inf and 0 < bandwidth < math.inf):
+                raise ValueError(f"formants must be positive finite freq:bw pairs, got {freq}:{bandwidth}")
         if self.subharmonic_gain < 0 or self.noise_gain < 0:
             raise ValueError("gains must be nonnegative")
 

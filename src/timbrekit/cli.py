@@ -160,7 +160,7 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
     for item in inputs:
         p = Path(item)
         if p.is_dir():
-            paths.extend(sorted(q for q in p.iterdir() if q.name.lower().endswith(".wav")))
+            paths.extend(sorted(q for q in p.iterdir() if q.is_file() and q.name.lower().endswith(".wav")))
         else:
             paths.append(p)
     if not paths:

@@ -20,7 +20,8 @@ import numpy as np
 from .audio import HOP, INTERNAL_RATE, next_pow2
 from .diffnet import DiffNetModel, STANDARD_DESCRIPTORS, TrainConfig, init_model
 from .features import (
-    CEPSTRAL_WINDOW, LINEAR_FFT, MEASURE_WINDOW, MEL_FFT, feature_names_for, filterbank_matrix,
+    CEPSTRAL_WINDOW, LINEAR_FFT, MEASURE_WINDOW, MEL_FFT, SchemaError, feature_names_for,
+    filterbank_matrix,
 )
 from .formants import ANALYSIS_RATE, LPC_ORDER, WINDOW as FORMANT_WINDOW
 from .noise_metrics import HARMONIC_COUNT_MAX, QUEFRENCY_CEILING
@@ -278,9 +279,14 @@ def cost_report(feature_kind: str, model: DiffNetModel | None = None) -> CostRep
 
     Nothing is measured: the acoustic tally reads the fixed extraction
     constants and costs the default 75 Hz pitch floor. When no model is
-    given a default-shaped one (H=128, 18 descriptors) is costed.
+    given a default-shaped one (H=128, 18 descriptors) is costed. A given
+    model must read the kind's feature names, or SchemaError is raised;
+    mfcc and lfc share CEPSTRAL_NAMES, so a model of one passes as the other.
     """
     names = feature_names_for(feature_kind)
+    if model is not None and model.feature_names != names:
+        raise SchemaError(f"the model reads {len(model.feature_names)} features, "
+                          f"not the {len(names)} {feature_kind} feature names")
     if feature_kind == "acoustic":
         breakdown = _acoustic_breakdown()
     else:

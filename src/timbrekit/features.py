@@ -19,7 +19,7 @@ import numpy as np
 
 from .audio import INTERNAL_RATE, AudioBuffer, frame_blocks, frame_times, resample
 from .formants import dispersion, formant_track
-from .harmonics import magnitude_spectrum, rms_energy, tilt_measures
+from .harmonics import TILT_NAMES, magnitude_spectrum, rms_energy, tilt_measures
 from .noise_metrics import cpp_from_spectrum, shr
 from .pitch import PitchConfig, pitch_track
 
@@ -33,10 +33,7 @@ MEASURE_NAMES = (
     "f3",
     "f4",
     "dispersion",
-    "h1_h2",
-    "h2_h4",
-    "h4_h2k",
-    "h2k_h5k",
+    *TILT_NAMES,
     "cpp",
     "rms",
     "shr",
@@ -149,9 +146,9 @@ def extract_track(buf: AudioBuffer, pitch: PitchConfig = PitchConfig()) -> Frame
             values[f"f{k}"][at] = found.frequencies[:, k - 1]
         values["dispersion"][at] = dispersion(found.frequencies[:, 0], found.frequencies[:, 3])
         spectrum = magnitude_spectrum(frames, buf.sample_rate)
-        tilt = tilt_measures(spectrum, f0, found)
-        for name in ("h1_h2", "h2_h4", "h4_h2k", "h2k_h5k"):
-            values[name][at] = getattr(tilt, name)
+        tilt = tilt_measures(spectrum, f0, found.frequencies, found.bandwidths)
+        for name, column in zip(TILT_NAMES, tilt.T):
+            values[name][at] = column
         values["cpp"][at] = cpp_from_spectrum(spectrum)
         values["rms"][at] = rms_energy(frames)
         values["shr"][at] = shr(spectrum, f0)  # NaN where f0 is too high

@@ -7,8 +7,10 @@ spectral-shape measures. Amplitudes are dB re full scale; only differences
 enter the feature vector, so the reference cancels.
 
 Every measure takes slices as the rows of a [frames x window] matrix (a
-1-D slice is a one-row matrix), with one f0 per row and a FormantTrack,
-and returns one value per row, NaN where the value is missing.
+1-D slice is a one-row matrix), with one f0 per row and the formant
+frequencies and bandwidths as [rows x K] arrays, and returns one value per
+row (tilt_measures one row of TILT_NAMES columns), NaN where a value is
+missing.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import next_pow2
-from .formants import FormantTrack
+
+# Column order of tilt_measures; features.MEASURE_NAMES splices it in.
+TILT_NAMES = ("h1_h2", "h2_h4", "h4_h2k", "h2k_h5k")
 
 _DB_GUARD = 1e-12
 
@@ -38,16 +42,6 @@ class Spectrum:
     @property
     def nyquist(self) -> float:
         return self.sample_rate / 2.0
-
-
-@dataclass(frozen=True)
-class TiltMeasures:
-    """Corrected harmonic amplitude differences in dB, one per row; NaN where undefined."""
-
-    h1_h2: np.ndarray
-    h2_h4: np.ndarray
-    h4_h2k: np.ndarray
-    h2k_h5k: np.ndarray
 
 
 def magnitude_spectrum(window_samples: np.ndarray, sample_rate: float) -> Spectrum:
@@ -91,19 +85,18 @@ def harmonic_levels(spec: Spectrum, targets: np.ndarray, f0: np.ndarray):
     return np.where(ok, 20.0 * np.log10(peaks + _DB_GUARD), np.nan), harmonic
 
 
-def correction_db(freq, formants, sample_rate: float):
-    """Total resonance gain (dB) the given formants contribute at `freq`.
+def correction_db(freq, frequencies, bandwidths, sample_rate: float):
+    """Total resonance gain (dB) the formants of each row contribute at its `freq`.
 
     Each formant is modeled as a two-pole resonator; its term is the gain
     at freq relative to the resonator's DC gain. Terms add across formants
-    and vanish as the pole radius goes to zero. formants holds (frequency,
-    bandwidth) pairs; for an array of freqs it is [freqs x formants x 2],
-    where NaN pairs contribute nothing.
+    and vanish as the pole radius goes to zero. freq holds one frequency per
+    row; frequencies and bandwidths are [rows x K], and NaN formants
+    contribute nothing.
     """
-    pairs = np.asarray(formants, dtype=np.float64).reshape(*np.shape(freq), -1, 2)
-    omega = 2.0 * np.pi * np.asarray(freq, dtype=np.float64)[..., np.newaxis] / sample_rate
-    r = np.exp(-np.pi * pairs[..., 1] / sample_rate)
-    omega_i = 2.0 * np.pi * pairs[..., 0] / sample_rate
+    omega = 2.0 * np.pi * freq[:, np.newaxis] / sample_rate
+    r = np.exp(-np.pi * bandwidths / sample_rate)
+    omega_i = 2.0 * np.pi * frequencies / sample_rate
     num = (1.0 - 2.0 * r * np.cos(omega_i) + r * r) ** 2
     den = (1.0 - 2.0 * r * np.cos(omega + omega_i) + r * r) * (
         1.0 - 2.0 * r * np.cos(omega - omega_i) + r * r
@@ -111,19 +104,14 @@ def correction_db(freq, formants, sample_rate: float):
     return np.nansum(10.0 * np.log10(num / den), axis=-1)
 
 
-def _formant_pairs(formants: FormantTrack) -> np.ndarray:
-    """[rows x K x 2] (frequency, bandwidth) pairs, NaN-padded to K >= 2."""
-    pairs = np.stack([formants.frequencies, formants.bandwidths], axis=-1)
-    return np.pad(pairs, ((0, 0), (0, max(0, 2 - pairs.shape[1])), (0, 0)), constant_values=np.nan)
-
-
-def tilt_measures(spec: Spectrum, f0, formants: FormantTrack) -> TiltMeasures:
-    """The four spectral-shape differences of each voiced slice (row).
+def tilt_measures(spec: Spectrum, f0, frequencies: np.ndarray, bandwidths: np.ndarray) -> np.ndarray:
+    """[rows x 4] spectral-shape differences in TILT_NAMES order, one row per voiced slice.
 
     H1, H2, H4 sit at harmonics 1, 2, 4; H2kHz and H5kHz at the harmonics
     nearest 2 and 5 kHz. All but H5kHz have the formant gain at their
     frequency removed ("starred" values: H1/H2/H4 with F1 and F2, H2kHz
-    with every detected formant). Any missing constituent makes the
+    with every detected formant). frequencies and bandwidths are the
+    [rows x K] formant arrays, K >= 2. Any missing constituent makes the
     affected difference NaN.
     """
     fs = spec.sample_rate
@@ -131,14 +119,13 @@ def tilt_measures(spec: Spectrum, f0, formants: FormantTrack) -> TiltMeasures:
     targets = np.column_stack([f0, 2 * f0, 4 * f0, np.full_like(f0, 2000.0), np.full_like(f0, 5000.0)])
     raw, snapped = harmonic_levels(spec, targets, f0)
 
-    pairs = _formant_pairs(formants)
-    first_two = pairs[:, :2]
-    h1, h2, h4 = (raw[:, i] - correction_db(snapped[:, i], first_two, fs) for i in range(3))
-    h2k = raw[:, 3] - correction_db(snapped[:, 3], pairs, fs)
+    f12, b12 = frequencies[:, :2], bandwidths[:, :2]
+    h1, h2, h4 = (raw[:, i] - correction_db(snapped[:, i], f12, b12, fs) for i in range(3))
+    h2k = raw[:, 3] - correction_db(snapped[:, 3], frequencies, bandwidths, fs)
     h5k = raw[:, 4]  # uncorrected by convention
     diffs = np.column_stack([h1 - h2, h2 - h4, h4 - h2k, h2k - h5k])
-    diffs[np.isnan(pairs[:, 1, 0])] = np.nan  # F1 or F2 missing
-    return TiltMeasures(*diffs.T)
+    diffs[np.isnan(frequencies[:, 1])] = np.nan  # F1 or F2 missing
+    return diffs
 
 
 def rms_energy(window_samples: np.ndarray):

@@ -11,7 +11,6 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import lfilter, resample_poly
 
 import timbrekit
 from timbrekit.audio import (
@@ -215,6 +214,7 @@ class TestResample:
                                              (8000, 16000)])
     @pytest.mark.parametrize("seconds,samples", [(0, 1), (0, 2), (0, 5), (0, 441), (3, 0)])
     def test_matches_resample_poly(self, rate, target, seconds, samples):
+        resample_poly = pytest.importorskip("scipy.signal").resample_poly
         n = seconds * rate + samples
         x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
         ratio = Fraction(target, rate)
@@ -232,6 +232,7 @@ class TestResonate:
         *[pytest.param(16000, size, id=f"16000-{size}samples") for size in (1, 63, 64, 65, 129)],
     ])
     def test_matches_lfilter(self, rate, size):
+        lfilter = pytest.importorskip("scipy.signal").lfilter
         x = np.random.default_rng(rate).uniform(-1.0, 1.0, size)
         x[:: rate // 100] += 20.0  # a pulse train rings the resonators the way synth does
         expected = x
@@ -281,7 +282,8 @@ commands += [
     ["train", "--manifest", str(pairs), "--features", str(table), "--out", str(model), "--epochs", "2"],
     ["eval", "--manifest", str(pairs), "--features", str(table), "--model", str(model)],
     ["weights", "--model", str(model)],
-    ["flops", "--kind", "mfcc", "--model", str(model)],
+    ["flops", "--kind", "mfcc"],
+    ["flops", "--kind", "acoustic", "--model", str(model)],
 ]
 for args in commands:
     result = CliRunner().invoke(timbrekit.cli.main, args)

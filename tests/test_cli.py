@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from timbrekit import cli, diffnet as dn, evaluation
 from timbrekit.audio import SynthSpec, load_audio, synth, write_wav
 from timbrekit.cli import main
-from timbrekit.features import extract_vector, read_features, write_features
+from timbrekit.features import extract_vector, feature_names_for, read_features, write_features
 from timbrekit.manifest import ManifestRecord, check_manifest, read_manifest, write_manifest
 from timbrekit.pitch import PitchConfig
 
@@ -106,6 +106,25 @@ class TestSynthCommand:
         result = runner.invoke(main, ["synth", "--kind", "mixture", "--f0", "7500", "--out", str(out)])
         assert result.exit_code == 1
         assert "error: INVALID_INPUT: f0 7500.0 Hz" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,detail", [
+        (["--kind", "sine", "--dur", "inf"], "duration must be a finite number, got inf"),
+        (["--kind", "sine", "--f0", "nan"], "f0 must be a finite number, got nan"),
+        (["--kind", "sine", "--amplitude", "inf"], "amplitude must be a finite number, got inf"),
+        (["--kind", "mixture", "--tilt", "nan"], "tilt_db_per_octave must be a finite number, got nan"),
+        (["--kind", "mixture", "--noise-gain", "inf"], "noise_gain must be a finite number, got inf"),
+        (["--kind", "mixture", "--subharmonic-gain", "nan"], "subharmonic_gain must be a finite number, got nan"),
+        (["--kind", "mixture", "--formants", "500:nan"],
+         "formants must be positive finite freq:bw pairs, got 500.0:nan"),
+    ], ids=["dur_inf", "f0_nan", "amplitude_inf", "tilt_nan", "noise_gain_inf", "subharmonic_gain_nan",
+            "formant_bandwidth_nan"])
+    def test_non_finite_value_names_the_field(self, runner, tmp_path, recwarn, args, detail):
+        out = tmp_path / "x.wav"
+        result = run(runner, ["synth", *args, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == f"error: INVALID_INPUT: {detail}\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
     def test_seeded_noise_deterministic_bytes(self, runner, tmp_path):
@@ -205,6 +224,16 @@ class TestExtractCommand:
         result = run(runner, ["extract", str(directory), "--out", str(out)])
         assert result.output == f"wrote 2 rows to {out}\n"
         assert list(read_features(out)) == ["A", "b"]
+
+    def test_directory_takes_files_only(self, runner, tmp_path):
+        directory = make_voice_dir(tmp_path, count=1)
+        (directory / "utt00.wav").rename(directory / "a.wav")
+        (directory / "sub.wav").mkdir()
+        out = tmp_path / "f.csv"
+        result = run(runner, ["extract", str(directory), "--out", str(out)])
+        assert result.output == f"wrote 1 rows to {out}\n"
+        assert list(read_features(out)) == ["a"]
+        assert not (tmp_path / "f.csv.skipped.jsonl").exists()
 
     def test_all_skipped_is_an_error(self, runner, tmp_path):
         directory = make_voice_dir(tmp_path, count=0, silent=2)
@@ -735,6 +764,33 @@ class TestFlopsCommand:
             run(runner, ["flops", "--kind", kind, "--out", str(out)])
             totals[kind] = json.loads(out.read_text())["extraction"]["flops_per_second_of_audio"]
         assert totals["lfc"] < totals["mfcc"] < totals["acoustic"]
+
+
+    @staticmethod
+    def checkpoint(tmp_path, kind):
+        names = feature_names_for(kind)
+        model = dn.init_model(names, dn.STANDARD_DESCRIPTORS, dn.TrainConfig(), np.random.default_rng(0))
+        path = tmp_path / f"{kind}.json"
+        dn.save_checkpoint(model, path)
+        return path
+
+    def test_model_of_another_kind_is_schema_error(self, runner, tmp_path):
+        out = tmp_path / "cost.json"
+        result = run(runner, ["flops", "--kind", "mfcc", "--model", str(self.checkpoint(tmp_path, "acoustic")),
+                              "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == "error: SCHEMA: the model reads 26 features, not the 13 mfcc feature names\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,model_kind", [("acoustic", "acoustic"), ("mfcc", "mfcc"), ("lfc", "mfcc")])
+    def test_model_of_the_kind_is_costed(self, runner, tmp_path, kind, model_kind):
+        model_path = self.checkpoint(tmp_path, model_kind)
+        out = tmp_path / "cost.json"
+        result = run(runner, ["flops", "--kind", kind, "--model", str(model_path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = evaluation.cost_report(kind, dn.load_checkpoint(model_path))
+        assert result.output == report.format_text() + "\n"
+        assert json.loads(out.read_text())["classifier"]["params"] == dn.load_checkpoint(model_path).parameter_count()
 
 
 class TestManifest:

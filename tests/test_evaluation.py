@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timbrekit.diffnet import A_STRONGER, B_STRONGER
+from timbrekit.diffnet import A_STRONGER, B_STRONGER, STANDARD_DESCRIPTORS, TrainConfig, init_model
 from timbrekit.evaluation import ScoredColumns, accuracy, cost_report, eer, far_frr_curve
+from timbrekit.features import SchemaError, feature_names_for
 from timbrekit.testkit import eer_oracle, far_frr_oracle
 
 
@@ -165,6 +166,13 @@ class TestCostReport:
         text = cost_report("acoustic").format_text()
         assert "conventions:" in text
         assert "params=0" in text
+
+    def test_model_must_read_the_kind_names(self):
+        model = init_model(feature_names_for("acoustic"), STANDARD_DESCRIPTORS, TrainConfig(),
+                           np.random.default_rng(0))
+        assert cost_report("acoustic", model).dim_per_utterance == 26
+        with pytest.raises(SchemaError, match="reads 26 features, not the 13 lfc feature names"):
+            cost_report("lfc", model)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

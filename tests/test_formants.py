@@ -1,7 +1,6 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.signal import lfilter
 
 from conftest import VOICE_FORMANTS, formant_grid
 from timbrekit.audio import AudioBuffer, SynthSpec, synth
@@ -24,6 +23,7 @@ def pair_poly(freq, bandwidth, rate):
 
 class TestBurg:
     def test_ar2_pole_recovery(self):
+        lfilter = pytest.importorskip("scipy.signal").lfilter
         rate, rho, f_true = 11000.0, 0.95, 1000.0
         a1 = 2 * rho * np.cos(2 * np.pi * f_true / rate)
         a2 = -rho * rho

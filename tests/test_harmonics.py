@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timbrekit.audio import SynthSpec, synth
-from timbrekit.formants import FormantTrack
 from timbrekit.harmonics import (
+    TILT_NAMES,
     correction_db,
     harmonic_levels,
     magnitude_spectrum,
@@ -27,9 +27,18 @@ def comb_window(amplitudes, f0=200.0, n=640, phase=0.0):
 
 
 def one_frame(*formants):
-    """A one-row FormantTrack of (frequency, bandwidth) pairs."""
+    """(frequencies, bandwidths), each [1 x K], from (frequency, bandwidth) pairs."""
     pairs = np.array(formants, dtype=np.float64).reshape(1, -1, 2)
-    return FormantTrack(pairs[..., 0], pairs[..., 1])
+    return pairs[..., 0], pairs[..., 1]
+
+
+def correction(freq, *formants):
+    """correction_db of one row at `freq` from (frequency, bandwidth) pairs."""
+    return correction_db(np.array([freq]), *one_frame(*formants), SR)[0]
+
+
+def column(tilt, name):
+    return tilt[:, TILT_NAMES.index(name)]
 
 
 # Correction terms vanish as the pole radius goes to zero, so formants
@@ -96,52 +105,58 @@ class TestHarmonicAmplitude:
 
 class TestFormantCorrection:
     def test_far_below_narrow_formant_is_small(self):
-        term = correction_db(100.0, [(3000.0, 50.0)], SR)
+        term = correction(100.0, (3000.0, 50.0))
         assert abs(term) < 1.0
 
     def test_at_peak_exceeds_10db(self):
-        term = correction_db(500.0, [(500.0, 80.0)], SR)
+        term = correction(500.0, (500.0, 80.0))
         assert term > 10.0
 
     def test_vanishes_as_radius_shrinks(self):
-        term = correction_db(500.0, [(500.0, 50.0 * SR)], SR)
+        term = correction(500.0, (500.0, 50.0 * SR))
         assert abs(term) < 1e-6
 
     def test_additive_and_order_independent(self):
         formants = [(500.0, 80.0), (1500.0, 100.0), (2500.0, 150.0)]
-        total = correction_db(700.0, formants, SR)
-        parts = sum(correction_db(700.0, [f], SR) for f in formants)
+        total = correction(700.0, *formants)
+        parts = sum(correction(700.0, f) for f in formants)
         assert total == pytest.approx(parts, rel=1e-12)
-        assert correction_db(700.0, formants[::-1], SR) == pytest.approx(total, rel=1e-12)
+        assert correction(700.0, *formants[::-1]) == pytest.approx(total, rel=1e-12)
+
+    def test_rows_and_nan_formants(self):
+        freqs = np.array([[500.0, 1500.0], [500.0, np.nan]])
+        bws = np.array([[80.0, 100.0], [80.0, np.nan]])
+        terms = correction_db(np.array([700.0, 700.0]), freqs, bws, SR)
+        assert terms[0] == pytest.approx(correction(700.0, (500.0, 80.0), (1500.0, 100.0)), rel=1e-12)
+        assert terms[1] == pytest.approx(correction(700.0, (500.0, 80.0)), rel=1e-12)
 
 
 class TestTiltMeasures:
     def test_flat_comb_no_correction_all_zero(self):
         x = comb_window([1.0] * 30)
         spec = magnitude_spectrum(x, SR)
-        tilt = tilt_measures(spec, 200.0, NULL_FORMANTS)
-        for value in (tilt.h1_h2, tilt.h2_h4, tilt.h4_h2k, tilt.h2k_h5k):
-            assert value[0] == pytest.approx(0.0, abs=0.5)
+        tilt = tilt_measures(spec, 200.0, *NULL_FORMANTS)
+        assert tilt.shape == (1, len(TILT_NAMES))
+        np.testing.assert_allclose(tilt[0], 0.0, atol=0.5)
 
     def test_sawtooth_rolloff(self):
         x = comb_window([1.0 / k for k in range(1, 31)])
         spec = magnitude_spectrum(x, SR)
-        tilt = tilt_measures(spec, 200.0, NULL_FORMANTS)
-        assert tilt.h1_h2[0] == pytest.approx(20 * np.log10(2.0), abs=0.5)
+        tilt = tilt_measures(spec, 200.0, *NULL_FORMANTS)
+        assert column(tilt, "h1_h2")[0] == pytest.approx(20 * np.log10(2.0), abs=0.5)
 
     def test_missing_formants_all_none(self):
         spec = magnitude_spectrum(comb_window([1.0] * 10), SR)
-        tilt = tilt_measures(spec, 200.0, one_frame((500.0, 80.0)))
-        assert np.isnan(tilt.h1_h2[0]) and np.isnan(tilt.h2_h4[0])
-        assert np.isnan(tilt.h4_h2k[0]) and np.isnan(tilt.h2k_h5k[0])
+        tilt = tilt_measures(spec, 200.0, *one_frame((500.0, 80.0), (np.nan, np.nan)))
+        assert np.all(np.isnan(tilt))
 
     def test_scaling_invariance(self):
         x = comb_window([1.0 / k for k in range(1, 31)])
         formants = one_frame((500.0, 80.0), (1500.0, 100.0))
-        a = tilt_measures(magnitude_spectrum(x, SR), 200.0, formants)
-        b = tilt_measures(magnitude_spectrum(x * 7.3, SR), 200.0, formants)
-        assert a.h1_h2[0] == pytest.approx(b.h1_h2[0], abs=1e-9)
-        assert a.h2k_h5k[0] == pytest.approx(b.h2k_h5k[0], abs=1e-9)
+        a = tilt_measures(magnitude_spectrum(x, SR), 200.0, *formants)
+        b = tilt_measures(magnitude_spectrum(x * 7.3, SR), 200.0, *formants)
+        for name in ("h1_h2", "h2k_h5k"):
+            assert column(a, name)[0] == pytest.approx(column(b, name)[0], abs=1e-9)
 
 
 class TestRms:
