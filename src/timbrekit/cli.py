@@ -43,6 +43,9 @@ def _guard(fn):
             _fail("COVERAGE", str(exc).strip("'\""))
         except (ValueError, OSError) as exc:
             _fail("INVALID_INPUT", str(exc))
+        except MemoryError as exc:
+            # numpy's allocation error names the size and shape it was asked for.
+            _fail("INVALID_INPUT", str(exc) or "out of memory")
 
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__

@@ -17,6 +17,14 @@ runs over one flat buffer that the model's parameter groups are views of,
 with the step's gradients concatenated into one vector. Each of these
 gives bitwise the values of the textbook loop kept in
 testkit.train_reference, which the tests compare train against.
+
+The step computes in place: forward, backward, Adam and the per-block
+hidden sums of the epoch scoring write each result into an array they have
+already allocated (`u += b1`, `g *= mask`, `np.take(..., out=h)`), never
+into their inputs or the model's tensors (apart from Adam's update). An
+in-place form stands in for an expression only where it runs the same IEEE
+operations in the same order, so the bits do not move; a chain such as
+(a * b) * c is never refolded into a * (b * c).
 """
 
 from __future__ import annotations
@@ -226,9 +234,9 @@ def normalize_input(model: DiffNetModel, e_pair: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(e_pair, dtype=np.float64))
     if x.shape[1] != model.input_dim:
         raise ValueError(f"expected input dim {model.input_dim}, got {x.shape[1]}")
-    mean = np.concatenate([model.norm_mean, model.norm_mean])
-    std = np.concatenate([model.norm_std, model.norm_std])
-    return np.clip((x - mean) / std, -_ZSCORE_CLIP, _ZSCORE_CLIP)
+    z = x - np.concatenate([model.norm_mean, model.norm_mean])
+    z /= np.concatenate([model.norm_std, model.norm_std])
+    return np.clip(z, -_ZSCORE_CLIP, _ZSCORE_CLIP, out=z)
 
 
 def forward(
@@ -250,35 +258,45 @@ def forward(
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
 
-    gains = np.concatenate([model.feature_weights, model.feature_weights])
-    x = z * gains
-    u = x @ model.w1 + model.b1
-
-    mu = u.mean(axis=0) if train else model.running_mean
-    u_centered = u - mu
+    x = z * np.concatenate([model.feature_weights, model.feature_weights])
+    # u = x @ w1 + b1, centred in place.
+    u_centered = x @ model.w1
+    u_centered += model.b1
+    mu = u_centered.mean(axis=0) if train else model.running_mean
+    u_centered -= mu
     # Bitwise equal to u.var(axis=0), which centres u the same way.
-    var = (u_centered * u_centered).sum(axis=0) / u.shape[0] if train else model.running_var
+    var = (u_centered * u_centered).sum(axis=0) / u_centered.shape[0] if train else model.running_var
     inv_sigma = 1.0 / np.sqrt(var + model.bn_epsilon)
-    u_hat = u_centered * inv_sigma
-    bn_out = model.gamma * u_hat + model.beta
-    h = np.maximum(bn_out, 0.0)
+    # bn_out = gamma * u_hat + beta, with u_hat = u_centered * inv_sigma formed
+    # in bn_out's own array; backward forms u_hat again rather than cache it.
+    bn_out = u_centered * inv_sigma
+    bn_out *= model.gamma
+    bn_out += model.beta
+    h_drop = np.maximum(bn_out, 0.0)
 
     if train and model.dropout > 0.0:
         if rng is None:
             raise ValueError("train mode with dropout needs an rng")
-        mask = (rng.random(h.shape) >= model.dropout) / (1.0 - model.dropout)
+        mask = rng.random(h_drop.shape)
+        np.divide(mask >= model.dropout, 1.0 - model.dropout, out=mask)
     else:
-        mask = np.ones_like(h)
-    h_drop = h * mask
+        mask = np.ones_like(h_drop)
+    h_drop *= mask
 
-    logits = np.clip(h_drop @ model.w2 + model.b2, -_LOGIT_CLAMP, _LOGIT_CLAMP)
-    scores = 1.0 / (1.0 + np.exp(-logits))
+    scores = h_drop @ model.w2
+    scores += model.b2
+    np.clip(scores, -_LOGIT_CLAMP, _LOGIT_CLAMP, out=scores)
+    # 1 / (1 + exp(-logits)), one operation at a time.
+    np.negative(scores, out=scores)
+    np.exp(scores, out=scores)
+    scores += 1.0
+    np.divide(1.0, scores, out=scores)
 
     if not return_cache:
         return scores
     cache = {
         "z": z, "x": x, "u_centered": u_centered, "mu": mu, "var": var, "inv_sigma": inv_sigma,
-        "u_hat": u_hat, "bn_out": bn_out, "mask": mask, "h_drop": h_drop,
+        "bn_out": bn_out, "mask": mask, "h_drop": h_drop,
         "scores": scores, "train": train,
     }
     return scores, cache
@@ -308,27 +326,38 @@ def backward(
 
     g_w2 = cache["h_drop"].T @ g_logits
     g_b2 = g_logits.sum(axis=0)
-    g_h_drop = g_logits @ model.w2.T
-    g_h = g_h_drop * cache["mask"]
-    g_bn_out = g_h * (cache["bn_out"] > 0.0)
+    # g holds in turn the gradient of h_drop, h, bn_out, u_hat and u; t is
+    # the scratch for each product that is only summed.
+    g = g_logits @ model.w2.T
+    g *= cache["mask"]
+    g *= cache["bn_out"] > 0.0
 
-    g_gamma = (g_bn_out * cache["u_hat"]).sum(axis=0)
-    g_beta = g_bn_out.sum(axis=0)
-    g_u_hat = g_bn_out * model.gamma
-    g_u = g_u_hat * cache["inv_sigma"]
+    u_centered, inv_sigma = cache["u_centered"], cache["inv_sigma"]
+    t = u_centered * inv_sigma  # u_hat, as forward formed it
+    t *= g
+    g_gamma = t.sum(axis=0)
+    g_beta = g.sum(axis=0)
+    g *= model.gamma
     if cache["train"]:
         # The textbook BN backward with its -0.5, -1 and -2 factors folded
         # into [H] vectors; scaling by a power of two commutes with rounding,
         # so every value is bitwise what the unfolded expressions give.
-        u_centered = cache["u_centered"]
-        g_var = (g_u_hat * u_centered * (-0.5 * cache["inv_sigma"] ** 3)).sum(axis=0)
-        g_mu = -g_u.sum(axis=0) + g_var * (-2.0 * u_centered.mean(axis=0))
-        g_u = g_u + g_var * 2.0 * u_centered / batch + g_mu / batch
+        np.multiply(g, u_centered, out=t)
+        t *= -0.5 * inv_sigma**3
+        g_var = t.sum(axis=0)
+        g *= inv_sigma
+        g_mu = -g.sum(axis=0) + g_var * (-2.0 * u_centered.mean(axis=0))
+        np.multiply(g_var * 2.0, u_centered, out=t)
+        t /= batch
+        g += t
+        g += g_mu / batch
+    else:
+        g *= inv_sigma
 
-    g_w1 = cache["x"].T @ g_u
-    g_b1 = g_u.sum(axis=0)
-    g_x = g_u @ model.w1.T
-    gz = g_x * cache["z"]
+    g_w1 = cache["x"].T @ g
+    g_b1 = g.sum(axis=0)
+    gz = g @ model.w1.T
+    gz *= cache["z"]
     g_gains = gz[:, :d].sum(axis=0) + gz[:, d:].sum(axis=0)
 
     return {
@@ -346,7 +375,8 @@ class _FlatAdam:
     """Adam over one flat buffer; the model's parameter groups become views of it.
 
     Adam is elementwise, so one pass over the buffer gives bitwise the values
-    of one pass per group.
+    of one pass per group. Each step concatenates the gradients into one
+    buffer and computes in two scratch buffers of the same size.
     """
 
     def __init__(self, model: DiffNetModel, learning_rate: float):
@@ -359,19 +389,32 @@ class _FlatAdam:
             offset += p.size
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
+        self.grad = np.empty_like(self.params)
+        self.scratch = np.empty_like(self.params)
+        self.denominator = np.empty_like(self.params)
         self.t = 0
         self.learning_rate = learning_rate
 
     def step(self, grads: Mapping[str, np.ndarray]) -> None:
-        grad = np.concatenate([grads[name].ravel() for name in self.names])
+        # The textbook update, one operation at a time:
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+        # params -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps).
+        grad, step, denominator = self.grad, self.scratch, self.denominator
+        np.concatenate([grads[name].ravel() for name in self.names], out=grad)
         self.t += 1
         self.m *= ADAM_BETA1
-        self.m += (1 - ADAM_BETA1) * grad
+        self.m += np.multiply(grad, 1 - ADAM_BETA1, out=step)
         self.v *= ADAM_BETA2
-        self.v += (1 - ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1 - ADAM_BETA1**self.t)
-        v_hat = self.v / (1 - ADAM_BETA2**self.t)
-        self.params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        np.multiply(grad, 1 - ADAM_BETA2, out=step)
+        step *= grad
+        self.v += step
+        np.divide(self.v, 1 - ADAM_BETA2**self.t, out=denominator)
+        np.sqrt(denominator, out=denominator)
+        denominator += ADAM_EPSILON
+        np.divide(self.m, 1 - ADAM_BETA1**self.t, out=step)
+        step *= self.learning_rate
+        step /= denominator
+        self.params -= step
 
 
 def _pair_index(pairs: PairColumns, features: Mapping[str, np.ndarray], descriptors):
@@ -398,7 +441,7 @@ def _pair_index(pairs: PairColumns, features: Mapping[str, np.ndarray], descript
     return table, rows, desc_idx, pairs.b_stronger.astype(np.float64)
 
 
-# Pairs gathered per step of _score_rows: three [block x H] arrays stay in cache.
+# Pairs gathered per step of _score_rows: its two [block x H] buffers stay in cache.
 _SCORE_BLOCK = 1024
 
 
@@ -422,10 +465,20 @@ def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_i
     second = (x @ model.w1[d:]) * scale
     w2t = model.w2.T
     logits = np.empty(len(rows))
+    # Each block gathers into the same two buffers. Every index is in range
+    # by construction; mode="clip" lets take write to out directly, where
+    # the default mode="raise" gathers into a temporary first.
+    hidden = np.empty((min(len(rows), _SCORE_BLOCK), model.hidden_dim))
+    gathered = np.empty_like(hidden)
     for start in range(0, len(rows), _SCORE_BLOCK):
         block = slice(start, start + _SCORE_BLOCK)
-        h = np.maximum(first[rows[block, 0]] + second[rows[block, 1]], 0.0)
-        logits[block] = np.einsum("ph,ph->p", h, w2t[desc_idx[block]])
+        pair_rows = rows[block]
+        h, other = hidden[: len(pair_rows)], gathered[: len(pair_rows)]
+        np.take(first, pair_rows[:, 0], axis=0, out=h, mode="clip")
+        h += np.take(second, pair_rows[:, 1], axis=0, out=other, mode="clip")
+        np.maximum(h, 0.0, out=h)
+        w2_rows = np.take(w2t, desc_idx[block], axis=0, out=other, mode="clip")
+        logits[block] = np.einsum("ph,ph->p", h, w2_rows)
     logits += model.b2[desc_idx]
     return 1.0 / (1.0 + np.exp(-np.clip(logits, -_LOGIT_CLAMP, _LOGIT_CLAMP)))
 

@@ -108,6 +108,20 @@ class TestSynthCommand:
         assert "error: INVALID_INPUT: f0 7500.0 Hz" in result.output
         assert not out.exists()
 
+    def test_allocation_failure_is_one_error_line(self, runner, tmp_path, monkeypatch):
+        """A duration too long to allocate fails with one line; synth raises as numpy would."""
+        def refuse(spec):
+            raise MemoryError("Unable to allocate 1.16 TiB for an array with shape (160000000000,)")
+
+        monkeypatch.setattr(cli, "synth", refuse)
+        out = tmp_path / "x.wav"
+        result = run(runner, ["synth", "--kind", "sine", "--dur", "1e7", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == (
+            "error: INVALID_INPUT: Unable to allocate 1.16 TiB for an array with shape (160000000000,)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("args,detail", [
         (["--kind", "sine", "--dur", "inf"], "duration must be a finite number, got inf"),
         (["--kind", "sine", "--f0", "nan"], "f0 must be a finite number, got nan"),

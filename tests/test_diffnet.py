@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -27,6 +28,21 @@ def small_model(seed=42, hidden=8, dropout=0.0, descriptors=("x", "y", "z")):
     model.norm_mean[:] = rng.normal(0, 1, len(NAMES5))
     model.norm_std[:] = rng.uniform(0.5, 2, len(NAMES5))
     return model
+
+
+TENSORS = ("feature_weights", "w1", "b1", "gamma", "beta", "running_mean", "running_var",
+           "w2", "b2", "norm_mean", "norm_std")
+
+
+def frozen(array):
+    """A read-only copy: any write to it in place raises."""
+    array = np.array(array)
+    array.setflags(write=False)
+    return array
+
+
+def frozen_model(model):
+    return dataclasses.replace(model, **{name: frozen(getattr(model, name)) for name in TENSORS})
 
 
 def separable_task(n_pairs=2000, n_utts=60, dim=26, seed=0):
@@ -137,6 +153,60 @@ class TestBackward:
         for name in g1:
             npt.assert_allclose(g1[name], g2[name], atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_twice_on_one_cache_is_identical_and_leaves_it(self, mode):
+        model = small_model(dropout=0.3)
+        rng = np.random.default_rng(9)
+        x = rng.normal(0, 1, (6, 10))
+        desc_idx = np.array([0, 1, 2, 0, 1, 2])
+        targets = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+        _, cache = dn.forward(model, x, mode=mode, rng=rng, return_cache=True)
+        before = {key: np.copy(value) for key, value in cache.items()}
+        first = dn.backward(model, cache, desc_idx, targets)
+        second = dn.backward(model, cache, desc_idx, targets)
+        for name in first:
+            assert np.array_equal(first[name], second[name]), name
+        assert cache.keys() == before.keys()
+        for key, value in before.items():
+            assert np.array_equal(cache[key], value), key
+
+
+class TestReadOnlyInputs:
+    """The in-place steps write only to arrays they allocate: read-only inputs give the same bits."""
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_forward_and_backward(self, mode):
+        model = small_model(dropout=0.3)
+        x = np.random.default_rng(5).normal(0, 1, (7, 10))
+        desc_idx = np.array([0, 1, 2, 0, 1, 2, 0])
+        targets = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
+        scores, cache = dn.forward(model, x.copy(), mode=mode, rng=np.random.default_rng(6), return_cache=True)
+        grads = dn.backward(model, cache, desc_idx, targets)
+
+        model_ro = frozen_model(model)
+        scores_ro, cache_ro = dn.forward(model_ro, frozen(x), mode=mode, rng=np.random.default_rng(6),
+                                         return_cache=True)
+        assert np.array_equal(scores_ro, scores)
+        for key, value in cache.items():
+            assert np.array_equal(cache_ro[key], value), key
+        cache_ro = {key: frozen(value) if isinstance(value, np.ndarray) else value
+                    for key, value in cache_ro.items()}
+        grads_ro = dn.backward(model_ro, cache_ro, frozen(desc_idx), frozen(targets))
+        for name in grads:
+            assert np.array_equal(grads_ro[name], grads[name]), name
+
+    def test_score_pairs(self):
+        model = small_model(hidden=16)
+        rng = np.random.default_rng(13)
+        ids = [f"u{i:02d}" for i in range(30)]
+        feats = {u: rng.normal(model.norm_mean, model.norm_std) for u in ids}
+        picks = [rng.choice(len(ids), 2, replace=False) for _ in range(1500)]
+        pairs = [dn.PairRecord(ids[a], ids[b], model.descriptors[i % 3], dn.B_STRONGER)
+                 for i, (a, b) in enumerate(picks)]
+        expected = dn.score_pairs(model, pairs, feats)
+        feats_ro = {u: frozen(v) for u, v in feats.items()}
+        assert np.array_equal(dn.score_pairs(frozen_model(model), pairs, feats_ro), expected)
+
 
 class TestTrain:
     def test_separable_task_99pct_within_30_epochs(self):
@@ -205,13 +275,22 @@ class TestTrain:
         assert len(log) == 1
         assert peak < 8e6
 
-    @pytest.mark.parametrize("n_pairs,dim,hidden", [(700, 26, 32), (769, 5, 7)])
-    def test_equals_the_textbook_loop_bitwise(self, n_pairs, dim, hidden):
-        """Dropout 0.3, two descriptors, a ragged last batch (of one pair in the second case)."""
+    @pytest.mark.parametrize("n_pairs,dim,hidden,dropout", [
+        pytest.param(700, 26, 32, 0.3, id="700-26-32"),
+        pytest.param(769, 5, 7, 0.3, id="769-5-7"),
+        pytest.param(700, 26, 32, 0.0, id="no-dropout"),
+        pytest.param(700, 26, 128, 0.3, id="default-hidden"),
+    ])
+    def test_equals_the_textbook_loop_bitwise(self, n_pairs, dim, hidden, dropout):
+        """Two descriptors, a ragged last batch (of one pair in the second case).
+
+        Dropout is 0.3 but in the no-dropout case, whose mask is all ones;
+        the last case has the default hidden width.
+        """
         pairs, feats = separable_task(n_pairs=n_pairs, n_utts=40, dim=dim, seed=12)
         pairs = [dn.PairRecord(p.utt_a, p.utt_b, ("planted", "second")[i % 2], p.label)
                  for i, p in enumerate(pairs)]
-        config = dn.TrainConfig(hidden_dim=hidden, dropout=0.3, epochs=3, seed=4)
+        config = dn.TrainConfig(hidden_dim=hidden, dropout=dropout, epochs=3, seed=4)
         assert n_pairs % config.batch_size
         model, log = dn.train(pairs, feats, config, feature_names=dim_names(dim))
         expected, expected_log = testkit.train_reference(pairs, feats, config, feature_names=dim_names(dim))

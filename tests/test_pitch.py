@@ -29,6 +29,21 @@ def test_below_floor_unvoiced():
     assert np.isnan(f0[0])
 
 
+@pytest.mark.parametrize("gated", [False, True], ids=["all-live", "gated-row"])
+def test_read_only_frames_give_the_same_bits(gated):
+    """frame_pitch writes only to arrays it allocates, with or without a gated row."""
+    buf = synth(SynthSpec(kind="mixture", f0=130.0, duration=0.5, amplitude=0.5, seed=2))
+    frames = np.stack([buf.samples[i * 160 : i * 160 + 640] for i in range(20)])
+    if gated:
+        frames[7] = 0.0
+    expected = frame_pitch(frames.copy(), PitchConfig(), SR, 0.5)
+    assert np.isnan(expected[0][7]) == gated
+    frames.setflags(write=False)
+    f0, strength = frame_pitch(frames, PitchConfig(), SR, 0.5)
+    assert np.array_equal(f0, expected[0], equal_nan=True)
+    assert np.array_equal(strength, expected[1])
+
+
 def test_window_too_short():
     with pytest.raises(ValueError):
         frame_pitch(np.ones(200), PitchConfig(), SR, 1.0)
