@@ -20,11 +20,11 @@ testkit.train_reference, which the tests compare train against.
 
 The step computes in place: forward, backward, Adam and the per-block
 hidden sums of the epoch scoring write each result into an array they have
-already allocated (`u += b1`, `g *= mask`, `np.take(..., out=h)`), never
-into their inputs or the model's tensors (apart from Adam's update). An
-in-place form stands in for an expression only where it runs the same IEEE
-operations in the same order, so the bits do not move; a chain such as
-(a * b) * c is never refolded into a * (b * c).
+already allocated (`u += b1`, `g *= mask`, the ReLU into the sum's own
+array), never into their inputs or the model's tensors (apart from Adam's
+update). An in-place form stands in for an expression only where it runs
+the same IEEE operations in the same order, so the bits do not move; a
+chain such as (a * b) * c is never refolded into a * (b * c).
 """
 
 from __future__ import annotations
@@ -441,7 +441,7 @@ def _pair_index(pairs: PairColumns, features: Mapping[str, np.ndarray], descript
     return table, rows, desc_idx, pairs.b_stronger.astype(np.float64)
 
 
-# Pairs gathered per step of _score_rows: its two [block x H] buffers stay in cache.
+# Pairs gathered per step of _score_rows: three [block x H] arrays stay in cache.
 _SCORE_BLOCK = 1024
 
 
@@ -465,20 +465,11 @@ def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_i
     second = (x @ model.w1[d:]) * scale
     w2t = model.w2.T
     logits = np.empty(len(rows))
-    # Each block gathers into the same two buffers. Every index is in range
-    # by construction; mode="clip" lets take write to out directly, where
-    # the default mode="raise" gathers into a temporary first.
-    hidden = np.empty((min(len(rows), _SCORE_BLOCK), model.hidden_dim))
-    gathered = np.empty_like(hidden)
     for start in range(0, len(rows), _SCORE_BLOCK):
         block = slice(start, start + _SCORE_BLOCK)
-        pair_rows = rows[block]
-        h, other = hidden[: len(pair_rows)], gathered[: len(pair_rows)]
-        np.take(first, pair_rows[:, 0], axis=0, out=h, mode="clip")
-        h += np.take(second, pair_rows[:, 1], axis=0, out=other, mode="clip")
+        h = first[rows[block, 0]] + second[rows[block, 1]]
         np.maximum(h, 0.0, out=h)
-        w2_rows = np.take(w2t, desc_idx[block], axis=0, out=other, mode="clip")
-        logits[block] = np.einsum("ph,ph->p", h, w2_rows)
+        logits[block] = np.einsum("ph,ph->p", h, w2t[desc_idx[block]])
     logits += model.b2[desc_idx]
     return 1.0 / (1.0 + np.exp(-np.clip(logits, -_LOGIT_CLAMP, _LOGIT_CLAMP)))
 

@@ -130,8 +130,7 @@ def frame_pitch(
     the whole utterance; rows whose own peak falls below silence_threshold
     times it are gated out before any correlation is computed.
     """
-    # C order, so a row mean sums as it does on a row copy of the frames.
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64, order="C"))
+    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     n = frames.shape[1]
     lag_min = max(2, int(np.ceil(sample_rate / config.ceiling)))
     lag_max = int(np.floor(sample_rate / config.floor))
@@ -151,19 +150,15 @@ def frame_pitch(
     upper = _LAG_OVERSAMPLE * (lag_max + 1) + 1
     nfft = next_pow2(n + lag_max + 2)
     w, w_acf = _window_and_acf(n, nfft, lo - 1, upper + 1)
-    # Every array below is this call's own, so each step runs in place;
-    # a row subset is copied out only when some row is gated.
-    if live.size == frames.shape[0]:
-        x = frames - frames.mean(axis=1, keepdims=True)
-    else:
-        x = frames[live]
-        x -= x.mean(axis=1, keepdims=True)
+    # The live rows are copied out, so every array below is this call's own
+    # and each step runs in place.
+    x = frames[live]
+    x -= x.mean(axis=1, keepdims=True)
     x *= w
     power = np.abs(np.fft.rfft(x, nfft))
     zero, r = _lag_acf(np.square(power, out=power), lo - 1, upper + 1)
     energetic = zero > 0
-    if not energetic.all():
-        live, zero, r = live[energetic], zero[energetic], r[energetic]
+    live, zero, r = live[energetic], zero[energetic], r[energetic]
     r /= zero[:, np.newaxis]
     r /= w_acf
 
