@@ -18,6 +18,11 @@ import numpy as np
 
 INTERNAL_RATE = 16000
 
+# The highest rate read or synthesized. Resampling taps grow with the rate:
+# 0.5 s at 383999 Hz, the worst rate under it, peaks at 791 MiB (tracemalloc).
+MAX_SAMPLE_RATE = 384_000
+MAX_SYNTH_SAMPLES = 1 << 24
+
 # The analysis hop in seconds: the pitch track, the measure slices around
 # its frames and the cepstral baselines all step by it.
 HOP = 0.010
@@ -85,6 +90,11 @@ class SynthSpec:
     f0 at or below 0.45 * sample_rate; an f0 that leaves none is rejected
     by synth.
 
+    round(duration * sample_rate) may not pass MAX_SYNTH_SAMPLES = 2**24
+    (17.5 min at 16 kHz), nor sample_rate MAX_SAMPLE_RATE, so synth stays
+    under 1 GB: a mixture with four formants peaks at 46-50 bytes per
+    sample (tracemalloc). A spec over either is refused as it is built.
+
     pulse_train, resonated_pulses and mixture are one complex phasor sum,
     Re(sum of c_m * w(t)**m), evaluated by Horner's rule, where c_m is a
     line's amplitude and phase and w(t) = exp(2*pi*i*f0*t) (exp(i*pi*f0*t)
@@ -114,6 +124,12 @@ class SynthSpec:
             raise ValueError("duration must be positive")
         if self.sample_rate <= 0:
             raise ValueError("sample rate must be positive")
+        if self.sample_rate > MAX_SAMPLE_RATE:
+            raise ValueError(f"sample rate {self.sample_rate} Hz is above {MAX_SAMPLE_RATE} Hz")
+        # round(x) > MAX_SYNTH_SAMPLES, an even number, exactly when x > MAX_SYNTH_SAMPLES + 0.5.
+        if self.duration * self.sample_rate > MAX_SYNTH_SAMPLES + 0.5:
+            raise ValueError(f"duration {self.duration} s at {self.sample_rate} Hz is over "
+                             f"{MAX_SYNTH_SAMPLES} samples")
         if self.kind != "white_noise" and self.f0 <= 0:
             raise ValueError("f0 must be positive")
         for freq, bandwidth in self.formants:
@@ -128,7 +144,8 @@ def load_audio(path) -> AudioBuffer:
 
     Accepts linear PCM at 8/16/24/32 bits and IEEE float32, any channel
     count (channels are averaged). Integer samples are normalized by their
-    full-scale magnitude (e.g. int16 by 32768).
+    full-scale magnitude (e.g. int16 by 32768). A rate above
+    MAX_SAMPLE_RATE raises AudioError before the samples are decoded.
     """
     path = Path(path)
     try:
@@ -137,6 +154,8 @@ def load_audio(path) -> AudioBuffer:
         raise AudioError(f"cannot read {path}: {exc}") from exc
     fmt, data = _parse_riff(raw, path)
     audio_format, n_channels, rate, bits = fmt
+    if rate > MAX_SAMPLE_RATE:
+        raise AudioError(f"{path}: sample rate {rate} Hz is above {MAX_SAMPLE_RATE} Hz")
     samples = _decode_samples(data, audio_format, bits, path)
     if n_channels < 1:
         raise AudioError(f"{path}: invalid channel count {n_channels}")

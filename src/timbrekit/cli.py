@@ -74,31 +74,20 @@ def _parse_formants(text: str):
 @main.command("synth")
 @click.option("--kind", type=click.Choice(SYNTH_KINDS), required=True)
 @click.option("--f0", type=float, default=100.0, show_default=True)
-@click.option("--dur", type=float, default=1.0, show_default=True, help="Duration in seconds.")
+@click.option("--dur", "duration", type=float, default=1.0, show_default=True, help="Duration in seconds.")
 @click.option("--amplitude", type=float, default=0.8, show_default=True)
 @click.option("--formants", default="", help="freq:bw pairs, e.g. 500:80,1500:100")
 @click.option("--subharmonic-gain", type=float, default=0.0, show_default=True)
 @click.option("--noise-gain", type=float, default=0.0, show_default=True)
-@click.option("--tilt", type=float, default=0.0, show_default=True, help="Source tilt, dB/octave.")
-@click.option("--rate", type=int, default=16000, show_default=True)
+@click.option("--tilt", "tilt_db_per_octave", type=float, default=0.0, show_default=True,
+              help="Source tilt, dB/octave.")
+@click.option("--rate", "sample_rate", type=int, default=16000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_guard
-def cmd_synth(kind, f0, dur, amplitude, formants, subharmonic_gain, noise_gain, tilt, rate, seed, out):
+def cmd_synth(formants, out, **fields):
     """Write a deterministic synthetic signal as 16-bit PCM WAV."""
-    spec = SynthSpec(
-        kind=kind,
-        f0=f0,
-        duration=dur,
-        amplitude=amplitude,
-        formants=_parse_formants(formants),
-        subharmonic_gain=subharmonic_gain,
-        noise_gain=noise_gain,
-        tilt_db_per_octave=tilt,
-        seed=seed,
-        sample_rate=rate,
-    )
-    write_wav(out, synth(spec))
+    write_wav(out, synth(SynthSpec(formants=_parse_formants(formants), **fields)))
     click.echo(f"wrote {out}")
 
 
@@ -107,7 +96,7 @@ def _pitch_config(config_arg: str | None) -> PitchConfig:
     if not config_arg:
         return PitchConfig()
     text = config_arg if config_arg.lstrip().startswith("{") else Path(config_arg).read_text()
-    overrides = json.loads(text, parse_int=float)
+    overrides = json.loads(text, parse_int=float, object_pairs_hook=features._unique_keys)
     if not isinstance(overrides, dict):
         raise ValueError(f"--config is not a JSON object: {text.strip()}")
     others = sorted(overrides.keys() - {"pitch"})
@@ -199,19 +188,16 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
 @click.option("--features", "features_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Checkpoint path.")
 @click.option("--log", "log_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--hidden", type=int, default=128, show_default=True)
+@click.option("--hidden", "hidden_dim", type=int, default=128, show_default=True)
 @click.option("--dropout", type=float, default=0.3, show_default=True)
-@click.option("--lr", type=float, default=1e-3, show_default=True)
+@click.option("--lr", "learning_rate", type=float, default=1e-3, show_default=True)
 @click.option("--batch-size", type=int, default=256, show_default=True)
 @click.option("--epochs", type=int, default=30, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_guard
-def cmd_train(manifest_path, features_path, out, log_path, hidden, dropout, lr, batch_size, epochs, seed):
+def cmd_train(manifest_path, features_path, out, log_path, **fields):
     """Train on the manifest's train split; deterministic under --seed."""
-    config = diffnet.TrainConfig(
-        hidden_dim=hidden, dropout=dropout, learning_rate=lr,
-        batch_size=batch_size, epochs=epochs, seed=seed,
-    )
+    config = diffnet.TrainConfig(**fields)
     records = manifest.read_manifest(manifest_path)
     for warning in manifest.check_manifest(records):
         click.echo(f"warning: {warning}", err=True)
@@ -222,7 +208,7 @@ def cmd_train(manifest_path, features_path, out, log_path, hidden, dropout, lr, 
     model, log = diffnet.train(train_pairs, table, config, feature_names=table.names)
     diffnet.save_checkpoint(model, out)
     if log_path:
-        Path(log_path).write_text(json.dumps({"seed": seed, "epochs": log}, sort_keys=True))
+        Path(log_path).write_text(json.dumps({"seed": config.seed, "epochs": log}, sort_keys=True))
     final = log[-1]
     click.echo(
         f"trained {config.epochs} epochs on {len(train_pairs)} pairs; "

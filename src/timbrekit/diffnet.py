@@ -38,6 +38,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .features import _unique_keys
+
 A_STRONGER = "A"
 B_STRONGER = "B"
 
@@ -250,13 +252,15 @@ def forward(
 
     Train mode uses batch statistics for BN and samples an inverted
     dropout mask from rng; infer mode uses running statistics and no
-    dropout, and is fully deterministic. No state is mutated here;
-    running-statistic updates happen in the training loop.
+    dropout, and is fully deterministic. No state is mutated here; the
+    training loop updates the running statistics from train mode's cache.
     """
     z = normalize_input(model, e_pair)
     train = mode == "train"
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    if return_cache and not train:
+        raise ValueError("only train mode returns a cache")
 
     x = z * np.concatenate([model.feature_weights, model.feature_weights])
     # u = x @ w1 + b1, centred in place.
@@ -297,7 +301,7 @@ def forward(
     cache = {
         "z": z, "x": x, "u_centered": u_centered, "mu": mu, "var": var, "inv_sigma": inv_sigma,
         "bn_out": bn_out, "mask": mask, "h_drop": h_drop,
-        "scores": scores, "train": train,
+        "scores": scores,
     }
     return scores, cache
 
@@ -314,7 +318,7 @@ def backward(
     """Exact gradients of the mean batch loss for every parameter group.
 
     Only the descriptor-indexed output of each sample receives gradient;
-    the dropout mask is the one recorded in the cache.
+    the dropout mask and the BN batch statistics are those of the cache.
     """
     scores = cache["scores"]
     batch = scores.shape[0]
@@ -338,21 +342,18 @@ def backward(
     g_gamma = t.sum(axis=0)
     g_beta = g.sum(axis=0)
     g *= model.gamma
-    if cache["train"]:
-        # The textbook BN backward with its -0.5, -1 and -2 factors folded
-        # into [H] vectors; scaling by a power of two commutes with rounding,
-        # so every value is bitwise what the unfolded expressions give.
-        np.multiply(g, u_centered, out=t)
-        t *= -0.5 * inv_sigma**3
-        g_var = t.sum(axis=0)
-        g *= inv_sigma
-        g_mu = -g.sum(axis=0) + g_var * (-2.0 * u_centered.mean(axis=0))
-        np.multiply(g_var * 2.0, u_centered, out=t)
-        t /= batch
-        g += t
-        g += g_mu / batch
-    else:
-        g *= inv_sigma
+    # The textbook BN backward with its -0.5, -1 and -2 factors folded into
+    # [H] vectors; scaling by a power of two commutes with rounding, so
+    # every value is bitwise what the unfolded expressions give.
+    np.multiply(g, u_centered, out=t)
+    t *= -0.5 * inv_sigma**3
+    g_var = t.sum(axis=0)
+    g *= inv_sigma
+    g_mu = -g.sum(axis=0) + g_var * (-2.0 * u_centered.mean(axis=0))
+    np.multiply(g_var * 2.0, u_centered, out=t)
+    t /= batch
+    g += t
+    g += g_mu / batch
 
     g_w1 = cache["x"].T @ g
     g_b1 = g.sum(axis=0)
@@ -480,11 +481,11 @@ def train(
     config: TrainConfig = TrainConfig(),
     *,
     feature_names,
-    descriptors=None,
 ) -> tuple[DiffNetModel, list[dict]]:
     """Fit a model; returns it plus a per-epoch loss/accuracy log.
 
-    feature_names names the columns of the feature vectors, in order.
+    feature_names names the columns of the feature vectors, in order; the
+    descriptor vocabulary is the sorted set of the pairs' descriptors.
 
     Deterministic given the seed: initialization, shuffling, and dropout
     all draw from one generator, and reductions run in a fixed order.
@@ -492,8 +493,7 @@ def train(
     pairs = _as_columns(pairs)
     if not pairs:
         raise ValueError("no training pairs")
-    if descriptors is None:
-        descriptors = tuple(sorted(set(pairs.descriptor)))
+    descriptors = tuple(sorted(set(pairs.descriptor)))
 
     rng = np.random.default_rng(config.seed)
 
@@ -577,11 +577,11 @@ def load_checkpoint(path) -> DiffNetModel:
     bn_epsilon above 0, dropout a finite number in [0, 1) and the tensors
     an object of arrays of finite numbers, with running_var at or above 0
     and norm_std above 0; an entry out of range is named with its tensor
-    and index.
+    and index, and a name repeated in one JSON object is refused.
     D is the number of feature names, N the number of descriptors and H the
     length of b1.
     """
-    payload = json.loads(Path(path).read_text())
+    payload = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     if not isinstance(payload, dict):
         raise ValueError("checkpoint is not a JSON object")
     version = payload.get("format_version")

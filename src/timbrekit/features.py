@@ -91,12 +91,16 @@ class EmptyFeatureError(ValueError):
 class FrameTrack:
     """Raw per-frame series: 13 measures keyed by MEASURE_NAMES, NaN = missing.
 
-    Unvoiced frames are NaN across all 13 series.
+    A frame is voiced where it has an f0; unvoiced frames are NaN across
+    all 13 series.
     """
 
     times: np.ndarray
-    voiced: np.ndarray
     values: dict[str, np.ndarray]
+
+    @property
+    def voiced(self) -> np.ndarray:
+        return np.isfinite(self.values["f0"])
 
 
 @dataclass(frozen=True)
@@ -135,11 +139,9 @@ def extract_track(buf: AudioBuffer, pitch: PitchConfig = PitchConfig()) -> Frame
     centers = ptrack.times[candidates]
     formants = formant_track(buf, centers)
 
-    voiced = np.zeros(ptrack.times.size, dtype=bool)
     values = {name: np.full(ptrack.times.size, np.nan) for name in MEASURE_NAMES}
     for rows, frames in frame_blocks(buf.samples, buf.sample_rate, centers, MEASURE_WINDOW):
         at = candidates[rows]
-        voiced[at] = True
         f0, found = ptrack.f0[at], formants[rows]
         values["f0"][at] = f0
         for k in range(1, 5):
@@ -152,7 +154,7 @@ def extract_track(buf: AudioBuffer, pitch: PitchConfig = PitchConfig()) -> Frame
         values["cpp"][at] = cpp_from_spectrum(spectrum)
         values["rms"][at] = rms_energy(frames)
         values["shr"][at] = shr(spectrum, f0)  # NaN where f0 is too high
-    return FrameTrack(times=ptrack.times, voiced=voiced, values=values)
+    return FrameTrack(times=ptrack.times, values=values)
 
 
 def aggregate(track: FrameTrack) -> FeatureVector:
@@ -315,7 +317,7 @@ class FeatureTable(dict):
 
 
 class _RepeatedName(ValueError):
-    """A JSON object names one key twice; the message is the name."""
+    """A JSON object names one key twice."""
 
 
 def _repeated(names) -> str | None:
@@ -324,9 +326,10 @@ def _repeated(names) -> str | None:
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The object_pairs_hook of every JSON input: a key named twice raises _RepeatedName."""
     record = dict(pairs)
     if len(record) < len(pairs):
-        raise _RepeatedName(_repeated(name for name, _ in pairs))
+        raise _RepeatedName(f"the record repeats the name {_repeated(name for name, _ in pairs)}")
     return record
 
 
@@ -364,7 +367,7 @@ def read_features(path) -> FeatureTable:
                     raise SchemaError(f"{path}:{lineno}: the line is not JSON "
                                       f"({exc.msg} at column {exc.colno})") from None
                 except _RepeatedName as exc:
-                    raise SchemaError(f"{path}:{lineno}: the record repeats the name {exc}") from None
+                    raise SchemaError(f"{path}:{lineno}: {exc}") from None
                 if not isinstance(record, dict) or "utt_id" not in record:
                     raise SchemaError(f"{path}:{lineno}: the record is not a JSON object with an utt_id")
                 utt_id = record.pop("utt_id")

@@ -9,9 +9,9 @@ The reader keeps the pairs as columns (diffnet.PairColumns plus a split
 column); ManifestRecord objects are built only when a caller indexes or
 iterates the Manifest. A block of lines that all have write_manifest's
 exact layout is read by one anchored regex pass. Any other block is decoded
-line by line: each stripped, non-empty line goes to json.loads. When any
-line is bad, the file is read again record by record to name the first bad
-line.
+line by line: each stripped, non-empty line goes to the JSON decoder,
+which rejects a key named twice. When any line is bad, the file is read
+again record by record to name the first bad line.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffnet import A_STRONGER, B_STRONGER, PairColumns, PairRecord, STANDARD_DESCRIPTORS
-from .features import utf8_lines
+from .features import _unique_keys, utf8_lines
 
 SPLITS = ("train", "test")
 FIELDS = ("utt_a", "utt_b", "descriptor", "label", "split")
@@ -111,6 +111,7 @@ _CANONICAL_LINE = re.compile(
     r"^\{" + ", ".join(f'"{key}": {_STRING}' for key in FIELDS) + r"\}(?:\n|\Z)", re.M
 )
 _FIELD_VALUES = itemgetter(*FIELDS)
+_DECODE = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
 
 def _decode_columns(fh) -> Manifest:
@@ -120,7 +121,7 @@ def _decode_columns(fh) -> Manifest:
     the regex groups, which equal what json.loads gives: the pattern is
     anchored at both ends of a line and a match spans one line, so as many
     matches as lines means every line matched in full. Any other block goes
-    line by line through json.loads. Each field's values are interned in a
+    line by line through _DECODE. Each field's values are interned in a
     table of its distinct values, so the columns share one string per
     distinct value and the checks run over the tables.
     """
@@ -129,7 +130,7 @@ def _decode_columns(fh) -> Manifest:
     while lines := list(islice(fh, _DECODE_LINES)):
         rows = _CANONICAL_LINE.findall("".join(lines))
         if len(rows) != len(lines):
-            rows = map(_FIELD_VALUES, map(json.loads, filter(None, map(str.strip, lines))))
+            rows = map(_FIELD_VALUES, map(_DECODE, filter(None, map(str.strip, lines))))
         for table, column, values in zip(tables, columns, zip(*rows)):
             column += map(table.setdefault, values, values)
     if not all(isinstance(value, str) for table in tables for value in table):
@@ -160,7 +161,7 @@ def _raise_first_bad_line(path) -> None:
             if not line:
                 continue
             try:
-                _record(json.loads(line))
+                _record(_DECODE(line))
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad manifest record: {exc}") from exc
 
@@ -185,20 +186,12 @@ def read_manifest(path) -> Manifest:
 
 
 def write_manifest(path, records: Sequence[ManifestRecord]) -> None:
+    """One json.dumps line per record, its keys in FIELDS order: the layout _CANONICAL_LINE reads."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for entry in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "utt_a": entry.record.utt_a,
-                        "utt_b": entry.record.utt_b,
-                        "descriptor": entry.record.descriptor,
-                        "label": entry.record.label,
-                        "split": entry.split,
-                    }
-                )
-                + "\n"
-            )
+            pair = entry.record
+            values = (pair.utt_a, pair.utt_b, pair.descriptor, pair.label, entry.split)
+            fh.write(json.dumps(dict(zip(FIELDS, values))) + "\n")
 
 
 def check_manifest(manifest: Manifest) -> list[str]:

@@ -312,8 +312,7 @@ def _reference_backward(model, cache, scores, desc_idx, targets) -> dict[str, np
     }
 
 
-def train_reference(pairs, features, config: TrainConfig = TrainConfig(), *, feature_names,
-                    descriptors=None):
+def train_reference(pairs, features, config: TrainConfig = TrainConfig(), *, feature_names):
     """diffnet.train written out step by step; train must equal it bit for bit.
 
     Each batch is z-scored on its own, BN takes the batch variance from
@@ -321,8 +320,7 @@ def train_reference(pairs, features, config: TrainConfig = TrainConfig(), *, fea
     moments and updates per parameter group. Returns (model, log) as train does.
     """
     pairs = _as_columns(pairs)
-    if descriptors is None:
-        descriptors = tuple(sorted(set(pairs.descriptor)))
+    descriptors = tuple(sorted(set(pairs.descriptor)))
     rng = np.random.default_rng(config.seed)
     table, rows, desc_idx, targets = _pair_index(pairs, features, descriptors)
     norm_std = np.maximum(table.std(axis=0), _STD_GUARD)

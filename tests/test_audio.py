@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import timbrekit
 from timbrekit.audio import (
     FRAME_BLOCK,
+    MAX_SAMPLE_RATE,
+    MAX_SYNTH_SAMPLES,
     AudioBuffer,
     AudioError,
     SynthSpec,
@@ -105,6 +107,12 @@ class TestLoadAudio:
         path.write_bytes(b"not audio at all, just bytes")
         with pytest.raises(AudioError):
             load_audio(path)
+
+    def test_rate_above_the_bound_is_named(self, tmp_path):
+        path = make_wav(tmp_path / "fast.wav", bytes(4000), rate=MAX_SAMPLE_RATE + 1)
+        with pytest.raises(AudioError, match=f"sample rate {MAX_SAMPLE_RATE + 1} Hz is above {MAX_SAMPLE_RATE} Hz"):
+            load_audio(path)
+        assert load_audio(make_wav(tmp_path / "top.wav", bytes(4000), rate=MAX_SAMPLE_RATE)).sample_rate == 16000
 
     def test_auto_resample_to_internal_rate(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -424,6 +432,15 @@ class TestSynth:
             SynthSpec(kind="sine", duration=-1.0)
         with pytest.raises(ValueError):
             SynthSpec(kind="resonated_pulses", formants=((500.0, -1.0),))
+
+    def test_sample_count_and_rate_are_bounded(self):
+        """round(duration * rate) may reach MAX_SYNTH_SAMPLES and not pass it; no spec here is rendered."""
+        assert SynthSpec(kind="sine", duration=(MAX_SYNTH_SAMPLES + 0.5) / 16000).duration > 0
+        for duration in ((MAX_SYNTH_SAMPLES + 1) / 16000, 1e308):
+            with pytest.raises(ValueError, match=f"is over {MAX_SYNTH_SAMPLES} samples"):
+                SynthSpec(kind="sine", duration=duration)
+        with pytest.raises(ValueError, match=f"sample rate {MAX_SAMPLE_RATE + 1} Hz is above {MAX_SAMPLE_RATE} Hz"):
+            SynthSpec(kind="sine", duration=1e-3, sample_rate=MAX_SAMPLE_RATE + 1)
 
     def test_wav_round_trip(self, tmp_path):
         buf = synth(SynthSpec(kind="sine", f0=440.0, duration=0.2, amplitude=0.5))

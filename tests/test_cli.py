@@ -115,11 +115,24 @@ class TestSynthCommand:
 
         monkeypatch.setattr(cli, "synth", refuse)
         out = tmp_path / "x.wav"
-        result = run(runner, ["synth", "--kind", "sine", "--dur", "1e7", "--out", str(out)])
+        result = run(runner, ["synth", "--kind", "sine", "--dur", "1000", "--out", str(out)])
         assert result.exit_code == 1
         assert result.output == (
             "error: INVALID_INPUT: Unable to allocate 1.16 TiB for an array with shape (160000000000,)\n"
         )
+        assert not out.exists()
+
+    def test_sample_count_over_the_bound_is_one_error_line(self, runner, tmp_path, monkeypatch):
+        """One sample over 2**24 is refused as the spec is built, so synth renders nothing."""
+        def render(spec):
+            raise AssertionError(f"synth rendered {spec}")
+
+        monkeypatch.setattr(cli, "synth", render)
+        out = tmp_path / "x.wav"
+        result = runner.invoke(main, ["synth", "--kind", "sine", "--rate", "8000",
+                                      "--dur", repr((2**24 + 1) / 8000), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == "error: INVALID_INPUT: duration 2097.152125 s at 8000 Hz is over 16777216 samples\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("args,detail", [
@@ -289,6 +302,26 @@ class TestExtractCommand:
         else:
             assert not skip_path.exists()
 
+    def test_sample_rate_over_the_bound_is_skipped_as_unreadable(self, runner, tmp_path):
+        """A header rate of 2**32 - 1 Hz is refused before resampling, and the other file still gets its row.
+
+        The bound is imported first, so that a load_audio without it fails here
+        instead of building resampling taps for 4294967295 Hz.
+        """
+        from timbrekit.audio import MAX_SAMPLE_RATE
+
+        directory = make_voice_dir(tmp_path, count=1)
+        raw = bytearray((directory / "utt00.wav").read_bytes())
+        raw[24:28] = (2**32 - 1).to_bytes(4, "little")  # the fmt chunk's sample rate
+        (directory / "huge.wav").write_bytes(raw)
+        out = tmp_path / "f.csv"
+        result = run(runner, ["extract", str(directory), "--out", str(out)])
+        assert result.output == f"wrote 1 rows to {out}, skipped 1\n"
+        assert list(read_features(out)) == ["utt00"]
+        skip = json.loads((tmp_path / "f.csv.skipped.jsonl").read_text())
+        assert skip == {"utt_id": "huge", "reason": f"UNREADABLE:{directory / 'huge.wav'}: sample rate "
+                                                    f"4294967295 Hz is above {MAX_SAMPLE_RATE} Hz"}
+
     def test_config_override(self, runner, tmp_path):
         directory = make_voice_dir(tmp_path, count=1)
         out = tmp_path / "f.csv"
@@ -334,8 +367,11 @@ class TestExtractCommand:
         ('{"pitch": {"floor": 400}}', "floor 400 Hz is above 300 Hz: its 3-period window is under the 10 ms hop"),
         ('{"pitch": {"floor": 300.5}}',
          "floor 300.5 Hz is above 300 Hz: its 3-period window is under the 10 ms hop"),
+        ('{"pitch": {"floor": 60, "floor": 90}}', "the record repeats the name floor"),
+        ('{"pitch": {}, "pitch": {"floor": 90}}', "the record repeats the name pitch"),
     ], ids=["formant", "cpp", "shr", "frame", "min_voiced_frames", "pitch_number", "pitch_unknown_field",
-            "pitch_floor_string", "pitch_floor_400", "pitch_floor_300.5"])
+            "pitch_floor_string", "pitch_floor_400", "pitch_floor_300.5", "pitch_floor_repeated",
+            "pitch_repeated"])
     def test_config_other_than_pitch_fields_is_invalid_input(self, runner, tmp_path, config, detail):
         directory = make_voice_dir(tmp_path, count=1)
         out = tmp_path / "f.csv"
@@ -721,6 +757,18 @@ class TestEvalCommand:
             result = run(runner, [*args, "--model", str(model_path)])
             assert result.exit_code == 1
             assert result.output == f"error: INVALID_INPUT: {detail}\n"
+
+    def test_checkpoint_that_repeats_a_name_is_invalid_input(self, runner, tmp_path):
+        features_path, manifest_path, model_path = self.train_model(
+            tmp_path=tmp_path, runner=runner, n_train=200, n_test=40
+        )
+        text = model_path.read_text()
+        assert text.count('"dropout": 0.3, ') == 1
+        model_path.write_text(text.replace('"dropout": 0.3, ', '"dropout": 0.3, "dropout": 0.9, '))
+        for args in (["eval", "--manifest", str(manifest_path), "--features", str(features_path)], ["weights"]):
+            result = runner.invoke(main, [*args, "--model", str(model_path)])
+            assert result.exit_code == 1
+            assert result.output == "error: INVALID_INPUT: the record repeats the name dropout\n"
 
     def test_report_round_trips(self, runner, tmp_path):
         features_path, manifest_path, model_path = self.train_model(

@@ -72,7 +72,7 @@ def track_from_series(**series):
     voiced = np.isfinite(values["f0"])
     for name in MEASURE_NAMES:
         values[name][~voiced] = np.nan
-    return FrameTrack(times=np.arange(n) * 0.01, voiced=voiced, values=values)
+    return FrameTrack(times=np.arange(n) * 0.01, values=values)
 
 
 class TestCanonicalOrder:
@@ -259,36 +259,37 @@ class TestFrameIndependence:
         assert np.isnan(want.frequencies).all(axis=1).any()  # all-zero windows in the digital silence
 
 
-def cov_f0(series):
-    """The cov_f0 entry of the vector aggregate pools from an f0 series.
+def cov_rms(series):
+    """The cov_rms entry of the vector aggregate pools from an rms series.
 
-    Frames past the series are voiced with no f0 value, so a short series
-    still meets MIN_VOICED_FRAMES.
+    Every frame is voiced, with f0 on MIN_VOICED_FRAMES frames at least;
+    frames past the series have no rms value, so a short series still
+    meets MIN_VOICED_FRAMES.
     """
-    f0 = np.full(max(len(series), MIN_VOICED_FRAMES), np.nan)
-    f0[: len(series)] = series
-    values = {name: np.ones(f0.size) for name in MEASURE_NAMES} | {"f0": f0}
-    track = FrameTrack(times=np.arange(f0.size) * 0.01, voiced=np.ones(f0.size, dtype=bool), values=values)
-    return aggregate(track).values[FEATURE_NAMES.index("cov_f0")]
+    rms = np.full(max(len(series), MIN_VOICED_FRAMES), np.nan)
+    rms[: len(series)] = series
+    values = {name: np.ones(rms.size) for name in MEASURE_NAMES} | {"rms": rms}
+    track = FrameTrack(times=np.arange(rms.size) * 0.01, values=values)
+    return aggregate(track).values[FEATURE_NAMES.index("cov_rms")]
 
 
 class TestCov:
     def test_constant_series(self):
-        assert cov_f0([5.0, 5.0, 5.0]) == 0.0
+        assert cov_rms([5.0, 5.0, 5.0]) == 0.0
 
     def test_123(self):
         # denominator carries the documented 1e-9 epsilon
-        assert cov_f0([1.0, 2.0, 3.0]) == pytest.approx(np.sqrt(2.0 / 3.0) / (2.0 + 1e-9), rel=1e-12)
+        assert cov_rms([1.0, 2.0, 3.0]) == pytest.approx(np.sqrt(2.0 / 3.0) / (2.0 + 1e-9), rel=1e-12)
 
     def test_empty_errors(self):
-        with pytest.raises(EmptyFeatureError):
-            cov_f0([])
-        with pytest.raises(EmptyFeatureError):
-            cov_f0([np.nan, np.nan])
+        for series in ([], [np.nan, np.nan]):
+            with pytest.raises(EmptyFeatureError) as err:
+                cov_rms(series)
+            assert err.value.feature == "rms"
 
     def test_scale_invariance(self):
         series = [1.0, 2.0, 4.5, 3.0]
-        assert cov_f0(series) == pytest.approx(cov_f0([7 * v for v in series]), rel=1e-9)
+        assert cov_rms(series) == pytest.approx(cov_rms([7 * v for v in series]), rel=1e-9)
 
 
 class TestAggregate:

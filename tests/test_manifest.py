@@ -166,7 +166,7 @@ class TestColumnarReader:
         ]
         path = tmp_path / "pairs.jsonl"
         write_manifest(path, entries)
-        with mock.patch("json.loads", side_effect=AssertionError("a line went to json.loads")):
+        with mock.patch.object(manifest, "_DECODE", side_effect=AssertionError("a line went to the JSON decoder")):
             pairs = read_manifest(path)
         assert list(pairs) == [one_line(json.loads(line)) for line in path.read_text().splitlines()]
 
@@ -213,6 +213,19 @@ class TestColumnarReader:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"pairs\.jsonl:1: bad manifest record: Extra data"):
             read_manifest(path)
+
+    def test_repeated_name_is_named_with_its_line(self, tmp_path):
+        """json.loads keeps the last value of a repeated key; the reader rejects the line."""
+        good = json.dumps(PLAIN)
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("\n".join([good, good[:-1] + ', "label": "B"}', good]) + "\n")
+        assert error_text(path) == f"{path}:2: bad manifest record: the record repeats the name label"
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank_lines"])
+    def test_file_without_records_is_empty(self, tmp_path, text):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(text)
+        assert error_text(path) == f"{path}: empty manifest"
 
     def test_byte_that_is_not_utf8_names_its_line(self, tmp_path):
         """The first bad line is named, whether it holds a byte that is not UTF-8 or a bad record."""
