@@ -35,7 +35,7 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (features.SilentUtteranceError, features.SchemaError) as exc:
+        except features.SchemaError as exc:
             _fail(exc.reason, str(exc))
         except AudioError as exc:
             _fail("AUDIO", str(exc))
@@ -127,7 +127,7 @@ def _extract_one(args) -> tuple[str, np.ndarray | None, int, str | None]:
         return utt_id, vector.values, vector.frames, None
     except (features.SilentUtteranceError, features.EmptyFeatureError) as exc:
         return utt_id, None, 0, exc.reason
-    except (AudioError, ValueError) as exc:
+    except ValueError as exc:
         return utt_id, None, 0, f"UNREADABLE:{exc}"
 
 
@@ -216,21 +216,17 @@ def cmd_train(manifest_path, features_path, out, log_path, **fields):
     )
 
 
-def _metrics(scored: evaluation.ScoredColumns, curve=None) -> dict:
-    """Pair count, accuracy, and EER (None unless both labels occur) of scored pairs.
+def _metrics(scored: evaluation.ScoredColumns) -> tuple[dict, list]:
+    """The report entry of scored pairs (pair count, accuracy, EER) and the FAR/FRR curve of its EER.
 
-    A FAR/FRR curve already built for these pairs gives the EER without a second sweep.
+    Unless both labels occur, the EER is None and the curve is empty.
     """
     entry = {"pairs": len(scored), "accuracy": evaluation.accuracy(scored), "eer": None}
-    if curve:
+    curve = []
+    if scored.positive.any() and not scored.positive.all():
+        curve = evaluation.far_frr_curve(scored)
         entry["eer"] = evaluation.eer_from_curve(curve)
-    elif _both_labels(scored):
-        entry["eer"] = evaluation.eer(scored)
-    return entry
-
-
-def _both_labels(scored: evaluation.ScoredColumns) -> bool:
-    return bool(scored.positive.any() and not scored.positive.all())
+    return entry, curve
 
 
 def _by_descriptor(descriptor: np.ndarray) -> dict[str, np.ndarray]:
@@ -252,13 +248,12 @@ def _pct(value) -> str:
 @click.option("--features", "features_path", type=click.Path(exists=True), required=True)
 @click.option("--model", "model_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="JSON report path.")
-@click.option("--split", type=click.Choice(manifest.SPLITS), default="test", show_default=True)
 @_guard
-def cmd_eval(manifest_path, features_path, model_path, out, split):
+def cmd_eval(manifest_path, features_path, model_path, out):
     """Score the manifest's test split and report accuracy and EER."""
-    pairs = manifest.read_manifest(manifest_path).split_pairs(split)
+    pairs = manifest.read_manifest(manifest_path).split_pairs("test")
     if not pairs:
-        _fail("INVALID_INPUT", f"manifest has no {split} split")
+        _fail("INVALID_INPUT", "manifest has no test split")
     table = features.read_features(features_path)
     model = diffnet.load_checkpoint(model_path)
     if table.names != model.feature_names:
@@ -266,18 +261,15 @@ def cmd_eval(manifest_path, features_path, model_path, out, split):
         _fail("SCHEMA", f"{features_path} and the model's feature names differ in {differ}")
     scored = evaluation.ScoredColumns(diffnet.score_pairs(model, pairs, table), pairs.b_stronger)
 
-    curve = []
-    if _both_labels(scored):
-        curve = evaluation.far_frr_curve(scored)
-    else:
+    overall, curve = _metrics(scored)
+    if not curve:
         click.echo("warning: single-class split, EER is N/A", err=True)
-    overall = _metrics(scored, curve)
     per_descriptor = {
-        d: _metrics(scored.take(index)) for d, index in _by_descriptor(pairs.descriptor).items()
+        d: _metrics(scored.take(index))[0] for d, index in _by_descriptor(pairs.descriptor).items()
     }
 
     report = {
-        "split": split,
+        "split": "test",
         **overall,
         "per_descriptor": per_descriptor,
         "far_frr": curve,

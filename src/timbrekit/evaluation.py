@@ -87,15 +87,20 @@ def far_frr_curve(scored: ScoredColumns) -> list[tuple[float, float, float]]:
 
 
 def eer_from_curve(curve: list[tuple[float, float, float]]) -> float:
-    """Equal error rate in percent at the crossing of a far_frr_curve's rates."""
+    """Equal error rate in percent at the crossing of a far_frr_curve's rates.
+
+    The curve must be far_frr_curve's: its first point, at the lowest score,
+    has FAR 1 and FRR 0, and its last is the FAR 0, FRR 1 sentinel. FAR - FRR
+    falls monotonically from +1 to -1, so it first reaches 0 or below at a
+    point past the first, and the crossing lies between that point and the
+    one before, where it is still positive.
+    """
     far = np.array([c[1] for c in curve])
     frr = np.array([c[2] for c in curve])
-    diff = far - frr  # starts at +, ends at -, monotone nonincreasing
+    diff = far - frr
     cross = int(np.argmax(diff <= 0.0))
-    if cross == 0:
-        return float(far[0] * 100.0)
     d0, d1 = diff[cross - 1], diff[cross]
-    alpha = 0.0 if d0 == d1 else d0 / (d0 - d1)
+    alpha = d0 / (d0 - d1)
     value = far[cross - 1] + alpha * (far[cross] - far[cross - 1])
     return float(value * 100.0)
 

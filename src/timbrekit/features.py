@@ -216,7 +216,8 @@ def _cepstral(buf: AudioBuffer, scale: str, nfft: int) -> FeatureVector:
 
     Each frame's cepstra are its log energies times _DCT_BASIS, the product
     that cost_report counts under `dct`; they equal the first 13 outputs of
-    an orthonormal DCT-II to about 1e-14.
+    an orthonormal DCT-II to about 1e-14. Both products are einsum loops, not
+    BLAS calls, so the bytes do not depend on the BLAS thread count.
     """
     buf = resample(buf, INTERNAL_RATE)
     times = frame_times(buf, CEPSTRAL_WINDOW)
@@ -224,8 +225,8 @@ def _cepstral(buf: AudioBuffer, scale: str, nfft: int) -> FeatureVector:
     total = np.zeros(len(CEPSTRAL_NAMES))
     for _, frames in frame_blocks(buf.samples, buf.sample_rate, times, CEPSTRAL_WINDOW):
         power = np.abs(np.fft.rfft(frames * np.hanning(frames.shape[1]), nfft)) ** 2
-        log_energy = np.log(np.maximum(power @ bank.T, _LOG_FLOOR))
-        total += (log_energy @ _DCT_BASIS).sum(axis=0)
+        log_energy = np.log(np.maximum(np.einsum("fb,kb->fk", power, bank), _LOG_FLOOR))
+        total += np.einsum("fk,kc->fc", log_energy, _DCT_BASIS).sum(axis=0)
     return FeatureVector(total / times.size, times.size)
 
 

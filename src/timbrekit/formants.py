@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +26,12 @@ MAX_BANDWIDTH = 700.0
 WINDOW = 0.025
 LPC_ORDER = 2 * MAX_FORMANTS
 ANALYSIS_RATE = int(round(2.0 * CEILING))
+# The exp(-12 x^2) taper, rescaled to hit zero at the edges, of every analysis
+# window; frame_blocks cuts each one round(WINDOW * ANALYSIS_RATE) samples long.
+_WINDOW_SAMPLES = int(round(WINDOW * ANALYSIS_RATE))
+_OFFSETS = (np.arange(_WINDOW_SAMPLES) + 0.5) / _WINDOW_SAMPLES - 0.5  # in window lengths
+_TAPER = (np.exp(-12.0 * _OFFSETS * _OFFSETS) - np.exp(-12.0)) / (1.0 - np.exp(-12.0))
+_TAPER.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,15 +143,6 @@ def roots_to_formants(lpc: np.ndarray, analysis_rate: float) -> FormantTrack:
     return FormantTrack(freq, bandwidth)
 
 
-@lru_cache(maxsize=8)
-def _gaussian_window(n: int) -> np.ndarray:
-    # exp(-12 x^2) taper rescaled to hit zero at the edges.
-    t = (np.arange(n) + 0.5) / n - 0.5
-    w = (np.exp(-12.0 * t * t) - np.exp(-12.0)) / (1.0 - np.exp(-12.0))
-    w.setflags(write=False)
-    return w
-
-
 def formant_track(buf: AudioBuffer, centers) -> FormantTrack:
     """Per-frame formants of the 25 ms windows centred at `centers` (s), one row per centre.
 
@@ -166,7 +162,7 @@ def formant_track(buf: AudioBuffer, centers) -> FormantTrack:
     shape = (len(centers), MAX_FORMANTS)
     frequencies, bandwidths = np.full(shape, np.nan), np.full(shape, np.nan)
     for rows, frames in frame_blocks(emphasized, rate, centers, WINDOW):
-        lpc = burg(frames * _gaussian_window(frames.shape[1]), LPC_ORDER)
+        lpc = burg(frames * _TAPER, LPC_ORDER)
         found = roots_to_formants(lpc, rate)
         frequencies[rows] = found.frequencies
         bandwidths[rows] = found.bandwidths

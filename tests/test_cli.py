@@ -1,5 +1,9 @@
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import wave
 
 import numpy as np
@@ -262,6 +266,50 @@ class TestExtractCommand:
         assert list(read_features(out)) == ["a"]
         assert not (tmp_path / "f.csv.skipped.jsonl").exists()
 
+    def test_clean_extract_removes_an_earlier_skip_list(self, runner, tmp_path):
+        directory = make_voice_dir(tmp_path, count=1)
+        out = tmp_path / "f.csv"
+        skip_path = tmp_path / "f.csv.skipped.jsonl"
+        skip_path.write_text('{"utt_id": "old", "reason": "SILENT_UTTERANCE"}\n')
+        result = run(runner, ["extract", str(directory), "--out", str(out)])
+        assert result.exit_code == 0
+        assert result.output == f"wrote 1 rows to {out}\n"
+        assert not skip_path.exists()
+
+    def test_directory_without_wav_files_is_invalid_input(self, runner, tmp_path):
+        directory = tmp_path / "notes"
+        directory.mkdir()
+        (directory / "readme.txt").write_text("no audio here\n")
+        result = runner.invoke(main, ["extract", str(directory), "--out", str(tmp_path / "f.csv")])
+        assert result.exit_code == 1
+        assert result.output == "error: INVALID_INPUT: no input files\n"
+
+    @pytest.mark.parametrize("kind", ["mfcc", "lfc"])
+    def test_cepstral_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, kind):
+        """One and two BLAS threads give the same table; only a machine with 2+ CPUs can tell them apart.
+
+        The acoustic kind is left out: its pitch lags and CPP quefrencies are
+        BLAS products (audio.irfft_columns) whose bits still move with the
+        thread count.
+        """
+        directory = tmp_path / "wavs"
+        directory.mkdir()
+        formants = ((500.0, 80.0), (1500.0, 100.0), (2500.0, 150.0), (3500.0, 200.0))
+        for seed, f0 in enumerate((120.0, 160.0, 200.0)):
+            spec = SynthSpec(kind="mixture", f0=f0, duration=2.0, formants=formants, noise_gain=0.005,
+                             tilt_db_per_octave=-6.0, seed=seed)
+            write_wav(directory / f"v{seed}.wav", synth(spec))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{threads}.csv"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "timbrekit.cli", "extract", str(directory), "--kind", kind,
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
+
     def test_all_skipped_is_an_error(self, runner, tmp_path):
         directory = make_voice_dir(tmp_path, count=0, silent=2)
         result = runner.invoke(main, ["extract", str(directory), "--out", str(tmp_path / "f.csv")])
@@ -393,6 +441,15 @@ class TestTrainCommand:
         assert result.exit_code == 0
         log = json.loads(log_path.read_text())
         assert log["epochs"][-1]["train_accuracy"] >= 0.99
+
+    def test_manifest_without_a_train_split_is_invalid_input(self, runner, tmp_path):
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=0, n_test=20)
+        result = runner.invoke(main, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
+                                      "--out", str(tmp_path / "model.json")])
+        assert result.exit_code == 1
+        assert [line for line in result.output.splitlines() if line.startswith("error:")] == [
+            "error: INVALID_INPUT: manifest has no train split"]
+        assert not (tmp_path / "model.json").exists()
 
     def test_unknown_id_is_named(self, runner, tmp_path):
         features_path, manifest_path = separable_training_setup(tmp_path, n_train=20, n_test=5)
@@ -649,6 +706,16 @@ class TestEvalCommand:
                               "--features", str(features_path), "--model", str(model_path)])
         assert result.exit_code == 0
         assert "EER is N/A" in result.output or "N/A" in result.output
+
+    def test_manifest_without_a_test_split_is_invalid_input(self, runner, tmp_path):
+        features_path, manifest_path, model_path = self.train_model(
+            tmp_path=tmp_path, runner=runner, n_train=200, n_test=0
+        )
+        result = runner.invoke(main, ["eval", "--manifest", str(manifest_path), "--features", str(features_path),
+                                      "--model", str(model_path), "--out", str(tmp_path / "report.json")])
+        assert result.exit_code == 1
+        assert result.output == "error: INVALID_INPUT: manifest has no test split\n"
+        assert not (tmp_path / "report.json").exists()
 
     def test_one_curve_per_eer(self, runner, tmp_path, monkeypatch):
         """The overall curve serves the overall EER and the report; each descriptor adds one."""

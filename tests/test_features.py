@@ -47,7 +47,7 @@ from timbrekit.formants import (
     PRE_EMPHASIS_FROM,
     WINDOW,
     FormantTrack,
-    _gaussian_window,
+    _TAPER,
     burg,
     dispersion,
     formant_track,
@@ -163,7 +163,7 @@ def one_window_formants(buf, centers):
     for center in centers:
         start = int(round(center * rate - win / 2.0))
         if 0 <= start and start + win <= emphasized.size:
-            lpc = burg(emphasized[start : start + win] * _gaussian_window(win), LPC_ORDER)
+            lpc = burg(emphasized[start : start + win] * _TAPER, LPC_ORDER)
         else:  # the window is outside the buffer
             lpc = np.full(LPC_ORDER, np.nan)
         rows.append(roots_to_formants(lpc, rate))
