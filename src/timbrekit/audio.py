@@ -22,6 +22,9 @@ INTERNAL_RATE = 16000
 # 0.5 s at 383999 Hz, the worst rate under it, peaks at 791 MiB (tracemalloc).
 MAX_SAMPLE_RATE = 384_000
 MAX_SYNTH_SAMPLES = 1 << 24
+# resample caches 8 tap tables of at most 512 KiB each, 4 MiB in all: 16 -> 11.025 kHz (formant_track)
+# makes 107 KiB and 44.1 -> 16 kHz 71 KiB, while 44101 -> 16 kHz makes 7 MiB, built on each call.
+_CACHED_TAPS_BYTES = 512 << 10
 
 # The analysis hop in seconds: the pitch track, the measure slices around
 # its frames and the cepstral baselines all step by it.
@@ -253,8 +256,9 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     ratio = Fraction(int(target_rate), buf.sample_rate)
     up, down = ratio.numerator, ratio.denominator
     n_out = -(-buf.samples.size * up // down)
-    taps = _polyphase_taps(up, down)
-    reach = taps.shape[1] // 2
+    reach = 10 * max(up, down) // up + 1
+    cached = 8 * up * (2 * reach + 1) <= _CACHED_TAPS_BYTES
+    taps = (_polyphase_taps if cached else _polyphase_taps.__wrapped__)(up, down, reach)
     view = np.lib.stride_tricks.sliding_window_view(np.pad(buf.samples, reach), taps.shape[1])
     out = np.empty(n_out)
     for r in range(min(up, n_out)):
@@ -264,21 +268,20 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
 
 
 @lru_cache(maxsize=8)
-def _polyphase_taps(up: int, down: int) -> np.ndarray:
+def _polyphase_taps(up: int, down: int, reach: int) -> np.ndarray:
     """[up x (2K + 1)] read-only taps, one row per output phase r = o mod up, for coprime up and down.
 
     The prototype filter is a Kaiser-windowed sinc (beta 5) with cutoff
     1/max(up, down) of Nyquist and half-length L = 10 * max(up, down) taps
     on the upsampled grid, scaled to a DC gain of up. Output o = r + j * up
     is taps[r] dotted with the 2K + 1 inputs centred on input
-    r * down // up + j * down, where K = L // up + 1 covers every tap.
+    r * down // up + j * down, where reach K = L // up + 1 covers every tap.
     """
     half = 10 * max(up, down)
     cutoff = 1.0 / max(up, down)
     m = np.arange(-half, half + 1)
     h = cutoff * np.sinc(cutoff * m) * np.kaiser(2 * half + 1, 5.0)
     h *= up / np.sum(h)
-    reach = half // up + 1
     # Tap s of phase r weighs input centre - reach + s, at filter offset (r * down) % up + (reach - s) * up.
     offset = (np.arange(up) * down % up)[:, np.newaxis] + (reach - np.arange(2 * reach + 1)) * up
     taps = np.where(np.abs(offset) <= half, h[np.clip(offset + half, 0, 2 * half)], 0.0)

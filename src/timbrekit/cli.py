@@ -11,7 +11,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -20,8 +19,6 @@ import numpy as np
 from . import diffnet, evaluation, features, manifest
 from .audio import AudioError, SYNTH_KINDS, SynthSpec, load_audio, synth, write_wav
 from .pitch import PitchConfig
-
-FEATURE_KINDS = ("acoustic", "mfcc", "lfc")
 
 
 def _fail(reason: str, detail: str):
@@ -119,11 +116,7 @@ def _extract_one(args) -> tuple[str, np.ndarray | None, int, str | None]:
     path, kind, pitch = args
     utt_id = Path(path).stem
     try:
-        buf = load_audio(path)
-        if kind == "acoustic":
-            vector = features.extract_vector(buf, pitch)
-        else:
-            vector = (features.mfcc if kind == "mfcc" else features.lfc)(buf)
+        vector = features.vector_for(kind, load_audio(path), pitch)
         return utt_id, vector.values, vector.frames, None
     except (features.SilentUtteranceError, features.EmptyFeatureError) as exc:
         return utt_id, None, 0, exc.reason
@@ -133,7 +126,7 @@ def _extract_one(args) -> tuple[str, np.ndarray | None, int, str | None]:
 
 @main.command("extract")
 @click.argument("inputs", nargs=-1, required=True, type=click.Path(exists=True))
-@click.option("--kind", type=click.Choice(FEATURE_KINDS), default="acoustic", show_default=True)
+@click.option("--kind", type=click.Choice(features.FEATURE_KINDS), default="acoustic", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help=".csv or .jsonl")
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--config", "config_arg", default=None,
@@ -162,6 +155,7 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
     # The pool starts all its workers on the first submit, so it gets no more than there are files.
     workers = min(jobs, len(paths))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, ~10% of the CLI import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_extract_one, tasks))
     else:
@@ -301,7 +295,7 @@ def cmd_weights(model_path, out):
 
 
 @main.command("flops")
-@click.option("--kind", type=click.Choice(FEATURE_KINDS), default="acoustic", show_default=True)
+@click.option("--kind", type=click.Choice(features.FEATURE_KINDS), default="acoustic", show_default=True)
 @click.option("--model", "model_path", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="JSON report path.")
 @_guard

@@ -231,14 +231,27 @@ def init_model(
     )
 
 
+def _zscore(model: DiffNetModel, x: np.ndarray) -> np.ndarray:
+    """[..., D] rows z-scored with the training statistics and clipped to +-10, in a fresh array."""
+    z = x - model.norm_mean
+    z /= model.norm_std
+    return np.clip(z, -_ZSCORE_CLIP, _ZSCORE_CLIP, out=z)
+
+
+def _sigmoid(logits: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-logits)) with logits clamped to +-30, one operation at a time in logits' own array."""
+    np.clip(logits, -_LOGIT_CLAMP, _LOGIT_CLAMP, out=logits)
+    np.exp(np.negative(logits, out=logits), out=logits)
+    logits += 1.0
+    return np.divide(1.0, logits, out=logits)
+
+
 def normalize_input(model: DiffNetModel, e_pair: np.ndarray) -> np.ndarray:
     """Z-score each half with the training statistics, clipped to +-10."""
     x = np.atleast_2d(np.asarray(e_pair, dtype=np.float64))
     if x.shape[1] != model.input_dim:
         raise ValueError(f"expected input dim {model.input_dim}, got {x.shape[1]}")
-    z = x - np.concatenate([model.norm_mean, model.norm_mean])
-    z /= np.concatenate([model.norm_std, model.norm_std])
-    return np.clip(z, -_ZSCORE_CLIP, _ZSCORE_CLIP, out=z)
+    return _zscore(model, x.reshape(-1, 2, len(model.feature_names))).reshape(x.shape)
 
 
 def forward(
@@ -246,21 +259,18 @@ def forward(
     e_pair: np.ndarray,
     mode: str = "infer",
     rng: np.random.Generator | None = None,
-    return_cache: bool = False,
 ):
     """[B, N] scores in (0, 1) for each descriptor; a 1-D pair is a one-row batch.
 
-    Train mode uses batch statistics for BN and samples an inverted
-    dropout mask from rng; infer mode uses running statistics and no
-    dropout, and is fully deterministic. No state is mutated here; the
-    training loop updates the running statistics from train mode's cache.
+    Infer mode returns the scores alone: running statistics for BN, no
+    dropout, fully deterministic. Train mode returns (scores, cache): batch
+    statistics for BN and an inverted dropout mask drawn from rng. No state
+    is mutated here; the training loop updates the running statistics from the cache.
     """
     z = normalize_input(model, e_pair)
     train = mode == "train"
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if return_cache and not train:
-        raise ValueError("only train mode returns a cache")
 
     x = z * np.concatenate([model.feature_weights, model.feature_weights])
     # u = x @ w1 + b1, centred in place.
@@ -278,32 +288,23 @@ def forward(
     bn_out += model.beta
     h_drop = np.maximum(bn_out, 0.0)
 
+    mask = 1.0  # no dropout: multiplying by 1 leaves every bit as it is
     if train and model.dropout > 0.0:
         if rng is None:
             raise ValueError("train mode with dropout needs an rng")
         mask = rng.random(h_drop.shape)
         np.divide(mask >= model.dropout, 1.0 - model.dropout, out=mask)
-    else:
-        mask = np.ones_like(h_drop)
-    h_drop *= mask
+        h_drop *= mask
 
     scores = h_drop @ model.w2
     scores += model.b2
-    np.clip(scores, -_LOGIT_CLAMP, _LOGIT_CLAMP, out=scores)
-    # 1 / (1 + exp(-logits)), one operation at a time.
-    np.negative(scores, out=scores)
-    np.exp(scores, out=scores)
-    scores += 1.0
-    np.divide(1.0, scores, out=scores)
-
-    if not return_cache:
+    _sigmoid(scores)
+    if not train:
         return scores
-    cache = {
+    return scores, {
         "z": z, "x": x, "u_centered": u_centered, "mu": mu, "var": var, "inv_sigma": inv_sigma,
-        "bn_out": bn_out, "mask": mask, "h_drop": h_drop,
-        "scores": scores,
+        "bn_out": bn_out, "mask": mask, "h_drop": h_drop, "scores": scores,
     }
-    return scores, cache
 
 
 def batch_loss(scores: np.ndarray, desc_idx: np.ndarray, targets: np.ndarray) -> float:
@@ -442,8 +443,9 @@ def _pair_index(pairs: PairColumns, features: Mapping[str, np.ndarray], descript
     return table, rows, desc_idx, pairs.b_stronger.astype(np.float64)
 
 
-# Pairs gathered per step of _score_rows: three [block x H] arrays stay in cache.
-_SCORE_BLOCK = 1024
+# Pairs per step of _score_rows; a block makes four [block x H] temporaries, 256 KiB each at H = 128.
+# At 1024 (1 MiB each) they fell into glibc malloc's mmap/trim churn: 15x the page faults, twice the time.
+_SCORE_BLOCK = 256
 
 
 def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_idx: np.ndarray) -> np.ndarray:
@@ -459,8 +461,8 @@ def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_i
     d = len(model.feature_names)
     if table.shape[1] != d:
         raise ValueError(f"expected {d} features per utterance, got {table.shape[1]}")
-    z = np.clip((table - model.norm_mean) / model.norm_std, -_ZSCORE_CLIP, _ZSCORE_CLIP)
-    x = z * model.feature_weights
+    x = _zscore(model, table)
+    x *= model.feature_weights
     scale = model.gamma / np.sqrt(model.running_var + model.bn_epsilon)
     first = (x @ model.w1[:d] + model.b1 - model.running_mean) * scale + model.beta
     second = (x @ model.w1[d:]) * scale
@@ -472,7 +474,7 @@ def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_i
         np.maximum(h, 0.0, out=h)
         logits[block] = np.einsum("ph,ph->p", h, w2t[desc_idx[block]])
     logits += model.b2[desc_idx]
-    return 1.0 / (1.0 + np.exp(-np.clip(logits, -_LOGIT_CLAMP, _LOGIT_CLAMP)))
+    return _sigmoid(logits)
 
 
 def train(
@@ -518,7 +520,7 @@ def train(
             sel = order[start : start + config.batch_size]
             # Each batch gathers its own [B x 2D] pair rows, so memory grows with U*D + P, not P*D.
             x = table[rows[sel]].reshape(sel.size, -1)
-            scores, cache = forward(model, x, mode="train", rng=rng, return_cache=True)
+            scores, cache = forward(model, x, mode="train", rng=rng)
             epoch_loss += batch_loss(scores, desc_idx[sel], targets[sel]) * sel.size
             grads = backward(model, cache, desc_idx[sel], targets[sel])
             adam.step(grads)

@@ -20,8 +20,7 @@ import numpy as np
 from .audio import HOP, INTERNAL_RATE, next_pow2
 from .diffnet import DiffNetModel, STANDARD_DESCRIPTORS, TrainConfig, init_model
 from .features import (
-    CEPSTRAL_WINDOW, LINEAR_FFT, MEASURE_WINDOW, MEL_FFT, SchemaError, feature_names_for,
-    filterbank_matrix,
+    CEPSTRAL_KINDS, CEPSTRAL_WINDOW, MEASURE_WINDOW, SchemaError, feature_names_for, filterbank_matrix,
 )
 from .formants import ANALYSIS_RATE, LPC_ORDER, WINDOW as FORMANT_WINDOW
 from .noise_metrics import HARMONIC_COUNT_MAX, QUEFRENCY_CEILING
@@ -246,12 +245,11 @@ def _acoustic_breakdown() -> dict[str, int]:
     return breakdown
 
 
-def _cepstral_breakdown(kind: str) -> dict[str, int]:
+def _cepstral_breakdown(scale: str, nfft: int) -> dict[str, int]:
     sr = INTERNAL_RATE
     frames = int(round(1.0 / HOP))
     n = int(round(CEPSTRAL_WINDOW * sr))
-    nfft = MEL_FFT if kind == "mfcc" else LINEAR_FFT
-    bank = filterbank_matrix(nfft, sr, "mel" if kind == "mfcc" else "linear")
+    bank = filterbank_matrix(nfft, sr, scale)
     bins = nfft // 2 + 1
     per_frame = {
         "windowed_spectrum": 2 * n + _real_fft_flops(nfft) + 3 * bins,
@@ -292,10 +290,10 @@ def cost_report(feature_kind: str, model: DiffNetModel | None = None) -> CostRep
     if model is not None and model.feature_names != names:
         raise SchemaError(f"the model reads {len(model.feature_names)} features, "
                           f"not the {len(names)} {feature_kind} feature names")
-    if feature_kind == "acoustic":
-        breakdown = _acoustic_breakdown()
+    if feature_kind in CEPSTRAL_KINDS:
+        breakdown = _cepstral_breakdown(*CEPSTRAL_KINDS[feature_kind])
     else:
-        breakdown = _cepstral_breakdown(feature_kind)
+        breakdown = _acoustic_breakdown()
     if model is None:
         model = init_model(names, STANDARD_DESCRIPTORS, TrainConfig(), np.random.default_rng(0))
     classifier_breakdown = _classifier_breakdown(model)

@@ -59,6 +59,9 @@ _LOG_FLOOR = 1e-10
 # the shorter transform.
 MEL_FFT = 1024
 LINEAR_FFT = 512
+# The feature kinds; each cepstral kind is read through its (filterbank scale, FFT size).
+CEPSTRAL_KINDS = {"mfcc": ("mel", MEL_FFT), "lfc": ("linear", LINEAR_FFT)}
+FEATURE_KINDS = ("acoustic", *CEPSTRAL_KINDS)
 CEPSTRAL_WINDOW = 0.025
 N_FILTERS = 26
 BAND_TOP = 8000.0
@@ -184,18 +187,11 @@ def extract_vector(buf: AudioBuffer, pitch: PitchConfig = PitchConfig()) -> Feat
     return aggregate(extract_track(buf, pitch))
 
 
-def _hz_to_mel(hz):
-    return 2595.0 * np.log10(1.0 + np.asarray(hz) / 700.0)
-
-
-def _mel_to_hz(mel):
-    return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
-
-
 def filterbank_matrix(nfft: int, sample_rate: float, scale: str) -> np.ndarray:
-    """Triangular filterbank over the rfft bins, mel- or linearly spaced."""
+    """Triangular filterbank over the rfft bins, mel- (mel = 2595 log10(1 + hz / 700)) or linearly spaced."""
     if scale == "mel":
-        edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(BAND_TOP), N_FILTERS + 2))
+        mels = np.linspace(0.0, 2595.0 * np.log10(1.0 + BAND_TOP / 700.0), N_FILTERS + 2)
+        edges = 700.0 * (10.0 ** (mels / 2595.0) - 1.0)
     elif scale == "linear":
         edges = np.linspace(0.0, BAND_TOP, N_FILTERS + 2)
     else:
@@ -232,24 +228,31 @@ def _cepstral(buf: AudioBuffer, scale: str, nfft: int) -> FeatureVector:
 
 def mfcc(buf: AudioBuffer) -> FeatureVector:
     """13 mel-frequency cepstral coefficients, mean-pooled over all frames."""
-    return _cepstral(buf, "mel", MEL_FFT)
+    return _cepstral(buf, *CEPSTRAL_KINDS["mfcc"])
 
 
 def lfc(buf: AudioBuffer) -> FeatureVector:
     """The linear-frequency variant of mfcc (same pipeline, uniform centers)."""
-    return _cepstral(buf, "linear", LINEAR_FFT)
+    return _cepstral(buf, *CEPSTRAL_KINDS["lfc"])
 
-
-# ---------------------------------------------------------------------------
-# Feature tables on disk: CSV (default) or JSON lines, one row per utterance.
 
 def feature_names_for(kind: str) -> tuple[str, ...]:
     if kind == "acoustic":
         return FEATURE_NAMES
-    if kind in ("mfcc", "lfc"):
+    if kind in CEPSTRAL_KINDS:
         return CEPSTRAL_NAMES
     raise ValueError(f"unknown feature kind {kind!r}")
 
+
+def vector_for(kind: str, buf: AudioBuffer, pitch: PitchConfig = PitchConfig()) -> FeatureVector:
+    """buf's vector of one of FEATURE_KINDS (KeyError for another); `pitch` sets the acoustic kind's tracker."""
+    if kind == "acoustic":
+        return extract_vector(buf, pitch)
+    return _cepstral(buf, *CEPSTRAL_KINDS[kind])
+
+
+# ---------------------------------------------------------------------------
+# Feature tables on disk: CSV (default) or JSON lines, one row per utterance.
 
 def write_features(path, rows: list[tuple[str, np.ndarray, int]], kind: str) -> None:
     """Write (utt_id, vector, frame count) rows, sorted by id.

@@ -65,9 +65,7 @@ class Manifest(Sequence):
     def __len__(self) -> int:
         return len(self.split)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+    def __getitem__(self, index: int) -> ManifestRecord:
         return ManifestRecord(self.pairs.record(index), self.split[index])
 
     def split_pairs(self, split: str) -> PairColumns:

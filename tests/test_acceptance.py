@@ -135,7 +135,7 @@ def test_numerical_correctness():
     x = rng.normal(0, 1, (5, 10))
     desc_idx = np.array([0, 1, 2, 0, 1])
     targets = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
-    _, cache = dn.forward(model, x, mode="train", return_cache=True)
+    _, cache = dn.forward(model, x, mode="train")
     grads = dn.backward(model, cache, desc_idx, targets)
     h = 1e-5
     worst = 0.0
@@ -145,9 +145,9 @@ def test_numerical_correctness():
             idx = it.multi_index
             orig = param[idx]
             param[idx] = orig + h
-            up, _ = dn.forward(model, x, mode="train", return_cache=True)
+            up, _ = dn.forward(model, x, mode="train")
             param[idx] = orig - h
-            down, _ = dn.forward(model, x, mode="train", return_cache=True)
+            down, _ = dn.forward(model, x, mode="train")
             param[idx] = orig
             fd = (dn.batch_loss(up, desc_idx, targets) - dn.batch_loss(down, desc_idx, targets)) / (2 * h)
             worst = max(worst, abs(grads[name][idx] - fd) / max(1e-6, abs(grads[name][idx]), abs(fd)))

@@ -24,6 +24,7 @@ from timbrekit.audio import (
     frame_times,
     load_audio,
     resample,
+    _polyphase_taps,
     _resonate,
     synth,
     write_wav,
@@ -217,6 +218,19 @@ class TestResample:
         buf = synth(SynthSpec(kind="sine", f0=440.0, duration=0.1))
         with pytest.raises(ValueError):
             resample(buf, 0)
+
+    def test_cache_keeps_small_tap_tables_only(self):
+        """44101 and 44099 Hz make 7 MiB tables, built on each call; 44.1 kHz's 71 KiB table is kept."""
+        _polyphase_taps.cache_clear()
+        tracemalloc.start()
+        try:
+            for rate in (44100, 44101, 44099):
+                resample(AudioBuffer(np.ones(rate // 10), rate), 16000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert _polyphase_taps.cache_info().currsize == 1
+        assert held < 1 << 20
 
     @pytest.mark.parametrize("rate,target", [(16000, 11025), (22050, 16000), (44100, 16000), (48000, 16000),
                                              (8000, 16000)])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -219,7 +220,7 @@ class TestExtractCommand:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         directory = make_voice_dir(tmp_path, count=3)
         serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
         run(runner, ["extract", str(directory), "--out", str(serial)])
@@ -228,9 +229,18 @@ class TestExtractCommand:
         assert started == [workers]
         assert pooled.read_bytes() == serial.read_bytes()
 
+    def test_import_loads_no_process_pool(self):
+        """The pool, and multiprocessing under it, is imported only by an extract with two or more workers."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = ("import sys, timbrekit.cli; "
+                 "print([m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent.futures.process'))])")
+        result = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True)
+        assert result.stdout == "[]\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_are_invalid_input(self, runner, tmp_path, monkeypatch, jobs):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         directory = make_voice_dir(tmp_path, count=1)
         out = tmp_path / "f.csv"
         result = runner.invoke(main, ["extract", str(directory), "--out", str(out), "--jobs", jobs])

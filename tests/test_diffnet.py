@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -87,10 +88,6 @@ class TestForward:
         with pytest.raises(ValueError):
             dn.forward(model, np.zeros((2, 10)), mode="train")
 
-    def test_infer_mode_returns_no_cache(self):
-        with pytest.raises(ValueError, match="only train mode returns a cache"):
-            dn.forward(small_model(), np.zeros((2, 10)), mode="infer", return_cache=True)
-
 
 class TestLoss:
     def test_half_score_is_ln2(self):
@@ -114,7 +111,7 @@ class TestBackward:
         desc_idx = np.array([0, 1, 2, 0, 1])
         targets = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
 
-        scores, cache = dn.forward(model, x, mode="train", return_cache=True)
+        scores, cache = dn.forward(model, x, mode="train")
         assert np.abs(cache["bn_out"]).min() > 1e-3  # clear of the ReLU kink
         grads = dn.backward(model, cache, desc_idx, targets)
 
@@ -125,9 +122,9 @@ class TestBackward:
                 idx = it.multi_index
                 orig = param[idx]
                 param[idx] = orig + h
-                up, _ = dn.forward(model, x, mode="train", return_cache=True)
+                up, _ = dn.forward(model, x, mode="train")
                 param[idx] = orig - h
-                down, _ = dn.forward(model, x, mode="train", return_cache=True)
+                down, _ = dn.forward(model, x, mode="train")
                 param[idx] = orig
                 fd = (dn.batch_loss(up, desc_idx, targets) - dn.batch_loss(down, desc_idx, targets)) / (2 * h)
                 rel = abs(grads[name][idx] - fd) / max(1e-6, abs(grads[name][idx]), abs(fd))
@@ -138,7 +135,7 @@ class TestBackward:
         model.norm_mean[:] = 0.0
         model.norm_std[:] = 1.0
         x = np.zeros((4, 10))
-        _, cache = dn.forward(model, x, mode="train", return_cache=True)
+        _, cache = dn.forward(model, x, mode="train")
         grads = dn.backward(model, cache, np.array([0, 1, 2, 0]), np.array([1.0, 1.0, 0.0, 1.0]))
         npt.assert_allclose(grads["w1"], 0.0, atol=1e-15)
         assert np.abs(grads["b2"]).max() > 1e-3
@@ -149,10 +146,10 @@ class TestBackward:
         x = rng.normal(0, 1, (3, 10))
         desc_idx = np.array([0, 1, 2])
         targets = np.array([1.0, 0.0, 1.0])
-        _, cache1 = dn.forward(model, x, mode="train", return_cache=True)
+        _, cache1 = dn.forward(model, x, mode="train")
         g1 = dn.backward(model, cache1, desc_idx, targets)
         x2 = np.vstack([x, x])
-        _, cache2 = dn.forward(model, x2, mode="train", return_cache=True)
+        _, cache2 = dn.forward(model, x2, mode="train")
         g2 = dn.backward(model, cache2, np.tile(desc_idx, 2), np.tile(targets, 2))
         for name in g1:
             npt.assert_allclose(g1[name], g2[name], atol=1e-12)
@@ -164,7 +161,7 @@ class TestBackward:
         x = rng.normal(0, 1, (6, 10))
         desc_idx = np.array([0, 1, 2, 0, 1, 2])
         targets = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
-        _, cache = dn.forward(model, x, mode=mode, rng=rng, return_cache=True)
+        _, cache = dn.forward(model, x, mode=mode, rng=rng)
         before = {key: np.copy(value) for key, value in cache.items()}
         first = dn.backward(model, cache, desc_idx, targets)
         second = dn.backward(model, cache, desc_idx, targets)
@@ -186,9 +183,9 @@ class TestReadOnlyInputs:
         desc_idx = np.array([0, 1, 2, 0, 1, 2, 0])
         targets = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
         train = mode == "train"
-        out = dn.forward(model, x.copy(), mode=mode, rng=np.random.default_rng(6), return_cache=train)
+        out = dn.forward(model, x.copy(), mode=mode, rng=np.random.default_rng(6))
         model_ro = frozen_model(model)
-        out_ro = dn.forward(model_ro, frozen(x), mode=mode, rng=np.random.default_rng(6), return_cache=train)
+        out_ro = dn.forward(model_ro, frozen(x), mode=mode, rng=np.random.default_rng(6))
         if not train:
             assert np.array_equal(out_ro, out)
             return
@@ -360,6 +357,29 @@ class TestScorePairs:
         npt.assert_array_equal(dn.score_pairs(model, dn.PairColumns.from_records(pairs), feats), blocked)
         monkeypatch.setattr(dn, "_SCORE_BLOCK", len(pairs))
         npt.assert_array_equal(dn.score_pairs(model, pairs, feats), blocked)
+
+    def test_peak_memory_above_the_scores_is_bounded(self):
+        """4096 pairs at hidden 128 peak under 2 MiB above the scores (tracemalloc).
+
+        A 1024-pair block alone holds three [1024 x 128] arrays at once (two
+        gathers and their sum), 3 MiB; at 256 pairs the peak is about 1.1 MiB,
+        mostly the pair index and the per-utterance projections.
+        """
+        model = small_model(hidden=128)
+        rng = np.random.default_rng(12)
+        ids = np.array([f"u{i:03d}" for i in range(100)], dtype=object)
+        feats = {u: rng.normal(model.norm_mean, model.norm_std) for u in ids}
+        a = rng.integers(0, 100, 4096)
+        b = (a + rng.integers(1, 100, 4096)) % 100
+        pairs = dn.PairColumns(ids[a], ids[b], np.array(model.descriptors, dtype=object)[a % 3],
+                               np.zeros(4096, bool))
+        tracemalloc.start()
+        try:
+            scores = dn.score_pairs(model, pairs, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - scores.nbytes < 2 << 20
 
 
 class TestPairColumns:
