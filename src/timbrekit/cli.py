@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -27,9 +28,12 @@ def _fail(reason: str, detail: str):
 
 
 def _guard(fn):
-    """Map domain errors onto the one-line error contract."""
+    """Refuse a missing --out or --log directory before any work; map domain errors onto one error line."""
 
     def wrapper(*args, **kwargs):
+        for path in (kwargs.get("out"), kwargs.get("log_path")):
+            if path and not Path(path).parent.is_dir():
+                _fail("INVALID_INPUT", f"{path}: the directory {Path(path).parent} does not exist")
         try:
             return fn(*args, **kwargs)
         except features.SchemaError as exc:
@@ -164,7 +168,9 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
     rows = [(utt, vec, count) for utt, vec, count, reason in results if reason is None]
     skipped = [(utt, reason) for utt, _, _, reason in results if reason is not None]
     if not rows:
-        _fail("ALL_SKIPPED", f"all {len(paths)} inputs were skipped")
+        codes = Counter(reason.split(":", 1)[0] for _, reason in skipped)
+        counts = ", ".join(f"{code} {n}" for code, n in sorted(codes.items()))
+        _fail("ALL_SKIPPED", f"all {len(paths)} inputs were skipped ({counts})")
     features.write_features(out, rows, kind)
     # The skip list belongs to the table: a failed extract leaves an earlier one as it was.
     skip_path = Path(str(out) + ".skipped.jsonl")

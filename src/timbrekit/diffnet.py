@@ -150,8 +150,9 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be a finite positive number, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        # A one-row batch has zero batch-norm variance.
+        if self.batch_size < 2:
+            raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
 
 
 @dataclass

@@ -92,18 +92,18 @@ class EmptyFeatureError(ValueError):
 
 @dataclass(frozen=True)
 class FrameTrack:
-    """Raw per-frame series: 13 measures keyed by MEASURE_NAMES, NaN = missing.
+    """Raw per-frame series: a [frames x 13] array, columns in MEASURE_NAMES order, NaN = missing.
 
-    A frame is voiced where it has an f0; unvoiced frames are NaN across
-    all 13 series.
+    A frame is voiced where it has an f0 (column 0); unvoiced frames are
+    NaN across all 13 columns.
     """
 
     times: np.ndarray
-    values: dict[str, np.ndarray]
+    values: np.ndarray
 
     @property
     def voiced(self) -> np.ndarray:
-        return np.isfinite(self.values["f0"])
+        return np.isfinite(self.values[:, 0])
 
 
 @dataclass(frozen=True)
@@ -142,21 +142,14 @@ def extract_track(buf: AudioBuffer, pitch: PitchConfig = PitchConfig()) -> Frame
     centers = ptrack.times[candidates]
     formants = formant_track(buf, centers)
 
-    values = {name: np.full(ptrack.times.size, np.nan) for name in MEASURE_NAMES}
+    values = np.full((ptrack.times.size, len(MEASURE_NAMES)), np.nan)
     for rows, frames in frame_blocks(buf.samples, buf.sample_rate, centers, MEASURE_WINDOW):
         at = candidates[rows]
-        f0, found = ptrack.f0[at], formants[rows]
-        values["f0"][at] = f0
-        for k in range(1, 5):
-            values[f"f{k}"][at] = found.frequencies[:, k - 1]
-        values["dispersion"][at] = dispersion(found.frequencies[:, 0], found.frequencies[:, 3])
+        f0, freqs, bws = ptrack.f0[at], formants.frequencies[rows], formants.bandwidths[rows]
         spectrum = magnitude_spectrum(frames, buf.sample_rate)
-        tilt = tilt_measures(spectrum, f0, found.frequencies, found.bandwidths)
-        for name, column in zip(TILT_NAMES, tilt.T):
-            values[name][at] = column
-        values["cpp"][at] = cpp_from_spectrum(spectrum)
-        values["rms"][at] = rms_energy(frames)
-        values["shr"][at] = shr(spectrum, f0)  # NaN where f0 is too high
+        values[at] = np.column_stack([f0, freqs[:, :4], dispersion(freqs[:, 0], freqs[:, 3]),
+                                      tilt_measures(spectrum, f0, freqs, bws), cpp_from_spectrum(spectrum),
+                                      rms_energy(frames), shr(spectrum, f0)])  # shr: NaN where f0 is too high
     return FrameTrack(times=ptrack.times, values=values)
 
 
@@ -172,13 +165,12 @@ def aggregate(track: FrameTrack) -> FeatureVector:
             f"{voiced_count} voiced frames (need {MIN_VOICED_FRAMES})"
         )
     means, covs = [], []
-    for name in MEASURE_NAMES:
-        x = track.values[name]
+    for name, x in zip(MEASURE_NAMES, track.values.T):
         x = x[np.isfinite(x)]
         if x.size == 0:
             raise EmptyFeatureError(name)
         means.append(float(np.mean(x)))
-        covs.append(float(np.std(x) / (abs(float(np.mean(x))) + _COV_EPSILON)))
+        covs.append(float(np.std(x) / (abs(means[-1]) + _COV_EPSILON)))
     return FeatureVector(np.array(means + covs), voiced_count)
 
 

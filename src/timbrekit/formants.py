@@ -8,6 +8,7 @@ at a time.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -40,8 +41,8 @@ class FormantTrack(Sequence):
 
     Row i holds frame i's formants in ascending frequency order, NaN past
     the last one found. An int index yields that frame's found formants as
-    a [k x 2] array of (frequency, bandwidth) rows, a slice or an integer
-    array the FormantTrack of those frames.
+    a [k x 2] array of (frequency, bandwidth) rows; another index is a
+    TypeError.
     """
 
     frequencies: np.ndarray
@@ -50,9 +51,8 @@ class FormantTrack(Sequence):
     def __len__(self) -> int:
         return self.frequencies.shape[0]
 
-    def __getitem__(self, index):
-        if isinstance(index, (slice, np.ndarray)):
-            return FormantTrack(self.frequencies[index], self.bandwidths[index])
+    def __getitem__(self, index: int) -> np.ndarray:
+        index = operator.index(index)
         freqs, bws = self.frequencies[index], self.bandwidths[index]
         found = np.isfinite(freqs)
         return np.column_stack([freqs[found], bws[found]])

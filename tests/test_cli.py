@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from timbrekit import cli, diffnet as dn, evaluation
+from timbrekit import cli, diffnet as dn, evaluation, features
 from timbrekit.audio import SynthSpec, load_audio, synth, write_wav
 from timbrekit.cli import main
 from timbrekit.features import extract_vector, feature_names_for, read_features, write_features
@@ -326,6 +326,29 @@ class TestExtractCommand:
         assert result.exit_code != 0
         assert "error: ALL_SKIPPED" in result.output
 
+    def test_all_skipped_counts_each_reason(self, runner, tmp_path):
+        """The one error line counts each reason code (the text before its first colon), in code order."""
+        directory = make_voice_dir(tmp_path, count=0, silent=2)
+        (directory / "broken.wav").write_bytes(b"not a wav file")
+        # A pure sine is voiced, but its LPC fit finds two resonances at most, so it has no F3.
+        write_wav(directory / "sine.wav", synth(SynthSpec(kind="sine", f0=100.0, duration=1.0)))
+        out = tmp_path / "f.csv"
+        result = runner.invoke(main, ["extract", str(directory), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == ("error: ALL_SKIPPED: all 4 inputs were skipped "
+                                 "(EMPTY_FEATURE 1, SILENT_UTTERANCE 2, UNREADABLE 1)\n")
+        assert not out.exists() and not (tmp_path / "f.csv.skipped.jsonl").exists()
+
+    def test_missing_out_directory_is_refused_before_extracting(self, runner, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(features, "vector_for", lambda *args: calls.append(args))
+        directory = make_voice_dir(tmp_path, count=1)
+        out = tmp_path / "nodir" / "f.csv"
+        result = runner.invoke(main, ["extract", str(directory), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == f"error: INVALID_INPUT: {out}: the directory {out.parent} does not exist\n"
+        assert calls == []
+
     def test_repeated_stem_across_directories(self, runner, tmp_path):
         voices = make_voice_dir(tmp_path, count=2)
         for name, source in (("a", "utt00.wav"), ("b", "utt01.wav")):
@@ -481,9 +504,31 @@ class TestTrainCommand:
         out = tmp_path / "m.json"
         result = runner.invoke(main, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
                                       "--out", str(out), option, value])
+        least = 2 if field == "batch_size" else 1
         assert result.exit_code == 1
-        assert result.output == f"error: INVALID_INPUT: {field} must be at least 1, got {value}\n"
+        assert result.output == f"error: INVALID_INPUT: {field} must be at least {least}, got {value}\n"
         assert not out.exists()
+
+    def test_batch_size_of_one_is_invalid_input(self, runner, tmp_path):
+        """A one-pair batch has zero batch-norm variance, so training on it is refused."""
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=20, n_test=5)
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
+                                      "--out", str(out), "--batch-size", "1"])
+        assert result.exit_code == 1
+        assert result.output == "error: INVALID_INPUT: batch_size must be at least 2, got 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--out", "--log"])
+    def test_missing_output_directory_is_refused_before_training(self, runner, tmp_path, option):
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=20, n_test=5)
+        missing = tmp_path / "nodir" / "x.json"
+        paths = {"--out": tmp_path / "m.json", "--log": tmp_path / "log.json", option: missing}
+        result = runner.invoke(main, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
+                                      "--epochs", "1", *[str(a) for item in paths.items() for a in item]])
+        assert result.exit_code == 1
+        assert result.output == f"error: INVALID_INPUT: {missing}: the directory {missing.parent} does not exist\n"
+        assert not any(path.exists() for path in paths.values())
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
     def test_learning_rate_must_be_finite_and_positive(self, runner, tmp_path, value):

@@ -63,15 +63,10 @@ SR = 16000
 def track_from_series(**series):
     """Build a synthetic FrameTrack; unspecified measures copy f0's mask."""
     n = len(next(iter(series.values())))
-    values = {}
-    for name in MEASURE_NAMES:
-        if name in series:
-            values[name] = np.asarray(series[name], dtype=float)
-        else:
-            values[name] = np.ones(n)
-    voiced = np.isfinite(values["f0"])
-    for name in MEASURE_NAMES:
-        values[name][~voiced] = np.nan
+    values = np.ones((n, len(MEASURE_NAMES)))
+    for name, column in series.items():
+        values[:, MEASURE_NAMES.index(name)] = column
+    values[~np.isfinite(values[:, 0])] = np.nan
     return FrameTrack(times=np.arange(n) * 0.01, values=values)
 
 
@@ -91,9 +86,10 @@ class TestExtractTrack:
                               formants=VOICE_FORMANTS))
         track = extract_track(buf)
         assert track.voiced.sum() >= 80
-        for name in MEASURE_NAMES:
-            present = np.isfinite(track.values[name][track.voiced]).mean()
-            assert present >= 0.90, name
+        assert track.values.shape == (track.times.size, len(MEASURE_NAMES))
+        present = np.isfinite(track.values[track.voiced]).mean(axis=0)
+        for name, share in zip(MEASURE_NAMES, present):
+            assert share >= 0.90, name
 
     def test_white_noise_mostly_unvoiced(self):
         track = extract_track(synth(SynthSpec(kind="white_noise", duration=1.0, seed=3)))
@@ -106,8 +102,7 @@ class TestExtractTrack:
     def test_unvoiced_frames_all_missing(self):
         buf = synth(SynthSpec(kind="white_noise", duration=1.0, seed=3))
         track = extract_track(buf)
-        for name in MEASURE_NAMES:
-            assert np.all(np.isnan(track.values[name][~track.voiced]))
+        assert np.all(np.isnan(track.values[~track.voiced]))
 
     def test_peak_memory_does_not_grow_with_duration(self):
         """The measures run FRAME_BLOCK frames at a time, so a 20 s voice peaks as low as a 3 s one.
@@ -128,8 +123,7 @@ class TestExtractTrack:
         a = extract_track(voiced_buffer)
         b = extract_track(voiced_buffer)
         npt.assert_array_equal(a.voiced, b.voiced)
-        for name in MEASURE_NAMES:
-            npt.assert_array_equal(a.values[name], b.values[name])
+        npt.assert_array_equal(a.values, b.values)
 
     def test_timestamps_increase_by_step(self, voiced_buffer):
         track = extract_track(voiced_buffer)
@@ -181,7 +175,7 @@ def one_frame_track(buf, pitch):
     formants = one_window_formants(buf, times)
     global_peak = float(np.max(np.abs(x)))
     voiced = np.zeros(times.size, dtype=bool)
-    values = {name: np.full(times.size, np.nan) for name in MEASURE_NAMES}
+    values = np.full((times.size, len(MEASURE_NAMES)), np.nan)
     edge_drops = 0
     for i, center in enumerate(times):
         start = int(round(center * sr - pitch_win / 2.0))
@@ -194,17 +188,16 @@ def one_frame_track(buf, pitch):
             continue
         voiced[i] = True
         window = x[start : start + slice_win]
-        frame = formants[i : i + 1]
+        freqs, bws = formants.frequencies[i : i + 1], formants.bandwidths[i : i + 1]
         spectrum = magnitude_spectrum(window, sr)
         row = {"f0": f0, "rms": rms_energy(window)}
-        row.update({f"f{k}": frame.frequencies[:, k - 1] for k in range(1, 5)})
-        row["dispersion"] = dispersion(frame.frequencies[:, 0], frame.frequencies[:, 3])
-        tilt = tilt_measures(spectrum, f0, frame.frequencies, frame.bandwidths)
+        row.update({f"f{k}": freqs[:, k - 1] for k in range(1, 5)})
+        row["dispersion"] = dispersion(freqs[:, 0], freqs[:, 3])
+        tilt = tilt_measures(spectrum, f0, freqs, bws)
         row.update(zip(TILT_NAMES, tilt.T))
         row["shr"] = shr(spectrum, f0)
         row["cpp"] = cpp_from_spectrum(spectrum)  # NaN for an all-zero slice
-        for name, value in row.items():
-            values[name][i] = value[0]
+        values[i] = [row[name][0] for name in MEASURE_NAMES]
     return times, voiced, values, edge_drops
 
 
@@ -220,9 +213,9 @@ class TestFrameIndependence:
         times, voiced, values, edge_drops = one_frame_track(buf, pitch)
         npt.assert_allclose(track.times, times, rtol=1e-12)
         npt.assert_array_equal(track.voiced, voiced)
-        for name in MEASURE_NAMES:
-            npt.assert_array_equal(np.isnan(track.values[name]), np.isnan(values[name]), err_msg=name)
-            npt.assert_allclose(track.values[name], values[name], rtol=1e-9, atol=1e-9, err_msg=name)
+        for name, got, want in zip(MEASURE_NAMES, track.values.T, values.T):
+            npt.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=name)
+            npt.assert_allclose(got, want, rtol=1e-9, atol=1e-9, err_msg=name)
         return track, edge_drops
 
     @pytest.mark.parametrize("floor", [60.0, 75.0, 100.0])
@@ -244,7 +237,7 @@ class TestFrameIndependence:
         buf = AudioBuffer(np.concatenate([voice[:15700], np.zeros(4000)]), SR)
         pitch = PitchConfig(floor=60.0)
         track, _ = self.check_rows(buf, pitch)
-        assert np.sum(track.voiced & np.isnan(track.values["cpp"])) >= 1
+        assert np.sum(track.voiced & np.isnan(track.values[:, MEASURE_NAMES.index("cpp")])) >= 1
         assert extract_vector(buf, pitch).frames == track.voiced.sum()
 
     def test_formant_grid_matches_single_windows(self):
@@ -268,7 +261,8 @@ def cov_rms(series):
     """
     rms = np.full(max(len(series), MIN_VOICED_FRAMES), np.nan)
     rms[: len(series)] = series
-    values = {name: np.ones(rms.size) for name in MEASURE_NAMES} | {"rms": rms}
+    values = np.ones((rms.size, len(MEASURE_NAMES)))
+    values[:, MEASURE_NAMES.index("rms")] = rms
     track = FrameTrack(times=np.arange(rms.size) * 0.01, values=values)
     return aggregate(track).values[FEATURE_NAMES.index("cov_rms")]
 

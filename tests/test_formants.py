@@ -71,6 +71,15 @@ class TestRootsToFormants:
         assert track.frequencies[0, 0] == pytest.approx(1200.0, abs=1.0)
         assert track.bandwidths[0, 0] == pytest.approx(-np.log(0.97) * rate / np.pi, rel=1e-9)
 
+    def test_a_frame_is_read_by_int_index_only(self):
+        rate = 11000.0
+        track = roots_to_formants(np.stack([pair_poly(1200.0, 90.0, rate)[1:]] * 3), rate)
+        npt.assert_array_equal(track[np.int64(1)], track[1])
+        assert [frame.shape for frame in track] == [(1, 2)] * 3
+        for index in (slice(0, 2), np.arange(2)):
+            with pytest.raises(TypeError):
+                track[index]
+
     def test_real_roots_only_empty(self):
         # (1 - 0.5 z^-1)(1 + 0.25 z^-1): both roots on the real axis
         poly = np.polymul([1.0, -0.5], [1.0, 0.25])

@@ -175,5 +175,5 @@ def test_features_match_the_fft_path(monkeypatch):
     for a, b in zip(shipped, fft):
         npt.assert_array_equal(a.voiced, b.voiced)
         assert a.voiced.sum() > 50
-        for name in MEASURE_NAMES:
-            npt.assert_allclose(a.values[name], b.values[name], rtol=1e-9, atol=0, err_msg=name)
+        for name, got, want in zip(MEASURE_NAMES, a.values.T, b.values.T):
+            npt.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=name)
