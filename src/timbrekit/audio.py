@@ -152,7 +152,7 @@ def load_audio(path) -> AudioBuffer:
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        raw = memoryview(path.read_bytes())  # chunk slices are views, not copies
     except OSError as exc:
         raise AudioError(f"cannot read {path}: {exc}") from exc
     fmt, data = _parse_riff(raw, path)
@@ -170,7 +170,7 @@ def load_audio(path) -> AudioBuffer:
     return resample(AudioBuffer(samples, rate), INTERNAL_RATE)
 
 
-def _parse_riff(raw: bytes, path) -> tuple[tuple[int, int, int, int], bytes]:
+def _parse_riff(raw: memoryview, path) -> tuple[tuple[int, int, int, int], memoryview]:
     if len(raw) < 44 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise AudioError(f"{path}: not a RIFF/WAVE file")
     fmt = None
@@ -197,7 +197,7 @@ def _parse_riff(raw: bytes, path) -> tuple[tuple[int, int, int, int], bytes]:
     return fmt, data
 
 
-def _decode_samples(data: bytes, audio_format: int, bits: int, path) -> np.ndarray:
+def _decode_samples(data: memoryview, audio_format: int, bits: int, path) -> np.ndarray:
     """Whole samples of the data chunk as float64; a trailing partial sample is dropped."""
     if audio_format == _FMT_FLOAT:
         if bits != 32:
@@ -223,7 +223,7 @@ def _decode_samples(data: bytes, audio_format: int, bits: int, path) -> np.ndarr
     raise AudioError(f"{path}: unsupported PCM width {bits}")
 
 
-def _whole_samples(data: bytes, dtype) -> np.ndarray:
+def _whole_samples(data: memoryview, dtype) -> np.ndarray:
     dtype = np.dtype(dtype)
     return np.frombuffer(data, dtype=dtype, count=len(data) // dtype.itemsize)
 

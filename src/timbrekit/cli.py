@@ -216,27 +216,25 @@ def cmd_train(manifest_path, features_path, out, log_path, **fields):
     )
 
 
-def _metrics(scored: evaluation.ScoredColumns) -> tuple[dict, list]:
+def _metrics(scored: evaluation.ScoredColumns) -> tuple[dict, tuple]:
     """The report entry of scored pairs (pair count, accuracy, EER) and the FAR/FRR curve of its EER.
 
-    Unless both labels occur, the EER is None and the curve is empty.
+    Unless both labels occur, the EER is None and the curve is ().
     """
     entry = {"pairs": len(scored), "accuracy": evaluation.accuracy(scored), "eer": None}
-    curve = []
+    curve = ()
     if scored.positive.any() and not scored.positive.all():
         curve = evaluation.far_frr_curve(scored)
-        entry["eer"] = evaluation.eer_from_curve(curve)
+        entry["eer"] = evaluation.eer_from_curve(*curve[1:])
     return entry, curve
 
 
 def _by_descriptor(descriptor: np.ndarray) -> dict[str, np.ndarray]:
     """Each descriptor's pair indices, in file order, from one stable argsort."""
-    names = sorted(set(descriptor))
-    code = {d: i for i, d in enumerate(names)}.__getitem__
-    codes = np.fromiter(map(code, descriptor), np.intp, len(descriptor))
+    names, codes = np.unique(descriptor, return_inverse=True)
     order = np.argsort(codes, kind="stable")
-    ends = np.cumsum(np.bincount(codes, minlength=len(names)))
-    return dict(zip(names, np.split(order, ends[:-1])))
+    ends = np.cumsum(np.bincount(codes))
+    return dict(zip(names.tolist(), np.split(order, ends[:-1])))
 
 
 def _pct(value) -> str:
@@ -272,7 +270,7 @@ def cmd_eval(manifest_path, features_path, model_path, out):
         "split": "test",
         **overall,
         "per_descriptor": per_descriptor,
-        "far_frr": curve,
+        "far_frr": np.column_stack(curve).tolist() if curve else [],
     }
     if out:
         Path(out).write_text(json.dumps(report, sort_keys=True))

@@ -494,8 +494,8 @@ def train(
     all draw from one generator, and reductions run in a fixed order.
     """
     pairs = _as_columns(pairs)
-    if not pairs:
-        raise ValueError("no training pairs")
+    if len(pairs) < 2:
+        raise ValueError(f"training needs at least 2 pairs, got {len(pairs)}")
     descriptors = tuple(sorted(set(pairs.descriptor)))
 
     rng = np.random.default_rng(config.seed)
@@ -514,11 +514,13 @@ def train(
 
     log = []
     n = len(pairs)
+    # A leftover single pair joins the last batch, since a one-row batch has zero batch-norm variance.
+    stops = [*range(config.batch_size, n - 1, config.batch_size), n]
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            sel = order[start : start + config.batch_size]
+        for start, stop in zip([0, *stops[:-1]], stops):
+            sel = order[start:stop]
             # Each batch gathers its own [B x 2D] pair rows, so memory grows with U*D + P, not P*D.
             x = table[rows[sel]].reshape(sel.size, -1)
             scores, cache = forward(model, x, mode="train", rng=rng)

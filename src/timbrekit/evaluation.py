@@ -7,8 +7,8 @@ crossing with linear interpolation between the two adjacent operating
 points (the interpolation runs in rate space, so any strictly increasing
 rescoring leaves the result untouched).
 
-Cost: the curve is one sort of each class plus a binary search per
-distinct score, O(N log N) in the pair count N; the EER reads one curve.
+Cost: the curve is one stable sort of the N scores plus one cumulative
+count of the positives, O(N log N); the EER reads one curve.
 """
 
 from __future__ import annotations
@@ -66,36 +66,35 @@ def accuracy(scored: ScoredColumns) -> float:
     return float(np.mean((scored.scores >= 0.5) == scored.positive) * 100.0)
 
 
-def far_frr_curve(scored: ScoredColumns) -> list[tuple[float, float, float]]:
-    """(threshold, false-accept rate, false-reject rate) at each distinct score.
+def far_frr_curve(scored: ScoredColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(thresholds, false-accept rates, false-reject rates) at each distinct score, as arrays.
 
-    A final sentinel point one above the top score has FAR 0 and FRR 1.
+    A score is read at its first rank in one stable sort, after every pair
+    scoring below it. A final sentinel one above the top score has FAR 0, FRR 1.
     """
     scores, positive = scored.scores, scored.positive
     if not positive.any() or positive.all():
         raise ValueError("both label classes are required")
-    pos = np.sort(scores[positive])
-    neg = np.sort(scores[~positive])
-    thresholds = np.unique(scores)
+    order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    # Each distinct score's first rank, then the sentinel's rank n, and the positives ranked before it.
+    first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1], [True])))
+    pos_before = np.concatenate(([0], np.cumsum(positive[order])))[first]
+    n_pos, n_neg = pos_before[-1], ranked.size - pos_before[-1]
     # Rates are integer counts over the class size: neg >= t accepts, pos < t rejects.
-    far = (neg.size - np.searchsorted(neg, thresholds, side="left")) / neg.size
-    frr = np.searchsorted(pos, thresholds, side="left") / pos.size
-    out = list(zip(thresholds.tolist(), far.tolist(), frr.tolist()))
-    out.append((float(thresholds[-1]) + 1.0, 0.0, 1.0))
-    return out
+    far = (n_neg - (first - pos_before)) / n_neg
+    return np.append(ranked[first[:-1]], ranked[-1] + 1.0), far, pos_before / n_pos
 
 
-def eer_from_curve(curve: list[tuple[float, float, float]]) -> float:
+def eer_from_curve(far: np.ndarray, frr: np.ndarray) -> float:
     """Equal error rate in percent at the crossing of a far_frr_curve's rates.
 
-    The curve must be far_frr_curve's: its first point, at the lowest score,
+    The rates must be far_frr_curve's: their first point, at the lowest score,
     has FAR 1 and FRR 0, and its last is the FAR 0, FRR 1 sentinel. FAR - FRR
     falls monotonically from +1 to -1, so it first reaches 0 or below at a
     point past the first, and the crossing lies between that point and the
     one before, where it is still positive.
     """
-    far = np.array([c[1] for c in curve])
-    frr = np.array([c[2] for c in curve])
     diff = far - frr
     cross = int(np.argmax(diff <= 0.0))
     d0, d1 = diff[cross - 1], diff[cross]
@@ -106,7 +105,8 @@ def eer_from_curve(curve: list[tuple[float, float, float]]) -> float:
 
 def eer(scored: ScoredColumns) -> float:
     """Equal error rate in percent (see module docstring for the convention)."""
-    return eer_from_curve(far_frr_curve(scored))
+    _, far, frr = far_frr_curve(scored)
+    return eer_from_curve(far, frr)
 
 
 # ---------------------------------------------------------------------------

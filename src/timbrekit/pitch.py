@@ -189,7 +189,7 @@ def pitch_track(buf: AudioBuffer, config: PitchConfig = PitchConfig()) -> PitchT
         raise ValueError(
             f"buffer of {buf.duration:.3f} s is shorter than the {window:.3f} s pitch window"
         )
-    global_peak = float(np.max(np.abs(buf.samples)))
+    global_peak = float(max(buf.samples.max(), -buf.samples.min()))  # |x| peak without a copy of x
     times = frame_times(buf, window)
     f0, strength = np.full(times.size, np.nan), np.zeros(times.size)
     for rows, frames in frame_blocks(buf.samples, buf.sample_rate, times, window):

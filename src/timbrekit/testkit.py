@@ -334,8 +334,11 @@ def train_reference(pairs, features, config: TrainConfig = TrainConfig(), *, fea
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            sel = order[start : start + config.batch_size]
+        starts = list(range(0, n, config.batch_size))
+        if n - starts[-1] == 1:
+            starts.pop()  # the leftover single pair joins the batch before it
+        for start, stop in zip(starts, starts[1:] + [n]):
+            sel = order[start:stop]
             scores, cache = _reference_forward(model, x_all[sel], rng)
             epoch_loss += batch_loss(scores, desc_idx[sel], targets[sel]) * sel.size
             grads = _reference_backward(model, cache, scores, desc_idx[sel], targets[sel])

@@ -461,6 +461,16 @@ class TestExtractCommand:
         assert result.output == f"error: INVALID_INPUT: {detail}\n"
         assert not out.exists()
 
+    def test_config_file_holding_no_object_is_invalid_input(self, runner, tmp_path):
+        directory = make_voice_dir(tmp_path, count=1)
+        config = tmp_path / "cfg.json"
+        config.write_text("[1]\n")
+        out = tmp_path / "f.csv"
+        result = runner.invoke(main, ["extract", str(directory), "--out", str(out), "--config", str(config)])
+        assert result.exit_code == 1
+        assert result.output == "error: INVALID_INPUT: --config is not a JSON object: [1]\n"
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_separable_trains_to_99(self, runner, tmp_path):
@@ -482,6 +492,16 @@ class TestTrainCommand:
         assert result.exit_code == 1
         assert [line for line in result.output.splitlines() if line.startswith("error:")] == [
             "error: INVALID_INPUT: manifest has no train split"]
+        assert not (tmp_path / "model.json").exists()
+
+    def test_one_train_pair_is_invalid_input(self, runner, tmp_path):
+        """Training needs two pairs, the least that fills one batch with nonzero batch-norm variance."""
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=1, n_test=5)
+        result = runner.invoke(main, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
+                                      "--out", str(tmp_path / "model.json")])
+        assert result.exit_code == 1
+        assert [line for line in result.output.splitlines() if line.startswith("error:")] == [
+            "error: INVALID_INPUT: training needs at least 2 pairs, got 1"]
         assert not (tmp_path / "model.json").exists()
 
     def test_unknown_id_is_named(self, runner, tmp_path):
@@ -867,9 +887,11 @@ class TestEvalCommand:
          "checkpoint tensor 'norm_std' holds 0.0 at [0], not a positive number"),
         (lambda p: with_entry(p, "norm_std", (0,), -1.0),
          "checkpoint tensor 'norm_std' holds -1.0 at [0], not a positive number"),
+        (lambda p: {**p, "tensors": {**p["tensors"], "extra": [0.0], "bias": [1.0]}},
+         "checkpoint has unknown tensors: bias, extra"),
     ], ids=["array", "dropout_missing", "feature_names_number", "descriptors_null", "bn_epsilon_string",
             "dropout_string", "tensors_array", "w1_nan", "norm_std_inf", "bn_epsilon_negative",
-            "running_var_negative", "norm_std_zero", "norm_std_negative"])
+            "running_var_negative", "norm_std_zero", "norm_std_negative", "tensors_unknown"])
     def test_malformed_checkpoint_is_invalid_input(self, runner, tmp_path, payload, detail):
         features_path, manifest_path, model_path = self.train_model(
             tmp_path=tmp_path, runner=runner, n_train=200, n_test=40
@@ -891,6 +913,21 @@ class TestEvalCommand:
             result = runner.invoke(main, [*args, "--model", str(model_path)])
             assert result.exit_code == 1
             assert result.output == "error: INVALID_INPUT: the record repeats the name dropout\n"
+
+    def test_test_descriptor_the_model_never_saw_is_coverage(self, runner, tmp_path):
+        features_path, manifest_path, model_path = self.train_model(
+            tmp_path=tmp_path, runner=runner, n_train=200, n_test=40
+        )
+        records = list(read_manifest(manifest_path))
+        entry = records[-1]
+        assert entry.split == "test"
+        records[-1] = ManifestRecord(dn.PairRecord(entry.record.utt_a, entry.record.utt_b, "ghost",
+                                                   entry.record.label), "test")
+        write_manifest(manifest_path, records)
+        result = run(runner, ["eval", "--manifest", str(manifest_path), "--features", str(features_path),
+                              "--model", str(model_path)])
+        assert result.exit_code == 1
+        assert result.output == "error: COVERAGE: descriptors not in the model vocabulary: ghost\n"
 
     def test_report_round_trips(self, runner, tmp_path):
         features_path, manifest_path, model_path = self.train_model(

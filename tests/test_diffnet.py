@@ -266,6 +266,22 @@ class TestTrain:
         with pytest.raises(ValueError):
             dn.train([], {}, dn.TrainConfig(), feature_names=())
 
+    @pytest.mark.parametrize("n_pairs,sizes", [(257, [257]), (256, [256]), (258, [256, 2]), (513, [256, 257])])
+    def test_no_one_row_batch(self, n_pairs, sizes, monkeypatch):
+        """A leftover single pair joins the last batch; every pair still runs once per epoch."""
+        seen = []
+        real = dn.forward
+
+        def recording(model, x, mode="infer", rng=None):
+            if mode == "train":
+                seen.append(x.shape[0])
+            return real(model, x, mode, rng)
+
+        monkeypatch.setattr(dn, "forward", recording)
+        pairs, feats = separable_task(n_pairs=n_pairs, n_utts=30, dim=5)
+        dn.train(pairs, feats, dn.TrainConfig(hidden_dim=8, epochs=2), feature_names=dim_names(5))
+        assert seen == sizes * 2
+
     def test_peak_memory_does_not_grow_with_pair_features(self):
         """Each batch gathers its own pair rows: 50k pairs never stand as one [P x 2D] matrix (20.8 MB)."""
         n_pairs, n_utts = 50_000, 500
@@ -287,7 +303,7 @@ class TestTrain:
         pytest.param(700, 26, 128, 0.3, id="default-hidden"),
     ])
     def test_equals_the_textbook_loop_bitwise(self, n_pairs, dim, hidden, dropout):
-        """Two descriptors, a ragged last batch (of one pair in the second case).
+        """Two descriptors, a ragged last batch (of 257 pairs in the second case, whose leftover pair joins it).
 
         Dropout is 0.3 but in the no-dropout case, whose mask is all ones;
         the last case has the default hidden width.

@@ -117,13 +117,14 @@ class TestEer:
         positive = rng.random(n) < positive_share
         positive[0], positive[1] = True, False
         values = [(float(s), B_STRONGER if p else A_STRONGER) for s, p in zip(scores, positive)]
-        assert far_frr_curve(scored(values)) == far_frr_oracle(scores, positive)
+        points = list(zip(*(column.tolist() for column in far_frr_curve(scored(values)))))
+        assert points == far_frr_oracle(scores, positive)
 
     def test_curve_endpoints(self):
         pairs = scored([(0.2, A_STRONGER), (0.8, B_STRONGER)])
-        curve = far_frr_curve(pairs)
-        assert curve[0][1] == 1.0 and curve[0][2] == 0.0
-        assert curve[-1][1] == 0.0 and curve[-1][2] == 1.0
+        _, far, frr = far_frr_curve(pairs)
+        assert far[0] == 1.0 and frr[0] == 0.0
+        assert far[-1] == 0.0 and frr[-1] == 1.0
 
 
 class TestScoredColumns:
