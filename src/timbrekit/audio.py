@@ -22,9 +22,6 @@ INTERNAL_RATE = 16000
 # 0.5 s at 383999 Hz, the worst rate under it, peaks at 791 MiB (tracemalloc).
 MAX_SAMPLE_RATE = 384_000
 MAX_SYNTH_SAMPLES = 1 << 24
-# resample caches 8 tap tables of at most 512 KiB each, 4 MiB in all: 16 -> 11.025 kHz (formant_track)
-# makes 107 KiB and 44.1 -> 16 kHz 71 KiB, while 44101 -> 16 kHz makes 7 MiB, built on each call.
-_CACHED_TAPS_BYTES = 512 << 10
 
 # The analysis hop in seconds: the pitch track, the measure slices around
 # its frames and the cepstral baselines all step by it.
@@ -59,7 +56,8 @@ class AudioBuffer:
             raise AudioError("AudioBuffer holds exactly one channel")
         if samples.size == 0:
             raise AudioError("zero-length audio")
-        if not np.all(np.isfinite(samples)):
+        # min and max carry any NaN or infinity, with no per-sample temporary.
+        if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
             raise AudioError("samples must be finite")
         if int(self.sample_rate) <= 0:
             raise AudioError("sample rate must be positive")
@@ -126,7 +124,7 @@ class SynthSpec:
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.sample_rate > MAX_SAMPLE_RATE:
             raise ValueError(f"sample rate {self.sample_rate} Hz is above {MAX_SAMPLE_RATE} Hz")
         # round(x) > MAX_SYNTH_SAMPLES, an even number, exactly when x > MAX_SYNTH_SAMPLES + 0.5.
@@ -138,8 +136,9 @@ class SynthSpec:
         for freq, bandwidth in self.formants:
             if not (0 < freq < math.inf and 0 < bandwidth < math.inf):
                 raise ValueError(f"formants must be positive finite freq:bw pairs, got {freq}:{bandwidth}")
-        if self.subharmonic_gain < 0 or self.noise_gain < 0:
-            raise ValueError("gains must be nonnegative")
+        for name in ("subharmonic_gain", "noise_gain"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 def load_audio(path) -> AudioBuffer:
@@ -256,9 +255,8 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     ratio = Fraction(int(target_rate), buf.sample_rate)
     up, down = ratio.numerator, ratio.denominator
     n_out = -(-buf.samples.size * up // down)
-    reach = 10 * max(up, down) // up + 1
-    cached = 8 * up * (2 * reach + 1) <= _CACHED_TAPS_BYTES
-    taps = (_polyphase_taps if cached else _polyphase_taps.__wrapped__)(up, down, reach)
+    taps = _polyphase_taps(up, down)
+    reach = taps.shape[1] // 2
     view = np.lib.stride_tricks.sliding_window_view(np.pad(buf.samples, reach), taps.shape[1])
     out = np.empty(n_out)
     for r in range(min(up, n_out)):
@@ -268,7 +266,7 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
 
 
 @lru_cache(maxsize=8)
-def _polyphase_taps(up: int, down: int, reach: int) -> np.ndarray:
+def _polyphase_taps(up: int, down: int) -> np.ndarray:
     """[up x (2K + 1)] read-only taps, one row per output phase r = o mod up, for coprime up and down.
 
     The prototype filter is a Kaiser-windowed sinc (beta 5) with cutoff
@@ -278,6 +276,7 @@ def _polyphase_taps(up: int, down: int, reach: int) -> np.ndarray:
     r * down // up + j * down, where reach K = L // up + 1 covers every tap.
     """
     half = 10 * max(up, down)
+    reach = half // up + 1
     cutoff = 1.0 / max(up, down)
     m = np.arange(-half, half + 1)
     h = cutoff * np.sinc(cutoff * m) * np.kaiser(2 * half + 1, 5.0)
@@ -425,7 +424,9 @@ def synth(spec: SynthSpec) -> AudioBuffer:
     The comb kinds (pulse_train, resonated_pulses, mixture) all go through
     one phasor kernel, _phasor_sum, and match a line-by-line np.cos
     rendering of the same lines (testkit.comb_reference) to about 1e-12 of
-    full scale. Raises ValueError when f0 leaves no line below the ceiling.
+    full scale. Raises ValueError when f0 leaves no line below the ceiling,
+    and when a finite spec renders a sample float64 cannot hold (a steep
+    tilt's envelope, loud noise through a narrow resonator).
     """
     sr = spec.sample_rate
     n = int(round(spec.duration * sr))
@@ -434,22 +435,26 @@ def synth(spec: SynthSpec) -> AudioBuffer:
     t = np.arange(n) / sr
     rng = np.random.default_rng(spec.seed)
 
-    if spec.kind == "sine":
-        x = spec.amplitude * np.sin(2.0 * np.pi * spec.f0 * t)
-    elif spec.kind == "white_noise":
-        x = spec.amplitude * rng.uniform(-1.0, 1.0, n)
-    elif spec.kind == "pulse_train":
-        x = _pulse_train(t, spec.f0, sr) * spec.amplitude
-    elif spec.kind == "resonated_pulses":
-        x = _resonate(_pulse_train(t, spec.f0, sr), spec.formants, sr)
-        x = _peak_normalize(x, spec.amplitude)
-    else:  # mixture
-        x = _comb(t, spec, rng)
-        if spec.noise_gain > 0:
-            x = x + spec.noise_gain * rng.uniform(-1.0, 1.0, n)
-        if spec.formants:
-            x = _resonate(x, spec.formants, sr)
-        x = _peak_normalize(x, spec.amplitude)
+    # An overflow leaves an infinity or a NaN in the samples, which the check below refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "sine":
+            x = spec.amplitude * np.sin(2.0 * np.pi * spec.f0 * t)
+        elif spec.kind == "white_noise":
+            x = spec.amplitude * rng.uniform(-1.0, 1.0, n)
+        elif spec.kind == "pulse_train":
+            x = _pulse_train(t, spec.f0, sr) * spec.amplitude
+        elif spec.kind == "resonated_pulses":
+            x = _resonate(_pulse_train(t, spec.f0, sr), spec.formants, sr)
+            x = _peak_normalize(x, spec.amplitude)
+        else:  # mixture
+            x = _comb(t, spec, rng)
+            if spec.noise_gain > 0:
+                x = x + spec.noise_gain * rng.uniform(-1.0, 1.0, n)
+            if spec.formants:
+                x = _resonate(x, spec.formants, sr)
+            x = _peak_normalize(x, spec.amplitude)
+    if not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        raise ValueError(f"the rendered {spec.kind} signal overflows float64")
     return AudioBuffer(x, sr)
 
 

@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import diffnet, evaluation, features, manifest
-from .audio import AudioError, SYNTH_KINDS, SynthSpec, load_audio, synth, write_wav
+from .audio import SYNTH_KINDS, SynthSpec, load_audio, synth, write_wav
 from .pitch import PitchConfig
 
 
@@ -38,8 +38,6 @@ def _guard(fn):
             return fn(*args, **kwargs)
         except features.SchemaError as exc:
             _fail(exc.reason, str(exc))
-        except AudioError as exc:
-            _fail("AUDIO", str(exc))
         except KeyError as exc:
             _fail("COVERAGE", str(exc).strip("'\""))
         except (ValueError, OSError) as exc:
@@ -117,8 +115,7 @@ def _pitch_config(config_arg: str | None) -> PitchConfig:
 
 def _extract_one(args) -> tuple[str, np.ndarray | None, int, str | None]:
     """Worker: (utt_id, vector, frames, skip_reason). Top level for pickling."""
-    path, kind, pitch = args
-    utt_id = Path(path).stem
+    utt_id, path, kind, pitch = args
     try:
         vector = features.vector_for(kind, load_audio(path), pitch)
         return utt_id, vector.values, vector.frames, None
@@ -154,8 +151,14 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
             paths.append(p)
     if not paths:
         _fail("INVALID_INPUT", "no input files")
+    # Each file's utt_id is its stem, so two files with one stem would be misaligned: refuse before any work.
+    by_id = {}
+    for p in paths:
+        if p.stem in by_id:
+            raise features.SchemaError(f"utt_id {p.stem} is repeated: {by_id[p.stem]} and {p}")
+        by_id[p.stem] = p
 
-    tasks = [(str(p), kind, pitch) for p in paths]
+    tasks = [(utt_id, str(p), kind, pitch) for utt_id, p in by_id.items()]
     # The pool starts all its workers on the first submit, so it gets no more than there are files.
     workers = min(jobs, len(paths))
     if workers > 1:
@@ -230,11 +233,11 @@ def _metrics(scored: evaluation.ScoredColumns) -> tuple[dict, tuple]:
 
 
 def _by_descriptor(descriptor: np.ndarray) -> dict[str, np.ndarray]:
-    """Each descriptor's pair indices, in file order, from one stable argsort."""
-    names, codes = np.unique(descriptor, return_inverse=True)
-    order = np.argsort(codes, kind="stable")
-    ends = np.cumsum(np.bincount(codes))
-    return dict(zip(names.tolist(), np.split(order, ends[:-1])))
+    """Each descriptor's pair indices, in file order, keyed in sorted order; only the distinct names are sorted."""
+    groups = {}
+    for index, name in enumerate(descriptor.tolist()):
+        groups.setdefault(name, []).append(index)
+    return {name: np.array(groups[name]) for name in sorted(groups)}
 
 
 def _pct(value) -> str:

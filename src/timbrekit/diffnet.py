@@ -143,9 +143,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be positive")
+            raise ValueError(f"hidden_dim must be at least 1, got {self.hidden_dim}")
         if not 0 <= self.dropout < 1:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be a finite positive number, got {self.learning_rate}")
         if self.epochs < 1:

@@ -235,18 +235,15 @@ class TestResample:
         with pytest.raises(ValueError):
             resample(buf, 0)
 
-    def test_cache_keeps_small_tap_tables_only(self):
-        """44101 and 44099 Hz make 7 MiB tables, built on each call; 44.1 kHz's 71 KiB table is kept."""
+    def test_every_tap_table_is_cached(self):
+        """44,056 Hz (44.1 kHz pulled down by 1000/1001) makes an 891 KiB table: two calls build it once."""
         _polyphase_taps.cache_clear()
-        tracemalloc.start()
-        try:
-            for rate in (44100, 44101, 44099):
-                resample(AudioBuffer(np.ones(rate // 10), rate), 16000)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert _polyphase_taps.cache_info().currsize == 1
-        assert held < 1 << 20
+        buf = AudioBuffer(np.random.default_rng(0).uniform(-1.0, 1.0, 4406), 44056)
+        first = resample(buf, 16000)
+        npt.assert_array_equal(resample(buf, 16000).samples, first.samples)
+        info = _polyphase_taps.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert _polyphase_taps(2000, 5507).nbytes == 912_000
 
     @pytest.mark.parametrize("rate,target", [(16000, 11025), (22050, 16000), (44100, 16000), (48000, 16000),
                                              (8000, 16000)])
@@ -490,6 +487,20 @@ class TestAudioBuffer:
     def test_rejects_nonfinite(self):
         with pytest.raises(AudioError):
             AudioBuffer(np.array([0.0, np.nan]), 16000)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", [0, 500, 999], ids=["first", "middle", "last"])
+    def test_rejects_nonfinite_anywhere(self, value, at):
+        samples = np.linspace(-1.0, 1.0, 1000)
+        samples[at] = value
+        with pytest.raises(AudioError, match="samples must be finite"):
+            AudioBuffer(samples, 16000)
+
+    def test_finite_check_makes_no_per_sample_temporary(self):
+        """120 s at 16 kHz: a bool array of the samples would be 1.92 MB above the input."""
+        samples = np.zeros(1_920_000)
+        _, _, peak = traced(lambda: AudioBuffer(samples, 16000))
+        assert peak < 64 << 10
 
     def test_rejects_empty(self):
         with pytest.raises(AudioError):

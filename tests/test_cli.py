@@ -149,9 +149,20 @@ class TestSynthCommand:
         (["--kind", "mixture", "--subharmonic-gain", "nan"], "subharmonic_gain must be a finite number, got nan"),
         (["--kind", "mixture", "--formants", "500:nan"],
          "formants must be positive finite freq:bw pairs, got 500.0:nan"),
+        (["--kind", "mixture", "--f0", "50", "--tilt", "1000"], "the rendered mixture signal overflows float64"),
+        (["--kind", "mixture", "--f0", "50", "--tilt", "-7000", "--subharmonic-gain", "0.1"],
+         "the rendered mixture signal overflows float64"),
+        (["--kind", "mixture", "--noise-gain", "1e306", "--formants", "500:1"],
+         "the rendered mixture signal overflows float64"),
+        (["--kind", "sine", "--rate", "0"], "sample_rate must be positive, got 0"),
+        (["--kind", "mixture", "--noise-gain", "-1"], "noise_gain must be nonnegative, got -1.0"),
+        (["--kind", "sine", "--dur", "0.00001"], "duration too short for one sample"),
+        (["--kind", "pulse_train", "--f0", "8000"], "f0 8000.0 Hz leaves no harmonics below Nyquist at 16000 Hz"),
     ], ids=["dur_inf", "f0_nan", "amplitude_inf", "tilt_nan", "noise_gain_inf", "subharmonic_gain_nan",
-            "formant_bandwidth_nan"])
+            "formant_bandwidth_nan", "tilt_overflow", "subharmonic_overflow", "resonator_overflow", "rate_0",
+            "noise_gain_negative", "dur_under_one_sample", "pulse_train_f0_over_nyquist"])
     def test_non_finite_value_names_the_field(self, runner, tmp_path, recwarn, args, detail):
+        """A non-finite, out-of-range or overflowing recipe fails with one line and no RuntimeWarning."""
         out = tmp_path / "x.wav"
         result = run(runner, ["synth", *args, "--out", str(out)])
         assert result.exit_code == 1
@@ -361,6 +372,22 @@ class TestExtractCommand:
         assert "utt_id x is repeated" in result.output
         assert not out.exists()
 
+    def test_repeated_stem_is_refused_before_extracting(self, runner, tmp_path, monkeypatch):
+        """A voiced a/x.wav and a silent b/x.wav would give x both a row and a skip line."""
+        calls = []
+        monkeypatch.setattr(features, "vector_for", lambda *args: calls.append(args))
+        voices = make_voice_dir(tmp_path, count=1, silent=1)
+        for name, source in (("a", "utt00.wav"), ("b", "silent0.wav")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "x.wav").write_bytes((voices / source).read_bytes())
+        out = tmp_path / "f.csv"
+        result = runner.invoke(main, ["extract", str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == (f"error: SCHEMA: utt_id x is repeated: {tmp_path / 'a' / 'x.wav'} and "
+                                 f"{tmp_path / 'b' / 'x.wav'}\n")
+        assert not out.exists() and not (tmp_path / "f.csv.skipped.jsonl").exists()
+        assert calls == []
+
     @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "earlier_skip_list"])
     def test_failed_extract_leaves_skip_list_alone(self, runner, tmp_path, earlier):
         voices = make_voice_dir(tmp_path, count=2, silent=1)
@@ -450,9 +477,10 @@ class TestExtractCommand:
          "floor 300.5 Hz is above 300 Hz: its 3-period window is under the 10 ms hop"),
         ('{"pitch": {"floor": 60, "floor": 90}}', "the record repeats the name floor"),
         ('{"pitch": {}, "pitch": {"floor": 90}}', "the record repeats the name pitch"),
+        ('{"pitch": {"silence_threshold": -1}}', "silence_threshold must be nonnegative"),
     ], ids=["formant", "cpp", "shr", "frame", "min_voiced_frames", "pitch_number", "pitch_unknown_field",
             "pitch_floor_string", "pitch_floor_400", "pitch_floor_300.5", "pitch_floor_repeated",
-            "pitch_repeated"])
+            "pitch_repeated", "pitch_silence_threshold_negative"])
     def test_config_other_than_pitch_fields_is_invalid_input(self, runner, tmp_path, config, detail):
         directory = make_voice_dir(tmp_path, count=1)
         out = tmp_path / "f.csv"
@@ -518,6 +546,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("option,value,field", [
         ("--epochs", "0", "epochs"), ("--batch-size", "0", "batch_size"), ("--batch-size", "-5", "batch_size"),
+        ("--hidden", "0", "hidden_dim"),
     ])
     def test_loop_sizes_below_one_are_invalid_input(self, runner, tmp_path, option, value, field):
         features_path, manifest_path = separable_training_setup(tmp_path, n_train=20, n_test=5)
@@ -527,6 +556,16 @@ class TestTrainCommand:
         least = 2 if field == "batch_size" else 1
         assert result.exit_code == 1
         assert result.output == f"error: INVALID_INPUT: {field} must be at least {least}, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1", "-0.1"])
+    def test_dropout_outside_unit_interval_is_invalid_input(self, runner, tmp_path, value):
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=20, n_test=5)
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
+                                      "--out", str(out), "--dropout", value])
+        assert result.exit_code == 1
+        assert result.output == f"error: INVALID_INPUT: dropout must be in [0, 1), got {float(value)}\n"
         assert not out.exists()
 
     def test_batch_size_of_one_is_invalid_input(self, runner, tmp_path):
