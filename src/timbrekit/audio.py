@@ -202,7 +202,7 @@ def _decode_samples(data: memoryview, audio_format: int, bits: int, path) -> np.
         if bits != 32:
             raise AudioError(f"{path}: unsupported float width {bits}")
         samples = _whole_samples(data, "<f4").astype(np.float64)
-        if not np.all(np.isfinite(samples)):
+        if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
             raise AudioError(f"{path}: non-finite float samples")
         return samples
     if audio_format != _FMT_PCM:
@@ -228,8 +228,12 @@ def _whole_samples(data: memoryview, dtype) -> np.ndarray:
 
 
 def write_wav(path, buf: AudioBuffer) -> None:
-    """Write a buffer as 16-bit little-endian PCM, clipping to full scale."""
-    pcm = np.clip(np.rint(buf.samples * 32767.0), -32768, 32767).astype("<i2")
+    """Write a buffer as 16-bit little-endian PCM, clipping to full scale.
+
+    The samples are clipped before they are scaled, so a sample too large
+    to scale in float64 is written at full scale like any other loud one.
+    """
+    pcm = np.rint(np.clip(buf.samples, -32768 / 32767, 1.0) * 32767.0).astype("<i2")
     payload = pcm.tobytes()
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
     header += b"fmt " + struct.pack(
@@ -265,17 +269,22 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     return AudioBuffer(out, target_rate)
 
 
+def filter_half_length(up: int, down: int) -> int:
+    """Half-length L of resample's prototype filter, in taps on the grid upsampled by `up`."""
+    return 10 * max(up, down)
+
+
 @lru_cache(maxsize=8)
 def _polyphase_taps(up: int, down: int) -> np.ndarray:
     """[up x (2K + 1)] read-only taps, one row per output phase r = o mod up, for coprime up and down.
 
     The prototype filter is a Kaiser-windowed sinc (beta 5) with cutoff
-    1/max(up, down) of Nyquist and half-length L = 10 * max(up, down) taps
-    on the upsampled grid, scaled to a DC gain of up. Output o = r + j * up
-    is taps[r] dotted with the 2K + 1 inputs centred on input
+    1/max(up, down) of Nyquist and half-length L = filter_half_length(up,
+    down) taps on the upsampled grid, scaled to a DC gain of up. Output
+    o = r + j * up is taps[r] dotted with the 2K + 1 inputs centred on input
     r * down // up + j * down, where reach K = L // up + 1 covers every tap.
     """
-    half = 10 * max(up, down)
+    half = filter_half_length(up, down)
     reach = half // up + 1
     cutoff = 1.0 / max(up, down)
     m = np.arange(-half, half + 1)
@@ -380,14 +389,19 @@ def irfft_columns(x: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def window_samples(window: float, sample_rate: float) -> int:
+    """Samples in a `window`-second frame: round(window * sample_rate)."""
+    return int(round(window * sample_rate))
+
+
 def frame_times(buf: AudioBuffer, window: float) -> np.ndarray:
     """Center times (s) of the full `window`-second windows, one every HOP seconds.
 
     Windows are centered: the first center sits at window/2. Windows that
     would run past the end are dropped.
     """
-    win = int(round(window * buf.sample_rate))
-    hop = int(round(HOP * buf.sample_rate))
+    win = window_samples(window, buf.sample_rate)
+    hop = window_samples(HOP, buf.sample_rate)
     if win < 1 or hop < 1:
         raise ValueError("window and hop must cover at least one sample")
     n = buf.samples.size
@@ -402,12 +416,12 @@ def frame_blocks(samples: np.ndarray, sample_rate: int, times, window: float):
     """Yield (rows, frames) for the `window`-second windows centred at `times`, FRAME_BLOCK rows at a time.
 
     A window's first sample is round(time * sample_rate - win / 2), where
-    win = round(window * sample_rate). Only windows that lie inside the
-    buffer are yielded: rows holds their ascending indices into `times`,
+    win = window_samples(window, sample_rate). Only windows that lie inside
+    the buffer are yielded: rows holds their ascending indices into `times`,
     and frames[j] is the [win] slice of the window at times[rows[j]]. A
     buffer shorter than one window yields nothing.
     """
-    win = int(round(window * sample_rate))
+    win = window_samples(window, sample_rate)
     starts = np.rint(np.asarray(times, dtype=np.float64) * sample_rate - win / 2.0).astype(np.intp)
     inside = np.flatnonzero((starts >= 0) & (starts + win <= samples.size))
     if inside.size == 0:

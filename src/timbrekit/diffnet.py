@@ -492,6 +492,8 @@ def train(
 
     Deterministic given the seed: initialization, shuffling, and dropout
     all draw from one generator, and reductions run in a fixed order.
+    An epoch that leaves the loss, a parameter or a running statistic not
+    finite raises ValueError naming the epoch.
     """
     pairs = _as_columns(pairs)
     if len(pairs) < 2:
@@ -516,25 +518,31 @@ def train(
     n = len(pairs)
     # A leftover single pair joins the last batch, since a one-row batch has zero batch-norm variance.
     stops = [*range(config.batch_size, n - 1, config.batch_size), n]
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start, stop in zip([0, *stops[:-1]], stops):
-            sel = order[start:stop]
-            # Each batch gathers its own [B x 2D] pair rows, so memory grows with U*D + P, not P*D.
-            x = table[rows[sel]].reshape(sel.size, -1)
-            scores, cache = forward(model, x, mode="train", rng=rng)
-            epoch_loss += batch_loss(scores, desc_idx[sel], targets[sel]) * sel.size
-            grads = backward(model, cache, desc_idx[sel], targets[sel])
-            adam.step(grads)
-            # Running statistics move toward the batch moments.
-            model.running_mean += model.bn_momentum * (cache["mu"] - model.running_mean)
-            model.running_var += model.bn_momentum * (cache["var"] - model.running_var)
-        picked = _score_rows(model, table, rows, desc_idx)
-        train_acc = float(np.mean((picked >= 0.5) == (targets == 1.0)))
-        log.append(
-            {"epoch": epoch, "loss": epoch_loss / n, "train_accuracy": train_acc}
-        )
+    # A diverging run overflows; the check after each epoch reports it in place of numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start, stop in zip([0, *stops[:-1]], stops):
+                sel = order[start:stop]
+                # Each batch gathers its own [B x 2D] pair rows, so memory grows with U*D + P, not P*D.
+                x = table[rows[sel]].reshape(sel.size, -1)
+                scores, cache = forward(model, x, mode="train", rng=rng)
+                epoch_loss += batch_loss(scores, desc_idx[sel], targets[sel]) * sel.size
+                grads = backward(model, cache, desc_idx[sel], targets[sel])
+                adam.step(grads)
+                # Running statistics move toward the batch moments.
+                model.running_mean += model.bn_momentum * (cache["mu"] - model.running_mean)
+                model.running_var += model.bn_momentum * (cache["var"] - model.running_var)
+            state = (epoch_loss, adam.params, model.running_mean, model.running_var)
+            if not all(np.isfinite(v).all() for v in state):
+                raise ValueError(f"training diverged in epoch {epoch}: the loss or a parameter is not a finite "
+                                 f"number (learning rate {config.learning_rate:g})")
+            picked = _score_rows(model, table, rows, desc_idx)
+            train_acc = float(np.mean((picked >= 0.5) == (targets == 1.0)))
+            log.append(
+                {"epoch": epoch, "loss": epoch_loss / n, "train_accuracy": train_acc}
+            )
     return model, log
 
 

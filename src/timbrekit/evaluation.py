@@ -14,17 +14,20 @@ count of the positives, O(N log N); the EER reads one curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .audio import HOP, INTERNAL_RATE, next_pow2
+from .audio import HOP, INTERNAL_RATE, filter_half_length, window_samples
 from .diffnet import DiffNetModel, STANDARD_DESCRIPTORS, TrainConfig, init_model
 from .features import (
-    CEPSTRAL_KINDS, CEPSTRAL_WINDOW, MEASURE_WINDOW, SchemaError, feature_names_for, filterbank_matrix,
+    CEPSTRAL_KINDS, CEPSTRAL_NAMES, CEPSTRAL_WINDOW, FEATURE_NAMES, MEASURE_WINDOW, SchemaError,
+    feature_names_for, filterbank_matrix,
 )
-from .formants import ANALYSIS_RATE, LPC_ORDER, WINDOW as FORMANT_WINDOW
-from .noise_metrics import HARMONIC_COUNT_MAX, QUEFRENCY_CEILING
-from .pitch import _LAG_OVERSAMPLE, PitchConfig
+from .formants import ANALYSIS_RATE, LPC_ORDER, WINDOW_SAMPLES as FORMANT_WINDOW_SAMPLES
+from .harmonics import HARMONIC_HALF_BAND, TILT_FIXED_HZ, TILT_HARMONICS, padded_fft_size
+from .noise_metrics import HARMONIC_COUNT_MAX, QUEFRENCY_CEILING, SHR_HALF_BAND
+from .pitch import LAG_OVERSAMPLE, PitchConfig, acf_fft_size
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,9 @@ def _dense_flops(n_in: int, n_out: int) -> int:
 def _acoustic_breakdown() -> dict[str, int]:
     """Flops per second of audio for each extraction stage.
 
+    Every size is read from the stage that uses it; only the operation
+    counts per sample, bin or tap are the tally's own.
+
     pitch_autocorrelation and cepstral_peak count the algorithmic cost of
     their inverse transforms as full real FFTs. Extraction instead forms
     only the lags and quefrencies it reads, as products with cached cosine
@@ -196,37 +202,39 @@ def _acoustic_breakdown() -> dict[str, int]:
     """
     sr = INTERNAL_RATE
     frames = int(round(1.0 / HOP))
-    slice_n = int(round(MEASURE_WINDOW * sr))
-    slice_fft = next_pow2(4 * slice_n)
+    slice_n = window_samples(MEASURE_WINDOW, sr)
+    slice_fft = padded_fft_size(slice_n)
     slice_bins = slice_fft // 2 + 1
 
     config = PitchConfig()
-    pitch_n = int(round(config.window * sr))
-    lag_max = int(sr / config.floor)
-    pitch_fft = next_pow2(pitch_n + lag_max + 2)
+    pitch_n = window_samples(config.window, sr)
+    _, lag_max = config.lag_range(sr)
+    pitch_fft = acf_fft_size(pitch_n, lag_max)
     pitch = (
         4 * pitch_n  # mean removal and taper
         + _real_fft_flops(pitch_fft)
-        + _real_fft_flops(_LAG_OVERSAMPLE * pitch_fft)
+        + _real_fft_flops(LAG_OVERSAMPLE * pitch_fft)
         + 3 * (pitch_fft // 2 + 1)  # squared magnitude
-        + 2 * _LAG_OVERSAMPLE * (lag_max + 2)  # lag-domain normalization
-        + 3 * _LAG_OVERSAMPLE * lag_max  # peak scan
+        + 2 * LAG_OVERSAMPLE * (lag_max + 2)  # lag-domain normalization
+        + 3 * LAG_OVERSAMPLE * lag_max  # peak scan
         + 24  # parabolic refinement and gating
     )
 
-    fo_n = int(round(FORMANT_WINDOW * ANALYSIS_RATE))
+    fo_n = FORMANT_WINDOW_SAMPLES
     burg_stages = sum(6 * (fo_n - 1 - m) for m in range(LPC_ORDER))
     formants = fo_n + burg_stages + 10 * LPC_ORDER**3 + 6 * LPC_ORDER
 
     bin_hz = sr / slice_fft
-    harmonic_bands = int(5 * (_NOMINAL_F0 / 2.0 / bin_hz)) * 2
+    tilt_levels = len(TILT_HARMONICS) + len(TILT_FIXED_HZ)
+    harmonic_bands = int(tilt_levels * (2 * HARMONIC_HALF_BAND * _NOMINAL_F0 / bin_hz)) * 2
     correction = 4 * 4 * 14  # up to 4 harmonics x 4 formants x closed-form term
-    shr_bands = int(2 * HARMONIC_COUNT_MAX * (_NOMINAL_F0 / 4.0 / bin_hz)) * 2
+    shr_bands = int(2 * HARMONIC_COUNT_MAX * (2 * SHR_HALF_BAND * _NOMINAL_F0 / bin_hz)) * 2
 
     cpp_bins = int(QUEFRENCY_CEILING * sr) + 2
     cpp = 2 * slice_bins + _real_fft_flops(slice_fft) + 4 * cpp_bins + 6 * cpp_bins
 
-    resample_taps = 2 * 10 * 16 + 1  # polyphase kaiser design for 16 k -> 11 k
+    up, down = Fraction(ANALYSIS_RATE, sr).as_integer_ratio()
+    resample_taps = 2 * filter_half_length(up, down) + 1  # the prototype filter, spread over `up` phases
     per_frame = {
         "pitch_autocorrelation": pitch,
         "slice_spectrum": 2 * slice_n + _real_fft_flops(slice_fft),
@@ -239,26 +247,26 @@ def _acoustic_breakdown() -> dict[str, int]:
     breakdown = {name: flops * frames for name, flops in per_frame.items()}
     breakdown["global_peak_scan"] = 2 * sr
     breakdown["formant_rate_resample"] = int(
-        2 * np.ceil(resample_taps / 11) * ANALYSIS_RATE + 2 * ANALYSIS_RATE
+        2 * np.ceil(resample_taps / up) * ANALYSIS_RATE + 2 * ANALYSIS_RATE
     )
-    breakdown["pooling"] = 4 * 26 * frames
+    breakdown["pooling"] = 4 * len(FEATURE_NAMES) * frames
     return breakdown
 
 
 def _cepstral_breakdown(scale: str, nfft: int) -> dict[str, int]:
     sr = INTERNAL_RATE
     frames = int(round(1.0 / HOP))
-    n = int(round(CEPSTRAL_WINDOW * sr))
+    n = window_samples(CEPSTRAL_WINDOW, sr)
     bank = filterbank_matrix(nfft, sr, scale)
     bins = nfft // 2 + 1
     per_frame = {
         "windowed_spectrum": 2 * n + _real_fft_flops(nfft) + 3 * bins,
         "filterbank": 2 * int(np.count_nonzero(bank)),
         "log_energies": 2 * bank.shape[0],
-        "dct": 2 * bank.shape[0] * 13 + 13,
+        "dct": 2 * bank.shape[0] * len(CEPSTRAL_NAMES) + len(CEPSTRAL_NAMES),
     }
     breakdown = {name: flops * frames for name, flops in per_frame.items()}
-    breakdown["pooling"] = 2 * 13 * frames
+    breakdown["pooling"] = 2 * len(CEPSTRAL_NAMES) * frames
     return breakdown
 
 

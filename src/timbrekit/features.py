@@ -251,17 +251,21 @@ def write_features(path, rows: list[tuple[str, np.ndarray, int]], kind: str) -> 
 
     The format follows the extension: .jsonl for JSON lines, CSV otherwise.
     Floats are written with repr, so a read round-trips bit-exactly. A
-    repeated utt_id, or a vector whose width differs from the kind's names,
+    repeated utt_id, a vector whose width differs from the kind's names, or
+    a value that is not a finite number (which read_features would refuse)
     raises SchemaError before anything is written.
     """
     names = feature_names_for(kind)
     path = Path(path)
+    rows = sorted(rows, key=lambda r: r[0])
     seen = FeatureTable()
+    seen.names = names
     for utt_id, vector, _ in rows:
         if len(vector) != len(names):
             raise SchemaError(f"{path}: {utt_id} has {len(vector)} values, {kind} has {len(names)} names")
         seen.add(utt_id, vector, str(path))
-    rows = sorted(rows, key=lambda r: r[0])
+    first_line = 1 if path.suffix == ".jsonl" else 2  # the line the first row would be written on
+    _finite(seen, path, range(first_line, first_line + len(rows)))
     if path.suffix == ".jsonl":
         with path.open("w", encoding="utf-8") as fh:
             for utt_id, vector, count in rows:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, frame_blocks, resample
+from .audio import AudioBuffer, frame_blocks, resample, window_samples
 
 
 # The fixed analysis: up to five resonances below a 5500 Hz ceiling, each
@@ -27,10 +27,10 @@ MAX_BANDWIDTH = 700.0
 WINDOW = 0.025
 LPC_ORDER = 2 * MAX_FORMANTS
 ANALYSIS_RATE = int(round(2.0 * CEILING))
-# The exp(-12 x^2) taper, rescaled to hit zero at the edges, of every analysis
-# window; frame_blocks cuts each one round(WINDOW * ANALYSIS_RATE) samples long.
-_WINDOW_SAMPLES = int(round(WINDOW * ANALYSIS_RATE))
-_OFFSETS = (np.arange(_WINDOW_SAMPLES) + 0.5) / _WINDOW_SAMPLES - 0.5  # in window lengths
+# Samples in each analysis window, as frame_blocks cuts it, and the
+# exp(-12 x^2) taper of every window, rescaled to hit zero at the edges.
+WINDOW_SAMPLES = window_samples(WINDOW, ANALYSIS_RATE)
+_OFFSETS = (np.arange(WINDOW_SAMPLES) + 0.5) / WINDOW_SAMPLES - 0.5  # in window lengths
 _TAPER = (np.exp(-12.0 * _OFFSETS * _OFFSETS) - np.exp(-12.0)) / (1.0 - np.exp(-12.0))
 _TAPER.setflags(write=False)
 

@@ -23,6 +23,12 @@ from .audio import next_pow2
 
 # Column order of tilt_measures; features.MEASURE_NAMES splices it in.
 TILT_NAMES = ("h1_h2", "h2_h4", "h4_h2k", "h2k_h5k")
+# The levels the tilt measures difference: harmonics 1, 2 and 4 of f0, then
+# the harmonics nearest 2 and 5 kHz, each the peak within +-HARMONIC_HALF_BAND
+# times f0 of its harmonic.
+TILT_HARMONICS = (1, 2, 4)
+TILT_FIXED_HZ = (2000.0, 5000.0)
+HARMONIC_HALF_BAND = 0.25
 
 _DB_GUARD = 1e-12
 
@@ -44,13 +50,18 @@ class Spectrum:
         return self.sample_rate / 2.0
 
 
+def padded_fft_size(n: int) -> int:
+    """The transform size of an n-sample slice: the smallest power of two >= 4n."""
+    return next_pow2(4 * n)
+
+
 def magnitude_spectrum(window_samples: np.ndarray, sample_rate: float) -> Spectrum:
-    """Hann-windowed magnitude spectrum of each row, zero-padded to a power of two >= 4x."""
+    """Hann-windowed magnitude spectrum of each row, zero-padded to padded_fft_size."""
     x = np.atleast_2d(np.asarray(window_samples, dtype=np.float64))
     n = x.shape[1]
     if n == 0:
         raise ValueError("empty window")
-    nfft = next_pow2(4 * n)
+    nfft = padded_fft_size(n)
     mags = np.abs(np.fft.rfft(x * np.hanning(n), nfft))
     freqs = np.fft.rfftfreq(nfft, 1.0 / sample_rate)
     return Spectrum(freqs, mags, float(sample_rate))
@@ -72,14 +83,15 @@ def harmonic_levels(spec: Spectrum, targets: np.ndarray, f0: np.ndarray):
     """(peak dB, snapped harmonic) for [rows x bands] targets and one f0 per row.
 
     Each target snaps to the nearest harmonic of its row's f0, and the
-    level is the peak within +-f0/4 of that harmonic, tolerant of small f0
-    error while excluding the neighbors. Levels are NaN where the band lies
-    beyond Nyquist.
+    level is the peak within +-HARMONIC_HALF_BAND * f0 of that harmonic,
+    tolerant of small f0 error while excluding the neighbors. Levels are
+    NaN where the band lies beyond Nyquist.
     """
     f0 = f0[:, np.newaxis]
     harmonic = np.maximum(1.0, np.rint(targets / f0)) * f0
-    starts = np.searchsorted(spec.frequencies, harmonic - f0 / 4.0, side="left")
-    stops = np.searchsorted(spec.frequencies, harmonic + f0 / 4.0, side="right")
+    half_band = f0 * HARMONIC_HALF_BAND
+    starts = np.searchsorted(spec.frequencies, harmonic - half_band, side="left")
+    stops = np.searchsorted(spec.frequencies, harmonic + half_band, side="right")
     ok = (targets > 0) & (targets < spec.nyquist) & (starts < spec.frequencies.size) & (stops > starts)
     peaks = band_peaks(spec.magnitudes, np.where(ok, starts, 0), np.where(ok, stops, 1))
     return np.where(ok, 20.0 * np.log10(peaks + _DB_GUARD), np.nan), harmonic
@@ -107,16 +119,17 @@ def correction_db(freq, frequencies, bandwidths, sample_rate: float):
 def tilt_measures(spec: Spectrum, f0, frequencies: np.ndarray, bandwidths: np.ndarray) -> np.ndarray:
     """[rows x 4] spectral-shape differences in TILT_NAMES order, one row per voiced slice.
 
-    H1, H2, H4 sit at harmonics 1, 2, 4; H2kHz and H5kHz at the harmonics
-    nearest 2 and 5 kHz. All but H5kHz have the formant gain at their
-    frequency removed ("starred" values: H1/H2/H4 with F1 and F2, H2kHz
-    with every detected formant). frequencies and bandwidths are the
-    [rows x K] formant arrays, K >= 2. Any missing constituent makes the
-    affected difference NaN.
+    H1, H2, H4 sit at TILT_HARMONICS 1, 2, 4; H2kHz and H5kHz at the
+    harmonics nearest TILT_FIXED_HZ, 2 and 5 kHz. All but H5kHz have the
+    formant gain at their frequency removed ("starred" values: H1/H2/H4
+    with F1 and F2, H2kHz with every detected formant). frequencies and
+    bandwidths are the [rows x K] formant arrays, K >= 2. Any missing
+    constituent makes the affected difference NaN.
     """
     fs = spec.sample_rate
     f0 = np.atleast_1d(np.asarray(f0, dtype=np.float64))
-    targets = np.column_stack([f0, 2 * f0, 4 * f0, np.full_like(f0, 2000.0), np.full_like(f0, 5000.0)])
+    targets = np.column_stack([*(k * f0 for k in TILT_HARMONICS),
+                               *(np.full_like(f0, hz) for hz in TILT_FIXED_HZ)])
     raw, snapped = harmonic_levels(spec, targets, f0)
 
     f12, b12 = frequencies[:, :2], bandwidths[:, :2]

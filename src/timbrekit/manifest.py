@@ -21,6 +21,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
@@ -101,13 +102,13 @@ def _record(raw) -> ManifestRecord:
 _DECODE_LINES = 1 << 10
 
 
-# One whole line in write_manifest's layout (json.dumps' default separators,
-# FIELDS in order), each value a JSON string with no escape and no control
-# character; such a string decodes to its literal text.
+# write_manifest's line, without its newline: FIELDS in order with json.dumps'
+# default separators, each %s a value as json.dumps encodes it in a dict.
+_TEMPLATE = "{" + ", ".join(f'"{key}": %s' for key in FIELDS) + "}"
+# One whole line of that template whose every value is a JSON string with no
+# escape and no control character; such a string decodes to its literal text.
 _STRING = r'"([^"\\\x00-\x1f]*)"'
-_CANONICAL_LINE = re.compile(
-    r"^\{" + ", ".join(f'"{key}": {_STRING}' for key in FIELDS) + r"\}(?:\n|\Z)", re.M
-)
+_CANONICAL_LINE = re.compile("^" + re.escape(_TEMPLATE).replace("%s", _STRING) + r"(?:\n|\Z)", re.M)
 _FIELD_VALUES = itemgetter(*FIELDS)
 _DECODE = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
@@ -183,13 +184,18 @@ def read_manifest(path) -> Manifest:
     return manifest
 
 
+def _json_value(value) -> str:
+    """value as json.dumps encodes it, also inside a dict: ASCII-escaped for a str."""
+    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
+
+
 def write_manifest(path, records: Sequence[ManifestRecord]) -> None:
-    """One json.dumps line per record, its keys in FIELDS order: the layout _CANONICAL_LINE reads."""
+    """One _TEMPLATE line per record, which equals json.dumps of the record's FIELDS dict."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for entry in records:
             pair = entry.record
-            values = (pair.utt_a, pair.utt_b, pair.descriptor, pair.label, entry.split)
-            fh.write(json.dumps(dict(zip(FIELDS, values))) + "\n")
+            fh.write(_TEMPLATE % (_json_value(pair.utt_a), _json_value(pair.utt_b), _json_value(pair.descriptor),
+                                  _json_value(pair.label), _json_value(entry.split)) + "\n")
 
 
 def check_manifest(manifest: Manifest) -> list[str]:

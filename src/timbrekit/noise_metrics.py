@@ -20,12 +20,14 @@ _REL_SPECTRAL_FLOOR = 1e-6
 _LOG_GUARD = 1e-30
 
 # CPP searches quefrencies 1/500 to 1/60 s (f0 of 60 to 500 Hz) for its peak
-# and fits the trend line from 1 ms up; SHR sums up to 10 harmonics and
-# reads no lower than -30 dB.
+# and fits the trend line from 1 ms up; SHR sums up to 10 harmonics, each
+# the peak within SHR_HALF_BAND f0s of its frequency, and reads no lower
+# than -30 dB.
 QUEFRENCY_FLOOR = 1.0 / 500.0
 QUEFRENCY_CEILING = 1.0 / 60.0
 TREND_FLOOR = 0.001
 HARMONIC_COUNT_MAX = 10
+SHR_HALF_BAND = 0.125
 SHR_FLOOR_DB = -30.0
 
 
@@ -84,9 +86,9 @@ def cpp_from_spectrum(spec: Spectrum):
 def shr(spec: Spectrum, f0):
     """Subharmonic-to-harmonic ratio in dB, clamped at SHR_FLOOR_DB.
 
-    Sums the peak magnitude within +-f0/8 of each harmonic k*f0 and of
-    each half-integer multiple (k - 1/2)*f0, k = 1..K, with K capped both
-    by HARMONIC_COUNT_MAX and by Nyquist. Rows with fewer than two
+    Sums the peak magnitude within +-SHR_HALF_BAND * f0 of each harmonic
+    k*f0 and of each half-integer multiple (k - 1/2)*f0, k = 1..K, with K
+    capped both by HARMONIC_COUNT_MAX and by Nyquist. Rows with fewer than two
     harmonics below Nyquist read NaN.
     """
     f0 = np.atleast_1d(np.asarray(f0, dtype=np.float64))
@@ -97,9 +99,10 @@ def shr(spec: Spectrum, f0):
     k = np.arange(1, HARMONIC_COUNT_MAX + 1)
     f0 = f0[:, np.newaxis]
     centers = np.concatenate([k * f0, (k - 0.5) * f0], axis=1)
-    starts = np.searchsorted(spec.frequencies, centers - f0 / 8.0, side="left")
+    half_band = f0 * SHR_HALF_BAND
+    starts = np.searchsorted(spec.frequencies, centers - half_band, side="left")
     stops = np.maximum(
-        np.searchsorted(spec.frequencies, centers + f0 / 8.0, side="right"), starts + 1
+        np.searchsorted(spec.frequencies, centers + half_band, side="right"), starts + 1
     )
     peaks = np.where(np.tile(k <= count[:, np.newaxis], 2), band_peaks(spec.magnitudes, starts, stops), 0.0)
     harmonic_sum, subharmonic_sum = np.split(peaks, 2, axis=1)

@@ -73,6 +73,10 @@ class PitchConfig:
         """The analysis window in seconds: three periods of the floor."""
         return _WINDOW_PERIODS / self.floor
 
+    def lag_range(self, sample_rate: float) -> tuple[int, int]:
+        """(shortest, longest) lag in samples the peak search reads: the ceiling's and the floor's periods."""
+        return max(2, int(np.ceil(sample_rate / self.ceiling))), int(np.floor(sample_rate / self.floor))
+
 
 @dataclass(frozen=True)
 class PitchTrack:
@@ -96,7 +100,12 @@ class PitchTrack:
 # i.e. band-limited interpolation). Peaks of strongly harmonic signals are
 # only a couple of samples wide, and a 3-point parabola on the raw sample
 # grid undervalues any period that falls between samples.
-_LAG_OVERSAMPLE = 4
+LAG_OVERSAMPLE = 4
+
+
+def acf_fft_size(n: int, lag_max: int) -> int:
+    """ACF transform size of an n-sample frame: a power of two >= n + lag_max + 2, so no lag read wraps."""
+    return next_pow2(n + lag_max + 2)
 
 
 def _lag_acf(power: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +115,7 @@ def _lag_acf(power: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.n
     weighted sum of the bins, and the others come from irfft_columns, so
     no lag the peak search does not read is formed.
     """
-    m = _LAG_OVERSAMPLE * 2 * (power.shape[1] - 1)
+    m = LAG_OVERSAMPLE * 2 * (power.shape[1] - 1)
     return (2.0 * power.sum(axis=1) - power[:, 0]) / m, irfft_columns(power, m, start, stop)
 
 
@@ -132,8 +141,7 @@ def frame_pitch(
     """
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     n = frames.shape[1]
-    lag_min = max(2, int(np.ceil(sample_rate / config.ceiling)))
-    lag_max = int(np.floor(sample_rate / config.floor))
+    lag_min, lag_max = config.lag_range(sample_rate)
     if n < 2 * lag_max:
         raise ValueError(
             f"window of {n} samples is under two periods of the {config.floor} Hz floor"
@@ -146,9 +154,9 @@ def frame_pitch(
 
     # Peaks are searched at oversampled lags lo..upper - 1, and the parabola
     # reads one lag either side, so lags lo - 1..upper are all that is formed.
-    lo = _LAG_OVERSAMPLE * lag_min
-    upper = _LAG_OVERSAMPLE * (lag_max + 1) + 1
-    nfft = next_pow2(n + lag_max + 2)
+    lo = LAG_OVERSAMPLE * lag_min
+    upper = LAG_OVERSAMPLE * (lag_max + 1) + 1
+    nfft = acf_fft_size(n, lag_max)
     w, w_acf = _window_and_acf(n, nfft, lo - 1, upper + 1)
     # The live rows are copied out, so every array below is this call's own
     # and each step runs in place.
@@ -166,7 +174,7 @@ def frame_pitch(
     row, lag = np.nonzero((inner > r[:, :-2]) & (inner >= r[:, 2:]))
     pos, value = parabolic_peak(r, row, lag + 1)
     cand_f0 = np.minimum(
-        np.maximum(sample_rate * _LAG_OVERSAMPLE / (pos + (lo - 1)), config.floor), config.ceiling
+        np.maximum(sample_rate * LAG_OVERSAMPLE / (pos + (lo - 1)), config.floor), config.ceiling
     )
 
     best = np.full(live.size, -np.inf)

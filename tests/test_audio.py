@@ -127,6 +127,22 @@ class TestLoadAudio:
         buf, _, peak = traced(lambda: load_audio(path))
         assert peak < buf.samples.nbytes + 2 * path.stat().st_size
 
+    def test_float32_finite_check_makes_no_per_sample_temporary(self, tmp_path):
+        """120 s of 16 kHz float32 peaks at the file's bytes plus the float64 result.
+
+        A bool array of the samples, one byte each, would add 1.92 MB (24.96 MB in all).
+        """
+        n = 120 * 16000
+        path = make_wav(tmp_path / "f.wav", np.zeros(n, "<f4").tobytes(), fmt=3, bits=32)
+        buf, _, peak = traced(lambda: load_audio(path))
+        assert peak < path.stat().st_size + buf.samples.nbytes + n // 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_float32_non_finite_sample_is_named(self, tmp_path, value):
+        path = make_wav(tmp_path / "f.wav", np.array([0.5, value, -0.5], "<f4").tobytes(), fmt=3, bits=32)
+        with pytest.raises(AudioError, match="non-finite float samples"):
+            load_audio(path)
+
     def test_a_directory_cannot_be_read(self, tmp_path):
         with pytest.raises(AudioError, match="cannot read"):
             load_audio(tmp_path)

@@ -170,6 +170,17 @@ class TestSynthCommand:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["sine", "mixture", "white_noise", "resonated_pulses"])
+    def test_amplitude_near_the_float64_limit_writes_full_scale(self, runner, tmp_path, kind):
+        """Samples too large to scale to 16 bits are clipped first: nothing on stderr, every sample at full scale."""
+        out = tmp_path / "x.wav"
+        result = run(runner, ["synth", "--kind", kind, "--amplitude", "1e308", "--formants", "500:80,1500:100",
+                              "--dur", "0.1", "--out", str(out)])
+        assert (result.exit_code, result.output) == (0, f"wrote {out}\n")
+        buf = synth(SynthSpec(kind=kind, amplitude=1e308, formants=((500.0, 80.0), (1500.0, 100.0)), duration=0.1))
+        pcm = np.frombuffer(out.read_bytes()[44:], "<i2")
+        np.testing.assert_array_equal(pcm, np.where(buf.samples > 0, 32767, np.where(buf.samples < 0, -32768, 0)))
+
     def test_seeded_noise_deterministic_bytes(self, runner, tmp_path):
         args = ["synth", "--kind", "white_noise", "--seed", "9", "--dur", "0.5"]
         run(runner, args + ["--out", str(tmp_path / "a.wav")])
@@ -599,6 +610,21 @@ class TestTrainCommand:
         assert result.output == (f"error: INVALID_INPUT: learning_rate must be a finite positive number, "
                                  f"got {float(value)}\n")
         assert not out.exists()
+
+    def test_diverging_run_is_one_error_line_and_no_checkpoint(self, runner, tmp_path):
+        """Weights that overflow fail in their epoch without a numpy warning; a huge finite run still trains."""
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=300, n_test=5)
+        out = tmp_path / "m.json"
+        args = ["train", "--manifest", str(manifest_path), "--features", str(features_path), "--out", str(out),
+                "--epochs", "3", "--lr"]
+        result = runner.invoke(main, [*args, "1e300"])
+        assert result.exit_code == 1
+        assert [line for line in result.output.splitlines() if line.startswith("error:")] == [
+            "error: INVALID_INPUT: training diverged in epoch 1: the loss or a parameter is not a finite number "
+            "(learning rate 1e+300)"]
+        assert not out.exists()
+        assert run(runner, [*args, "1e12"]).exit_code == 0
+        assert out.exists()
 
     def test_same_seed_identical_checkpoints(self, runner, tmp_path):
         features_path, manifest_path = separable_training_setup(tmp_path, n_train=300, n_test=50)

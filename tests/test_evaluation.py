@@ -163,6 +163,34 @@ class TestCostReport:
         assert cost_report("acoustic").dim_per_utterance == 26
         assert cost_report("mfcc").dim_per_utterance == 13
 
+    @pytest.mark.parametrize("kind,total,breakdown", [
+        ("acoustic", 44_716_600, [
+            ("pitch_autocorrelation", 15_687_900), ("slice_spectrum", 12_416_000),
+            ("cepstral_peak", 12_965_800), ("formant_lpc", 2_650_500), ("harmonic_amplitudes", 41_600),
+            ("subharmonic_ratio", 38_400), ("rms", 192_000), ("global_peak_scan", 32_000),
+            ("formant_rate_resample", 682_000), ("pooling", 10_400),
+        ]),
+        ("mfcc", 3_064_600, [
+            ("windowed_spectrum", 2_793_900), ("filterbank", 194_000), ("log_energies", 5_200),
+            ("dct", 68_900), ("pooling", 2_600),
+        ]),
+        ("lfc", 1_484_200, [
+            ("windowed_spectrum", 1_309_100), ("filterbank", 98_400), ("log_energies", 5_200),
+            ("dct", 68_900), ("pooling", 2_600),
+        ]),
+    ])
+    def test_tallies_are_pinned(self, kind, total, breakdown):
+        """Every stage's tally, in report order, and the default classifier's; a changed stage size shows here."""
+        report = cost_report(kind)
+        assert list(report.extraction_breakdown.items()) == breakdown
+        assert report.extraction_flops_per_second == total
+        d2, fc1, params, per_pair = {"acoustic": (52, 13_440, 9_388, 18_986)}.get(kind, (26, 6_784, 6_047, 12_226))
+        assert list(report.classifier_breakdown.items()) == [
+            ("z_score_and_clip", 3 * d2), ("feature_gains", d2), ("fc1", fc1), ("batch_norm", 512), ("relu", 128),
+            ("fc2", 4_626), ("sigmoid", 72),
+        ]
+        assert (report.classifier_params, report.classifier_flops_per_pair) == (params, per_pair)
+
     def test_text_format_mentions_conventions(self):
         text = cost_report("acoustic").format_text()
         assert "conventions:" in text

@@ -493,6 +493,18 @@ class TestFeatureFiles:
             write_features(path, self.rows(), "mfcc")
         assert not path.exists()
 
+    @pytest.mark.parametrize("suffix,line", [(".csv", 3), (".jsonl", 2)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_write_rejects_a_value_that_is_not_finite(self, tmp_path, suffix, line, value):
+        """The reader's rule and message, at the line the row would take, and no file."""
+        rows = self.rows()
+        rows[1][1][FEATURE_NAMES.index("mean_f3")] = value
+        path = tmp_path / f"features{suffix}"
+        with pytest.raises(SchemaError) as info:
+            write_features(path, rows, "acoustic")
+        assert str(info.value) == f"{path}:{line}: utt01 mean_f3 is not a finite number: {value}"
+        assert not path.exists()
+
     @pytest.mark.parametrize("delete", [1, 26], ids=["first_value", "last_value"])
     def test_csv_row_with_a_missing_field(self, tmp_path, delete):
         path = tmp_path / "features.csv"

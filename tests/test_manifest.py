@@ -59,6 +59,14 @@ RAW_CONTROL = "raw control character"
 bad_edits = st.sampled_from(("\ufeff{}", "x{}", ",{}", "{}\ufeff", "{} x", "{}{{}}", "{},", RAW_CONTROL))
 
 
+# Any value write_manifest may be handed for utt_a, utt_b or the descriptor: any
+# text, lone surrogates included, or a JSON value that is not a string.
+any_text = st.text(st.characters(exclude_categories=()))
+any_values = st.one_of(any_text, st.none(), st.booleans(), st.integers(), st.floats(),
+                       st.lists(any_text, max_size=2), st.dictionaries(any_text, st.integers(), max_size=2))
+written_rows = st.tuples(any_values, any_values, any_values, st.sampled_from("AB"), st.sampled_from(SPLITS))
+
+
 # Records for the explicit examples: one in write_manifest's layout, one whose raw
 # non-ASCII text that layout keeps when ensure_ascii is off, one that needs escapes.
 PLAIN = {"utt_a": "a.wav", "utt_b": "b", "descriptor": "x y", "label": "A", "split": "train"}
@@ -251,6 +259,14 @@ class TestColumnarReader:
         pairs, kept, peak = traced(lambda: read_manifest(path))
         assert len(pairs) == 60_000
         assert peak - kept < 6e6
+
+    @given(rows=st.lists(written_rows.filter(lambda row: row[0] != row[1]), min_size=1, max_size=8))
+    @example(rows=[('q"\\\x1f\u00e9\ud800', None, 2.5, "A", "train"), (float("nan"), [], {"\n": 1}, "B", "test")])
+    @settings(max_examples=200, deadline=None)
+    def test_write_manifest_lines_are_json_dumps_of_each_record(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("w") / "pairs.jsonl"
+        write_manifest(path, [ManifestRecord(PairRecord(*row[:4]), row[4]) for row in rows])
+        assert path.read_text(encoding="utf-8") == "".join(json.dumps(dict(zip(FIELDS, row))) + "\n" for row in rows)
 
     def test_split_pairs_are_columns_in_file_order(self, tmp_path):
         raws = [
