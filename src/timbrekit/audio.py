@@ -96,6 +96,9 @@ class SynthSpec:
     under 1 GB: a mixture with four formants peaks at 46-50 bytes per
     sample (tracemalloc). A spec over either is refused as it is built.
 
+    Each formant is a (freq, bandwidth) pair with 0 < freq < sample_rate / 2:
+    a resonator tuned at or past Nyquist would ring at its alias instead.
+
     pulse_train, resonated_pulses and mixture are one complex phasor sum,
     Re(sum of c_m * w(t)**m), evaluated by Horner's rule, where c_m is a
     line's amplitude and phase and w(t) = exp(2*pi*i*f0*t) (exp(i*pi*f0*t)
@@ -136,6 +139,9 @@ class SynthSpec:
         for freq, bandwidth in self.formants:
             if not (0 < freq < math.inf and 0 < bandwidth < math.inf):
                 raise ValueError(f"formants must be positive finite freq:bw pairs, got {freq}:{bandwidth}")
+            if freq >= self.sample_rate / 2:
+                raise ValueError(f"formant {freq}:{bandwidth} is not below Nyquist, "
+                                 f"{self.sample_rate / 2:g} Hz at {self.sample_rate} Hz")
         for name in ("subharmonic_gain", "noise_gain"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -274,6 +280,11 @@ def filter_half_length(up: int, down: int) -> int:
     return 10 * max(up, down)
 
 
+def filter_reach(up: int, down: int) -> int:
+    """Reach K = L // up + 1 of resample: each output multiplies the 2K + 1 inputs centred on it."""
+    return filter_half_length(up, down) // up + 1
+
+
 @lru_cache(maxsize=8)
 def _polyphase_taps(up: int, down: int) -> np.ndarray:
     """[up x (2K + 1)] read-only taps, one row per output phase r = o mod up, for coprime up and down.
@@ -282,10 +293,11 @@ def _polyphase_taps(up: int, down: int) -> np.ndarray:
     1/max(up, down) of Nyquist and half-length L = filter_half_length(up,
     down) taps on the upsampled grid, scaled to a DC gain of up. Output
     o = r + j * up is taps[r] dotted with the 2K + 1 inputs centred on input
-    r * down // up + j * down, where reach K = L // up + 1 covers every tap.
+    r * down // up + j * down, where reach K = filter_reach(up, down) covers
+    every tap.
     """
     half = filter_half_length(up, down)
-    reach = half // up + 1
+    reach = filter_reach(up, down)
     cutoff = 1.0 / max(up, down)
     m = np.arange(-half, half + 1)
     h = cutoff * np.sinc(cutoff * m) * np.kaiser(2 * half + 1, 5.0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -22,18 +23,47 @@ from .audio import SYNTH_KINDS, SynthSpec, load_audio, synth, write_wav
 from .pitch import PitchConfig
 
 
+# The options whose files a command writes and reads, with their parameter names.
+_OUTPUT_OPTIONS = (("--out", "out"), ("--log", "log_path"))
+_INPUT_OPTIONS = (("--manifest", "manifest_path"), ("--features", "features_path"), ("--model", "model_path"))
+
+
 def _fail(reason: str, detail: str):
     click.echo(f"error: {reason}: {detail}", err=True)
     sys.exit(1)
 
 
+def _file_key(path):
+    """The (device, inode) of an existing file, so links to it match; else the path with its links resolved."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return stat.st_dev, stat.st_ino
+
+
+def _refuse_overwrite(outputs, inputs):
+    """Fail unless each output names a file that no input and no earlier output names; both are (role, path) pairs."""
+    seen = {_file_key(path): role for role, path in inputs}
+    for role, path in outputs:
+        key = _file_key(path)
+        if key in seen:
+            _fail("INVALID_INPUT", f"{path} is both {role} and {seen[key]}")
+        seen[key] = role
+
+
 def _guard(fn):
-    """Refuse a missing --out or --log directory before any work; map domain errors onto one error line."""
+    """Refuse, before any work, an output whose directory is missing or that names an input or the other output.
+
+    Domain errors map onto one error line.
+    """
 
     def wrapper(*args, **kwargs):
-        for path in (kwargs.get("out"), kwargs.get("log_path")):
-            if path and not Path(path).parent.is_dir():
+        outputs = [(option, kwargs[name]) for option, name in _OUTPUT_OPTIONS if kwargs.get(name)]
+        for _, path in outputs:
+            if not Path(path).parent.is_dir():
                 _fail("INVALID_INPUT", f"{path}: the directory {Path(path).parent} does not exist")
+        _refuse_overwrite(outputs, [(option, kwargs[name]) for option, name in _INPUT_OPTIONS if kwargs.get(name)])
         try:
             return fn(*args, **kwargs)
         except features.SchemaError as exc:
@@ -72,16 +102,17 @@ def _parse_formants(text: str):
 
 @main.command("synth")
 @click.option("--kind", type=click.Choice(SYNTH_KINDS), required=True)
-@click.option("--f0", type=float, default=100.0, show_default=True)
-@click.option("--dur", "duration", type=float, default=1.0, show_default=True, help="Duration in seconds.")
-@click.option("--amplitude", type=float, default=0.8, show_default=True)
+@click.option("--f0", type=float, default=SynthSpec.f0, show_default=True)
+@click.option("--dur", "duration", type=float, default=SynthSpec.duration, show_default=True,
+              help="Duration in seconds.")
+@click.option("--amplitude", type=float, default=SynthSpec.amplitude, show_default=True)
 @click.option("--formants", default="", help="freq:bw pairs, e.g. 500:80,1500:100")
-@click.option("--subharmonic-gain", type=float, default=0.0, show_default=True)
-@click.option("--noise-gain", type=float, default=0.0, show_default=True)
-@click.option("--tilt", "tilt_db_per_octave", type=float, default=0.0, show_default=True,
+@click.option("--subharmonic-gain", type=float, default=SynthSpec.subharmonic_gain, show_default=True)
+@click.option("--noise-gain", type=float, default=SynthSpec.noise_gain, show_default=True)
+@click.option("--tilt", "tilt_db_per_octave", type=float, default=SynthSpec.tilt_db_per_octave, show_default=True,
               help="Source tilt, dB/octave.")
-@click.option("--rate", "sample_rate", type=int, default=16000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--rate", "sample_rate", type=int, default=SynthSpec.sample_rate, show_default=True)
+@click.option("--seed", type=int, default=SynthSpec.seed, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_guard
 def cmd_synth(formants, out, **fields):
@@ -95,7 +126,7 @@ def _pitch_config(config_arg: str | None) -> PitchConfig:
     if not config_arg:
         return PitchConfig()
     text = config_arg if config_arg.lstrip().startswith("{") else Path(config_arg).read_text()
-    overrides = json.loads(text, parse_int=float, object_pairs_hook=features._unique_keys)
+    overrides = features.JSON_DECODER.decode(text)
     if not isinstance(overrides, dict):
         raise ValueError(f"--config is not a JSON object: {text.strip()}")
     others = sorted(overrides.keys() - {"pitch"})
@@ -151,6 +182,8 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
             paths.append(p)
     if not paths:
         _fail("INVALID_INPUT", "no input files")
+    skip_path = Path(str(out) + ".skipped.jsonl")
+    _refuse_overwrite([("--out", out), ("the skip list", skip_path)], [("an input", p) for p in paths])
     # Each file's utt_id is its stem, so two files with one stem would be misaligned: refuse before any work.
     by_id = {}
     for p in paths:
@@ -176,7 +209,6 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
         _fail("ALL_SKIPPED", f"all {len(paths)} inputs were skipped ({counts})")
     features.write_features(out, rows, kind)
     # The skip list belongs to the table: a failed extract leaves an earlier one as it was.
-    skip_path = Path(str(out) + ".skipped.jsonl")
     if skipped:
         with skip_path.open("w") as fh:
             for utt, reason in sorted(skipped):
@@ -191,12 +223,12 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
 @click.option("--features", "features_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Checkpoint path.")
 @click.option("--log", "log_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--hidden", "hidden_dim", type=int, default=128, show_default=True)
-@click.option("--dropout", type=float, default=0.3, show_default=True)
-@click.option("--lr", "learning_rate", type=float, default=1e-3, show_default=True)
-@click.option("--batch-size", type=int, default=256, show_default=True)
-@click.option("--epochs", type=int, default=30, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--hidden", "hidden_dim", type=int, default=diffnet.TrainConfig.hidden_dim, show_default=True)
+@click.option("--dropout", type=float, default=diffnet.TrainConfig.dropout, show_default=True)
+@click.option("--lr", "learning_rate", type=float, default=diffnet.TrainConfig.learning_rate, show_default=True)
+@click.option("--batch-size", type=int, default=diffnet.TrainConfig.batch_size, show_default=True)
+@click.option("--epochs", type=int, default=diffnet.TrainConfig.epochs, show_default=True)
+@click.option("--seed", type=int, default=diffnet.TrainConfig.seed, show_default=True)
 @_guard
 def cmd_train(manifest_path, features_path, out, log_path, **fields):
     """Train on the manifest's train split; deterministic under --seed."""

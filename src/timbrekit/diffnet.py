@@ -172,7 +172,7 @@ class DiffNetModel:
     b2: np.ndarray  # [N]
     norm_mean: np.ndarray  # [D], z-score statistics of one embedding
     norm_std: np.ndarray  # [D]
-    dropout: float = 0.3
+    dropout: float
     bn_momentum: float = 0.1
     bn_epsilon: float = 1e-5
 

@@ -18,14 +18,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .audio import HOP, INTERNAL_RATE, filter_half_length, window_samples
+from .audio import HOP, INTERNAL_RATE, filter_reach, window_samples
 from .diffnet import DiffNetModel, STANDARD_DESCRIPTORS, TrainConfig, init_model
 from .features import (
     CEPSTRAL_KINDS, CEPSTRAL_NAMES, CEPSTRAL_WINDOW, FEATURE_NAMES, MEASURE_WINDOW, SchemaError,
     feature_names_for, filterbank_matrix,
 )
-from .formants import ANALYSIS_RATE, LPC_ORDER, WINDOW_SAMPLES as FORMANT_WINDOW_SAMPLES
-from .harmonics import HARMONIC_HALF_BAND, TILT_FIXED_HZ, TILT_HARMONICS, padded_fft_size
+from .formants import ANALYSIS_RATE, LPC_ORDER, MAX_FORMANTS, WINDOW_SAMPLES as FORMANT_WINDOW_SAMPLES
+from .harmonics import (
+    HARMONIC_HALF_BAND, TILT_CORRECTION_FORMANTS, TILT_FIXED_HZ, TILT_HARMONICS, padded_fft_size,
+)
 from .noise_metrics import HARMONIC_COUNT_MAX, QUEFRENCY_CEILING, SHR_HALF_BAND
 from .pitch import LAG_OVERSAMPLE, PitchConfig, acf_fft_size
 
@@ -114,16 +116,11 @@ def eer(scored: ScoredColumns) -> float:
 
 # ---------------------------------------------------------------------------
 # Analytical cost accounting.
-#
-# Conventions (also printed in every report): multiplies and adds counted
-# separately; a complex FFT of size n costs 5*n*log2(n); real-input or
-# real-output transforms cost half of that; a dense layer in->out costs
-# 2*in*out + out; transcendental calls count as one op; root finding for a
-# degree-p polynomial counts as 10*p^3. Frame rate is 1/HOP with every
-# frame assumed voiced (the worst case), and per-frame harmonic band scans
-# are tallied at a nominal 150 Hz f0.
 
 _NOMINAL_F0 = 150.0
+# The resonance-correction terms of a frame: H1, H2 and H4 each take the
+# TILT_CORRECTION_FORMANTS lowest formants, H2kHz every one of MAX_FORMANTS.
+_CORRECTION_TERMS = len(TILT_HARMONICS) * TILT_CORRECTION_FORMANTS + MAX_FORMANTS
 
 CONVENTIONS = (
     "multiplies and adds counted separately",
@@ -191,8 +188,9 @@ def _dense_flops(n_in: int, n_out: int) -> int:
 def _acoustic_breakdown() -> dict[str, int]:
     """Flops per second of audio for each extraction stage.
 
-    Every size is read from the stage that uses it; only the operation
-    counts per sample, bin or tap are the tally's own.
+    Every size, tap count and correction-term count is read from the stage
+    that uses it; only the operation counts per sample, bin, tap or term
+    are the tally's own.
 
     pitch_autocorrelation and cepstral_peak count the algorithmic cost of
     their inverse transforms as full real FFTs. Extraction instead forms
@@ -227,28 +225,24 @@ def _acoustic_breakdown() -> dict[str, int]:
     bin_hz = sr / slice_fft
     tilt_levels = len(TILT_HARMONICS) + len(TILT_FIXED_HZ)
     harmonic_bands = int(tilt_levels * (2 * HARMONIC_HALF_BAND * _NOMINAL_F0 / bin_hz)) * 2
-    correction = 4 * 4 * 14  # up to 4 harmonics x 4 formants x closed-form term
     shr_bands = int(2 * HARMONIC_COUNT_MAX * (2 * SHR_HALF_BAND * _NOMINAL_F0 / bin_hz)) * 2
 
     cpp_bins = int(QUEFRENCY_CEILING * sr) + 2
     cpp = 2 * slice_bins + _real_fft_flops(slice_fft) + 4 * cpp_bins + 6 * cpp_bins
 
-    up, down = Fraction(ANALYSIS_RATE, sr).as_integer_ratio()
-    resample_taps = 2 * filter_half_length(up, down) + 1  # the prototype filter, spread over `up` phases
     per_frame = {
         "pitch_autocorrelation": pitch,
         "slice_spectrum": 2 * slice_n + _real_fft_flops(slice_fft),
         "cepstral_peak": cpp,
         "formant_lpc": formants,
-        "harmonic_amplitudes": harmonic_bands + correction,
+        "harmonic_amplitudes": harmonic_bands + 14 * _CORRECTION_TERMS,  # 14 per closed-form term
         "subharmonic_ratio": shr_bands,
         "rms": 3 * slice_n,
     }
     breakdown = {name: flops * frames for name, flops in per_frame.items()}
     breakdown["global_peak_scan"] = 2 * sr
-    breakdown["formant_rate_resample"] = int(
-        2 * np.ceil(resample_taps / up) * ANALYSIS_RATE + 2 * ANALYSIS_RATE
-    )
+    up, down = Fraction(ANALYSIS_RATE, sr).as_integer_ratio()
+    breakdown["formant_rate_resample"] = (2 * (2 * filter_reach(up, down) + 1) + 2) * ANALYSIS_RATE
     breakdown["pooling"] = 4 * len(FEATURE_NAMES) * frames
     return breakdown
 

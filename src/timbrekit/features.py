@@ -333,8 +333,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return record
 
 
-# JSON integers come back as floats, so a value is a number exactly when it is a float.
-_JSONL_DECODER = json.JSONDecoder(parse_int=float, object_pairs_hook=_unique_keys)
+# The decoder of JSONL feature tables and of extract's --config. JSON integers
+# come back as floats, so a value is a number exactly when it is a float.
+JSON_DECODER = json.JSONDecoder(parse_int=float, object_pairs_hook=_unique_keys)
 
 
 def read_features(path) -> FeatureTable:
@@ -362,7 +363,7 @@ def read_features(path) -> FeatureTable:
                 if not line:
                     continue
                 try:
-                    record = _JSONL_DECODER.decode(line)
+                    record = JSON_DECODER.decode(line)
                 except json.JSONDecodeError as exc:
                     raise SchemaError(f"{path}:{lineno}: the line is not JSON "
                                       f"({exc.msg} at column {exc.colno})") from None

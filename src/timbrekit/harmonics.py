@@ -29,6 +29,9 @@ TILT_NAMES = ("h1_h2", "h2_h4", "h4_h2k", "h2k_h5k")
 TILT_HARMONICS = (1, 2, 4)
 TILT_FIXED_HZ = (2000.0, 5000.0)
 HARMONIC_HALF_BAND = 0.25
+# H1, H2 and H4 are corrected for the gain of this many lowest formants (F1
+# and F2); H2kHz for every formant tracked.
+TILT_CORRECTION_FORMANTS = 2
 
 _DB_GUARD = 1e-12
 
@@ -132,7 +135,7 @@ def tilt_measures(spec: Spectrum, f0, frequencies: np.ndarray, bandwidths: np.nd
                                *(np.full_like(f0, hz) for hz in TILT_FIXED_HZ)])
     raw, snapped = harmonic_levels(spec, targets, f0)
 
-    f12, b12 = frequencies[:, :2], bandwidths[:, :2]
+    f12, b12 = frequencies[:, :TILT_CORRECTION_FORMANTS], bandwidths[:, :TILT_CORRECTION_FORMANTS]
     h1, h2, h4 = (raw[:, i] - correction_db(snapped[:, i], f12, b12, fs) for i in range(3))
     h2k = raw[:, 3] - correction_db(snapped[:, 3], frequencies, bandwidths, fs)
     h5k = raw[:, 4]  # uncorrected by convention

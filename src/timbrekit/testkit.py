@@ -240,11 +240,10 @@ def eer_oracle(scores, positive) -> float:
     previous = None
     for _, far, frr in far_frr_oracle(scores, positive):
         if far - frr <= 0.0:
-            if previous is None:
-                return far * 100.0
+            # The first point has FAR 1 and FRR 0, so a previous point exists and d0 > 0 >= d1.
             far0, frr0 = previous
             d0, d1 = far0 - frr0, far - frr
-            alpha = 0.0 if d0 == d1 else d0 / (d0 - d1)
+            alpha = d0 / (d0 - d1)
             return (far0 + alpha * (far - far0)) * 100.0
         previous = (far, frr)
     raise AssertionError("rate curves never crossed")  # unreachable: sentinel guarantees it

@@ -104,6 +104,15 @@ class TestLoadAudio:
         buf = load_audio(path)
         npt.assert_array_equal(buf.samples, [0.5])
 
+    def test_truncated_fmt_chunk_is_named(self, tmp_path):
+        """A 14-byte fmt chunk stops short of the bit depth."""
+        fmt = b"fmt " + struct.pack("<IHHII", 14, 1, 1, 16000, 32000) + bytes(2)
+        data = b"data" + struct.pack("<I", 8) + bytes(8)
+        path = tmp_path / "short_fmt.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(fmt) + len(data)) + b"WAVE" + fmt + data)
+        with pytest.raises(AudioError, match="truncated fmt chunk"):
+            load_audio(path)
+
     def test_not_a_wav(self, tmp_path):
         path = tmp_path / "junk.wav"
         path.write_bytes(b"not audio at all, just bytes")
@@ -376,6 +385,11 @@ class TestFrameSlices:
         with pytest.raises(ValueError):
             frame_times(buf, 0.040)
 
+    @pytest.mark.parametrize("window,rate", [(0.00001, 16000), (0.040, 40)], ids=["window", "hop"])
+    def test_window_or_hop_under_one_sample_errors(self, window, rate):
+        with pytest.raises(ValueError, match="window and hop must cover at least one sample"):
+            frame_times(AudioBuffer(np.zeros(100), rate), window)
+
     @given(duration=st.floats(min_value=0.04, max_value=3.0))
     @settings(max_examples=40, deadline=None)
     def test_count_formula(self, duration):
@@ -521,3 +535,9 @@ class TestAudioBuffer:
     def test_rejects_empty(self):
         with pytest.raises(AudioError):
             AudioBuffer(np.array([]), 16000)
+
+    def test_rejects_two_channels_and_a_rate_below_one(self):
+        with pytest.raises(AudioError, match="AudioBuffer holds exactly one channel"):
+            AudioBuffer(np.zeros((2, 4)), 16000)
+        with pytest.raises(AudioError, match="sample rate must be positive"):
+            AudioBuffer(np.zeros(4), 0)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -82,6 +83,23 @@ def separable_training_setup(tmp_path, n_train=3000, n_test=400, flip_test_label
     return features_path, manifest_path
 
 
+def checkpoint(tmp_path, kind):
+    """An untrained checkpoint of the kind's feature names and the standard descriptors."""
+    names = feature_names_for(kind)
+    model = dn.init_model(names, dn.STANDARD_DESCRIPTORS, dn.TrainConfig(), np.random.default_rng(0))
+    path = tmp_path / f"{kind}.json"
+    dn.save_checkpoint(model, path)
+    return path
+
+
+def assert_refused_leaving_inputs(runner, args, inputs, detail):
+    """The command fails with one INVALID_INPUT line, and every input keeps its bytes."""
+    before = {path: path.read_bytes() for path in inputs}
+    result = run(runner, args)
+    assert (result.exit_code, result.output) == (1, f"error: INVALID_INPUT: {detail}\n")
+    assert {path: path.read_bytes() for path in inputs} == before
+
+
 def with_entry(payload, tensor, index, value):
     """The checkpoint payload with one entry of one tensor replaced; json.dumps writes NaN and Infinity."""
     stored = np.array(payload["tensors"][tensor])
@@ -158,9 +176,14 @@ class TestSynthCommand:
         (["--kind", "mixture", "--noise-gain", "-1"], "noise_gain must be nonnegative, got -1.0"),
         (["--kind", "sine", "--dur", "0.00001"], "duration too short for one sample"),
         (["--kind", "pulse_train", "--f0", "8000"], "f0 8000.0 Hz leaves no harmonics below Nyquist at 16000 Hz"),
+        (["--kind", "mixture", "--formants", "500:80,9000:80"],
+         "formant 9000.0:80.0 is not below Nyquist, 8000 Hz at 16000 Hz"),
+        (["--kind", "resonated_pulses", "--rate", "8000", "--formants", "4000:100"],
+         "formant 4000.0:100.0 is not below Nyquist, 4000 Hz at 8000 Hz"),
     ], ids=["dur_inf", "f0_nan", "amplitude_inf", "tilt_nan", "noise_gain_inf", "subharmonic_gain_nan",
             "formant_bandwidth_nan", "tilt_overflow", "subharmonic_overflow", "resonator_overflow", "rate_0",
-            "noise_gain_negative", "dur_under_one_sample", "pulse_train_f0_over_nyquist"])
+            "noise_gain_negative", "dur_under_one_sample", "pulse_train_f0_over_nyquist", "formant_over_nyquist",
+            "formant_at_nyquist"])
     def test_non_finite_value_names_the_field(self, runner, tmp_path, recwarn, args, detail):
         """A non-finite, out-of-range or overflowing recipe fails with one line and no RuntimeWarning."""
         out = tmp_path / "x.wav"
@@ -180,6 +203,18 @@ class TestSynthCommand:
         buf = synth(SynthSpec(kind=kind, amplitude=1e308, formants=((500.0, 80.0), (1500.0, 100.0)), duration=0.1))
         pcm = np.frombuffer(out.read_bytes()[44:], "<i2")
         np.testing.assert_array_equal(pcm, np.where(buf.samples > 0, 32767, np.where(buf.samples < 0, -32768, 0)))
+
+    @pytest.mark.parametrize("command,config", [("synth", SynthSpec), ("train", dn.TrainConfig)])
+    def test_options_take_their_field_defaults(self, command, config):
+        """Every option that maps to a field of the command's dataclass defaults to that field's default.
+
+        --kind has no default, and --formants is text that _parse_formants turns into the field.
+        """
+        fields = {field.name: field.default for field in dataclasses.fields(config)}
+        mapped = {param.name: param.default for param in main.commands[command].params
+                  if param.name in fields and param.name not in ("kind", "formants")}
+        assert len(mapped) == {"synth": 8, "train": 6}[command]
+        assert mapped == {name: fields[name] for name in mapped}
 
     def test_seeded_noise_deterministic_bytes(self, runner, tmp_path):
         args = ["synth", "--kind", "white_noise", "--seed", "9", "--dur", "0.5"]
@@ -510,6 +545,19 @@ class TestExtractCommand:
         assert result.output == "error: INVALID_INPUT: --config is not a JSON object: [1]\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("listed,out,detail", [
+        (["wavs/utt00.wav"], "wavs/utt00.wav", "wavs/utt00.wav is both --out and an input"),
+        (["wavs"], "wavs/utt00.wav", "wavs/utt00.wav is both --out and an input"),
+        (["wavs", "f.csv.skipped.jsonl"], "f.csv", "f.csv.skipped.jsonl is both the skip list and an input"),
+    ], ids=["file", "directory", "skip_list"])
+    def test_output_over_an_input_is_refused(self, runner, tmp_path, monkeypatch, listed, out, detail):
+        """--out and its skip list may name no input file, listed or found in a directory."""
+        monkeypatch.chdir(tmp_path)
+        directory = make_voice_dir(tmp_path, count=2)
+        (tmp_path / "f.csv.skipped.jsonl").write_bytes((directory / "utt01.wav").read_bytes())
+        inputs = [directory / "utt00.wav", directory / "utt01.wav", tmp_path / "f.csv.skipped.jsonl"]
+        assert_refused_leaving_inputs(runner, ["extract", *listed, "--out", out], inputs, detail)
+
 
 class TestTrainCommand:
     def test_separable_trains_to_99(self, runner, tmp_path):
@@ -634,6 +682,19 @@ class TestTrainCommand:
                          "--features", str(features_path), "--out", str(path),
                          "--epochs", "3", "--seed", "7"])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("outputs,detail", [
+        (["--out", "model.json", "--log", "model.json"], "model.json is both --log and --out"),
+        (["--out", "features.csv"], "features.csv is both --out and --features"),
+        (["--out", "model.json", "--log", "pairs.jsonl"], "pairs.jsonl is both --log and --manifest"),
+    ], ids=["log_over_out", "out_over_features", "log_over_manifest"])
+    def test_output_over_an_input_or_the_other_output_is_refused(self, runner, tmp_path, monkeypatch, outputs,
+                                                                  detail):
+        monkeypatch.chdir(tmp_path)
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=20, n_test=0)
+        args = ["train", "--manifest", "pairs.jsonl", "--features", "features.csv", *outputs]
+        assert_refused_leaving_inputs(runner, args, [features_path, manifest_path], detail)
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestPrecomputedEmbeddings:
@@ -1005,6 +1066,17 @@ class TestEvalCommand:
                          "--model", str(model_path), "--out", str(out)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("out,option", [
+        ("acoustic.json", "--model"), ("pairs.jsonl", "--manifest"), ("features.csv", "--features"),
+    ], ids=["model", "manifest", "features"])
+    def test_report_over_an_input_is_refused(self, runner, tmp_path, monkeypatch, out, option):
+        monkeypatch.chdir(tmp_path)
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=0, n_test=20)
+        inputs = [features_path, manifest_path, checkpoint(tmp_path, "acoustic")]
+        args = ["eval", "--manifest", "pairs.jsonl", "--features", "features.csv", "--model", "acoustic.json",
+                "--out", out]
+        assert_refused_leaving_inputs(runner, args, inputs, f"{out} is both --out and {option}")
+
 
 class TestWeightsCommand:
     def test_untrained_gains_are_one(self, runner, tmp_path):
@@ -1032,6 +1104,11 @@ class TestWeightsCommand:
         # the acoustic table written by write_features names dimension 0 mean_f0
         assert first.startswith("mean_f0")
 
+    def test_csv_over_the_model_is_refused(self, runner, tmp_path):
+        model_path = checkpoint(tmp_path, "acoustic")
+        assert_refused_leaving_inputs(runner, ["weights", "--model", str(model_path), "--out", str(model_path)],
+                                      [model_path], f"{model_path} is both --out and --model")
+
 
 class TestFlopsCommand:
     def test_acoustic_report(self, runner, tmp_path):
@@ -1052,17 +1129,19 @@ class TestFlopsCommand:
         assert totals["lfc"] < totals["mfcc"] < totals["acoustic"]
 
 
-    @staticmethod
-    def checkpoint(tmp_path, kind):
-        names = feature_names_for(kind)
-        model = dn.init_model(names, dn.STANDARD_DESCRIPTORS, dn.TrainConfig(), np.random.default_rng(0))
-        path = tmp_path / f"{kind}.json"
-        dn.save_checkpoint(model, path)
-        return path
+    @pytest.mark.parametrize("out", ["acoustic.json", "./acoustic.json", "hard.json", "soft.json"],
+                             ids=["same", "another_spelling", "hard_link", "symbolic_link"])
+    def test_report_over_the_model_is_refused(self, runner, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        model_path = checkpoint(tmp_path, "acoustic")
+        os.link("acoustic.json", "hard.json")
+        os.symlink("acoustic.json", "soft.json")
+        assert_refused_leaving_inputs(runner, ["flops", "--model", "acoustic.json", "--out", out],
+                                      [model_path], f"{out} is both --out and --model")
 
     def test_model_of_another_kind_is_schema_error(self, runner, tmp_path):
         out = tmp_path / "cost.json"
-        result = run(runner, ["flops", "--kind", "mfcc", "--model", str(self.checkpoint(tmp_path, "acoustic")),
+        result = run(runner, ["flops", "--kind", "mfcc", "--model", str(checkpoint(tmp_path, "acoustic")),
                               "--out", str(out)])
         assert result.exit_code == 1
         assert result.output == "error: SCHEMA: the model reads 26 features, not the 13 mfcc feature names\n"
@@ -1070,7 +1149,7 @@ class TestFlopsCommand:
 
     @pytest.mark.parametrize("kind,model_kind", [("acoustic", "acoustic"), ("mfcc", "mfcc"), ("lfc", "mfcc")])
     def test_model_of_the_kind_is_costed(self, runner, tmp_path, kind, model_kind):
-        model_path = self.checkpoint(tmp_path, model_kind)
+        model_path = checkpoint(tmp_path, model_kind)
         out = tmp_path / "cost.json"
         result = run(runner, ["flops", "--kind", kind, "--model", str(model_path), "--out", str(out)])
         assert result.exit_code == 0, result.output

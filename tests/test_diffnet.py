@@ -88,6 +88,15 @@ class TestForward:
         with pytest.raises(ValueError):
             dn.forward(model, np.zeros((2, 10)), mode="train")
 
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode must be 'train' or 'infer', got 'eval'"):
+            dn.forward(small_model(), np.zeros(10), mode="eval")
+
+    @pytest.mark.parametrize("names,descriptors", [((), ("x",)), (NAMES5, ())], ids=["features", "descriptors"])
+    def test_init_needs_a_feature_and_a_descriptor(self, names, descriptors):
+        with pytest.raises(ValueError, match="need at least one feature and one descriptor"):
+            dn.init_model(names, descriptors, dn.TrainConfig(), np.random.default_rng(0))
+
 
 class TestLoss:
     def test_half_score_is_ln2(self):
@@ -262,6 +271,11 @@ class TestTrain:
         with pytest.raises(KeyError, match="u003"):
             dn.train(pairs, feats, dn.TrainConfig(epochs=1), feature_names=dim_names())
 
+    def test_feature_width_must_match_the_names(self):
+        pairs, feats = separable_task(n_pairs=50, n_utts=10)
+        with pytest.raises(ValueError, match="feature vectors have 26 dims, expected 25"):
+            dn.train(pairs, feats, dn.TrainConfig(epochs=1), feature_names=dim_names(25))
+
     def test_empty_pairs(self):
         with pytest.raises(ValueError):
             dn.train([], {}, dn.TrainConfig(), feature_names=())
@@ -357,6 +371,11 @@ class TestScorePairs:
         npt.assert_allclose(dn.score_pairs(loaded, pairs, feats), dn.score_pairs(model, pairs, feats),
                             rtol=0, atol=1e-12)
 
+    def test_feature_width_must_match_the_model(self):
+        model, pairs, feats = self.factorised_setup()
+        with pytest.raises(ValueError, match="expected 5 features per utterance, got 4"):
+            dn.score_pairs(model, pairs, {u: v[:4] for u, v in feats.items()})
+
 
     def test_blocks_equal_one_gather(self, monkeypatch):
         """2,500 pairs span several blocks and a ragged tail; the scores do not move by a bit."""
@@ -412,6 +431,8 @@ class TestPairColumns:
             dn.PairColumns(ids, np.array(["c", "b"], dtype=object), ids, np.zeros(2, bool))
         with pytest.raises(ValueError, match="equal lengths"):
             dn.PairColumns(ids, ids[::-1], ids[:1], np.zeros(2, bool))
+        with pytest.raises(ValueError, match="b_stronger must be a bool array"):
+            dn.PairColumns(ids, ids[::-1], ids, np.zeros(2))
 
     def test_train_takes_columns_or_records_alike(self):
         pairs, feats = separable_task(n_pairs=300)

@@ -1,11 +1,17 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timbrekit import harmonics
+from timbrekit.audio import INTERNAL_RATE, _polyphase_taps
 from timbrekit.diffnet import A_STRONGER, B_STRONGER, STANDARD_DESCRIPTORS, TrainConfig, init_model
-from timbrekit.evaluation import ScoredColumns, accuracy, cost_report, eer, far_frr_curve
+from timbrekit.evaluation import _CORRECTION_TERMS, ScoredColumns, accuracy, cost_report, eer, far_frr_curve
 from timbrekit.features import SchemaError, feature_names_for
+from timbrekit.formants import ANALYSIS_RATE, MAX_FORMANTS
+from timbrekit.harmonics import correction_db, magnitude_spectrum
 from timbrekit.testkit import eer_oracle, far_frr_oracle
 
 
@@ -137,6 +143,15 @@ class TestScoredColumns:
         with pytest.raises(ValueError):
             accuracy(ScoredColumns(np.zeros(0), np.zeros(0, bool)))
 
+    @pytest.mark.parametrize("scores,positive,message", [
+        (np.zeros(2), np.zeros(3, bool), "scores and positive must be 1-D arrays of equal length"),
+        (np.zeros((2, 2)), np.zeros((2, 2), bool), "scores and positive must be 1-D arrays of equal length"),
+        (np.zeros(2), np.zeros(2), "positive must be a bool array"),
+    ], ids=["lengths", "2-D", "dtype"])
+    def test_shapes_and_dtype_checked(self, scores, positive, message):
+        with pytest.raises(ValueError, match=message):
+            ScoredColumns(scores, positive)
+
 
 class TestCostReport:
     def test_extraction_params_zero(self):
@@ -164,11 +179,11 @@ class TestCostReport:
         assert cost_report("mfcc").dim_per_utterance == 13
 
     @pytest.mark.parametrize("kind,total,breakdown", [
-        ("acoustic", 44_716_600, [
+        ("acoustic", 44_731_600, [
             ("pitch_autocorrelation", 15_687_900), ("slice_spectrum", 12_416_000),
-            ("cepstral_peak", 12_965_800), ("formant_lpc", 2_650_500), ("harmonic_amplitudes", 41_600),
+            ("cepstral_peak", 12_965_800), ("formant_lpc", 2_650_500), ("harmonic_amplitudes", 34_600),
             ("subharmonic_ratio", 38_400), ("rms", 192_000), ("global_peak_scan", 32_000),
-            ("formant_rate_resample", 682_000), ("pooling", 10_400),
+            ("formant_rate_resample", 704_000), ("pooling", 10_400),
         ]),
         ("mfcc", 3_064_600, [
             ("windowed_spectrum", 2_793_900), ("filterbank", 194_000), ("log_energies", 5_200),
@@ -190,6 +205,28 @@ class TestCostReport:
             ("fc2", 4_626), ("sigmoid", 72),
         ]
         assert (report.classifier_params, report.classifier_flops_per_pair) == (params, per_pair)
+
+    def test_resampler_taps_are_those_resample_multiplies(self):
+        """Each output at the formant rate costs 2 flops per tap plus 2."""
+        per_output = cost_report("acoustic").extraction_breakdown["formant_rate_resample"] / ANALYSIS_RATE
+        up, down = Fraction(ANALYSIS_RATE, INTERNAL_RATE).as_integer_ratio()
+        assert (up, down) == (11, 16)
+        assert (per_output - 2) / 2 == _polyphase_taps(up, down).shape[1]
+
+    def test_correction_terms_are_those_tilt_measures_computes(self, monkeypatch):
+        """One row with every formant tracked passes _CORRECTION_TERMS formant terms to correction_db."""
+        terms = []
+
+        def counting(freq, frequencies, bandwidths, sample_rate):
+            assert freq.shape == (1,)
+            terms.append(frequencies.shape[1])
+            return correction_db(freq, frequencies, bandwidths, sample_rate)
+
+        monkeypatch.setattr(harmonics, "correction_db", counting)
+        spec = magnitude_spectrum(np.sin(np.arange(640) * 0.3), INTERNAL_RATE)
+        formants = 500.0 + 1000.0 * np.arange(MAX_FORMANTS)[np.newaxis]
+        harmonics.tilt_measures(spec, 150.0, formants, np.full_like(formants, 100.0))
+        assert sum(terms) == _CORRECTION_TERMS == 11
 
     def test_text_format_mentions_conventions(self):
         text = cost_report("acoustic").format_text()

@@ -24,6 +24,7 @@ from timbrekit.features import (
     CEPSTRAL_WINDOW,
     EmptyFeatureError,
     FEATURE_NAMES,
+    FeatureVector,
     FrameTrack,
     MEASURE_NAMES,
     MEASURE_WINDOW,
@@ -314,6 +315,11 @@ class TestAggregate:
         assert err.value.feature == "f4"
         assert "EMPTY_FEATURE:f4" == err.value.reason
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_vector_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="a feature vector must be finite"):
+            FeatureVector(np.array([1.0, value]), 20)
+
 
 class TestAmplitudeInvariance:
     def test_only_rms_mean_moves(self, voiced_buffer):
@@ -346,6 +352,10 @@ class TestCepstral:
         assert mfcc(voiced_buffer).values.shape == (13,)
         assert lfc(voiced_buffer).values.shape == (13,)
         assert len(CEPSTRAL_NAMES) == 13
+
+    def test_unknown_filterbank_scale(self):
+        with pytest.raises(ValueError, match="unknown filterbank scale 'bark'"):
+            filterbank_matrix(MEL_FFT, SR, "bark")
 
     def test_mfcc_differs_from_lfc(self):
         buf = synth(SynthSpec(kind="white_noise", duration=0.5, seed=9))

@@ -170,6 +170,10 @@ class TestRms:
     def test_constant(self):
         assert rms_energy(np.full(100, 0.5))[0] == 0.5
 
+    def test_empty_window(self):
+        with pytest.raises(ValueError, match="empty window"):
+            rms_energy(np.zeros((3, 0)))
+
     @given(scale=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=20, deadline=None)
     def test_homogeneity(self, scale):

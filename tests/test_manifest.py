@@ -4,13 +4,14 @@ import json
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced
 from timbrekit import manifest
-from timbrekit.diffnet import PairRecord
+from timbrekit.diffnet import PairColumns, PairRecord
 from timbrekit.manifest import FIELDS, ManifestRecord, SPLITS, read_manifest, utterance_id, write_manifest
 
 BLANKS = ("", "   ", "\t")
@@ -279,3 +280,8 @@ class TestColumnarReader:
         test = read_manifest(path).split_pairs("test")
         assert list(test.utt_a) == ["a", "e"] and list(test.utt_b) == ["b", "f"]
         assert list(test.descriptor) == ["d", "d"] and list(test.b_stronger) == [False, True]
+
+    def test_split_column_must_match_the_pairs(self):
+        pairs = PairColumns.from_records([PairRecord("a", "b", "d", "A")])
+        with pytest.raises(ValueError, match="pair and split columns must have equal lengths"):
+            manifest.Manifest(pairs, np.array(["train", "test"], dtype=object))

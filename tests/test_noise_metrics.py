@@ -86,6 +86,11 @@ class TestShr:
         b = shr(magnitude_spectrum(x * 11.0, SR), 180.0)[0]
         assert a == pytest.approx(b, abs=1e-9)
 
+    @pytest.mark.parametrize("f0", [0.0, -100.0])
+    def test_f0_must_be_positive(self, f0):
+        with pytest.raises(ValueError, match="f0 must be positive"):
+            shr(magnitude_spectrum(np.ones(640), SR), [200.0, f0])
+
     def test_too_few_harmonics(self):
         spec = magnitude_spectrum(np.ones(640), SR)
         assert np.isnan(shr(spec, 7000.0)[0])
