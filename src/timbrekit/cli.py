@@ -96,7 +96,10 @@ def _parse_formants(text: str):
     out = []
     for part in text.split(","):
         freq, _, bandwidth = part.partition(":")
-        out.append((float(freq), float(bandwidth)))
+        try:
+            out.append((float(freq), float(bandwidth)))
+        except ValueError:
+            raise ValueError(f"--formants part {part!r} is not freq:bw") from None
     return tuple(out)
 
 

@@ -63,6 +63,12 @@ CHECKPOINT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# Batch norm's running-statistic momentum and variance guard; every BN reader
+# and testkit.train_reference read them, and a checkpoint records both.
+BN_MOMENTUM = 0.1
+BN_EPSILON = 1e-5
+# Scores at or above this predict the second utterance (B) as stronger.
+DECISION_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -173,8 +179,6 @@ class DiffNetModel:
     norm_mean: np.ndarray  # [D], z-score statistics of one embedding
     norm_std: np.ndarray  # [D]
     dropout: float
-    bn_momentum: float = 0.1
-    bn_epsilon: float = 1e-5
 
     @property
     def input_dim(self) -> int:
@@ -281,7 +285,7 @@ def forward(
     u_centered -= mu
     # Bitwise equal to u.var(axis=0), which centres u the same way.
     var = (u_centered * u_centered).sum(axis=0) / u_centered.shape[0] if train else model.running_var
-    inv_sigma = 1.0 / np.sqrt(var + model.bn_epsilon)
+    inv_sigma = 1.0 / np.sqrt(var + BN_EPSILON)
     # bn_out = gamma * u_hat + beta, with u_hat = u_centered * inv_sigma formed
     # in bn_out's own array; backward forms u_hat again rather than cache it.
     bn_out = u_centered * inv_sigma
@@ -464,7 +468,7 @@ def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_i
         raise ValueError(f"expected {d} features per utterance, got {table.shape[1]}")
     x = _zscore(model, table)
     x *= model.feature_weights
-    scale = model.gamma / np.sqrt(model.running_var + model.bn_epsilon)
+    scale = model.gamma / np.sqrt(model.running_var + BN_EPSILON)
     first = (x @ model.w1[:d] + model.b1 - model.running_mean) * scale + model.beta
     second = (x @ model.w1[d:]) * scale
     w2t = model.w2.T
@@ -532,14 +536,14 @@ def train(
                 grads = backward(model, cache, desc_idx[sel], targets[sel])
                 adam.step(grads)
                 # Running statistics move toward the batch moments.
-                model.running_mean += model.bn_momentum * (cache["mu"] - model.running_mean)
-                model.running_var += model.bn_momentum * (cache["var"] - model.running_var)
+                model.running_mean += BN_MOMENTUM * (cache["mu"] - model.running_mean)
+                model.running_var += BN_MOMENTUM * (cache["var"] - model.running_var)
             state = (epoch_loss, adam.params, model.running_mean, model.running_var)
             if not all(np.isfinite(v).all() for v in state):
                 raise ValueError(f"training diverged in epoch {epoch}: the loss or a parameter is not a finite "
                                  f"number (learning rate {config.learning_rate:g})")
             picked = _score_rows(model, table, rows, desc_idx)
-            train_acc = float(np.mean((picked >= 0.5) == (targets == 1.0)))
+            train_acc = float(np.mean((picked >= DECISION_THRESHOLD) == (targets == 1.0)))
             log.append(
                 {"epoch": epoch, "loss": epoch_loss / n, "train_accuracy": train_acc}
             )
@@ -561,7 +565,7 @@ def feature_importance(model: DiffNetModel) -> list[tuple[str, float]]:
     return [(name, float(w)) for name, w in zip(model.feature_names, model.feature_weights)]
 
 
-# The top-level fields and the tensors a checkpoint stores.
+# The top-level fields besides format_version and the tensors a checkpoint stores.
 _FIELDS = ("feature_names", "descriptors", "dropout", "bn_momentum", "bn_epsilon", "tensors")
 _TENSORS = (
     "feature_weights", "w1", "b1", "gamma", "beta", "running_mean", "running_var",
@@ -576,8 +580,8 @@ def save_checkpoint(model: DiffNetModel, path) -> None:
         "feature_names": list(model.feature_names),
         "descriptors": list(model.descriptors),
         "dropout": model.dropout,
-        "bn_momentum": model.bn_momentum,
-        "bn_epsilon": model.bn_epsilon,
+        "bn_momentum": BN_MOMENTUM,
+        "bn_epsilon": BN_EPSILON,
         "tensors": {name: getattr(model, name).tolist() for name in _TENSORS},
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True))
@@ -586,11 +590,12 @@ def save_checkpoint(model: DiffNetModel, path) -> None:
 def load_checkpoint(path) -> DiffNetModel:
     """The model saved at path; ValueError names a field or tensor that is missing, mistyped or misshapen.
 
-    The names are lists of strings, the BN scalars finite numbers with
-    bn_epsilon above 0, dropout a finite number in [0, 1) and the tensors
+    The names are lists of strings, dropout a finite number in [0, 1),
+    bn_momentum and bn_epsilon BN_MOMENTUM and BN_EPSILON, and the tensors
     an object of arrays of finite numbers, with running_var at or above 0
     and norm_std above 0; an entry out of range is named with its tensor
-    and index, and a name repeated in one JSON object is refused.
+    and index, and a field or tensor name that is unknown or repeated in
+    one JSON object is refused.
     D is the number of feature names, N the number of descriptors and H the
     length of b1.
     """
@@ -603,15 +608,18 @@ def load_checkpoint(path) -> DiffNetModel:
     for name in _FIELDS:
         if name not in payload:
             raise ValueError(f"checkpoint has no field {name!r}")
+    unknown = sorted(set(payload) - {"format_version", *_FIELDS})
+    if unknown:
+        raise ValueError(f"checkpoint has unknown fields: {', '.join(unknown)}")
     feature_names = _string_list(payload, "feature_names")
     descriptors = _string_list(payload, "descriptors")
     dropout = _finite(payload, "dropout")
-    bn_momentum = _finite(payload, "bn_momentum")
-    bn_epsilon = _finite(payload, "bn_epsilon")
     if not 0 <= dropout < 1:
         raise ValueError(f"checkpoint field 'dropout' is {dropout!r}, not in [0, 1)")
-    if not bn_epsilon > 0:
-        raise ValueError(f"checkpoint field 'bn_epsilon' is {bn_epsilon!r}, not a positive number")
+    for name, constant in (("bn_momentum", BN_MOMENTUM), ("bn_epsilon", BN_EPSILON)):
+        value = _finite(payload, name)
+        if value != constant:
+            raise ValueError(f"checkpoint field {name!r} is {value!r}, not {constant!r}")
     stored = payload["tensors"]
     if not isinstance(stored, dict):
         raise ValueError("checkpoint field 'tensors' is not an object")
@@ -636,15 +644,13 @@ def load_checkpoint(path) -> DiffNetModel:
                 f"checkpoint tensor {name!r} has shape {list(tensors[name].shape)}, "
                 f"expected {list(expected[name])}"
             )
-    # Infer-mode BN divides by sqrt(running_var + bn_epsilon) and the z-score by norm_std.
+    # Infer-mode BN divides by sqrt(running_var + BN_EPSILON) and the z-score by norm_std.
     _check_entries("running_var", tensors["running_var"], tensors["running_var"] >= 0, "a non-negative number")
     _check_entries("norm_std", tensors["norm_std"], tensors["norm_std"] > 0, "a positive number")
     return DiffNetModel(
         feature_names=feature_names,
         descriptors=descriptors,
         dropout=dropout,
-        bn_momentum=bn_momentum,
-        bn_epsilon=bn_epsilon,
         **tensors,
     )
 

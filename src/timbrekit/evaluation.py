@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .audio import HOP, INTERNAL_RATE, filter_reach, window_samples
-from .diffnet import DiffNetModel, STANDARD_DESCRIPTORS, TrainConfig, init_model
+from .diffnet import DECISION_THRESHOLD, DiffNetModel, STANDARD_DESCRIPTORS, TrainConfig, init_model
 from .features import (
     CEPSTRAL_KINDS, CEPSTRAL_NAMES, CEPSTRAL_WINDOW, FEATURE_NAMES, MEASURE_WINDOW, SchemaError,
     feature_names_for, filterbank_matrix,
@@ -61,14 +61,14 @@ class ScoredColumns:
 
 
 def accuracy(scored: ScoredColumns) -> float:
-    """Percent of pairs whose score, thresholded at 0.5, matches the label.
+    """Percent of pairs whose score, thresholded at DECISION_THRESHOLD, matches the label.
 
-    Scores at or above 0.5 predict the second utterance as stronger (ties
-    go to B).
+    Scores at or above the threshold predict the second utterance as
+    stronger (ties go to B).
     """
     if not scored:
         raise ValueError("no scored pairs")
-    return float(np.mean((scored.scores >= 0.5) == scored.positive) * 100.0)
+    return float(np.mean((scored.scores >= DECISION_THRESHOLD) == scored.positive) * 100.0)
 
 
 def far_frr_curve(scored: ScoredColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

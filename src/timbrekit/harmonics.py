@@ -125,22 +125,26 @@ def tilt_measures(spec: Spectrum, f0, frequencies: np.ndarray, bandwidths: np.nd
     H1, H2, H4 sit at TILT_HARMONICS 1, 2, 4; H2kHz and H5kHz at the
     harmonics nearest TILT_FIXED_HZ, 2 and 5 kHz. All but H5kHz have the
     formant gain at their frequency removed ("starred" values: H1/H2/H4
-    with F1 and F2, H2kHz with every detected formant). frequencies and
-    bandwidths are the [rows x K] formant arrays, K >= 2. Any missing
-    constituent makes the affected difference NaN.
+    with the first TILT_CORRECTION_FORMANTS formants, F1 and F2, H2kHz
+    with every detected formant). frequencies and bandwidths are the
+    [rows x K] formant arrays, K >= TILT_CORRECTION_FORMANTS. A missing F1
+    or F2 blanks all four columns of its row, h2k_h5k included; any other
+    missing constituent makes the affected difference NaN.
     """
     fs = spec.sample_rate
     f0 = np.atleast_1d(np.asarray(f0, dtype=np.float64))
     targets = np.column_stack([*(k * f0 for k in TILT_HARMONICS),
                                *(np.full_like(f0, hz) for hz in TILT_FIXED_HZ)])
-    raw, snapped = harmonic_levels(spec, targets, f0)
+    levels, snapped = harmonic_levels(spec, targets, f0)
 
-    f12, b12 = frequencies[:, :TILT_CORRECTION_FORMANTS], bandwidths[:, :TILT_CORRECTION_FORMANTS]
-    h1, h2, h4 = (raw[:, i] - correction_db(snapped[:, i], f12, b12, fs) for i in range(3))
-    h2k = raw[:, 3] - correction_db(snapped[:, 3], frequencies, bandwidths, fs)
-    h5k = raw[:, 4]  # uncorrected by convention
-    diffs = np.column_stack([h1 - h2, h2 - h4, h4 - h2k, h2k - h5k])
-    diffs[np.isnan(frequencies[:, 1])] = np.nan  # F1 or F2 missing
+    f_low, b_low = frequencies[:, :TILT_CORRECTION_FORMANTS], bandwidths[:, :TILT_CORRECTION_FORMANTS]
+    h2k = len(TILT_HARMONICS)  # the level after the harmonics of f0
+    for i in range(h2k):
+        levels[:, i] -= correction_db(snapped[:, i], f_low, b_low, fs)
+    levels[:, h2k] -= correction_db(snapped[:, h2k], frequencies, bandwidths, fs)
+    # H5kHz, the last level, stays uncorrected by convention.
+    diffs = levels[:, :-1] - levels[:, 1:]
+    diffs[np.isnan(f_low).any(axis=1)] = np.nan  # a correcting formant is missing
     return diffs
 
 

@@ -27,6 +27,9 @@ from .diffnet import (
     ADAM_BETA2,
     ADAM_EPSILON,
     B_STRONGER,
+    BN_EPSILON,
+    BN_MOMENTUM,
+    DECISION_THRESHOLD,
     PairRecord,
     TrainConfig,
     _as_columns,
@@ -264,7 +267,7 @@ def _reference_forward(model, e_pair, rng):
     u = x @ model.w1 + model.b1
     mu = u.mean(axis=0)
     var = u.var(axis=0)
-    inv_sigma = 1.0 / np.sqrt(var + model.bn_epsilon)
+    inv_sigma = 1.0 / np.sqrt(var + BN_EPSILON)
     u_hat = (u - mu) * inv_sigma
     bn_out = model.gamma * u_hat + model.beta
     h = np.maximum(bn_out, 0.0)
@@ -349,10 +352,10 @@ def train_reference(pairs, features, config: TrainConfig = TrainConfig(), *, fea
                 m_hat = m[name] / (1 - ADAM_BETA1**t)
                 v_hat = v[name] / (1 - ADAM_BETA2**t)
                 params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-            model.running_mean += model.bn_momentum * (cache["mu"] - model.running_mean)
-            model.running_var += model.bn_momentum * (cache["var"] - model.running_var)
+            model.running_mean += BN_MOMENTUM * (cache["mu"] - model.running_mean)
+            model.running_var += BN_MOMENTUM * (cache["var"] - model.running_var)
         picked = _score_rows(model, table, rows, desc_idx)
-        train_acc = float(np.mean((picked >= 0.5) == (targets == 1.0)))
+        train_acc = float(np.mean((picked >= DECISION_THRESHOLD) == (targets == 1.0)))
         log.append({"epoch": epoch, "loss": epoch_loss / n, "train_accuracy": train_acc})
     return model, log
 

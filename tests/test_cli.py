@@ -180,10 +180,15 @@ class TestSynthCommand:
          "formant 9000.0:80.0 is not below Nyquist, 8000 Hz at 16000 Hz"),
         (["--kind", "resonated_pulses", "--rate", "8000", "--formants", "4000:100"],
          "formant 4000.0:100.0 is not below Nyquist, 4000 Hz at 8000 Hz"),
+        (["--kind", "mixture", "--formants", "500"], "--formants part '500' is not freq:bw"),
+        (["--kind", "mixture", "--formants", "500:"], "--formants part '500:' is not freq:bw"),
+        (["--kind", "mixture", "--formants", "abc:80"], "--formants part 'abc:80' is not freq:bw"),
+        (["--kind", "mixture", "--formants", "500:80,,1500:90"], "--formants part '' is not freq:bw"),
     ], ids=["dur_inf", "f0_nan", "amplitude_inf", "tilt_nan", "noise_gain_inf", "subharmonic_gain_nan",
             "formant_bandwidth_nan", "tilt_overflow", "subharmonic_overflow", "resonator_overflow", "rate_0",
             "noise_gain_negative", "dur_under_one_sample", "pulse_train_f0_over_nyquist", "formant_over_nyquist",
-            "formant_at_nyquist"])
+            "formant_at_nyquist", "formants_no_bandwidth", "formants_empty_bandwidth", "formants_freq_not_a_number",
+            "formants_empty_part"])
     def test_non_finite_value_names_the_field(self, runner, tmp_path, recwarn, args, detail):
         """A non-finite, out-of-range or overflowing recipe fails with one line and no RuntimeWarning."""
         out = tmp_path / "x.wav"
@@ -1006,7 +1011,7 @@ class TestEvalCommand:
          "checkpoint tensor 'w1' holds nan at [5, 2], not a finite number"),
         (lambda p: with_entry(p, "norm_std", (7,), float("inf")),
          "checkpoint tensor 'norm_std' holds inf at [7], not a finite number"),
-        (lambda p: {**p, "bn_epsilon": -1}, "checkpoint field 'bn_epsilon' is -1, not a positive number"),
+        (lambda p: {**p, "bn_epsilon": -1}, "checkpoint field 'bn_epsilon' is -1, not 1e-05"),
         (lambda p: with_entry(p, "running_var", (0,), -5.0),
          "checkpoint tensor 'running_var' holds -5.0 at [0], not a non-negative number"),
         (lambda p: with_entry(p, "norm_std", (0,), 0.0),
@@ -1015,9 +1020,10 @@ class TestEvalCommand:
          "checkpoint tensor 'norm_std' holds -1.0 at [0], not a positive number"),
         (lambda p: {**p, "tensors": {**p["tensors"], "extra": [0.0], "bias": [1.0]}},
          "checkpoint has unknown tensors: bias, extra"),
+        (lambda p: {**p, "dropuot": 0.9}, "checkpoint has unknown fields: dropuot"),
     ], ids=["array", "dropout_missing", "feature_names_number", "descriptors_null", "bn_epsilon_string",
             "dropout_string", "tensors_array", "w1_nan", "norm_std_inf", "bn_epsilon_negative",
-            "running_var_negative", "norm_std_zero", "norm_std_negative", "tensors_unknown"])
+            "running_var_negative", "norm_std_zero", "norm_std_negative", "tensors_unknown", "fields_unknown"])
     def test_malformed_checkpoint_is_invalid_input(self, runner, tmp_path, payload, detail):
         features_path, manifest_path, model_path = self.train_model(
             tmp_path=tmp_path, runner=runner, n_train=200, n_test=40

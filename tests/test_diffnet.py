@@ -496,6 +496,9 @@ class TestCheckpoint:
             path.write_text(json.dumps({k: v for k, v in payload.items() if k != field}))
             with pytest.raises(ValueError, match=f"checkpoint has no field '{field}'"):
                 dn.load_checkpoint(path)
+        path.write_text(json.dumps({**payload, "dropuot": 0.9, "bias": 1}))
+        with pytest.raises(ValueError, match="checkpoint has unknown fields: bias, dropuot"):
+            dn.load_checkpoint(path)
         wrong_types = [
             ("feature_names", 5, "is not a list of strings"),
             ("feature_names", ["a", 1], "is not a list of strings"),
@@ -510,6 +513,8 @@ class TestCheckpoint:
             ("bn_epsilon", float("inf"), "is inf, not a finite number"),
             ("bn_epsilon", float("nan"), "is nan, not a finite number"),
             ("bn_epsilon", 10**400, "is 1000+, not a finite number"),
+            ("bn_epsilon", 1e-3, "is 0.001, not 1e-05"),
+            ("bn_momentum", 0.2, "is 0.2, not 0.1"),
             ("tensors", [], "is not an object"),
         ]
         for field, value, detail in wrong_types:

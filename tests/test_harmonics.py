@@ -150,6 +150,12 @@ class TestTiltMeasures:
         tilt = tilt_measures(spec, 200.0, *one_frame((500.0, 80.0), (np.nan, np.nan)))
         assert np.all(np.isnan(tilt))
 
+    def test_missing_f1_alone_blanks_the_row(self):
+        """A row is blanked when any correcting formant is missing, not only F2."""
+        spec = magnitude_spectrum(comb_window([1.0] * 10), SR)
+        tilt = tilt_measures(spec, 200.0, *one_frame((np.nan, np.nan), (1500.0, 100.0)))
+        assert np.all(np.isnan(tilt))
+
     def test_scaling_invariance(self):
         x = comb_window([1.0 / k for k in range(1, 31)])
         formants = one_frame((500.0, 80.0), (1500.0, 100.0))
