@@ -401,6 +401,23 @@ def irfft_columns(x: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _hann_taper(n: int) -> np.ndarray:
+    """The read-only n-point np.hanning taper."""
+    taper = np.hanning(n)
+    taper.setflags(write=False)
+    return taper
+
+
+def hann_magnitudes(frames: np.ndarray, nfft: int) -> np.ndarray:
+    """np.abs(np.fft.rfft(frames * np.hanning(n), nfft)) for the n-sample rows of `frames`.
+
+    The package's one Hann spectrum (pitch frames and their taper's ACF, the
+    slice spectrum, the cepstral baselines); the taper is built once per n.
+    """
+    return np.abs(np.fft.rfft(frames * _hann_taper(frames.shape[-1]), nfft))
+
+
 def window_samples(window: float, sample_rate: float) -> int:
     """Samples in a `window`-second frame: round(window * sample_rate)."""
     return int(round(window * sample_rate))

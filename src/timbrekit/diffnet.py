@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .features import _unique_keys
+from .features import _repeated, _unique_keys
 
 A_STRONGER = "A"
 B_STRONGER = "B"
@@ -590,7 +590,9 @@ def save_checkpoint(model: DiffNetModel, path) -> None:
 def load_checkpoint(path) -> DiffNetModel:
     """The model saved at path; ValueError names a field or tensor that is missing, mistyped or misshapen.
 
-    The names are lists of strings, dropout a finite number in [0, 1),
+    format_version is the int CHECKPOINT_VERSION (not True or 1.0), the
+    names are lists of strings none of which repeats within its list,
+    dropout a finite number in [0, 1),
     bn_momentum and bn_epsilon BN_MOMENTUM and BN_EPSILON, and the tensors
     an object of arrays of finite numbers, with running_var at or above 0
     and norm_std above 0; an entry out of range is named with its tensor
@@ -603,7 +605,7 @@ def load_checkpoint(path) -> DiffNetModel:
     if not isinstance(payload, dict):
         raise ValueError("checkpoint is not a JSON object")
     version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
     for name in _FIELDS:
         if name not in payload:
@@ -659,6 +661,8 @@ def _string_list(payload: dict, name: str) -> tuple[str, ...]:
     value = payload[name]
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
         raise ValueError(f"checkpoint field {name!r} is not a list of strings")
+    if (repeated := _repeated(value)) is not None:
+        raise ValueError(f"checkpoint field {name!r} repeats the name {repeated}")
     return tuple(value)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import INTERNAL_RATE, AudioBuffer, frame_blocks, frame_times, resample
+from .audio import INTERNAL_RATE, AudioBuffer, frame_blocks, frame_times, hann_magnitudes, resample
 from .formants import dispersion, formant_track
 from .harmonics import TILT_NAMES, magnitude_spectrum, rms_energy, tilt_measures
 from .noise_metrics import cpp_from_spectrum, shr
@@ -212,7 +212,7 @@ def _cepstral(buf: AudioBuffer, scale: str, nfft: int) -> FeatureVector:
     bank = filterbank_matrix(nfft, buf.sample_rate, scale)
     total = np.zeros(len(CEPSTRAL_NAMES))
     for _, frames in frame_blocks(buf.samples, buf.sample_rate, times, CEPSTRAL_WINDOW):
-        power = np.abs(np.fft.rfft(frames * np.hanning(frames.shape[1]), nfft)) ** 2
+        power = hann_magnitudes(frames, nfft) ** 2
         log_energy = np.log(np.maximum(np.einsum("fb,kb->fk", power, bank), _LOG_FLOOR))
         total += np.einsum("fk,kc->fc", log_energy, _DCT_BASIS).sum(axis=0)
     return FeatureVector(total / times.size, times.size)

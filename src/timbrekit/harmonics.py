@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import next_pow2
+from .audio import hann_magnitudes, next_pow2
 
 # Column order of tilt_measures; features.MEASURE_NAMES splices it in.
 TILT_NAMES = ("h1_h2", "h2_h4", "h4_h2k", "h2k_h5k")
@@ -65,7 +65,7 @@ def magnitude_spectrum(window_samples: np.ndarray, sample_rate: float) -> Spectr
     if n == 0:
         raise ValueError("empty window")
     nfft = padded_fft_size(n)
-    mags = np.abs(np.fft.rfft(x * np.hanning(n), nfft))
+    mags = hann_magnitudes(x, nfft)
     freqs = np.fft.rfftfreq(nfft, 1.0 / sample_rate)
     return Spectrum(freqs, mags, float(sample_rate))
 

@@ -28,6 +28,7 @@ from .audio import (
     AudioBuffer,
     frame_blocks,
     frame_times,
+    hann_magnitudes,
     irfft_columns,
     next_pow2,
     parabolic_peak,
@@ -120,14 +121,13 @@ def _lag_acf(power: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.n
 
 
 @lru_cache(maxsize=8)
-def _window_and_acf(n: int, nfft: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Hann taper and its ACF at lags start..stop-1 over its ACF at lag 0."""
-    w = np.hanning(n)
-    zero, acf = _lag_acf(np.abs(np.fft.rfft(w, nfft))[np.newaxis] ** 2, start, stop)
+def _taper_acf(n: int, nfft: int, start: int, stop: int) -> np.ndarray:
+    """The n-point Hann taper's ACF at lags start..stop-1 over its ACF at lag 0."""
+    # A row of ones tapers to the taper itself, bit for bit.
+    zero, acf = _lag_acf(hann_magnitudes(np.ones((1, n)), nfft) ** 2, start, stop)
     acf = acf[0] / zero[0]
-    w.setflags(write=False)
     acf.setflags(write=False)
-    return w, acf
+    return acf
 
 
 def frame_pitch(
@@ -157,13 +157,12 @@ def frame_pitch(
     lo = LAG_OVERSAMPLE * lag_min
     upper = LAG_OVERSAMPLE * (lag_max + 1) + 1
     nfft = acf_fft_size(n, lag_max)
-    w, w_acf = _window_and_acf(n, nfft, lo - 1, upper + 1)
+    w_acf = _taper_acf(n, nfft, lo - 1, upper + 1)
     # The live rows are copied out, so every array below is this call's own
     # and each step runs in place.
     x = frames[live]
     x -= x.mean(axis=1, keepdims=True)
-    x *= w
-    power = np.abs(np.fft.rfft(x, nfft))
+    power = hann_magnitudes(x, nfft)
     zero, r = _lag_acf(np.square(power, out=power), lo - 1, upper + 1)
     energetic = zero > 0
     live, zero, r = live[energetic], zero[energetic], r[energetic]

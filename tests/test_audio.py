@@ -23,8 +23,10 @@ from timbrekit.audio import (
     SynthSpec,
     frame_blocks,
     frame_times,
+    hann_magnitudes,
     load_audio,
     resample,
+    _hann_taper,
     _polyphase_taps,
     _resonate,
     synth,
@@ -421,6 +423,29 @@ class TestFrameSlices:
         rows = np.concatenate([r for r, _ in blocks])
         npt.assert_array_equal(rows, inside)
         npt.assert_array_equal(np.concatenate([f[:, 0] for _, f in blocks]), starts[inside])
+
+
+class TestHannMagnitudes:
+    @pytest.mark.parametrize("n,nfft", [(640, 4096), (640, 1024), (400, 1024), (400, 512)],
+                             ids=["slice", "pitch", "mfcc", "lfc"])
+    def test_equals_the_inline_spectrum_bitwise(self, n, nfft):
+        """The window and transform sizes that 16 kHz extraction uses; a read-only input stays as it was."""
+        frames = np.random.default_rng(n + nfft).normal(size=(FRAME_BLOCK, n))
+        before = frames.copy()
+        frames.setflags(write=False)
+        got = hann_magnitudes(frames, nfft)
+        npt.assert_array_equal(got, np.abs(np.fft.rfft(frames * np.hanning(n), nfft)))
+        npt.assert_array_equal(frames, before)
+
+    def test_one_read_only_taper_per_length(self):
+        _hann_taper.cache_clear()
+        for n in (640, 400, 640, 400):
+            hann_magnitudes(np.ones((2, n)), 1024)
+        assert _hann_taper.cache_info().currsize == 2
+        taper = _hann_taper(640)
+        assert taper is _hann_taper(640)
+        assert not taper.flags.writeable
+        npt.assert_array_equal(taper, np.hanning(640))
 
 
 class TestSynth:

@@ -1021,9 +1021,17 @@ class TestEvalCommand:
         (lambda p: {**p, "tensors": {**p["tensors"], "extra": [0.0], "bias": [1.0]}},
          "checkpoint has unknown tensors: bias, extra"),
         (lambda p: {**p, "dropuot": 0.9}, "checkpoint has unknown fields: dropuot"),
+        (lambda p: {**p, "format_version": True}, "unsupported checkpoint version True"),
+        (lambda p: {**p, "format_version": 1.0}, "unsupported checkpoint version 1.0"),
+        (lambda p: {**p, "feature_names": [p["feature_names"][0], *p["feature_names"][:-1]]},
+         "checkpoint field 'feature_names' repeats the name mean_f0"),
+        (lambda p: {**p, "descriptors": p["descriptors"] * 2, "tensors": {
+            **p["tensors"], "w2": [row * 2 for row in p["tensors"]["w2"]], "b2": p["tensors"]["b2"] * 2}},
+         "checkpoint field 'descriptors' repeats the name planted"),
     ], ids=["array", "dropout_missing", "feature_names_number", "descriptors_null", "bn_epsilon_string",
             "dropout_string", "tensors_array", "w1_nan", "norm_std_inf", "bn_epsilon_negative",
-            "running_var_negative", "norm_std_zero", "norm_std_negative", "tensors_unknown", "fields_unknown"])
+            "running_var_negative", "norm_std_zero", "norm_std_negative", "tensors_unknown", "fields_unknown",
+            "version_true", "version_float", "feature_names_repeated", "descriptors_repeated"])
     def test_malformed_checkpoint_is_invalid_input(self, runner, tmp_path, payload, detail):
         features_path, manifest_path, model_path = self.train_model(
             tmp_path=tmp_path, runner=runner, n_train=200, n_test=40

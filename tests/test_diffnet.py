@@ -484,6 +484,12 @@ class TestCheckpoint:
         path.write_text('{"format_version": 99}')
         with pytest.raises(ValueError):
             dn.load_checkpoint(path)
+        dn.save_checkpoint(small_model(), path)
+        payload = json.loads(path.read_text())
+        for value in (True, 1.0):
+            path.write_text(json.dumps({**payload, "format_version": value}))
+            with pytest.raises(ValueError, match=f"^unsupported checkpoint version {value!r}$"):
+                dn.load_checkpoint(path)
 
     def test_payload_must_be_an_object_with_every_field(self, tmp_path):
         path = tmp_path / "model.json"
@@ -504,6 +510,8 @@ class TestCheckpoint:
             ("feature_names", ["a", 1], "is not a list of strings"),
             ("descriptors", None, "is not a list of strings"),
             ("descriptors", "planted", "is not a list of strings"),
+            ("feature_names", ["a", "b", "a", "c", "d"], "repeats the name a"),
+            ("descriptors", ["x", "x", "z"], "repeats the name x"),
             ("dropout", "x", "is 'x', not a finite number"),
             ("dropout", True, "is True, not a finite number"),
             ("dropout", 1.0, r"is 1.0, not in \[0, 1\)"),

@@ -56,7 +56,7 @@ from timbrekit.formants import (
 )
 from timbrekit.harmonics import TILT_NAMES, magnitude_spectrum, rms_energy, tilt_measures
 from timbrekit.noise_metrics import cpp_from_spectrum, shr
-from timbrekit.pitch import PitchConfig, _window_and_acf, frame_pitch
+from timbrekit.pitch import PitchConfig, _taper_acf, frame_pitch
 
 SR = 16000
 
@@ -114,7 +114,7 @@ class TestExtractTrack:
         """
         buf = synth(SynthSpec(kind="mixture", f0=130.0, duration=20.0, formants=VOICE_FORMANTS,
                               tilt_db_per_octave=-6.0, noise_gain=0.004, seed=1))
-        _window_and_acf.cache_clear()
+        _taper_acf.cache_clear()
         _cosine_basis.cache_clear()
         track, _, peak = traced(lambda: extract_track(buf))
         assert peak < 16e6

@@ -146,7 +146,7 @@ class TestPitchAcf:
     def test_a_thirty_hz_floor_takes_the_fft(self):
         """Its basis would be 33 MB, over the cap; the track is still right."""
         audio._cosine_basis.cache_clear()
-        pitch._window_and_acf.cache_clear()
+        pitch._taper_acf.cache_clear()
         config = PitchConfig(floor=30.0)
         buf = synth(SynthSpec(kind="pulse_train", f0=45.0, duration=0.5))
         n = int(round(config.window * SR))
@@ -165,13 +165,13 @@ def test_features_match_the_fft_path(monkeypatch):
     audio._cosine_basis.cache_clear()
     shipped = [extract_track(buf) for buf in voices]
     assert audio._cosine_basis.cache_info().currsize == 3  # the pitch basis and CPP's two
-    pitch._window_and_acf.cache_clear()
+    pitch._taper_acf.cache_clear()
     try:
         with monkeypatch.context() as patch:
             patch.setattr(audio, "_COSINE_BASIS_CAP", 0)
             fft = [extract_track(buf) for buf in voices]
     finally:
-        pitch._window_and_acf.cache_clear()
+        pitch._taper_acf.cache_clear()
     for a, b in zip(shipped, fft):
         npt.assert_array_equal(a.voiced, b.voiced)
         assert a.voiced.sum() > 50
