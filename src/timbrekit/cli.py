@@ -243,7 +243,9 @@ def cmd_train(manifest_path, features_path, out, log_path, **fields):
     if not train_pairs:
         _fail("INVALID_INPUT", "manifest has no train split")
     table = features.read_features(features_path)
-    model, log = diffnet.train(train_pairs, table, config, feature_names=table.names)
+    # Without --log only the last epoch's loss and accuracy, which the summary line prints, are computed.
+    model, log = diffnet.train(train_pairs, table, config, feature_names=table.names,
+                               log_every_epoch=bool(log_path))
     diffnet.save_checkpoint(model, out)
     if log_path:
         Path(log_path).write_text(json.dumps({"seed": config.seed, "epochs": log}, sort_keys=True))

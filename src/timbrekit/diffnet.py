@@ -488,11 +488,17 @@ def train(
     config: TrainConfig = TrainConfig(),
     *,
     feature_names,
+    log_every_epoch: bool = True,
 ) -> tuple[DiffNetModel, list[dict]]:
     """Fit a model; returns it plus a per-epoch loss/accuracy log.
 
     feature_names names the columns of the feature vectors, in order; the
     descriptor vocabulary is the sorted set of the pairs' descriptors.
+
+    An epoch's loss sums each batch's loss, and its accuracy rescores every
+    training pair after the epoch. With log_every_epoch False only the last
+    epoch computes them, and the log is that one entry, equal to the full
+    log's last; the model is bitwise the same either way.
 
     Deterministic given the seed: initialization, shuffling, and dropout
     all draw from one generator, and reductions run in a fixed order.
@@ -525,6 +531,7 @@ def train(
     # A diverging run overflows; the check after each epoch reports it in place of numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
+            logged = log_every_epoch or epoch == config.epochs
             order = rng.permutation(n)
             epoch_loss = 0.0
             for start, stop in zip([0, *stops[:-1]], stops):
@@ -532,21 +539,22 @@ def train(
                 # Each batch gathers its own [B x 2D] pair rows, so memory grows with U*D + P, not P*D.
                 x = table[rows[sel]].reshape(sel.size, -1)
                 scores, cache = forward(model, x, mode="train", rng=rng)
-                epoch_loss += batch_loss(scores, desc_idx[sel], targets[sel]) * sel.size
+                if logged:
+                    epoch_loss += batch_loss(scores, desc_idx[sel], targets[sel]) * sel.size
                 grads = backward(model, cache, desc_idx[sel], targets[sel])
                 adam.step(grads)
                 # Running statistics move toward the batch moments.
                 model.running_mean += BN_MOMENTUM * (cache["mu"] - model.running_mean)
                 model.running_var += BN_MOMENTUM * (cache["var"] - model.running_var)
+            # An unlogged epoch's loss stays 0; a non-finite loss needs non-finite scores, which make Adam's update so.
             state = (epoch_loss, adam.params, model.running_mean, model.running_var)
             if not all(np.isfinite(v).all() for v in state):
                 raise ValueError(f"training diverged in epoch {epoch}: the loss or a parameter is not a finite "
                                  f"number (learning rate {config.learning_rate:g})")
-            picked = _score_rows(model, table, rows, desc_idx)
-            train_acc = float(np.mean((picked >= DECISION_THRESHOLD) == (targets == 1.0)))
-            log.append(
-                {"epoch": epoch, "loss": epoch_loss / n, "train_accuracy": train_acc}
-            )
+            if logged:
+                picked = _score_rows(model, table, rows, desc_idx)
+                train_acc = float(np.mean((picked >= DECISION_THRESHOLD) == (targets == 1.0)))
+                log.append({"epoch": epoch, "loss": epoch_loss / n, "train_accuracy": train_acc})
     return model, log
 
 

@@ -665,19 +665,40 @@ class TestTrainCommand:
         assert not out.exists()
 
     def test_diverging_run_is_one_error_line_and_no_checkpoint(self, runner, tmp_path):
-        """Weights that overflow fail in their epoch without a numpy warning; a huge finite run still trains."""
+        """Weights that overflow fail in their epoch without a numpy warning, with or without --log.
+
+        A huge finite run still trains.
+        """
         features_path, manifest_path = separable_training_setup(tmp_path, n_train=300, n_test=5)
         out = tmp_path / "m.json"
         args = ["train", "--manifest", str(manifest_path), "--features", str(features_path), "--out", str(out),
-                "--epochs", "3", "--lr"]
-        result = runner.invoke(main, [*args, "1e300"])
-        assert result.exit_code == 1
-        assert [line for line in result.output.splitlines() if line.startswith("error:")] == [
-            "error: INVALID_INPUT: training diverged in epoch 1: the loss or a parameter is not a finite number "
-            "(learning rate 1e+300)"]
-        assert not out.exists()
-        assert run(runner, [*args, "1e12"]).exit_code == 0
+                "--epochs", "3"]
+        for logged in ([], ["--log", str(tmp_path / "log.json")]):
+            result = runner.invoke(main, [*args, *logged, "--lr", "1e300"])
+            assert result.exit_code == 1
+            assert [line for line in result.output.splitlines() if line.startswith("error:")] == [
+                "error: INVALID_INPUT: training diverged in epoch 1: the loss or a parameter is not a finite "
+                "number (learning rate 1e+300)"], logged
+            assert not out.exists()
+            assert not (tmp_path / "log.json").exists()
+        assert run(runner, [*args, "--lr", "1e12"]).exit_code == 0
         assert out.exists()
+
+    def test_log_changes_neither_the_checkpoint_nor_stdout(self, runner, tmp_path):
+        """Without --log only the last epoch is scored; the --log file still holds every epoch."""
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=700, n_test=5)
+        args = ["train", "--manifest", str(manifest_path), "--features", str(features_path), "--epochs", "4",
+                "--seed", "5"]
+        log_path = tmp_path / "log.json"
+        plain = run(runner, [*args, "--out", str(tmp_path / "plain.json")])
+        logged = run(runner, [*args, "--out", str(tmp_path / "logged.json"), "--log", str(log_path)])
+        assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "logged.json").read_bytes()
+        assert plain.output == logged.output
+        log = json.loads(log_path.read_text())
+        assert [entry["epoch"] for entry in log["epochs"]] == [1, 2, 3, 4]
+        final = log["epochs"][-1]
+        assert plain.output.splitlines()[-1] == (f"trained 4 epochs on 700 pairs; final loss {final['loss']:.4f}, "
+                                                 f"train acc {final['train_accuracy'] * 100:.2f}%")
 
     def test_same_seed_identical_checkpoints(self, runner, tmp_path):
         features_path, manifest_path = separable_training_setup(tmp_path, n_train=300, n_test=50)

@@ -320,19 +320,22 @@ class TestTrain:
         """Two descriptors, a ragged last batch (of 257 pairs in the second case, whose leftover pair joins it).
 
         Dropout is 0.3 but in the no-dropout case, whose mask is all ones;
-        the last case has the default hidden width.
+        the last case has the default hidden width. Without log_every_epoch
+        the model is the same and the log is the reference's last entry.
         """
         pairs, feats = separable_task(n_pairs=n_pairs, n_utts=40, dim=dim, seed=12)
         pairs = [dn.PairRecord(p.utt_a, p.utt_b, ("planted", "second")[i % 2], p.label)
                  for i, p in enumerate(pairs)]
         config = dn.TrainConfig(hidden_dim=hidden, dropout=dropout, epochs=3, seed=4)
         assert n_pairs % config.batch_size
-        model, log = dn.train(pairs, feats, config, feature_names=dim_names(dim))
         expected, expected_log = testkit.train_reference(pairs, feats, config, feature_names=dim_names(dim))
-        assert log == expected_log
-        for name in ("feature_weights", "w1", "b1", "gamma", "beta", "running_mean", "running_var",
-                     "w2", "b2", "norm_mean", "norm_std"):
-            assert np.array_equal(getattr(model, name), getattr(expected, name)), name
+        for log_every_epoch, logged in ((True, expected_log), (False, expected_log[-1:])):
+            model, log = dn.train(pairs, feats, config, feature_names=dim_names(dim),
+                                  log_every_epoch=log_every_epoch)
+            assert log == logged
+            for name in ("feature_weights", "w1", "b1", "gamma", "beta", "running_mean", "running_var",
+                         "w2", "b2", "norm_mean", "norm_std"):
+                assert np.array_equal(getattr(model, name), getattr(expected, name)), (log_every_epoch, name)
 
 
 class TestScorePairs:
