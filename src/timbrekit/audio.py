@@ -312,11 +312,12 @@ def _polyphase_taps(up: int, down: int) -> np.ndarray:
 # Frames go through the batched measures this many at a time, so transient
 # memory stays flat on long recordings. At 128 rows the largest per-block
 # array is the slice spectrum's [rows x 2049] complex rfft, 4.2 MB; the
-# pitch ACF and the cepstrum are formed at only the [rows x 751] and
-# [rows x 252] columns the measures read. On the 2-vCPU reference VM, 64
-# rows extracted about 12% slower than 128, and 256 rows no faster, while
-# a 20 s voice peaked at 7.3, 9.6 and 18.7 MB (tracemalloc) at 64, 128 and
-# 256 rows.
+# pitch ACF is formed on its [rows x 1024] sample grid, and the cepstrum
+# at only the [rows x 252] columns CPP reads. On the 2-vCPU reference VM,
+# 64 rows extracted about 12% slower than 128, and 256 rows no faster,
+# while a 20 s voice peaked at 7.3, 9.6 and 18.7 MB (tracemalloc) at 64,
+# 128 and 256 rows (measured with a cosine product for the pitch ACF; 9.8
+# MB at 128 rows with the sample grid).
 FRAME_BLOCK = 128
 
 
@@ -337,21 +338,21 @@ def parabolic_peak(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tu
     return np.where(curved, cols + delta, cols), np.where(curved, mid - 0.25 * (left - right) * delta, mid)
 
 
-# Past this many bytes a cosine basis stops paying for the memory it holds:
-# at a 50 Hz pitch floor the 9.7 MB basis was within the spread of the FFT,
-# and at 30 Hz the 33 MB one was slower (34 against 27 ms per second of
-# audio), so irfft_columns takes the FFT there. The 16 kHz extraction's
-# bases, 3.1 MB for the pitch ACF and 2.1 MB for CPP, are under it.
+# Past this many bytes a cosine basis stops paying for the memory it holds,
+# and irfft_columns takes the FFT instead. (Measured on pitch ACF bases: 9.7
+# MB ran within the spread of the FFT, and 33 MB slower, 34 against 27 ms
+# per second of audio.) CPP's two bases hold about 2 MB at 16 kHz; slice
+# spectra sampled above 25.6 kHz (an 8192-point FFT) pass the cap.
 _COSINE_BASIS_CAP = 4 << 20
 
 
 @lru_cache(maxsize=8)
-def _cosine_basis(height: int, n: int, cols: range, folded: bool) -> np.ndarray:
-    """Read-only [height x len(cols)] basis: c_k cos(2 pi k q / n) / n for k < height, q in cols.
+def _cosine_basis(height: int, n: int, cols: range) -> np.ndarray:
+    """Read-only [height x len(cols)] folded basis: c_k cos(2 pi k q / n) / n for k < height, q in cols.
 
-    c_0 = 1, and so is c_(n/4) of a folded basis (the row that pairs with
-    itself); every other c_k is 2. The angle comes from k q mod n,
-    which float64 holds exactly, so it stays accurate at any lag.
+    c_0 = 1, and so is c_(n/4) (the row that pairs with itself); every
+    other c_k is 2. The angle comes from k q mod n, which float64 holds
+    exactly, so it stays accurate at any column.
     """
     # The basis lives as long as the process, so it gets a mapping of its
     # own: taken from the malloc heap it pins the per-block temporaries
@@ -365,39 +366,37 @@ def _cosine_basis(height: int, n: int, cols: range, folded: bool) -> np.ndarray:
     np.cos(basis, out=basis)
     basis[1:] *= 2.0 / n
     basis[0] /= n
-    if folded and 4 * (height - 1) == n:
+    if 4 * (height - 1) == n:
         basis[-1] /= 2.0
     basis.setflags(write=False)
     return basis
 
 
 def irfft_columns(x: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
-    """np.fft.irfft(x, n)[:, start:stop] for a matrix x of real half-spectra, as cosine products.
+    """np.fft.irfft(x, n)[:, start:stop] for a matrix x of full real half-spectra, as folded cosine products.
 
-    x is [rows x bins] with bins <= n // 2 + 1, a real even spectrum
-    zero-padded to n points, so output q is
+    x is [rows x (n // 2 + 1)] for an even n, so output q is
     (x_0 + 2 sum_{0<k<n/2} x_k cos(2 pi k q / n) + x_(n/2) (-1)^q) / n.
-    Only columns start..stop-1 are computed, each as a product with a
-    cached basis. A full half-spectrum of even n is folded first: since
+    Only columns start..stop-1 are computed. Since
     cos(2 pi (n/2 - k) q / n) = (-1)^q cos(2 pi k q / n), even q read
     S_k = x_k + x_(n/2-k) and odd q read D_k = x_k - x_(n/2-k) over
-    k <= n/4, which halves both the multiply-adds and the basis. Where
-    the basis would exceed _COSINE_BASIS_CAP bytes the inverse FFT runs.
+    k <= n/4, each as a product with a cached basis, which halves both the
+    multiply-adds and the basis. Where the bases would exceed
+    _COSINE_BASIS_CAP bytes the inverse FFT runs.
     """
     bins = x.shape[1]
     if bins > n // 2 + 1:
         raise ValueError(f"{bins} bins do not fit a {n}-point real spectrum")
-    folded = n % 2 == 0 and bins == n // 2 + 1
-    height = n // 4 + 1 if folded else bins
+    if n % 2 or bins != n // 2 + 1:
+        raise ValueError(f"{bins} bins are not the full half-spectrum of an even {n}-point transform")
+    height = n // 4 + 1
     if 8 * height * (stop - start) > _COSINE_BASIS_CAP:
         return np.fft.irfft(x, n)[:, start:stop]
-    if not folded:
-        return x @ _cosine_basis(height, n, range(start, stop), False)
     mirror = x[:, n // 2 - height + 1 :][:, ::-1]
     out = np.empty((x.shape[0], stop - start))
     even, odd = range(start + start % 2, stop, 2), range(start + 1 - start % 2, stop, 2)
-    out[:, start % 2 :: 2] = (x[:, :height] + mirror) @ _cosine_basis(height, n, even, True)
-    out[:, 1 - start % 2 :: 2] = (x[:, :height] - mirror) @ _cosine_basis(height, n, odd, True)
+    out[:, start % 2 :: 2] = (x[:, :height] + mirror) @ _cosine_basis(height, n, even)
+    out[:, 1 - start % 2 :: 2] = (x[:, :height] - mirror) @ _cosine_basis(height, n, odd)
     return out
 
 

@@ -53,12 +53,15 @@ def _refuse_overwrite(outputs, inputs):
 
 
 def _guard(fn):
-    """Refuse, before any work, an output whose directory is missing or that names an input or the other output.
+    """Refuse, before any work, an output that is empty, lacks its directory, or names an input or the other output.
 
     Domain errors map onto one error line.
     """
 
     def wrapper(*args, **kwargs):
+        for option, name in _OUTPUT_OPTIONS:
+            if kwargs.get(name) == "":
+                _fail("INVALID_INPUT", f"{option} is an empty path")
         outputs = [(option, kwargs[name]) for option, name in _OUTPUT_OPTIONS if kwargs.get(name)]
         for _, path in outputs:
             if not Path(path).parent.is_dir():

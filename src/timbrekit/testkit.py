@@ -4,7 +4,8 @@ Holds the independent oracles the test suite checks the fast paths
 against (a direct single-frequency DFT projection, the Levinson step-down
 from LPC to reflection coefficients, the synthetic comb
 rendered line by line with np.cos, the full inverse FFTs of the pitch
-ACF and of the cepstrum, CPP written out over the whole cepstrum,
+ACF and of the cepstrum, the pitch tracker and CPP written out over
+them one row at a time,
 exhaustive-threshold FAR/FRR and EER sweeps, the textbook training loop,
 single-record BCE), and the seeded synthetic-voice corpus whose pair
 labels are exact by construction.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import SynthSpec, _peak_normalize, _resonate
+from .audio import SynthSpec, _peak_normalize, _resonate, hann_magnitudes
 from .diffnet import (
     _LOGIT_CLAMP,
     _SCORE_CLAMP,
@@ -47,6 +48,7 @@ from .noise_metrics import (
     QUEFRENCY_FLOOR,
     TREND_FLOOR,
 )
+from .pitch import _SHORT_LAG_MARGIN, LAG_OVERSAMPLE, PitchConfig, acf_fft_size
 
 _ORACLE_FLOOR_DB = -120.0
 
@@ -144,10 +146,58 @@ def comb_reference(spec: SynthSpec) -> np.ndarray:
 def acf_reference(power) -> np.ndarray:
     """All 4 * nfft lags of the oversampled ACF of each row of an nfft-point power spectrum.
 
-    The full inverse FFT that pitch._lag_acf forms only a few columns of.
+    The full inverse FFT that pitch.frame_pitch forms only near its
+    candidate lags.
     """
     power = np.atleast_2d(np.asarray(power, dtype=np.float64))
     return np.fft.irfft(power, 4 * 2 * (power.shape[1] - 1))
+
+
+def pitch_reference(frames, config: PitchConfig, sample_rate: float, global_peak: float):
+    """(f0, strength) of each row of a [frames x window] matrix, as frame_pitch defines them, one row at a time.
+
+    Every oversampled lag of acf_reference is formed and searched, with no
+    candidate pruning. A row whose |x| peak is under silence_threshold
+    times global_peak, or whose power is all zero, reads NaN and 0. The
+    normalized ACF is the row's (mean removed, Hann-tapered) over the
+    taper's, each over its lag 0. Its local maxima (above the lag before,
+    at least the lag after) at lags 4 lag_min..4 lag_max + 4 are refined by
+    a 3-point parabola where the triple curves down. strength is the best
+    value clipped to [0, 1]; where it reaches voicing_threshold, f0 is
+    read at the shortest lag within pitch._SHORT_LAG_MARGIN of the best,
+    clipped to [floor, ceiling].
+    """
+    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    n = frames.shape[1]
+    lag_min, lag_max = config.lag_range(sample_rate)
+    nfft = acf_fft_size(n, lag_max)
+    lags = np.arange(LAG_OVERSAMPLE * lag_min - 1, LAG_OVERSAMPLE * (lag_max + 1) + 2)
+    taper = acf_reference(hann_magnitudes(np.ones(n), nfft) ** 2)[0]
+    taper = taper[lags] / taper[0]
+    f0, strength = np.full(frames.shape[0], np.nan), np.zeros(frames.shape[0])
+    for i, frame in enumerate(frames):
+        if global_peak <= 0 or np.max(np.abs(frame)) < config.silence_threshold * global_peak:
+            continue
+        acf = acf_reference(hann_magnitudes(frame - frame.mean(), nfft) ** 2)[0]
+        if not acf[0] > 0:
+            continue
+        r = acf[lags] / acf[0] / taper
+        left, mid, right = r[:-2], r[1:-1], r[2:]
+        peaks = np.flatnonzero((mid > left) & (mid >= right))
+        if peaks.size == 0:
+            continue
+        values, positions = [], []
+        for j in peaks:
+            curve = left[j] - 2.0 * mid[j] + right[j]
+            shift = 0.5 * (left[j] - right[j]) / curve if curve < 0 else 0.0
+            values.append(mid[j] - 0.25 * (left[j] - right[j]) * shift)
+            positions.append(lags[j + 1] + shift)
+        best = max(values)
+        strength[i] = min(max(best, 0.0), 1.0)
+        if strength[i] >= config.voicing_threshold:
+            shortest = min(p for p, v in zip(positions, values) if v >= best - _SHORT_LAG_MARGIN)
+            f0[i] = min(max(sample_rate * LAG_OVERSAMPLE / shortest, config.floor), config.ceiling)
+    return f0, strength
 
 
 def cepstrum_reference(level_db) -> np.ndarray:

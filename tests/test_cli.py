@@ -107,6 +107,21 @@ def with_entry(payload, tensor, index, value):
     return {**payload, "tensors": {**payload["tensors"], tensor: stored.tolist()}}
 
 
+# Voices for the BLAS thread-count tests, with formants, tilt and noise as a corpus voice has.
+THREAD_VOICES = tuple(
+    SynthSpec(kind="mixture", f0=f0, duration=2.0, noise_gain=0.005, tilt_db_per_octave=-6.0, seed=seed,
+              formants=((500.0, 80.0), (1500.0, 100.0), (2500.0, 150.0), (3500.0, 200.0)))
+    for seed, f0 in enumerate((120.0, 160.0, 200.0))
+)
+
+
+def blas_env(threads):
+    """The environment with BLAS pinned to `threads` threads and this checkout's package on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestSynthCommand:
     def test_writes_playable_wav(self, runner, tmp_path):
         out = tmp_path / "t.wav"
@@ -360,27 +375,37 @@ class TestExtractCommand:
     def test_cepstral_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, kind):
         """One and two BLAS threads give the same table; only a machine with 2+ CPUs can tell them apart.
 
-        The acoustic kind is left out: its pitch lags and CPP quefrencies are
-        BLAS products (audio.irfft_columns) whose bits still move with the
-        thread count.
+        The acoustic kind is left out: only its CPP quefrencies are still
+        BLAS products (audio.irfft_columns), whose bits move with the thread
+        count. Its pitch is guarded on its own below.
         """
         directory = tmp_path / "wavs"
         directory.mkdir()
-        formants = ((500.0, 80.0), (1500.0, 100.0), (2500.0, 150.0), (3500.0, 200.0))
-        for seed, f0 in enumerate((120.0, 160.0, 200.0)):
-            spec = SynthSpec(kind="mixture", f0=f0, duration=2.0, formants=formants, noise_gain=0.005,
-                             tilt_db_per_octave=-6.0, seed=seed)
+        for seed, spec in enumerate(THREAD_VOICES):
             write_wav(directory / f"v{seed}.wav", synth(spec))
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         digests = []
         for threads in ("1", "2"):
             out = tmp_path / f"{threads}.csv"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
             subprocess.run([sys.executable, "-m", "timbrekit.cli", "extract", str(directory), "--kind", kind,
-                            "--out", str(out)], env=env, check=True, capture_output=True)
+                            "--out", str(out)], env=blas_env(threads), check=True, capture_output=True)
             digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+    def test_pitch_bytes_do_not_depend_on_the_blas_thread_count(self):
+        """pitch_track's f0 and strength under one and two BLAS threads are the same bytes (2+ CPUs tell)."""
+        script = (
+            "import hashlib\n"
+            "from timbrekit.audio import SynthSpec, synth\n"
+            "from timbrekit.pitch import pitch_track\n"
+            "digest = hashlib.sha256()\n"
+            f"for spec in {THREAD_VOICES!r}:\n"
+            "    track = pitch_track(synth(spec))\n"
+            "    digest.update(track.f0.tobytes() + track.strength.tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        digests = [subprocess.run([sys.executable, "-c", script], env=blas_env(threads), check=True,
+                                  capture_output=True, text=True).stdout for threads in ("1", "2")]
+        assert len(digests[0]) == 65 and digests[0] == digests[1]
 
     def test_all_skipped_is_an_error(self, runner, tmp_path):
         directory = make_voice_dir(tmp_path, count=0, silent=2)
@@ -1264,3 +1289,32 @@ class TestManifest:
         ]
         write_manifest(tmp_path / "m.jsonl", records)
         assert check_manifest(read_manifest(tmp_path / "m.jsonl")) == []
+
+
+@pytest.mark.parametrize("command, option", [
+    ("synth", "--out"), ("extract", "--out"), ("train", "--out"), ("train", "--log"), ("eval", "--out"),
+    ("weights", "--out"), ("flops", "--out"),
+])
+def test_an_empty_output_path_is_refused_before_any_work(runner, tmp_path, monkeypatch, command, option):
+    """An empty --out or --log is one INVALID_INPUT line, before the command reads or renders anything."""
+    calls = []
+    for owner, name in ((cli, "synth"), (features, "vector_for"), (cli.manifest, "read_manifest"),
+                        (dn, "load_checkpoint"), (evaluation, "cost_report")):
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    features_path, manifest_path = separable_training_setup(tmp_path, n_train=20, n_test=5)
+    inputs = {
+        "synth": ["--kind", "sine"],
+        "extract": [str(make_voice_dir(tmp_path, count=1))],
+        "train": ["--manifest", str(manifest_path), "--features", str(features_path)],
+        "eval": ["--manifest", str(manifest_path), "--features", str(features_path),
+                 "--model", str(checkpoint(tmp_path, "acoustic"))],
+        "weights": ["--model", str(checkpoint(tmp_path, "acoustic"))],
+        "flops": [],
+    }[command]
+    outputs = {"--out": "m.json", option: ""} if command == "train" else {option: ""}
+    before = sorted(os.listdir(tmp_path))
+    result = runner.invoke(main, [command, *inputs, *[a for item in outputs.items() for a in item]])
+    assert result.exit_code == 1
+    assert result.output == f"error: INVALID_INPUT: {option} is an empty path\n"
+    assert calls == [] and sorted(os.listdir(tmp_path)) == before

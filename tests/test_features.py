@@ -109,7 +109,7 @@ class TestExtractTrack:
         """The measures run FRAME_BLOCK frames at a time, so a 20 s voice peaks as low as a 3 s one.
 
         The cached taper ACF and cosine bases are dropped first, so the
-        peak counts building them. The 5.2 MB of bases themselves sit in
+        peak counts building them. CPP's 2 MB of bases themselves sit in
         mappings of their own, which tracemalloc does not see.
         """
         buf = synth(SynthSpec(kind="mixture", f0=130.0, duration=20.0, formants=VOICE_FORMANTS,

@@ -1,9 +1,12 @@
-"""The pitch ACF and the CPP cepstrum, formed as cosine products, against the full inverse FFTs.
+"""The pitch ACF and the CPP cepstrum, formed in part, against the full inverse FFTs.
 
 testkit.acf_reference and testkit.cepstrum_reference are the whole
-np.fft.irfft outputs; audio.irfft_columns forms only the columns the
-measures read. Agreement is required within 1e-12 of each row's largest
-|value| in the full transform.
+np.fft.irfft outputs. pitch._refine forms the oversampled ACF only near
+candidate lags, by angle addition, and audio.irfft_columns the cepstrum
+only at the columns CPP reads, as folded cosine products. Agreement is
+required within 1e-12 of each row's largest |value| in the full
+transform. frame_pitch as a whole is held to testkit.pitch_reference,
+which searches every oversampled lag.
 """
 
 import numpy as np
@@ -18,12 +21,13 @@ from timbrekit.audio import SynthSpec, irfft_columns, synth
 from timbrekit.features import MEASURE_NAMES, extract_track
 from timbrekit.harmonics import Spectrum, magnitude_spectrum
 from timbrekit.noise_metrics import cpp_from_spectrum
-from timbrekit.pitch import PitchConfig, _lag_acf, frame_pitch
+from timbrekit.pitch import LAG_OVERSAMPLE, REFINE_REACH, PitchConfig, _refine, frame_pitch
 from timbrekit.testkit import (
     acf_reference,
     build_timbre_corpus,
     cepstral_peak_reference,
     cepstrum_reference,
+    pitch_reference,
 )
 
 SR = 16000
@@ -37,32 +41,20 @@ def assert_columns_match(got, full, start, stop):
 
 
 @st.composite
-def half_spectra(draw, full):
-    """(x, n, start, stop): rows of a real half-spectrum for an n-point inverse transform.
-
-    With full, x spans every bin n // 2 + 1 of an even n, as the CPP
-    cepstrum's dB spectrum does; otherwise x holds the nfft // 2 + 1 bins
-    of a power spectrum and n = 4 * nfft, as the oversampled pitch ACF does.
-    """
-    if full:
-        n = 2 * draw(st.integers(1, 1100))  # n / 2 odd and even, n = 2 to 2200
-        bins = n // 2 + 1
-    else:
-        nfft = 2 * draw(st.integers(1, 300))
-        bins, n = nfft // 2 + 1, 4 * nfft
+def half_spectra(draw):
+    """(x, n, start, stop): rows of a full real half-spectrum of an even n, as the CPP cepstrum's dB spectrum."""
+    n = 2 * draw(st.integers(1, 1100))  # n / 2 odd and even, n = 2 to 2200
     rows = draw(st.integers(0, 4))
     # No magnitude so small that a term of the transform turns subnormal and loses precision.
     elements = st.one_of(st.just(0.0), st.floats(1e-100, 1e3), st.floats(-1e3, -1e-100))
-    x = draw(arrays(np.float64, (rows, bins), elements=elements))
-    if not full:
-        x = np.abs(x)
+    x = draw(arrays(np.float64, (rows, n // 2 + 1), elements=elements))
     start = draw(st.integers(0, n - 1))
     stop = draw(st.integers(start + 1, n))
     return x, n, start, stop
 
 
 class TestCepstrum:
-    @given(half_spectra(full=True))
+    @given(half_spectra())
     @settings(max_examples=60, deadline=None)
     def test_columns_match_the_inverse_fft(self, case):
         x, n, start, stop = case
@@ -84,6 +76,11 @@ class TestCepstrum:
     def test_more_bins_than_the_transform_holds_is_an_error(self):
         with pytest.raises(ValueError, match="10 bins do not fit a 16-point real spectrum"):
             irfft_columns(np.zeros((1, 10)), 16, 0, 4)
+
+    @pytest.mark.parametrize("bins, n", [(5, 16), (9, 17)])
+    def test_a_part_or_odd_spectrum_is_an_error(self, bins, n):
+        with pytest.raises(ValueError, match=f"{bins} bins are not the full half-spectrum of an even {n}-point"):
+            irfft_columns(np.zeros((1, bins)), n, 0, 4)
 
     def test_the_16k_cepstrum_takes_the_product(self):
         audio._cosine_basis.cache_clear()
@@ -119,59 +116,134 @@ class TestCpp:
         npt.assert_allclose(cpp_from_spectrum(spec), want, rtol=0, atol=1e-9)
 
 
+@st.composite
+def power_spectra(draw):
+    """(power, rows, taus): power spectra of a power-of-two nfft, and candidate rows and sample lags in them."""
+    nfft = 2 ** draw(st.integers(1, 11))
+    count = draw(st.integers(0, 4))
+    # No power so small that a term of the transform turns subnormal and loses precision.
+    elements = st.one_of(st.just(0.0), st.floats(1e-100, 1e6))
+    power = draw(arrays(np.float64, (count, nfft // 2 + 1), elements=elements))
+    cands = draw(st.integers(0, 6 if count else 0))
+    rows = np.array(draw(st.lists(st.integers(0, max(count - 1, 0)), min_size=cands, max_size=cands)), dtype=np.intp)
+    taus = np.array(draw(st.lists(st.integers(0, nfft - 1), min_size=cands, max_size=cands)), dtype=np.intp)
+    return power, rows, taus
+
+
+def assert_windows_match(power, rows, taus):
+    """_refine's windows equal acf_reference at lags 4 tau - REFINE_REACH.. (mod 4 nfft), within 1e-12 of lag 0."""
+    got = _refine(power, rows, taus)
+    full = acf_reference(power)
+    lags = np.add.outer(LAG_OVERSAMPLE * taus, np.arange(-REFINE_REACH, REFINE_REACH)) % full.shape[1]
+    assert got.shape == (rows.size, 2 * REFINE_REACH)
+    scale = np.max(np.abs(full), axis=1, initial=0.0)[rows, np.newaxis]
+    assert np.all(np.abs(got - full[rows[:, np.newaxis], lags]) <= 1e-12 * scale)
+
+
 class TestPitchAcf:
-    @given(half_spectra(full=False))
+    @given(power_spectra())
     @settings(max_examples=60, deadline=None)
     def test_lags_match_the_inverse_fft(self, case):
-        power, _, start, stop = case
-        zero, acf = _lag_acf(power, start, stop)
-        full = acf_reference(power)
-        assert_columns_match(acf, full, start, stop)
-        assert_columns_match(zero[:, np.newaxis], full, 0, 1)
+        assert_windows_match(*case)
 
     @pytest.mark.parametrize("rows", [0, 1, 128])
     def test_the_16k_tracker_lags(self, rows):
-        """lags 107..857 of a 4096-point ACF: the default 75 Hz floor at 16 kHz."""
+        """Every sample lag 27..214 of a 1024-point spectrum: the default 75 Hz floor at 16 kHz."""
         power = np.abs(np.fft.rfft(np.random.default_rng(rows).normal(size=(rows, 640)), 1024)) ** 2
-        zero, acf = _lag_acf(power, 107, 858)
-        full = acf_reference(power)
-        assert_columns_match(acf, full, 107, 858)
-        assert_columns_match(zero[:, np.newaxis], full, 0, 1)
+        row, tau = np.divmod(np.arange(rows * 188), 188)
+        assert_windows_match(power, row, tau + 27)
 
     def test_all_zero_block_reads_zero(self):
-        zero, acf = _lag_acf(np.zeros((3, 513)), 107, 858)
-        npt.assert_array_equal(zero, 0.0)
-        npt.assert_array_equal(acf, 0.0)
+        npt.assert_array_equal(_refine(np.zeros((3, 513)), np.array([0, 2]), np.array([27, 214])), 0.0)
 
-    def test_a_thirty_hz_floor_takes_the_fft(self):
-        """Its basis would be 33 MB, over the cap; the track is still right."""
+
+def voice_frames(spec, config):
+    """(frames, global peak): the config's windows of a rendered spec, one every 10 ms."""
+    samples = synth(spec).samples
+    n = int(round(config.window * SR))
+    return np.lib.stride_tricks.sliding_window_view(samples, n)[:: SR // 100], float(np.max(np.abs(samples)))
+
+
+def assert_pitch_matches(frames, global_peak, config):
+    """frame_pitch against testkit.pitch_reference: the same voicing, f0 and strength within 1e-12."""
+    f0, strength = frame_pitch(frames, config, SR, global_peak)
+    want_f0, want_strength = pitch_reference(frames, config, SR, global_peak)
+    npt.assert_array_equal(np.isnan(f0), np.isnan(want_f0))
+    npt.assert_allclose(f0, want_f0, rtol=1e-12, atol=0)
+    npt.assert_allclose(strength, want_strength, rtol=1e-12, atol=0)
+    return f0
+
+
+class TestPitch:
+    """frame_pitch refines only candidate lags; the reference searches every oversampled lag."""
+
+    @given(
+        spec=st.builds(
+            SynthSpec,
+            kind=st.just("mixture"),
+            f0=st.floats(60.0, 500.0),
+            duration=st.just(0.2),
+            noise_gain=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+            subharmonic_gain=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+            tilt_db_per_octave=st.one_of(st.just(0.0), st.floats(-12.0, 0.0)),
+            seed=st.integers(0, 2**16),
+        ),
+        floor=st.sampled_from([30.0, 50.0, 75.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mixtures_match_the_reference(self, spec, floor):
+        config = PitchConfig(floor=floor)
+        assert_pitch_matches(*voice_frames(spec, config), config)
+
+    @pytest.mark.parametrize("floor", [30.0, 50.0, 75.0])
+    @pytest.mark.parametrize("kind, f0", [("pulse_train", 61.0), ("pulse_train", 133.3), ("pulse_train", 300.0),
+                                          ("white_noise", 100.0)])
+    def test_flat_spectra_match_the_reference(self, kind, f0, floor):
+        """A pulse train's ACF peaks are about a sample wide and white noise's are everywhere: the widest bounds."""
+        config = PitchConfig(floor=floor)
+        assert_pitch_matches(*voice_frames(SynthSpec(kind=kind, f0=f0, duration=0.2, seed=3), config), config)
+
+    @pytest.mark.parametrize("limit", [-1, 10**9], ids=["every-frame-dense", "no-frame-dense"])
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(kind="mixture", f0=180.0, duration=0.2, noise_gain=0.3, subharmonic_gain=0.4, seed=5),
+        SynthSpec(kind="pulse_train", f0=133.3, duration=0.2),
+        SynthSpec(kind="white_noise", duration=0.2, seed=5),
+    ], ids=["mixture", "pulse_train", "white_noise"])
+    def test_refined_and_dense_frames_match_the_reference(self, monkeypatch, spec, limit):
+        """A frame takes the refined windows or every oversampled lag by its candidate count; both are exact."""
+        monkeypatch.setattr(pitch, "_DENSE_CANDIDATES", limit)
+        config = PitchConfig()
+        assert_pitch_matches(*voice_frames(spec, config), config)
+
+    def test_a_thirty_hz_floor_tracks_a_low_voice(self):
+        """A 30 Hz floor's 4096-point ACF reads a 45 Hz pulse train, with no cosine basis."""
         audio._cosine_basis.cache_clear()
-        pitch._taper_acf.cache_clear()
         config = PitchConfig(floor=30.0)
-        buf = synth(SynthSpec(kind="pulse_train", f0=45.0, duration=0.5))
-        n = int(round(config.window * SR))
-        f0, strength = frame_pitch(buf.samples[:n], config, SR, float(np.max(np.abs(buf.samples))))
+        frames, peak = voice_frames(SynthSpec(kind="pulse_train", f0=45.0, duration=0.5), config)
+        f0 = assert_pitch_matches(frames, peak, config)
         assert audio._cosine_basis.cache_info().currsize == 0
-        assert f0[0] == pytest.approx(45.0, abs=0.5)
-        assert strength[0] > 0.9
-        power = np.abs(np.fft.rfft(buf.samples[np.newaxis, :n], 4096)) ** 2
-        _, acf = _lag_acf(power, 107, 2138)
-        assert_columns_match(acf, acf_reference(power), 107, 2138)
+        npt.assert_allclose(f0, 45.0, atol=0.5)
+
+    def test_gated_and_silent_rows(self):
+        config = PitchConfig()
+        frames, peak = voice_frames(SynthSpec(kind="mixture", f0=140.0, duration=0.2, seed=1), config)
+        frames = frames.copy()
+        frames[2] *= 0.01
+        frames[3] = 0.0
+        f0 = assert_pitch_matches(frames, peak, config)
+        assert np.isnan(f0[2:4]).all() and np.isfinite(f0[4:]).all()
+        assert_pitch_matches(np.zeros((2, frames.shape[1])), 0.0, config)
 
 
 def test_features_match_the_fft_path(monkeypatch):
-    """extract_track as shipped and with both transforms on the FFT: same voicing, measures within 1e-9."""
+    """extract_track as shipped and with CPP's transform on the FFT: same voicing, measures within 1e-9."""
     voices = [synth(v.spec) for v in build_timbre_corpus(seed=4, size=8).voices]
     audio._cosine_basis.cache_clear()
     shipped = [extract_track(buf) for buf in voices]
-    assert audio._cosine_basis.cache_info().currsize == 3  # the pitch basis and CPP's two
-    pitch._taper_acf.cache_clear()
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(audio, "_COSINE_BASIS_CAP", 0)
-            fft = [extract_track(buf) for buf in voices]
-    finally:
-        pitch._taper_acf.cache_clear()
+    assert audio._cosine_basis.cache_info().currsize == 2  # CPP's two; pitch makes no cosine product
+    with monkeypatch.context() as patch:
+        patch.setattr(audio, "_COSINE_BASIS_CAP", 0)
+        fft = [extract_track(buf) for buf in voices]
     for a, b in zip(shipped, fft):
         npt.assert_array_equal(a.voiced, b.voiced)
         assert a.voiced.sum() > 50
