@@ -312,12 +312,12 @@ def _polyphase_taps(up: int, down: int) -> np.ndarray:
 # Frames go through the batched measures this many at a time, so transient
 # memory stays flat on long recordings. At 128 rows the largest per-block
 # array is the slice spectrum's [rows x 2049] complex rfft, 4.2 MB; the
-# pitch ACF is formed on its [rows x 1024] sample grid, and the cepstrum
-# at only the [rows x 252] columns CPP reads. On the 2-vCPU reference VM,
-# 64 rows extracted about 12% slower than 128, and 256 rows no faster,
-# while a 20 s voice peaked at 7.3, 9.6 and 18.7 MB (tracemalloc) at 64,
-# 128 and 256 rows (measured with a cosine product for the pitch ACF; 9.8
-# MB at 128 rows with the sample grid).
+# pitch ACF's phase transforms run on chunks of these rows, and the
+# cepstrum is formed at only the [rows x 252] columns CPP reads. On the
+# 2-vCPU reference VM, 64 rows extracted about 12% slower than 128, and
+# 256 rows no faster, while a 20 s voice peaked at 7.3, 9.6 and 18.7 MB
+# (tracemalloc) at 64, 128 and 256 rows (measured with a cosine product
+# for the pitch ACF; 9.8 MB at 128 rows with the phase transforms).
 FRAME_BLOCK = 128
 
 

@@ -29,7 +29,7 @@ from .harmonics import (
     HARMONIC_HALF_BAND, TILT_CORRECTION_FORMANTS, TILT_FIXED_HZ, TILT_HARMONICS, padded_fft_size,
 )
 from .noise_metrics import HARMONIC_COUNT_MAX, QUEFRENCY_CEILING, SHR_HALF_BAND
-from .pitch import REFINE_REACH, PitchConfig, acf_fft_size
+from .pitch import LAG_OVERSAMPLE, PitchConfig, acf_fft_size
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,6 @@ def eer(scored: ScoredColumns) -> float:
 # Analytical cost accounting.
 
 _NOMINAL_F0 = 150.0
-# Sample lags the pitch ACF refines per frame: a voice's period and its
-# double, 1.8–2.0 per frame on the synthetic voices.
-_NOMINAL_PITCH_CANDIDATES = 2
 # The resonance-correction terms of a frame: H1, H2 and H4 each take the
 # TILT_CORRECTION_FORMANTS lowest formants, H2kHz every one of MAX_FORMANTS.
 _CORRECTION_TERMS = len(TILT_HARMONICS) * TILT_CORRECTION_FORMANTS + MAX_FORMANTS
@@ -195,13 +192,13 @@ def _acoustic_breakdown() -> dict[str, int]:
     that uses it; only the operation counts per sample, bin, tap or term
     are the tally's own.
 
-    pitch_autocorrelation counts what runs: the nfft-point spectrum and
-    sample-grid inverse FFT, then the angle-addition refinement of
-    _NOMINAL_PITCH_CANDIDATES sample lags per frame (pitch._refine).
+    pitch_autocorrelation counts what runs: the nfft-point spectrum, then
+    one nfft-point inverse FFT of a phase-shifted copy of it for each of
+    three lag phases (pitch._oversampled).
     cepstral_peak counts its inverse transform as a full real FFT;
     extraction instead forms only the quefrencies CPP reads, as folded
     cosine products (audio.irfft_columns): more multiply-adds (acoustic
-    would read about 78 M flops/s, not 38 M), in less time.
+    would read about 80 M flops/s, not 41 M), in less time.
     """
     sr = INTERNAL_RATE
     frames = int(round(1.0 / HOP))
@@ -214,21 +211,14 @@ def _acoustic_breakdown() -> dict[str, int]:
     _, lag_max = config.lag_range(sr)
     pitch_fft = acf_fft_size(pitch_n, lag_max)
     pitch_bins = pitch_fft // 2 + 1
-    window = 2 * REFINE_REACH
-    refine = (
-        2 * pitch_bins  # the power scales each angle's cosine and sine
-        + 2 * (2 * REFINE_REACH + 1) * pitch_bins  # the even and odd contractions
-        + 4 * window  # even -+ odd, and the normalization
-        + 3 * window  # peak scan
-    )
     pitch = (
         4 * pitch_n  # mean removal and taper
-        + 2 * _real_fft_flops(pitch_fft)  # the spectrum and the sample-grid ACF
+        + _real_fft_flops(pitch_fft)
         + 3 * pitch_bins  # squared magnitude
-        + 4 * pitch_bins  # lag-0 ACF and the curvature bound
-        + 2 * (lag_max + 2)  # sample-grid normalization
-        + 3 * lag_max  # sample-grid maxima
-        + _NOMINAL_PITCH_CANDIDATES * refine
+        + 2 * pitch_bins  # lag-0 ACF
+        + (LAG_OVERSAMPLE - 1) * (2 * pitch_bins + _real_fft_flops(pitch_fft))  # the phase shifts and their inverse FFTs
+        + 2 * LAG_OVERSAMPLE * (lag_max + 2)  # lag-domain normalization
+        + 3 * LAG_OVERSAMPLE * lag_max  # peak scan
         + 24  # parabolic refinement and gating
     )
 

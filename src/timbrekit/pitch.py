@@ -6,10 +6,9 @@ harmonics-to-noise ratio of a sampled sound"): the ACF of the
 mean-subtracted, Hann-tapered frame is divided (in the lag domain) by the
 ACF of the taper itself, which undoes the taper's own decay and leaves an
 estimate of the signal's true periodicity in [0, 1]. Both ACFs are the
-inverse transform of a power spectrum on a 4x oversampled lag grid. The
-frame's ACF is formed on the sample grid by one inverse FFT, and on the
-oversampled grid only near the sample lags where a deciding peak can lie,
-by angle addition with no BLAS call, so its bits do not depend on the BLAS
+inverse transform of a power spectrum on a 4x oversampled lag grid; the
+frame's is taken as three inverse FFTs of its own transform size, one per
+lag phase, with no BLAS call, so its bits do not depend on the BLAS
 thread count. There is no cross-frame path search; each frame picks its
 own best lag.
 
@@ -105,25 +104,12 @@ class PitchTrack:
 # grid undervalues any period that falls between samples.
 LAG_OVERSAMPLE = 4
 
-# Oversampled lag L belongs to the sample lag s nearest it, L in 4s-2..4s+1.
-# A candidate sample lag tau is refined at lags 4tau-7..4tau+6: the lags its
-# own and its two neighbours' peaks and their parabolas read.
-REFINE_REACH = 7
-
-# Candidates are refined in chunks whose [chunk x bins] work arrays stay
-# under glibc's 128 KiB mmap threshold, so they are reused from the heap
-# instead of faulted in afresh: chunks of 24 rows of 513 bins ran about
-# 1.5x faster than chunks of 48 (2-vCPU reference VM).
-_REFINE_BYTES = 96 << 10
-
-# Past this many candidate sample-grid maxima (a noisy frame, a flat pulse
-# train), a frame's oversampled ACF is formed at every searched lag instead,
-# from two more nfft-point inverse FFTs: about the cost of refining this
-# many.
-_DENSE_CANDIDATES = 8
-
-# Headroom for the rounding of the sample-grid ACF in the candidate bounds.
-_ROUNDING = 1e-9
+# The lag phases are transformed a chunk of rows at a time, each chunk's
+# complex spectrum within this many bytes, so a chunk's arrays stay in
+# cache: on the 2-vCPU reference VM, chunks of 32 rows of a 1024-point ACF
+# ran about 1.9x faster than the whole 128-row block, and chunks of 8 rows
+# of a 4096-point one (a 30 Hz floor) about 1.6x faster.
+_PHASE_BYTES = 256 << 10
 
 
 def acf_fft_size(n: int, lag_max: int) -> int:
@@ -132,177 +118,53 @@ def acf_fft_size(n: int, lag_max: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _bin_weights(nfft: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c_k / (4 nfft), c_k w_k**2 / (4 nfft)) over the nfft // 2 + 1 bins, c_0 = 1 and c_k = 2 otherwise.
+def _phase_shifts(nfft: int) -> np.ndarray:
+    """[3 x (nfft // 2 + 1)] factors that turn a power spectrum into the spectra of lag phases 0, 1 and 2.
 
-    A power spectrum weighted by the first sums to its oversampled ACF at
-    lag 0; weighted by the second and over that, to the power-weighted mean
-    of w_k**2, w_k = 2 pi k / nfft radians per sample, which bounds
-    |ACF''| / ACF(0) at every lag.
+    The oversampled ACF at lag 4 tau + d is sum_k c_k p_k cos(w_k tau +
+    w_k d / 4) / (4 nfft), with w_k = 2 pi k / nfft, c_0 = 1 and c_k = 2
+    otherwise: the nfft-point inverse FFT of p_k exp(i w_k d / 4) / 4, at
+    tau. np.fft.irfft weighs the Nyquist bin once and takes it as real, so
+    that bin's factor is 2 cos(pi d / 4) / 4.
     """
-    c = np.full(nfft // 2 + 1, 2.0 / (LAG_OVERSAMPLE * nfft))
-    c[0] /= 2.0
-    weights = c, c * (2.0 * np.pi * np.arange(c.size) / nfft) ** 2
-    for w in weights:
-        w.setflags(write=False)
-    return weights
+    k = np.arange(nfft // 2 + 1)
+    shifts = np.exp(2j * np.pi * np.multiply.outer(np.arange(3), k) / (LAG_OVERSAMPLE * nfft))
+    shifts[:, -1] = 2.0 * np.cos(np.pi * np.arange(3) / LAG_OVERSAMPLE)
+    shifts /= LAG_OVERSAMPLE
+    shifts.setflags(write=False)
+    return shifts
+
+
+def _oversampled(power: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """np.fft.irfft(power, 4 * nfft)[:, start:stop] for rows of an nfft-point power spectrum, 0 <= start < stop <= 4 * nfft.
+
+    Lags 4 tau + d are taken as three nfft-point inverse FFTs, one per
+    phase d = 0, 1, 2 (_phase_shifts); phase 3 reads phase 1 backwards, as
+    the ACF is even and 4 tau + 3 = -(4 (-tau - 1) + 1).
+    """
+    nfft = 2 * (power.shape[1] - 1)
+    first, last = start // LAG_OVERSAMPLE, -(-stop // LAG_OVERSAMPLE)
+    out = np.empty((power.shape[0], last - first, LAG_OVERSAMPLE))
+    chunk = max(1, _PHASE_BYTES // (16 * power.shape[1]))
+    for lo in range(0, power.shape[0], chunk):
+        rows = slice(lo, lo + chunk)
+        for d, shift in enumerate(_phase_shifts(nfft)):
+            phase = np.fft.irfft(power[rows] * shift, nfft)
+            out[rows, :, d] = phase[:, first:last]
+            if d == 1:
+                out[rows, :, 3] = phase[:, ::-1][:, first:last]
+    out = out.reshape(power.shape[0], LAG_OVERSAMPLE * (last - first))
+    return out[:, start - LAG_OVERSAMPLE * first : stop - LAG_OVERSAMPLE * first]
 
 
 @lru_cache(maxsize=8)
-def _taper_acf(n: int, nfft: int) -> tuple[np.ndarray, float]:
-    """(ratio, curvature) of the n-point Hann taper's ACF.
-
-    ratio is the ACF at every one of the 4 * nfft oversampled lags over
-    its lag 0, from one inverse FFT; curvature bounds its second derivative
-    in samples, and its square root the first.
-    """
+def _taper_acf(n: int, nfft: int) -> np.ndarray:
+    """The n-point Hann taper's ACF at every one of the 4 * nfft oversampled lags over its lag 0, from one inverse FFT."""
     # A row of ones tapers to the taper itself, bit for bit.
-    power = hann_magnitudes(np.ones((1, n)), nfft)[0] ** 2
-    ratio = np.fft.irfft(power, LAG_OVERSAMPLE * nfft)
+    ratio = np.fft.irfft(hann_magnitudes(np.ones((1, n)), nfft)[0] ** 2, LAG_OVERSAMPLE * nfft)
     ratio /= ratio[0]
     ratio.setflags(write=False)
-    zero, curve = _bin_weights(nfft)
-    return ratio, float(np.einsum("k,k->", power, curve) / np.einsum("k,k->", power, zero))
-
-
-@lru_cache(maxsize=8)
-def _angle_tables(nfft: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(cos, sin, even, odd): the tables that give the oversampled ACF at lags 4 tau +- j exactly.
-
-    With a = 2 pi k tau / nfft and b = 2 pi k j / (4 nfft), that ACF is
-    sum_k c_k p_k cos(a +- b) / (4 nfft), and cos(a +- b) = cos a cos b -+
-    sin a sin b. cos and sin hold cos a and sin a at the nfft angles
-    (k tau mod nfft); even[j, k] = c_k cos b / (4 nfft) for j = 0..REFINE_REACH
-    and odd[j - 1, k] = c_k sin b / (4 nfft) for j = 1..REFINE_REACH.
-    """
-    angle = 2.0 * np.pi * np.arange(nfft) / nfft
-    k = np.arange(nfft // 2 + 1)
-    b = 2.0 * np.pi * np.multiply.outer(np.arange(REFINE_REACH + 1), k) / (LAG_OVERSAMPLE * nfft)
-    c = _bin_weights(nfft)[0]
-    tables = np.cos(angle), np.sin(angle), np.cos(b) * c, np.sin(b[1:]) * c
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _refine(power: np.ndarray, rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """The oversampled ACF of power[rows] at lags 4 tau - REFINE_REACH..4 tau + REFINE_REACH - 1, a row per tau.
-
-    power has nfft // 2 + 1 bins of a power-of-two nfft. The lags are
-    formed exactly by angle addition (_angle_tables): one table gather per
-    distinct tau and bin, then two einsum contractions, with no BLAS call.
-    """
-    nfft = 2 * (power.shape[1] - 1)
-    cos_a, sin_a, even, odd = _angle_tables(nfft)
-    # Frames of one voice share their periods, so each distinct tau gathers its angles once.
-    distinct, which = np.unique(taus, return_inverse=True)
-    angle = np.multiply.outer(distinct, np.arange(power.shape[1]))
-    angle &= nfft - 1  # k tau mod nfft
-    cos_t, sin_t = cos_a[angle], sin_a[angle]
-    u, v = np.empty((rows.size, REFINE_REACH + 1)), np.empty((rows.size, REFINE_REACH))
-    chunk = max(1, _REFINE_BYTES // (8 * power.shape[1]))
-    for lo in range(0, rows.size, chunk):
-        part = slice(lo, lo + chunk)
-        p = power[rows[part]]
-        c, s = cos_t[which[part]], sin_t[which[part]]
-        c *= p
-        s *= p
-        np.einsum("ck,jk->cj", c, even, out=u[part])
-        np.einsum("ck,jk->cj", s, odd, out=v[part])
-    acf = np.empty((rows.size, 2 * REFINE_REACH))
-    acf[:, REFINE_REACH:] = u[:, :REFINE_REACH]
-    acf[:, REFINE_REACH + 1 :] -= v[:, : REFINE_REACH - 1]
-    acf[:, REFINE_REACH - 1 :: -1] = u[:, 1:] + v
-    return acf
-
-
-def _oversampled(power: np.ndarray, acf: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """The oversampled ACF of each row of an nfft-point power spectrum at lags start..stop - 1, start >= 4.
-
-    acf is the rows' nfft-point inverse FFT, np.fft.irfft(power, nfft).
-    Lag 4 tau + d reads sum_k c_k p_k cos(w_k tau + b_k d) / (4 nfft), with
-    w_k = 2 pi k / nfft and b_k = w_k / 4: a quarter of the nfft-point
-    inverse FFT of p_k exp(i b_k d) at tau. Phase 0 is acf; phases 1 and 2
-    take one transform each, and phase 3 reads phase 1 backwards, as
-    4 tau + 3 = 4 (tau + 1) - 1. The inverse FFT weighs the Nyquist bin
-    once and takes it as real, so phases 1 and 2 leave it out and every
-    phase adds the rest of its term, p_(nfft/2) (-1)^tau cos(pi d / 4) /
-    (4 nfft) times 2, or times 1 for acf.
-    """
-    nfft = 2 * (power.shape[1] - 1)
-    taus = np.arange(start // LAG_OVERSAMPLE, -(-stop // LAG_OVERSAMPLE))
-    nyquist = np.multiply.outer(power[:, -1] * (2.0 / (LAG_OVERSAMPLE * nfft)), 1.0 - 2.0 * (taus % 2))
-    out = np.empty((power.shape[0], taus.size, LAG_OVERSAMPLE))
-    out[:, :, 0] = acf[:, taus] / LAG_OVERSAMPLE + 0.5 * nyquist
-    shift = np.exp(2j * np.pi * np.arange(power.shape[1]) / (LAG_OVERSAMPLE * nfft))
-    for d, cos_d in ((1, math.sqrt(0.5)), (2, 0.0)):
-        spectrum = power * shift**d
-        spectrum[:, -1] = 0.0
-        phase = np.fft.irfft(spectrum, nfft)
-        phase /= LAG_OVERSAMPLE
-        out[:, :, d] = phase[:, taus] + cos_d * nyquist
-        if d == 1:
-            out[:, :, 3] = phase[:, -1 - taus] - cos_d * nyquist
-    first = LAG_OVERSAMPLE * taus[0]
-    return out.reshape(power.shape[0], -1)[:, start - first : stop - first]
-
-
-def _peaks(r: np.ndarray, lags: np.ndarray, rows: np.ndarray, search: tuple[int, int]):
-    """(rows, lags, values) of the local maxima of each row of r at oversampled lags search[0]..search[1].
-
-    r[i, j] is the normalized ACF of frame rows[i] at oversampled lag
-    lags[i, j]. A maximum stands above the lag before it and at least as
-    high as the lag after, and is refined by a parabola.
-    """
-    inner, inner_lags = r[:, 1:-1], lags[:, 1:-1]
-    searched = (inner_lags >= search[0]) & (inner_lags <= search[1])
-    cand, col = np.nonzero((inner > r[:, :-2]) & (inner >= r[:, 2:]) & searched)
-    pos, value = parabolic_peak(r, cand, col + 1)
-    return rows[cand], pos + lags[cand, 0], value
-
-
-def _candidates(
-    r: np.ndarray, curve: np.ndarray, bound: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, dense): the sample lags whose windows hold every peak of r that can decide a row.
-
-    r is the normalized ACF at sample lags lag_min - 1..lag_max + 2, and
-    cols index lag_min..lag_max + 1, whose oversampled lags cover the
-    search. rise = curve * bound[0] + sqrt(curve) * bound[1] + bound[2] is
-    3.25 K / 16, where K bounds |r''| in samples about a column:
-    - A peak at oversampled lag L stands at most 3.25 K / 16 above r at
-      the sample lag s nearest L: |r'(L)| <= K / 8 at a grid maximum, and
-      the step of up to half a sample to s and the parabola's rise add the
-      rest. r' = 0 within 3/4 sample of s, so one of the two steps of r
-      beside s is within K / 2.
-    - A strict sample-grid maximum inside lag_min + 1..lag_max has a peak
-      at least as high within 3 oversampled lags, so the best of those is
-      a floor under the row's best peak.
-    Kept: each s whose r + rise reaches that floor less _SHORT_LAG_MARGIN
-    and that is a sample-grid maximum (its window spans both neighbours)
-    or, not next to a kept one, has a step within K / 2. dense marks the
-    rows with more than _DENSE_CANDIDATES maxima past the first, wider cut;
-    their lags are left out.
-    """
-    step = np.diff(r, axis=1)
-    top = (step[:, :-1] > 0) & (step[:, 1:] <= 0)
-    r = r[:, 1:-1]
-    reach = np.max(r[:, 1:-1], axis=1, where=top[:, 1:-1], initial=-np.inf) - _SHORT_LAG_MARGIN - _ROUNDING
-    rough = np.sqrt(curve)
-    # bound rises with the lag, so its last column makes a first, wider cut.
-    rows, cols = np.nonzero(r >= (reach - curve * bound[0, -1] - rough * bound[1, -1] - bound[2, -1])[:, np.newaxis])
-    dense = np.bincount(rows[top[rows, cols]], minlength=r.shape[0]) > _DENSE_CANDIDATES
-    keep = ~dense[rows]
-    rows, cols = rows[keep], cols[keep]
-    rise = curve[rows] * bound[0, cols] + rough[rows] * bound[1, cols] + bound[2, cols]
-    keep = r[rows, cols] + rise >= reach[rows]
-    rows, cols, rise = rows[keep], cols[keep], rise[keep]
-    is_top = top[rows, cols]
-    kept_top = np.zeros((r.shape[0], r.shape[1] + 2), dtype=bool)
-    kept_top[rows[is_top], cols[is_top] + 1] = True
-    flat = np.minimum(np.abs(step[rows, cols]), np.abs(step[rows, cols + 1])) <= (8 / 3.25) * rise + _ROUNDING
-    keep = is_top | (flat & ~kept_top[rows, cols] & ~kept_top[rows, cols + 2])
-    return rows[keep], cols[keep], dense
+    return ratio
 
 
 def frame_pitch(
@@ -314,14 +176,10 @@ def frame_pitch(
     the whole utterance; rows whose own peak falls below silence_threshold
     times it are gated out before any correlation is computed.
 
-    The peaks are the local maxima of the normalized ACF r at oversampled
+    The peaks are the local maxima of the normalized ACF at oversampled
     lags 4 lag_min..4 lag_max + 4, each refined by a parabola. The best
     one's value is the strength, and the shortest lag within
-    _SHORT_LAG_MARGIN of it gives f0. r is formed on the sample grid by one
-    inverse FFT, and exactly at the oversampled lags only near the sample
-    lags where such a peak can lie (_candidates, _refine); a frame with
-    more than _DENSE_CANDIDATES of those takes every searched lag from
-    two more inverse FFTs instead (_oversampled).
+    _SHORT_LAG_MARGIN of it gives f0.
     """
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     n = frames.shape[1]
@@ -334,52 +192,33 @@ def frame_pitch(
     strength = np.zeros(frames.shape[0])
     if global_peak <= 0:
         return f0, strength
-    peaks = np.maximum(frames.max(axis=1), -frames.min(axis=1))  # |x| peaks without a copy of x
-    live = np.flatnonzero(peaks >= config.silence_threshold * global_peak)
+    live = np.flatnonzero(np.max(np.abs(frames), axis=1) >= config.silence_threshold * global_peak)
 
+    # Peaks are searched at oversampled lags lo..upper - 1, and the parabola
+    # reads one lag either side, so lags lo - 1..upper are all that is formed.
+    lo = LAG_OVERSAMPLE * lag_min
+    upper = LAG_OVERSAMPLE * (lag_max + 1) + 1
     nfft = acf_fft_size(n, lag_max)
-    w_acf, w_curve = _taper_acf(n, nfft)
-    to_zero, to_curve = _bin_weights(nfft)
-    # The live rows are copied out, so the mean is taken out in place.
+    # The live rows are copied out, so every array below is this call's own
+    # and each step runs in place.
     x = frames[live]
     x -= x.mean(axis=1, keepdims=True)
     power = hann_magnitudes(x, nfft)
     np.square(power, out=power)
-    zero = np.einsum("rk,k->r", power, to_zero)
+    zero = (2.0 * power.sum(axis=1) - power[:, 0]) / (LAG_OVERSAMPLE * nfft)  # the ACF at lag 0
     energetic = zero > 0
-    if not energetic.all():
-        live, zero, power = live[energetic], zero[energetic], power[energetic]
-    curve = np.einsum("rk,k->r", power, to_curve) / zero
+    live, zero, power = live[energetic], zero[energetic], power[energetic]
+    r = _oversampled(power, lo - 1, upper + 1)
+    r /= zero[:, np.newaxis]
+    r /= _taper_acf(n, nfft)[lo - 1 : upper + 1]
 
-    # r on the sample grid, lags lag_min - 1..lag_max + 2: every fourth oversampled lag.
-    acf = np.fft.irfft(power, nfft)
-    r = acf[:, lag_min - 1 : lag_max + 3] / acf[:, :1]
-    r /= w_acf[LAG_OVERSAMPLE * (lag_min - 1) : LAG_OVERSAMPLE * (lag_max + 3) : LAG_OVERSAMPLE]
-    # K = curve / w + 2 sqrt(curve w_curve) / w**2 + (2 w_curve / w + w_curve) / w**2 bounds |r''|
-    # for r = rho / w, from |rho| <= 1, |rho'| <= sqrt(curve), |rho''| <= curve and alike for the
-    # taper's ACF w. w falls with the lag, so w two samples on holds over a candidate's reach.
-    w = w_acf[LAG_OVERSAMPLE * (lag_min + 2) : LAG_OVERSAMPLE * (lag_max + 4) : LAG_OVERSAMPLE]
-    bound = (3.25 / LAG_OVERSAMPLE**2) * np.stack(
-        [1.0 / w, 2.0 * math.sqrt(w_curve) / w**2, (2.0 * w_curve / w + w_curve) / w**2]
+    inner = r[:, 1:-1]
+    row, lag = np.nonzero((inner > r[:, :-2]) & (inner >= r[:, 2:]))
+    pos, value = parabolic_peak(r, row, lag + 1)
+    cand_f0 = np.minimum(
+        np.maximum(sample_rate * LAG_OVERSAMPLE / (pos + (lo - 1)), config.floor), config.ceiling
     )
-    row, col, dense = _candidates(r, curve, bound)
 
-    tau = col + lag_min
-    lags = np.add.outer(LAG_OVERSAMPLE * tau, np.arange(-REFINE_REACH, REFINE_REACH))
-    r = _refine(power, row, tau)
-    r /= zero[row, np.newaxis]
-    r /= w_acf[lags]
-    search = LAG_OVERSAMPLE * lag_min, LAG_OVERSAMPLE * (lag_max + 1)
-    found = [_peaks(r, lags, row, search)]
-    if dense.any():
-        row = np.flatnonzero(dense)
-        lags = np.arange(search[0] - 1, search[1] + 2)
-        r = _oversampled(power[row], acf[row], lags[0], lags[-1] + 1)
-        r /= zero[row, np.newaxis]
-        r /= w_acf[lags]
-        found.append(_peaks(r, np.broadcast_to(lags, r.shape), row, search))
-    row, lag, value = (np.concatenate(part) for part in zip(*found))
-    cand_f0 = np.minimum(np.maximum(sample_rate * LAG_OVERSAMPLE / lag, config.floor), config.ceiling)
     best = np.full(live.size, -np.inf)
     np.maximum.at(best, row, value)
     near_best = value >= best[row] - _SHORT_LAG_MARGIN

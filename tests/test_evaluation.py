@@ -179,8 +179,8 @@ class TestCostReport:
         assert cost_report("mfcc").dim_per_utterance == 13
 
     @pytest.mark.parametrize("kind,total,breakdown", [
-        ("acoustic", 38_190_900, [
-            ("pitch_autocorrelation", 9_147_200), ("slice_spectrum", 12_416_000),
+        ("acoustic", 40_534_000, [
+            ("pitch_autocorrelation", 11_490_300), ("slice_spectrum", 12_416_000),
             ("cepstral_peak", 12_965_800), ("formant_lpc", 2_650_500), ("harmonic_amplitudes", 34_600),
             ("subharmonic_ratio", 38_400), ("rms", 192_000), ("global_peak_scan", 32_000),
             ("formant_rate_resample", 704_000), ("pooling", 10_400),

@@ -1,12 +1,12 @@
 """The pitch ACF and the CPP cepstrum, formed in part, against the full inverse FFTs.
 
 testkit.acf_reference and testkit.cepstrum_reference are the whole
-np.fft.irfft outputs. pitch._refine forms the oversampled ACF only near
-candidate lags, by angle addition, and audio.irfft_columns the cepstrum
-only at the columns CPP reads, as folded cosine products. Agreement is
-required within 1e-12 of each row's largest |value| in the full
-transform. frame_pitch as a whole is held to testkit.pitch_reference,
-which searches every oversampled lag.
+np.fft.irfft outputs. pitch._oversampled forms the oversampled ACF as
+three inverse FFTs of the frame's transform size, one per lag phase, and
+audio.irfft_columns the cepstrum only at the columns CPP reads, as folded
+cosine products. Agreement is required within 1e-12 of each row's
+largest |value| in the full transform. frame_pitch as a whole is held to
+testkit.pitch_reference, which tracks one row at a time.
 """
 
 import numpy as np
@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from timbrekit import audio, pitch
+from timbrekit import audio
 from timbrekit.audio import SynthSpec, irfft_columns, synth
 from timbrekit.features import MEASURE_NAMES, extract_track
 from timbrekit.harmonics import Spectrum, magnitude_spectrum
 from timbrekit.noise_metrics import cpp_from_spectrum
-from timbrekit.pitch import LAG_OVERSAMPLE, REFINE_REACH, PitchConfig, _refine, frame_pitch
+from timbrekit.pitch import PitchConfig, _oversampled, frame_pitch
 from timbrekit.testkit import (
     acf_reference,
     build_timbre_corpus,
@@ -118,43 +118,32 @@ class TestCpp:
 
 @st.composite
 def power_spectra(draw):
-    """(power, rows, taus): power spectra of a power-of-two nfft, and candidate rows and sample lags in them."""
+    """(power, start, stop): rows of a power spectrum of a power-of-two nfft, and oversampled lags in it."""
     nfft = 2 ** draw(st.integers(1, 11))
-    count = draw(st.integers(0, 4))
+    rows = draw(st.integers(0, 4))
     # No power so small that a term of the transform turns subnormal and loses precision.
     elements = st.one_of(st.just(0.0), st.floats(1e-100, 1e6))
-    power = draw(arrays(np.float64, (count, nfft // 2 + 1), elements=elements))
-    cands = draw(st.integers(0, 6 if count else 0))
-    rows = np.array(draw(st.lists(st.integers(0, max(count - 1, 0)), min_size=cands, max_size=cands)), dtype=np.intp)
-    taus = np.array(draw(st.lists(st.integers(0, nfft - 1), min_size=cands, max_size=cands)), dtype=np.intp)
-    return power, rows, taus
-
-
-def assert_windows_match(power, rows, taus):
-    """_refine's windows equal acf_reference at lags 4 tau - REFINE_REACH.. (mod 4 nfft), within 1e-12 of lag 0."""
-    got = _refine(power, rows, taus)
-    full = acf_reference(power)
-    lags = np.add.outer(LAG_OVERSAMPLE * taus, np.arange(-REFINE_REACH, REFINE_REACH)) % full.shape[1]
-    assert got.shape == (rows.size, 2 * REFINE_REACH)
-    scale = np.max(np.abs(full), axis=1, initial=0.0)[rows, np.newaxis]
-    assert np.all(np.abs(got - full[rows[:, np.newaxis], lags]) <= 1e-12 * scale)
+    power = draw(arrays(np.float64, (rows, nfft // 2 + 1), elements=elements))
+    start = draw(st.integers(0, 4 * nfft - 1))
+    stop = draw(st.integers(start + 1, 4 * nfft))
+    return power, start, stop
 
 
 class TestPitchAcf:
     @given(power_spectra())
     @settings(max_examples=60, deadline=None)
     def test_lags_match_the_inverse_fft(self, case):
-        assert_windows_match(*case)
+        power, start, stop = case
+        assert_columns_match(_oversampled(power, start, stop), acf_reference(power), start, stop)
 
     @pytest.mark.parametrize("rows", [0, 1, 128])
     def test_the_16k_tracker_lags(self, rows):
-        """Every sample lag 27..214 of a 1024-point spectrum: the default 75 Hz floor at 16 kHz."""
+        """Lags 107..857 of a 1024-point spectrum: the default 75 Hz floor at 16 kHz."""
         power = np.abs(np.fft.rfft(np.random.default_rng(rows).normal(size=(rows, 640)), 1024)) ** 2
-        row, tau = np.divmod(np.arange(rows * 188), 188)
-        assert_windows_match(power, row, tau + 27)
+        assert_columns_match(_oversampled(power, 107, 858), acf_reference(power), 107, 858)
 
     def test_all_zero_block_reads_zero(self):
-        npt.assert_array_equal(_refine(np.zeros((3, 513)), np.array([0, 2]), np.array([27, 214])), 0.0)
+        npt.assert_array_equal(_oversampled(np.zeros((3, 513)), 107, 858), 0.0)
 
 
 def voice_frames(spec, config):
@@ -175,7 +164,7 @@ def assert_pitch_matches(frames, global_peak, config):
 
 
 class TestPitch:
-    """frame_pitch refines only candidate lags; the reference searches every oversampled lag."""
+    """frame_pitch against the reference: every row's 4 nfft-point ACF, one row at a time."""
 
     @given(
         spec=st.builds(
@@ -203,20 +192,16 @@ class TestPitch:
         config = PitchConfig(floor=floor)
         assert_pitch_matches(*voice_frames(SynthSpec(kind=kind, f0=f0, duration=0.2, seed=3), config), config)
 
-    @pytest.mark.parametrize("limit", [-1, 10**9], ids=["every-frame-dense", "no-frame-dense"])
-    @pytest.mark.parametrize("spec", [
-        SynthSpec(kind="mixture", f0=180.0, duration=0.2, noise_gain=0.3, subharmonic_gain=0.4, seed=5),
-        SynthSpec(kind="pulse_train", f0=133.3, duration=0.2),
-        SynthSpec(kind="white_noise", duration=0.2, seed=5),
-    ], ids=["mixture", "pulse_train", "white_noise"])
-    def test_refined_and_dense_frames_match_the_reference(self, monkeypatch, spec, limit):
-        """A frame takes the refined windows or every oversampled lag by its candidate count; both are exact."""
-        monkeypatch.setattr(pitch, "_DENSE_CANDIDATES", limit)
+    @pytest.mark.parametrize("level", [0.1, 1.0, 10.0])
+    def test_energy_at_nyquist_matches_the_reference(self, level):
+        """A voice under a tone at 16 kHz's Nyquist frequency: the phases weigh that bin as the 4x FFT does."""
         config = PitchConfig()
-        assert_pitch_matches(*voice_frames(spec, config), config)
+        frames, _ = voice_frames(SynthSpec(kind="mixture", f0=150.0, duration=0.2, noise_gain=0.1, seed=2), config)
+        frames = frames + level * np.cos(np.pi * np.arange(frames.shape[1]))
+        assert_pitch_matches(frames, float(np.max(np.abs(frames))), config)
 
     def test_a_thirty_hz_floor_tracks_a_low_voice(self):
-        """A 30 Hz floor's 4096-point ACF reads a 45 Hz pulse train, with no cosine basis."""
+        """A 30 Hz floor's 4096-point ACF phases read a 45 Hz pulse train, with no cosine basis."""
         audio._cosine_basis.cache_clear()
         config = PitchConfig(floor=30.0)
         frames, peak = voice_frames(SynthSpec(kind="pulse_train", f0=45.0, duration=0.5), config)
