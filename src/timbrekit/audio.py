@@ -7,7 +7,6 @@ All processing downstream of this module runs at a fixed internal rate of
 from __future__ import annotations
 
 import math
-import mmap
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -310,15 +309,24 @@ def _polyphase_taps(up: int, down: int) -> np.ndarray:
 
 
 # Frames go through the batched measures this many at a time, so transient
-# memory stays flat on long recordings. At 128 rows the largest per-block
-# array is the slice spectrum's [rows x 2049] complex rfft, 4.2 MB; the
-# pitch ACF's phase transforms run on chunks of these rows, and the
-# cepstrum is formed at only the [rows x 252] columns CPP reads. On the
-# 2-vCPU reference VM, 64 rows extracted about 12% slower than 128, and
-# 256 rows no faster, while a 20 s voice peaked at 7.3, 9.6 and 18.7 MB
-# (tracemalloc) at 64, 128 and 256 rows (measured with a cosine product
-# for the pitch ACF; 9.8 MB at 128 rows with the phase transforms).
+# memory stays flat on long recordings. On the 2-vCPU reference VM (one BLAS
+# thread), a 20 s voice extracted at 14.5, 12.8 and 13.1 ms per second of
+# audio at 64, 128 and 256 rows, and peaked at 7.3, 7.2 and 10.5 MB
+# (tracemalloc); the largest per-block array is then the slice spectrum's
+# [rows x 2049] magnitudes, 2.1 MB, as every row-wise transform runs on
+# row_chunks.
 FRAME_BLOCK = 128
+
+# Row-wise transforms keep each chunk's complex spectrum within this many
+# bytes, so its arrays stay in cache: 32-row chunks of a 1024-point pitch
+# ACF ran about 1.9x faster than the whole 128-row block.
+_CHUNK_BYTES = 256 << 10
+
+
+def row_chunks(rows: int, bins: int):
+    """Slices over range(rows), in order, of the most rows (at least one) whose complex [rows x bins] fits _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // (16 * bins))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
 def next_pow2(n: int) -> int:
@@ -338,66 +346,54 @@ def parabolic_peak(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tu
     return np.where(curved, cols + delta, cols), np.where(curved, mid - 0.25 * (left - right) * delta, mid)
 
 
-# Past this many bytes a cosine basis stops paying for the memory it holds,
-# and irfft_columns takes the FFT instead. (Measured on pitch ACF bases: 9.7
-# MB ran within the spread of the FFT, and 33 MB slower, 34 against 27 ms
-# per second of audio.) CPP's two bases hold about 2 MB at 16 kHz; slice
-# spectra sampled above 25.6 kHz (an 8192-point FFT) pass the cap.
-_COSINE_BASIS_CAP = 4 << 20
-
-
 @lru_cache(maxsize=8)
-def _cosine_basis(height: int, n: int, cols: range) -> np.ndarray:
-    """Read-only [height x len(cols)] folded basis: c_k cos(2 pi k q / n) / n for k < height, q in cols.
-
-    c_0 = 1, and so is c_(n/4) (the row that pairs with itself); every
-    other c_k is 2. The angle comes from k q mod n, which float64 holds
-    exactly, so it stays accurate at any column.
+def _dct_tables(m: int, anchor: int) -> np.ndarray:
+    """Read-only [3 x (m + 1)] over m: 1/2 - sin(pi j / m) and 1/2 + sin(pi j / m), the pre-twiddle's
+    weights on x_j and x_(m-j) (read at j < m), and the DCT-I's weights at q = anchor, halved at j = 0 and m.
     """
-    # The basis lives as long as the process, so it gets a mapping of its
-    # own: taken from the malloc heap it pins the per-block temporaries
-    # freed below it, which raised the classify benchmark's peak RSS by
-    # 10 MB for 5 MB of bases.
-    size = height * len(cols)
-    basis = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), np.float64, count=size).reshape(height, len(cols))
-    np.multiply.outer(np.arange(height, dtype=np.float64), np.asarray(cols, dtype=np.float64), out=basis)
-    np.fmod(basis, n, out=basis)
-    basis *= 2.0 * np.pi / n
-    np.cos(basis, out=basis)
-    basis[1:] *= 2.0 / n
-    basis[0] /= n
-    if 4 * (height - 1) == n:
-        basis[-1] /= 2.0
-    basis.setflags(write=False)
-    return basis
+    angle = np.pi * np.arange(m + 1) / m
+    tables = np.stack([0.5 - np.sin(angle), 0.5 + np.sin(angle), np.cos(np.pi * (np.arange(m + 1) * anchor % (2 * m)) / m)])
+    tables[2, [0, m]] *= 0.5
+    tables /= m
+    tables.setflags(write=False)
+    return tables
 
 
 def irfft_columns(x: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
-    """np.fft.irfft(x, n)[:, start:stop] for a matrix x of full real half-spectra, as folded cosine products.
+    """np.fft.irfft(x, n)[:, start:stop] for a matrix x of full real half-spectra, through one n/2-point real FFT.
 
-    x is [rows x (n // 2 + 1)] for an even n, so output q is
-    (x_0 + 2 sum_{0<k<n/2} x_k cos(2 pi k q / n) + x_(n/2) (-1)^q) / n.
-    Only columns start..stop-1 are computed. Since
-    cos(2 pi (n/2 - k) q / n) = (-1)^q cos(2 pi k q / n), even q read
-    S_k = x_k + x_(n/2-k) and odd q read D_k = x_k - x_(n/2-k) over
-    k <= n/4, each as a product with a cached basis, which halves both the
-    multiply-adds and the basis. Where the bases would exceed
-    _COSINE_BASIS_CAP bytes the inverse FFT runs.
+    x is [rows x (m + 1)] for an even n = 2m, so output q is the DCT-I
+    X_q = (x_0 + x_m (-1)^q) / 2 + sum_{0<j<m} x_j cos(pi j q / m), over m;
+    columns past m read their mirror n - q. The half-length algorithm
+    (Makhoul 1980, "A fast cosine transform in one and two dimensions";
+    Numerical Recipes' cosft1): the real FFT Y of y_j = (x_j + x_(m-j)) / 2
+    - sin(pi j / m) (x_j - x_(m-j)), j < m, gives X_2k = Re Y_k and
+    X_(2k+1) = X_(2k-1) - Im Y_k. The running sum starts at the first odd
+    column read, an einsum (no BLAS call, so each row's bits depend on that
+    row alone), which keeps the large low quefrencies out of it.
     """
     bins = x.shape[1]
     if bins > n // 2 + 1:
         raise ValueError(f"{bins} bins do not fit a {n}-point real spectrum")
     if n % 2 or bins != n // 2 + 1:
         raise ValueError(f"{bins} bins are not the full half-spectrum of an even {n}-point transform")
-    height = n // 4 + 1
-    if 8 * height * (stop - start) > _COSINE_BASIS_CAP:
-        return np.fft.irfft(x, n)[:, start:stop]
-    mirror = x[:, n // 2 - height + 1 :][:, ::-1]
-    out = np.empty((x.shape[0], stop - start))
-    even, odd = range(start + start % 2, stop, 2), range(start + 1 - start % 2, stop, 2)
-    out[:, start % 2 :: 2] = (x[:, :height] + mirror) @ _cosine_basis(height, n, even)
-    out[:, 1 - start % 2 :: 2] = (x[:, :height] - mirror) @ _cosine_basis(height, n, odd)
-    return out
+    m = n // 2
+    q = np.arange(start, stop)
+    q = np.minimum(q, n - q)
+    lo, hi = int(q.min()), int(q.max())  # the DCT-I columns read
+    first = lo | 1
+    head, tail, anchor = _dct_tables(m, first)
+    y = np.multiply(x[:, :m], head[:m])
+    y += x[:, m:0:-1] * tail[:m]
+    spectrum = np.fft.rfft(y)
+    dct = np.empty((x.shape[0], hi + 1))  # columns below lo are left unwritten
+    dct[:, lo + lo % 2 :: 2] = spectrum.real[:, (lo + 1) // 2 : hi // 2 + 1]
+    odd = dct[:, first::2]
+    if odd.shape[1]:
+        odd[:, 0] = np.einsum("rj,j->r", x, anchor)
+        np.negative(spectrum.imag[:, (first + 1) // 2 : (first - 1) // 2 + odd.shape[1]], out=odd[:, 1:])
+        np.cumsum(odd, axis=1, out=odd)
+    return dct[:, q]
 
 
 @lru_cache(maxsize=8)
@@ -412,9 +408,14 @@ def hann_magnitudes(frames: np.ndarray, nfft: int) -> np.ndarray:
     """np.abs(np.fft.rfft(frames * np.hanning(n), nfft)) for the n-sample rows of `frames`.
 
     The package's one Hann spectrum (pitch frames and their taper's ACF, the
-    slice spectrum, the cepstral baselines); the taper is built once per n.
+    slice spectrum, the cepstral baselines); the taper is built once per n,
+    and row_chunks are transformed into the one [rows x bins] result.
     """
-    return np.abs(np.fft.rfft(frames * _hann_taper(frames.shape[-1]), nfft))
+    tapered = np.atleast_2d(frames * _hann_taper(frames.shape[-1]))
+    out = np.empty((tapered.shape[0], nfft // 2 + 1))
+    for rows in row_chunks(*out.shape):
+        np.abs(np.fft.rfft(tapered[rows], nfft), out=out[rows])
+    return out.reshape(*frames.shape[:-1], out.shape[1])
 
 
 def window_samples(window: float, sample_rate: float) -> int:

@@ -449,7 +449,7 @@ def _pair_index(pairs: PairColumns, features: Mapping[str, np.ndarray], descript
 
 
 # Pairs per step of _score_rows; a block makes four [block x H] temporaries, 256 KiB each at H = 128.
-# At 1024 (1 MiB each) they fell into glibc malloc's mmap/trim churn: 15x the page faults, twice the time.
+# At 1024 (1 MiB each) they fell into glibc malloc's map-and-trim churn: 15x the page faults, twice the time.
 _SCORE_BLOCK = 256
 
 

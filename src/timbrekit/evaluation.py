@@ -195,10 +195,10 @@ def _acoustic_breakdown() -> dict[str, int]:
     pitch_autocorrelation counts what runs: the nfft-point spectrum, then
     one nfft-point inverse FFT of a phase-shifted copy of it for each of
     three lag phases (pitch._oversampled).
-    cepstral_peak counts its inverse transform as a full real FFT;
-    extraction instead forms only the quefrencies CPP reads, as folded
-    cosine products (audio.irfft_columns): more multiply-adds (acoustic
-    would read about 80 M flops/s, not 41 M), in less time.
+    cepstral_peak counts what runs too (audio.irfft_columns): the dB
+    spectrum, the pre-twiddle and one real FFT of half the slice's
+    transform size, the first odd quefrency and the running sum up to the
+    last quefrency CPP reads, then the peak and trend over those.
     """
     sr = INTERNAL_RATE
     frames = int(round(1.0 / HOP))
@@ -232,7 +232,9 @@ def _acoustic_breakdown() -> dict[str, int]:
     shr_bands = int(2 * HARMONIC_COUNT_MAX * (2 * SHR_HALF_BAND * _NOMINAL_F0 / bin_hz)) * 2
 
     cpp_bins = int(QUEFRENCY_CEILING * sr) + 2
-    cpp = 2 * slice_bins + _real_fft_flops(slice_fft) + 4 * cpp_bins + 6 * cpp_bins
+    half = slice_fft // 2
+    cpp = (2 * slice_bins + 3 * half + _real_fft_flops(half)  # dB spectrum, pre-twiddle, half-length FFT
+           + 2 * (half + 1) + cpp_bins // 2 + 4 * cpp_bins + 6 * cpp_bins)  # first odd quefrency, running sum
 
     per_frame = {
         "pitch_autocorrelation": pitch,

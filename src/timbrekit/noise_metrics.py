@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .audio import irfft_columns, parabolic_peak
+from .audio import irfft_columns, parabolic_peak, row_chunks
 from .harmonics import Spectrum, band_peaks
 
 # Spectral floor relative to the peak bin before taking logs. A relative
@@ -35,18 +35,23 @@ def _cepstrum_db(spec: Spectrum, start: int, stop: int) -> np.ndarray:
     """Magnitude (in dB) of the real cepstrum at quefrency bins start..stop-1, per row.
 
     The cepstrum is the inverse transform of the dB power spectrum, real
-    and even, so irfft_columns forms just these bins as folded cosine
-    products. Quefrency 0 soaks up the overall signal level, so everything
-    past it is exactly invariant to amplitude scaling. An all-zero row
-    reads NaN.
+    and even, so irfft_columns forms just these bins. The dB spectrum and
+    its transform are taken a row_chunks chunk at a time, so no whole-block
+    copy of the spectrum is made. Quefrency 0 soaks up the overall signal
+    level, so everything past it is exactly invariant to amplitude scaling.
+    An all-zero row reads NaN.
     """
     mags = spec.magnitudes
     peak = np.max(mags, axis=1, keepdims=True)
     silent = peak[:, 0] <= 0
-    level_db = np.maximum(mags, np.where(silent[:, np.newaxis], 1.0, peak) * _REL_SPECTRAL_FLOOR)
-    np.log10(level_db, out=level_db)
-    level_db *= 20.0
-    cep_db = 20.0 * np.log10(np.abs(irfft_columns(level_db, spec.fft_size, start, stop)) + _LOG_GUARD)
+    floor = np.where(silent[:, np.newaxis], 1.0, peak) * _REL_SPECTRAL_FLOOR
+    cep_db = np.empty((mags.shape[0], stop - start))
+    # A chunk's complex array is irfft_columns' half-length real FFT, n / 4 + 1 bins.
+    for rows in row_chunks(mags.shape[0], spec.fft_size // 4 + 1):
+        level = np.maximum(mags[rows], floor[rows])
+        np.log10(level, out=level)  # the dB spectrum over 20; the cepstrum takes the 20 back
+        cep_db[rows] = irfft_columns(level, spec.fft_size, start, stop)
+    cep_db = 20.0 * np.log10(20.0 * np.abs(cep_db) + _LOG_GUARD)
     cep_db[silent] = np.nan
     return cep_db
 
@@ -78,7 +83,7 @@ def cpp_from_spectrum(spec: Spectrum):
     q_mean = quefrency.mean()
     q_centered = quefrency - q_mean
     v_mean = values.mean(axis=1)
-    slope = ((values - v_mean[:, np.newaxis]) @ q_centered) / (q_centered @ q_centered)
+    slope = np.einsum("rq,q->r", values - v_mean[:, np.newaxis], q_centered) / np.einsum("q,q->", q_centered, q_centered)
     intercept = v_mean - slope * q_mean
     return peak_db - (slope * peak_q + intercept)
 

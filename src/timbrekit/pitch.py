@@ -33,6 +33,7 @@ from .audio import (
     hann_magnitudes,
     next_pow2,
     parabolic_peak,
+    row_chunks,
 )
 
 # Peaks within this normalized-strength margin of the best one count as
@@ -104,13 +105,6 @@ class PitchTrack:
 # grid undervalues any period that falls between samples.
 LAG_OVERSAMPLE = 4
 
-# The lag phases are transformed a chunk of rows at a time, each chunk's
-# complex spectrum within this many bytes, so a chunk's arrays stay in
-# cache: on the 2-vCPU reference VM, chunks of 32 rows of a 1024-point ACF
-# ran about 1.9x faster than the whole 128-row block, and chunks of 8 rows
-# of a 4096-point one (a 30 Hz floor) about 1.6x faster.
-_PHASE_BYTES = 256 << 10
-
 
 def acf_fft_size(n: int, lag_max: int) -> int:
     """ACF transform size of an n-sample frame: a power of two >= n + lag_max + 2, so no lag read wraps."""
@@ -145,9 +139,7 @@ def _oversampled(power: np.ndarray, start: int, stop: int) -> np.ndarray:
     nfft = 2 * (power.shape[1] - 1)
     first, last = start // LAG_OVERSAMPLE, -(-stop // LAG_OVERSAMPLE)
     out = np.empty((power.shape[0], last - first, LAG_OVERSAMPLE))
-    chunk = max(1, _PHASE_BYTES // (16 * power.shape[1]))
-    for lo in range(0, power.shape[0], chunk):
-        rows = slice(lo, lo + chunk)
+    for rows in row_chunks(*power.shape):
         for d, shift in enumerate(_phase_shifts(nfft)):
             phase = np.fft.irfft(power[rows] * shift, nfft)
             out[rows, :, d] = phase[:, first:last]

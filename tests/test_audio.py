@@ -26,6 +26,7 @@ from timbrekit.audio import (
     hann_magnitudes,
     load_audio,
     resample,
+    row_chunks,
     _hann_taper,
     _polyphase_taps,
     _resonate,
@@ -425,6 +426,15 @@ class TestFrameSlices:
         npt.assert_array_equal(np.concatenate([f[:, 0] for _, f in blocks]), starts[inside])
 
 
+class TestRowChunks:
+    @pytest.mark.parametrize("rows, bins, step", [(70, 513, 31), (128, 2049, 7), (5, 2049, 7), (0, 513, 31),
+                                                  (3, 1 << 20, 1)])
+    def test_chunks_cover_the_rows_in_order(self, rows, bins, step):
+        """Each chunk but the last holds the rows whose complex spectra fit 256 KiB, and at least one."""
+        chunks = [(c.start, c.stop) for c in row_chunks(rows, bins)]
+        assert chunks == [(lo, lo + step) for lo in range(0, rows, step)]
+
+
 class TestHannMagnitudes:
     @pytest.mark.parametrize("n,nfft", [(640, 4096), (640, 1024), (400, 1024), (400, 512)],
                              ids=["slice", "pitch", "mfcc", "lfc"])
@@ -436,6 +446,19 @@ class TestHannMagnitudes:
         got = hann_magnitudes(frames, nfft)
         npt.assert_array_equal(got, np.abs(np.fft.rfft(frames * np.hanning(n), nfft)))
         npt.assert_array_equal(frames, before)
+
+    @pytest.mark.parametrize("nfft", [1024, 4096])
+    def test_row_chunks_match_one_row_at_a_time(self, nfft):
+        """0, 1, c - 1, c, c + 1 and 128 rows, for a chunk of c rows, give each row's own bits."""
+        c = next(row_chunks(FRAME_BLOCK, nfft // 2 + 1)).stop
+        assert 1 < c < FRAME_BLOCK
+        rng = np.random.default_rng(nfft)
+        for rows in (0, 1, c - 1, c, c + 1, FRAME_BLOCK):
+            frames = rng.normal(size=(rows, 640))
+            want = np.zeros((rows, nfft // 2 + 1))
+            for j, frame in enumerate(frames):
+                want[j] = hann_magnitudes(frame, nfft)
+            npt.assert_array_equal(hann_magnitudes(frames, nfft), want)
 
     def test_one_read_only_taper_per_length(self):
         _hann_taper.cache_clear()

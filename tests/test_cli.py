@@ -371,14 +371,9 @@ class TestExtractCommand:
         assert result.exit_code == 1
         assert result.output == "error: INVALID_INPUT: no input files\n"
 
-    @pytest.mark.parametrize("kind", ["mfcc", "lfc"])
+    @pytest.mark.parametrize("kind", ["mfcc", "lfc", "acoustic"])
     def test_cepstral_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, kind):
-        """One and two BLAS threads give the same table; only a machine with 2+ CPUs can tell them apart.
-
-        The acoustic kind is left out: only its CPP quefrencies are still
-        BLAS products (audio.irfft_columns), whose bits move with the thread
-        count. Its pitch is guarded on its own below.
-        """
+        """One and two BLAS threads give the same table; only a machine with 2+ CPUs can tell them apart."""
         directory = tmp_path / "wavs"
         directory.mkdir()
         for seed, spec in enumerate(THREAD_VOICES):

@@ -8,7 +8,6 @@ import pytest
 
 from conftest import VOICE_FORMANTS, traced
 from timbrekit.audio import (
-    _cosine_basis,
     FRAME_BLOCK,
     AudioBuffer,
     HOP,
@@ -108,16 +107,13 @@ class TestExtractTrack:
     def test_peak_memory_does_not_grow_with_duration(self):
         """The measures run FRAME_BLOCK frames at a time, so a 20 s voice peaks as low as a 3 s one.
 
-        The cached taper ACF and cosine bases are dropped first, so the
-        peak counts building them. CPP's 2 MB of bases themselves sit in
-        mappings of their own, which tracemalloc does not see.
+        The cached taper ACF is dropped first, so the peak counts building it.
         """
         buf = synth(SynthSpec(kind="mixture", f0=130.0, duration=20.0, formants=VOICE_FORMANTS,
                               tilt_db_per_octave=-6.0, noise_gain=0.004, seed=1))
         _taper_acf.cache_clear()
-        _cosine_basis.cache_clear()
         track, _, peak = traced(lambda: extract_track(buf))
-        assert peak < 16e6
+        assert peak < 8.5e6
         assert track.voiced.mean() > 0.95
 
     def test_determinism_bitwise(self, voiced_buffer):

@@ -3,8 +3,8 @@
 testkit.acf_reference and testkit.cepstrum_reference are the whole
 np.fft.irfft outputs. pitch._oversampled forms the oversampled ACF as
 three inverse FFTs of the frame's transform size, one per lag phase, and
-audio.irfft_columns the cepstrum only at the columns CPP reads, as folded
-cosine products. Agreement is required within 1e-12 of each row's
+audio.irfft_columns the cepstrum only at the columns CPP reads, through
+one half-length real FFT. Agreement is required within 1e-12 of each row's
 largest |value| in the full transform. frame_pitch as a whole is held to
 testkit.pitch_reference, which tracks one row at a time.
 """
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from timbrekit import audio
+from timbrekit import noise_metrics
 from timbrekit.audio import SynthSpec, irfft_columns, synth
 from timbrekit.features import MEASURE_NAMES, extract_track
 from timbrekit.harmonics import Spectrum, magnitude_spectrum
@@ -82,17 +82,16 @@ class TestCepstrum:
         with pytest.raises(ValueError, match=f"{bins} bins are not the full half-spectrum of an even {n}-point"):
             irfft_columns(np.zeros((1, bins)), n, 0, 4)
 
-    def test_the_16k_cepstrum_takes_the_product(self):
-        audio._cosine_basis.cache_clear()
-        level = np.random.default_rng(1).normal(0.0, 20.0, (5, 2049))
+    def test_a_16k_block_of_cpp_quefrencies(self):
+        """The columns CPP reads at 16 kHz (16..267 of a 4096-point cepstrum), on a whole 128-row block."""
+        level = np.random.default_rng(1).normal(0.0, 20.0, (128, 2049))
         assert_columns_match(irfft_columns(level, 4096, 16, 268), cepstrum_reference(level), 16, 268)
-        assert audio._cosine_basis.cache_info().currsize == 2  # the even and the odd quefrencies
 
 
 class TestCpp:
     @pytest.mark.parametrize("sample_rate", [16000, 22050, 44100, 48000])
     def test_matches_the_reference_on_slices(self, sample_rate):
-        """The 16 and 22.05 kHz slices take the product, the 44.1 and 48 kHz ones the FFT."""
+        """4096-, 4096-, 8192- and 8192-point slice spectra: every rate takes the one half-length transform."""
         n = int(round(0.040 * sample_rate))
         rows = []
         for f0 in (95.0, 170.0, 310.0):
@@ -104,6 +103,16 @@ class TestCpp:
         _, want = cepstral_peak_reference(spec)
         npt.assert_allclose(cpp_from_spectrum(spec), want, rtol=0, atol=1e-9)
         assert np.isnan(want[-1])
+
+    def test_a_block_reads_each_row_bitwise(self):
+        """A 128-row block's CPP equals its rows' one at a time: no bit depends on the rows beside it."""
+        samples = synth(SynthSpec(kind="mixture", f0=140.0, duration=1.5, noise_gain=0.1, tilt_db_per_octave=-6.0,
+                                  seed=5)).samples
+        spec = magnitude_spectrum(np.lib.stride_tricks.sliding_window_view(samples, 640)[::80][:128], SR)
+        assert spec.magnitudes.shape[0] == 128
+        rows = [cpp_from_spectrum(Spectrum(spec.frequencies, mags[np.newaxis], spec.sample_rate))[0]
+                for mags in spec.magnitudes]
+        npt.assert_array_equal(cpp_from_spectrum(spec), rows)
 
     @pytest.mark.parametrize("bins", [2049, 2050, 1601])
     def test_matches_the_reference_on_hand_built_spectra(self, bins):
@@ -201,12 +210,10 @@ class TestPitch:
         assert_pitch_matches(frames, float(np.max(np.abs(frames))), config)
 
     def test_a_thirty_hz_floor_tracks_a_low_voice(self):
-        """A 30 Hz floor's 4096-point ACF phases read a 45 Hz pulse train, with no cosine basis."""
-        audio._cosine_basis.cache_clear()
+        """A 30 Hz floor's 4096-point ACF phases read a 45 Hz pulse train."""
         config = PitchConfig(floor=30.0)
         frames, peak = voice_frames(SynthSpec(kind="pulse_train", f0=45.0, duration=0.5), config)
         f0 = assert_pitch_matches(frames, peak, config)
-        assert audio._cosine_basis.cache_info().currsize == 0
         npt.assert_allclose(f0, 45.0, atol=0.5)
 
     def test_gated_and_silent_rows(self):
@@ -221,13 +228,12 @@ class TestPitch:
 
 
 def test_features_match_the_fft_path(monkeypatch):
-    """extract_track as shipped and with CPP's transform on the FFT: same voicing, measures within 1e-9."""
+    """extract_track as shipped and with CPP's columns cut from the full inverse FFT: same voicing, measures within 1e-9."""
     voices = [synth(v.spec) for v in build_timbre_corpus(seed=4, size=8).voices]
-    audio._cosine_basis.cache_clear()
     shipped = [extract_track(buf) for buf in voices]
-    assert audio._cosine_basis.cache_info().currsize == 2  # CPP's two; pitch makes no cosine product
     with monkeypatch.context() as patch:
-        patch.setattr(audio, "_COSINE_BASIS_CAP", 0)
+        patch.setattr(noise_metrics, "irfft_columns",
+                      lambda x, n, start, stop: cepstrum_reference(x)[:, start:stop])
         fft = [extract_track(buf) for buf in voices]
     for a, b in zip(shipped, fft):
         npt.assert_array_equal(a.voiced, b.voiced)
