@@ -4,7 +4,9 @@
 # match in-process extraction. Four synthesized voices, with both labels in
 # each split, then go through train, eval, weights and flops. train runs a
 # second time without --log, which skips the per-epoch loss and accuracy,
-# and must write the same checkpoint bytes. Run it with
+# and must write the same checkpoint bytes. The checkpoint and the eval report
+# must each be the canonical json.dumps(..., sort_keys=True) text of what they
+# hold. Run it with
 # PYTHONWARNINGS=error::RuntimeWarning, so that a numpy RuntimeWarning fails
 # it, as it fails a test under pytest.
 set -euo pipefail
@@ -32,6 +34,9 @@ done > pairs.jsonl
 timbrekit train --manifest pairs.jsonl --features voices.csv --out model.json --log train_log.json --epochs 3
 timbrekit train --manifest pairs.jsonl --features voices.csv --out model_without_log.json --epochs 3
 cmp model.json model_without_log.json
+canonical='import json, sys; text = open(sys.argv[1]).read(); assert json.dumps(json.loads(text), sort_keys=True) == text, sys.argv[1]'
+python -c "$canonical" model.json
 timbrekit eval --manifest pairs.jsonl --features voices.csv --model model.json --out report.json
+python -c "$canonical" report.json
 timbrekit weights --model model.json --out weights.csv
 timbrekit flops --model model.json

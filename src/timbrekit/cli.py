@@ -284,6 +284,58 @@ def _pct(value) -> str:
     return "N/A" if value is None else f"{value:.2f}%"
 
 
+# Curve points per block of the report's far_frr text: about 120 KB of text, and 0.7 MB of strings
+# while it is rendered. Blocks of 512 to 16384 points wrote 20k points within 4 % of the same time.
+_CURVE_BLOCK = 2048
+
+
+def _write_report(path, report: dict, curve: tuple) -> None:
+    """Write json.dumps({**report, "far_frr": points}, sort_keys=True) to path.
+
+    points is the list of the curve's [threshold, far, frr] rows, or [] when
+    the curve is (). Every other field goes through json.dumps; the points go
+    from the curve's arrays to the file a block at a time (_curve_blocks), so
+    neither a list of them nor the text of them all is ever built.
+    """
+    with Path(path).open("w") as fh:
+        for i, key in enumerate(sorted({*report, "far_frr"})):
+            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            if key == "far_frr":
+                fh.write("[")
+                fh.writelines(_curve_blocks(*curve) if curve else ())
+                fh.write("]")
+            else:
+                fh.write(json.dumps(report[key], sort_keys=True))
+        fh.write("}")
+
+
+def _curve_blocks(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray):
+    """The text of the curve's [threshold, far, frr] rows inside json's list of them, one block per item.
+
+    The scores and rates are finite, so each value reads as its
+    float.__repr__, which is what json writes. A rate is a count over a class
+    size, and FAR falls and FRR rises along the curve, so each distinct rate
+    in a block is one run of equal values and is rendered once.
+    """
+    for start in range(0, thresholds.size, _CURVE_BLOCK):
+        block = slice(start, start + _CURVE_BLOCK)
+        scores = thresholds[block].tolist()
+        parts = [""] * (3 * len(scores))
+        parts[0::3] = map("[".__add__, map(float.__repr__, scores))
+        parts[1::3] = _rendered_runs(far[block], "")
+        parts[2::3] = _rendered_runs(frr[block], "]")
+        yield (", " if start else "") + ", ".join(parts)
+
+
+def _rendered_runs(values: np.ndarray, suffix: str):
+    """float.__repr__(v) + suffix for each of values, rendered once per run of equal values."""
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    texts = [float.__repr__(v) + suffix for v in values[starts].tolist()]
+    return map(texts.__getitem__, (np.cumsum(starts) - 1).tolist())
+
+
 @main.command("eval")
 @click.option("--manifest", "manifest_path", type=click.Path(exists=True), required=True)
 @click.option("--features", "features_path", type=click.Path(exists=True), required=True)
@@ -309,14 +361,8 @@ def cmd_eval(manifest_path, features_path, model_path, out):
         d: _metrics(scored.take(index))[0] for d, index in _by_descriptor(pairs.descriptor).items()
     }
 
-    report = {
-        "split": "test",
-        **overall,
-        "per_descriptor": per_descriptor,
-        "far_frr": np.column_stack(curve).tolist() if curve else [],
-    }
     if out:
-        Path(out).write_text(json.dumps(report, sort_keys=True))
+        _write_report(out, {"split": "test", **overall, "per_descriptor": per_descriptor}, curve)
     click.echo(f"pairs {len(scored)}: accuracy {overall['accuracy']:.2f}%, EER {_pct(overall['eer'])}")
     for descriptor, entry in per_descriptor.items():
         click.echo(

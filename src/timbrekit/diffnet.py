@@ -449,7 +449,8 @@ def _pair_index(pairs: PairColumns, features: Mapping[str, np.ndarray], descript
 
 
 # Pairs per step of _score_rows; a block makes four [block x H] temporaries, 256 KiB each at H = 128.
-# At 1024 (1 MiB each) they fell into glibc malloc's map-and-trim churn: 15x the page faults, twice the time.
+# At 1024 (1 MiB each) they churned at glibc malloc's mmap threshold and heap trim: freed arrays went back
+# to the kernel and the next block's faulted in fresh pages, 15x the page faults and twice the time.
 _SCORE_BLOCK = 256
 
 

@@ -263,9 +263,9 @@ def write_features(path, rows: list[tuple[str, np.ndarray, int]], kind: str) -> 
     for utt_id, vector, _ in rows:
         if len(vector) != len(names):
             raise SchemaError(f"{path}: {utt_id} has {len(vector)} values, {kind} has {len(names)} names")
-        seen.add(utt_id, vector, str(path))
+        seen.add(utt_id, vector, path)
     first_line = 1 if path.suffix == ".jsonl" else 2  # the line the first row would be written on
-    _finite(seen, path, range(first_line, first_line + len(rows)))
+    _stacked(seen, path, range(first_line, first_line + len(rows)))
     if path.suffix == ".jsonl":
         with path.open("w", encoding="utf-8") as fh:
             for utt_id, vector, count in rows:
@@ -306,12 +306,17 @@ class SchemaError(ValueError):
 
 
 class FeatureTable(dict):
-    """{utt_id: vector}, plus the feature names the file declares, in column order."""
+    """{utt_id: vector}, plus the feature names the file declares, in column order.
+
+    read_features' vectors are the rows of one [U x D] float64 array.
+    """
 
     names: tuple[str, ...] = ()
 
-    def add(self, utt_id: str, vector: np.ndarray, where: str) -> None:
+    def add(self, utt_id: str, vector, path, lineno: int | None = None) -> None:
+        """Add a row; a repeated utt_id raises SchemaError naming path and, when given, the line."""
         if utt_id in self:
+            where = path if lineno is None else f"{path}:{lineno}"
             raise SchemaError(f"{where}: utt_id {utt_id} is repeated")
         self[utt_id] = vector
 
@@ -385,9 +390,9 @@ def read_features(path) -> FeatureTable:
                 if not all(type(v) is float for v in values):
                     name = next(n for n, v in zip(table.names, values) if type(v) is not float)
                     raise _not_a_number(f"{path}:{lineno}", utt_id, name, json.dumps(record[name]))
-                table.add(utt_id, np.array(values), f"{path}:{lineno}")
+                table.add(utt_id, values, path, lineno)
                 lines.append(lineno)
-        return _finite(table, path, lines)
+        return _stacked(table, path, lines)
     with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(line for _, line in utf8_lines(fh, path))
         header = next(reader, None)
@@ -410,21 +415,27 @@ def read_features(path) -> FeatureTable:
                 raise SchemaError(f"{path}:{lineno}: {row[0]} voiced_frames is not a non-negative integer: "
                                   f"{row[-1]!r}")
             try:
-                vector = np.array([float(v) for v in row[value_cols]])
+                values = list(map(float, row[value_cols]))
             except ValueError:
                 name, cell = next((n, v) for n, v in zip(table.names, row[value_cols]) if not _parses(v))
                 raise _not_a_number(f"{path}:{lineno}", row[0], name, cell) from None
-            table.add(row[0], vector, f"{path}:{lineno}")
-    return _finite(table, path, range(2, 2 + len(table)))
+            table.add(row[0], values, path, lineno)
+    return _stacked(table, path, range(2, 2 + len(table)))
 
 
-def _finite(table: FeatureTable, path: Path, lines) -> FeatureTable:
-    """The table, once one check over all its values finds no NaN or infinity; lines[i] is row i's line."""
-    finite = np.isfinite(np.array(list(table.values())))
+def _stacked(table: FeatureTable, path: Path, lines) -> FeatureTable:
+    """The table with its rows stacked into one [U x D] float64 array, each vector a row of it.
+
+    One check over that array must find no NaN or infinity; the first one
+    raises SchemaError naming its line, lines[i] being row i's.
+    """
+    ids = list(table)
+    values = np.array(list(table.values()), dtype=np.float64).reshape(len(ids), len(table.names))
+    finite = np.isfinite(values)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
-        utt_id = list(table)[row]
-        raise _not_a_number(f"{path}:{lines[row]}", utt_id, table.names[col], table[utt_id][col])
+        raise _not_a_number(f"{path}:{lines[row]}", ids[row], table.names[col], values[row, col])
+    table.update(zip(ids, values))
     return table
 
 

@@ -11,7 +11,10 @@ import wave
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import traced
 from timbrekit import cli, diffnet as dn, evaluation, features
 from timbrekit.audio import SynthSpec, load_audio, synth, write_wav
 from timbrekit.cli import main
@@ -1131,6 +1134,127 @@ class TestEvalCommand:
         args = ["eval", "--manifest", "pairs.jsonl", "--features", "features.csv", "--model", "acoustic.json",
                 "--out", out]
         assert_refused_leaving_inputs(runner, args, inputs, f"{out} is both --out and {option}")
+
+
+def report_oracle(report: dict, curve: tuple) -> str:
+    """The report text as eval wrote it before _write_report: one json.dumps of the whole dict, curve as lists."""
+    return json.dumps({**report, "far_frr": np.column_stack(curve).tolist() if curve else []}, sort_keys=True)
+
+
+def eval_oracle(manifest_path, features_path, model_path) -> str:
+    """The text of eval's report, with every field built as cmd_eval builds it and written by report_oracle."""
+    pairs = read_manifest(manifest_path).split_pairs("test")
+    scores = dn.score_pairs(dn.load_checkpoint(model_path), pairs, read_features(features_path))
+    scored = evaluation.ScoredColumns(scores, pairs.b_stronger)
+    overall, curve = cli._metrics(scored)
+    per_descriptor = {d: cli._metrics(scored.take(i))[0] for d, i in cli._by_descriptor(pairs.descriptor).items()}
+    return report_oracle({"split": "test", **overall, "per_descriptor": per_descriptor}, curve)
+
+
+def curve_of(scores, positive) -> tuple:
+    return evaluation.far_frr_curve(evaluation.ScoredColumns(np.asarray(scores, dtype=float),
+                                                             np.asarray(positive, dtype=bool)))
+
+
+# A report's fields other than far_frr, with a descriptor name that json has to escape.
+REPORT = {"split": "test", "pairs": 7, "accuracy": 57.14285714285714, "eer": 33.33333333333333,
+          "per_descriptor": {'say "hi"\\': {"pairs": 7, "accuracy": 57.14285714285714, "eer": None},
+                             "naïve 嗓音\u2028": {"pairs": 0, "accuracy": 0.0, "eer": None}}}
+
+
+class TestReportBytes:
+    """eval's report equals one json.dumps(report, sort_keys=True) of the curve as nested lists."""
+
+    def eval_report(self, runner, tmp_path, features_path, manifest_path, model_path):
+        report_path = tmp_path / "report.json"
+        result = run(runner, ["eval", "--manifest", str(manifest_path), "--features", str(features_path),
+                              "--model", str(model_path), "--out", str(report_path)])
+        assert result.exit_code == 0, result.output
+        return report_path.read_text(encoding="utf-8")
+
+    def test_single_class_split(self, runner, tmp_path):
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=200, n_test=0)
+        model_path = tmp_path / "model.json"
+        run(runner, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
+                     "--out", str(model_path), "--epochs", "2"])
+        records = list(read_manifest(manifest_path))
+        records += [ManifestRecord(dn.PairRecord(a, b, "planted", "A"), "test") for a, b in (("u000", "u001"),
+                                                                                           ("u002", "u003"))]
+        write_manifest(manifest_path, records)
+        text = self.eval_report(runner, tmp_path, features_path, manifest_path, model_path)
+        assert text == eval_oracle(manifest_path, features_path, model_path)
+        report = json.loads(text)
+        assert (report["far_frr"], report["eer"]) == ([], None)
+
+    def test_descriptors_with_quotes_and_non_ascii_names(self, runner, tmp_path):
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=300, n_test=90)
+        names = ('say "hi"', "naïve 嗓音", "back\\slash\u2028")
+        records = [ManifestRecord(dn.PairRecord(e.record.utt_a, e.record.utt_b, names[i % 3], e.record.label),
+                                  e.split) for i, e in enumerate(read_manifest(manifest_path))]
+        write_manifest(manifest_path, records)
+        model_path = tmp_path / "model.json"
+        run(runner, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
+                     "--out", str(model_path), "--epochs", "2"])
+        text = self.eval_report(runner, tmp_path, features_path, manifest_path, model_path)
+        assert text == eval_oracle(manifest_path, features_path, model_path)
+        assert sorted(json.loads(text)["per_descriptor"]) == sorted(names)
+
+    @pytest.mark.parametrize("points", [2, cli._CURVE_BLOCK - 1, cli._CURVE_BLOCK, cli._CURVE_BLOCK + 1,
+                                        3 * cli._CURVE_BLOCK + 5])
+    def test_curve_around_the_block_size(self, tmp_path, points):
+        # points - 1 distinct scores, each held by one positive and one negative pair, and the sentinel.
+        order = np.random.default_rng(points).permutation(2 * (points - 1))
+        curve = curve_of(np.repeat(np.linspace(0.0, 1.0, points - 1), 2)[order],
+                         (np.arange(2 * (points - 1)) % 2 == 0)[order])
+        assert curve[0].size == points
+        cli._write_report(tmp_path / "report.json", REPORT, curve)
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == report_oracle(REPORT, curve)
+
+    def test_curve_of_one_point(self, tmp_path):
+        curve = (np.array([0.25]), np.array([0.0]), np.array([1.0]))
+        cli._write_report(tmp_path / "report.json", REPORT, curve)
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == report_oracle(REPORT, curve)
+
+    def test_tied_scores(self, tmp_path):
+        rng = np.random.default_rng(0)
+        scores = rng.integers(0, 3000, 20000) / 2999  # about 3000 distinct scores, each tied about 7 times
+        curve = curve_of(scores, rng.random(20000) < 0.4)
+        assert cli._CURVE_BLOCK < curve[0].size < 20000
+        cli._write_report(tmp_path / "report.json", REPORT, curve)
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == report_oracle(REPORT, curve)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        pairs=st.lists(st.tuples(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0, 5e-324])),
+                                 st.booleans()), min_size=2, max_size=60)
+        .filter(lambda ps: len({label for _, label in ps}) == 2),
+        name=st.text(max_size=8),
+        block=st.integers(1, 7),
+    )
+    def test_drawn_scores_and_labels(self, tmp_path, monkeypatch, pairs, name, block):
+        curve = curve_of(*zip(*pairs))
+        report = {**REPORT, "per_descriptor": {name: REPORT["per_descriptor"]['say "hi"\\']}}
+        monkeypatch.setattr(cli, "_CURVE_BLOCK", block)
+        cli._write_report(tmp_path / "report.json", report, curve)
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == report_oracle(report, curve)
+
+    def test_curve_is_written_without_a_list_of_its_points(self, runner, tmp_path, monkeypatch):
+        """A 200k-point curve writes in a few MB; as nested lists and one json.dumps text it took 46 MB."""
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=200, n_test=40)
+        model_path = tmp_path / "model.json"
+        run(runner, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
+                     "--out", str(model_path), "--epochs", "1"])
+        rng = np.random.default_rng(0)
+        curve = curve_of(rng.random(199_999), rng.random(199_999) < 0.5)
+        assert curve[0].size == 200_000
+        monkeypatch.setattr(evaluation, "far_frr_curve", lambda scored: curve)
+        report_path = tmp_path / "report.json"
+        args = ["eval", "--manifest", str(manifest_path), "--features", str(features_path),
+                "--model", str(model_path), "--out", str(report_path)]
+        result, _, peak = traced(lambda: run(runner, args))
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(report_path.read_text())["far_frr"]) == 200_000
+        assert peak < 8e6
 
 
 class TestWeightsCommand:

@@ -591,6 +591,62 @@ class TestFeatureFiles:
             read_features(path)
         assert str(info.value) == f"{path}:4: utt02 mean_f2 is not a finite number: {shown}"
 
+    # Cells float() reads: signed zeros, subnormals, exponents, integers, and (CSV only) surrounding
+    # spaces, underscores and a bare leading point.
+    JSON_CELLS = ("-0.0", "0.0", "5e-324", "2.2250738585072014e-309", "-4.9e-324", "1E+2", "-12", "0.1",
+                  "1.7976931348623157e308", "3")
+    CSV_CELLS = (*JSON_CELLS, " 1.5 ", "\t-2e3", "  7", "+.5", "1_000", " -0.0")
+
+    def edge_table(self, tmp_path, suffix):
+        """A table of rows made of the suffix's cells in shuffled orders, and each row's cells."""
+        cells = self.CSV_CELLS if suffix == ".csv" else self.JSON_CELLS
+        rng = np.random.default_rng(7)
+        rows = {f"u{i}": [cells[j] for j in rng.permutation(len(cells))] for i in range(5)}
+        names = [f"f{j}" for j in range(len(cells))]
+        path = tmp_path / f"features{suffix}"
+        if suffix == ".csv":
+            text = ",".join(["utt_id", *names, "voiced_frames"]) + "\n"
+            text += "".join(",".join([utt, *row, "4"]) + "\n" for utt, row in rows.items())
+        else:
+            text = "".join("{" + ", ".join([f'"utt_id": "{utt}"', *(f'"{n}":  {c} ' for n, c in zip(names, row))])
+                           + ', "voiced_frames": 4}\n' for utt, row in rows.items())
+        path.write_text(text)
+        return path, rows
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_vectors_are_float_of_each_cell_bitwise(self, tmp_path, suffix):
+        path, rows = self.edge_table(tmp_path, suffix)
+        table = read_features(path)
+        assert list(table) == list(rows)
+        for utt, cells in rows.items():
+            want = np.array([float(c) for c in cells])
+            assert table[utt].dtype == np.float64
+            assert table[utt].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_vectors_are_the_rows_of_one_array(self, tmp_path, suffix):
+        path, rows = self.edge_table(tmp_path, suffix)
+        vectors = list(read_features(path).values())
+        base = vectors[0].base
+        assert base.shape == (len(rows), len(vectors[0])) and base.dtype == np.float64
+        assert all(v.base is base for v in vectors)
+        assert np.array_equal(np.stack(vectors), base)
+
+    @pytest.mark.parametrize("suffix,cell,shown", [
+        (".csv", "1.5x", "1.5x"), (".csv", " nan ", "nan"), (".jsonl", "Infinity", "inf"),
+    ], ids=["csv_word", "csv_nan", "jsonl_infinity"])
+    def test_bad_cell_among_edge_cells_names_its_line_and_cell(self, tmp_path, suffix, cell, shown):
+        path, rows = self.edge_table(tmp_path, suffix)
+        lines = path.read_text().splitlines()
+        line = 4 if suffix == ".csv" else 3  # the row of u2
+        name = f"f{rows['u2'].index('0.1')}"
+        lines[line - 1] = (lines[line - 1].replace(",0.1,", f",{cell},") if suffix == ".csv"
+                           else lines[line - 1].replace(f'"{name}":  0.1 ', f'"{name}":  {cell} '))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as info:
+            read_features(path)
+        assert str(info.value) == f"{path}:{line}: u2 {name} is not a finite number: {shown}"
+
     @pytest.mark.parametrize("header", [
         "utt_id,a,b", "id,a,voiced_frames", "a,utt_id,voiced_frames", "utt_id", "voiced_frames", "",
     ], ids=["no_voiced_frames", "no_utt_id", "utt_id_not_first", "utt_id_alone", "voiced_frames_alone", "blank"])
