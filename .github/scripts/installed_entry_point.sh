@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the `timbrekit` console script that [project.scripts] installs, from
 # the current directory, and checks that its acoustic, mfcc and lfc tables
-# match in-process extraction. Four synthesized voices, with both labels in
+# match in-process extraction, and that its acoustic table of a 44.1 kHz
+# file (resampled as load_audio reads it) does too. Four synthesized voices, with both labels in
 # each split, then go through train, eval, weights and flops. train runs a
 # second time without --log, which skips the per-epoch loss and accuracy,
 # and must write the same checkpoint bytes. The checkpoint and the eval report
@@ -15,6 +16,9 @@ timbrekit --help
 timbrekit synth --kind mixture --f0 140 --dur 1 --formants 500:80,1500:100,2500:150,3500:200 --out a.wav
 timbrekit extract a.wav --out f.csv
 python -c "import numpy as np; from timbrekit.audio import load_audio; from timbrekit.features import extract_vector, read_features; assert np.array_equal(read_features('f.csv')['a'], extract_vector(load_audio('a.wav')).values)"
+timbrekit synth --kind mixture --f0 140 --dur 1 --formants 500:80,1500:100,2500:150,3500:200 --rate 44100 --out b.wav
+timbrekit extract b.wav --out f44.csv
+python -c "import numpy as np; from timbrekit.audio import load_audio; from timbrekit.features import extract_vector, read_features; assert np.array_equal(read_features('f44.csv')['b'], extract_vector(load_audio('b.wav')).values)"
 for kind in mfcc lfc; do
   timbrekit extract a.wav --kind "$kind" --out "$kind.csv"
   python -c "import sys, numpy as np; from timbrekit.audio import load_audio; from timbrekit.features import read_features, vector_for; kind = sys.argv[1]; assert np.array_equal(read_features(kind + '.csv')['a'], vector_for(kind, load_audio('a.wav')).values)" "$kind"

@@ -317,15 +317,15 @@ def _polyphase_taps(up: int, down: int) -> np.ndarray:
 # row_chunks.
 FRAME_BLOCK = 128
 
-# Row-wise transforms keep each chunk's complex spectrum within this many
-# bytes, so its arrays stay in cache: 32-row chunks of a 1024-point pitch
-# ACF ran about 1.9x faster than the whole 128-row block.
+# Row-blocked kernels keep each chunk within this many bytes, so its arrays
+# stay in cache: 32-row chunks of a 1024-point pitch ACF ran about 1.9x
+# faster than the whole 128-row block.
 _CHUNK_BYTES = 256 << 10
 
 
-def row_chunks(rows: int, bins: int):
-    """Slices over range(rows), in order, of the most rows (at least one) whose complex [rows x bins] fits _CHUNK_BYTES."""
-    step = max(1, _CHUNK_BYTES // (16 * bins))
+def row_chunks(rows: int, row_bytes: int):
+    """Slices over range(rows), in order, of the most rows (at least one) whose [rows x row_bytes] fits _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // row_bytes)
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
@@ -359,41 +359,38 @@ def _dct_tables(m: int, anchor: int) -> np.ndarray:
     return tables
 
 
-def irfft_columns(x: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
-    """np.fft.irfft(x, n)[:, start:stop] for a matrix x of full real half-spectra, through one n/2-point real FFT.
+def irfft_columns(x: np.ndarray, n: int, start: int, out: np.ndarray) -> None:
+    """Write np.fft.irfft(x, n)[:, start : start + width] into the [rows x width] out, through one n/2-point real FFT.
 
-    x is [rows x (m + 1)] for an even n = 2m, so output q is the DCT-I
-    X_q = (x_0 + x_m (-1)^q) / 2 + sum_{0<j<m} x_j cos(pi j q / m), over m;
-    columns past m read their mirror n - q. The half-length algorithm
-    (Makhoul 1980, "A fast cosine transform in one and two dimensions";
-    Numerical Recipes' cosft1): the real FFT Y of y_j = (x_j + x_(m-j)) / 2
-    - sin(pi j / m) (x_j - x_(m-j)), j < m, gives X_2k = Re Y_k and
-    X_(2k+1) = X_(2k-1) - Im Y_k. The running sum starts at the first odd
-    column read, an einsum (no BLAS call, so each row's bits depend on that
-    row alone), which keeps the large low quefrencies out of it.
+    x is [rows x (m + 1)] for an even n = 2m, and the window lies within
+    columns 1..m, where output q is the DCT-I
+    X_q = (x_0 + x_m (-1)^q) / 2 + sum_{0<j<m} x_j cos(pi j q / m), over m.
+    The half-length algorithm (Makhoul 1980, "A fast cosine transform in
+    one and two dimensions"; Numerical Recipes' cosft1): the real FFT Y of
+    y_j = (x_j + x_(m-j)) / 2 - sin(pi j / m) (x_j - x_(m-j)), j < m, gives
+    X_2k = Re Y_k and X_(2k+1) = X_(2k-1) - Im Y_k. The running sum starts
+    at the window's first odd column, an einsum (no BLAS call, so each
+    row's bits depend on that row alone), which keeps the large low
+    quefrencies out of it.
     """
-    bins = x.shape[1]
-    if bins > n // 2 + 1:
-        raise ValueError(f"{bins} bins do not fit a {n}-point real spectrum")
+    bins, width = x.shape[1], out.shape[1]
     if n % 2 or bins != n // 2 + 1:
         raise ValueError(f"{bins} bins are not the full half-spectrum of an even {n}-point transform")
     m = n // 2
-    q = np.arange(start, stop)
-    q = np.minimum(q, n - q)
-    lo, hi = int(q.min()), int(q.max())  # the DCT-I columns read
-    first = lo | 1
+    if not 1 <= start < start + width <= m + 1:
+        raise ValueError(f"columns {start}..{start + width - 1} are not within 1..{m}")
+    first = start | 1
     head, tail, anchor = _dct_tables(m, first)
     y = np.multiply(x[:, :m], head[:m])
     y += x[:, m:0:-1] * tail[:m]
     spectrum = np.fft.rfft(y)
-    dct = np.empty((x.shape[0], hi + 1))  # columns below lo are left unwritten
-    dct[:, lo + lo % 2 :: 2] = spectrum.real[:, (lo + 1) // 2 : hi // 2 + 1]
-    odd = dct[:, first::2]
+    last = start + width - 1
+    out[:, start % 2 :: 2] = spectrum.real[:, (start + 1) // 2 : last // 2 + 1]
+    odd = out[:, first - start :: 2]
     if odd.shape[1]:
         odd[:, 0] = np.einsum("rj,j->r", x, anchor)
         np.negative(spectrum.imag[:, (first + 1) // 2 : (first - 1) // 2 + odd.shape[1]], out=odd[:, 1:])
         np.cumsum(odd, axis=1, out=odd)
-    return dct[:, q]
 
 
 @lru_cache(maxsize=8)
@@ -405,17 +402,18 @@ def _hann_taper(n: int) -> np.ndarray:
 
 
 def hann_magnitudes(frames: np.ndarray, nfft: int) -> np.ndarray:
-    """np.abs(np.fft.rfft(frames * np.hanning(n), nfft)) for the n-sample rows of `frames`.
+    """np.abs(np.fft.rfft(frames * np.hanning(n), nfft)) for the rows of a [rows x n] matrix.
 
     The package's one Hann spectrum (pitch frames and their taper's ACF, the
     slice spectrum, the cepstral baselines); the taper is built once per n,
-    and row_chunks are transformed into the one [rows x bins] result.
+    and each of the row_chunks is tapered and transformed into the one
+    [rows x bins] result.
     """
-    tapered = np.atleast_2d(frames * _hann_taper(frames.shape[-1]))
-    out = np.empty((tapered.shape[0], nfft // 2 + 1))
-    for rows in row_chunks(*out.shape):
-        np.abs(np.fft.rfft(tapered[rows], nfft), out=out[rows])
-    return out.reshape(*frames.shape[:-1], out.shape[1])
+    taper = _hann_taper(frames.shape[1])
+    out = np.empty((frames.shape[0], nfft // 2 + 1))
+    for rows in row_chunks(out.shape[0], 16 * out.shape[1]):
+        np.abs(np.fft.rfft(frames[rows] * taper, nfft), out=out[rows])
+    return out
 
 
 def window_samples(window: float, sample_rate: float) -> int:

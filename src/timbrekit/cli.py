@@ -273,11 +273,16 @@ def _metrics(scored: evaluation.ScoredColumns) -> tuple[dict, tuple]:
 
 
 def _by_descriptor(descriptor: np.ndarray) -> dict[str, np.ndarray]:
-    """Each descriptor's pair indices, in file order, keyed in sorted order; only the distinct names are sorted."""
-    groups = {}
-    for index, name in enumerate(descriptor.tolist()):
-        groups.setdefault(name, []).append(index)
-    return {name: np.array(groups[name]) for name in sorted(groups)}
+    """Each descriptor's pair indices, in file order, keyed in sorted order; only the distinct names are sorted.
+
+    Each pair gets its name's rank as a code; one stable argsort of the codes
+    lists the pairs name by name, in file order, and the codes' counts split it.
+    """
+    names = descriptor.tolist()
+    code = {name: rank for rank, name in enumerate(sorted(dict.fromkeys(names)))}
+    codes = np.fromiter(map(code.__getitem__, names), np.intp, len(names))
+    order = np.argsort(codes, kind="stable")
+    return dict(zip(code, np.split(order, np.cumsum(np.bincount(codes, minlength=len(code)))[:-1])))
 
 
 def _pct(value) -> str:

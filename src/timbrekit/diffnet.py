@@ -38,6 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .audio import row_chunks
 from .features import _repeated, _unique_keys
 
 A_STRONGER = "A"
@@ -448,12 +449,6 @@ def _pair_index(pairs: PairColumns, features: Mapping[str, np.ndarray], descript
     return table, rows, desc_idx, pairs.b_stronger.astype(np.float64)
 
 
-# Pairs per step of _score_rows; a block makes four [block x H] temporaries, 256 KiB each at H = 128.
-# At 1024 (1 MiB each) they churned at glibc malloc's mmap threshold and heap trim: freed arrays went back
-# to the kernel and the next block's faulted in fresh pages, 15x the page faults and twice the time.
-_SCORE_BLOCK = 256
-
-
 def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_idx: np.ndarray) -> np.ndarray:
     """Infer-mode scores of each pair's own descriptor, with fc1 factorised over the pair.
 
@@ -461,7 +456,7 @@ def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_i
     BN is affine per hidden unit, so each distinct utterance of the [U x D]
     table is normalised, projected and BN-scaled once as a first and as a
     second utterance; a pair costs one gather-and-add of hidden vectors plus
-    one fc2 column, done _SCORE_BLOCK pairs at a time. Equals
+    one fc2 column, done a row_chunks block of [pairs x H] at a time. Equals
     forward(mode="infer") on the gathered pairs up to rounding order.
     """
     d = len(model.feature_names)
@@ -474,8 +469,7 @@ def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_i
     second = (x @ model.w1[d:]) * scale
     w2t = model.w2.T
     logits = np.empty(len(rows))
-    for start in range(0, len(rows), _SCORE_BLOCK):
-        block = slice(start, start + _SCORE_BLOCK)
+    for block in row_chunks(len(rows), 8 * first.shape[1]):
         h = first[rows[block, 0]] + second[rows[block, 1]]
         np.maximum(h, 0.0, out=h)
         logits[block] = np.einsum("ph,ph->p", h, w2t[desc_idx[block]])

@@ -31,31 +31,6 @@ SHR_HALF_BAND = 0.125
 SHR_FLOOR_DB = -30.0
 
 
-def _cepstrum_db(spec: Spectrum, start: int, stop: int) -> np.ndarray:
-    """Magnitude (in dB) of the real cepstrum at quefrency bins start..stop-1, per row.
-
-    The cepstrum is the inverse transform of the dB power spectrum, real
-    and even, so irfft_columns forms just these bins. The dB spectrum and
-    its transform are taken a row_chunks chunk at a time, so no whole-block
-    copy of the spectrum is made. Quefrency 0 soaks up the overall signal
-    level, so everything past it is exactly invariant to amplitude scaling.
-    An all-zero row reads NaN.
-    """
-    mags = spec.magnitudes
-    peak = np.max(mags, axis=1, keepdims=True)
-    silent = peak[:, 0] <= 0
-    floor = np.where(silent[:, np.newaxis], 1.0, peak) * _REL_SPECTRAL_FLOOR
-    cep_db = np.empty((mags.shape[0], stop - start))
-    # A chunk's complex array is irfft_columns' half-length real FFT, n / 4 + 1 bins.
-    for rows in row_chunks(mags.shape[0], spec.fft_size // 4 + 1):
-        level = np.maximum(mags[rows], floor[rows])
-        np.log10(level, out=level)  # the dB spectrum over 20; the cepstrum takes the 20 back
-        cep_db[rows] = irfft_columns(level, spec.fft_size, start, stop)
-    cep_db = 20.0 * np.log10(20.0 * np.abs(cep_db) + _LOG_GUARD)
-    cep_db[silent] = np.nan
-    return cep_db
-
-
 def cpp_from_spectrum(spec: Spectrum):
     """Cepstral peak prominence (dB) of each row of a slice spectrum.
 
@@ -64,6 +39,12 @@ def cpp_from_spectrum(spec: Spectrum):
     refined by 3-point parabolic interpolation, and a least-squares line
     fitted over [TREND_FLOOR, QUEFRENCY_CEILING] is subtracted at the peak
     quefrency. An all-zero row reads NaN.
+
+    The cepstrum is real and even, so irfft_columns forms only the
+    quefrency bins read here, a row_chunks chunk at a time, with no
+    whole-block copy of the spectrum. Quefrency 0 soaks up the overall
+    signal level, so everything past it is exactly invariant to amplitude
+    scaling.
     """
     lo = int(np.ceil(QUEFRENCY_FLOOR * spec.sample_rate))
     hi = min(int(np.floor(QUEFRENCY_CEILING * spec.sample_rate)), spec.fft_size // 2 - 2)
@@ -73,7 +54,18 @@ def cpp_from_spectrum(spec: Spectrum):
     # Column j of cep_db is quefrency bin first + j: the trend reads t0..hi
     # and the peak search lo - 1..hi + 1.
     first = min(t0, lo - 1)
-    cep_db = _cepstrum_db(spec, first, hi + 2)
+    mags = spec.magnitudes
+    peak = np.max(mags, axis=1, keepdims=True)
+    silent = peak[:, 0] <= 0
+    floor = np.where(silent[:, np.newaxis], 1.0, peak) * _REL_SPECTRAL_FLOOR
+    cep_db = np.empty((mags.shape[0], hi + 2 - first))
+    # A chunk's complex array is irfft_columns' half-length real FFT, n / 4 + 1 bins.
+    for rows in row_chunks(mags.shape[0], 16 * (spec.fft_size // 4 + 1)):
+        level = np.maximum(mags[rows], floor[rows])
+        np.log10(level, out=level)  # the dB spectrum over 20; the cepstrum takes the 20 back
+        irfft_columns(level, spec.fft_size, first, cep_db[rows])
+    cep_db = 20.0 * np.log10(20.0 * np.abs(cep_db) + _LOG_GUARD)
+    cep_db[silent] = np.nan
     i = lo - first + np.argmax(cep_db[:, lo - first : hi - first + 1], axis=1)
     pos, peak_db = parabolic_peak(cep_db, np.arange(cep_db.shape[0]), i)
     peak_q = (pos + first) / spec.sample_rate

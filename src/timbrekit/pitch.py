@@ -139,7 +139,7 @@ def _oversampled(power: np.ndarray, start: int, stop: int) -> np.ndarray:
     nfft = 2 * (power.shape[1] - 1)
     first, last = start // LAG_OVERSAMPLE, -(-stop // LAG_OVERSAMPLE)
     out = np.empty((power.shape[0], last - first, LAG_OVERSAMPLE))
-    for rows in row_chunks(*power.shape):
+    for rows in row_chunks(power.shape[0], 16 * power.shape[1]):
         for d, shift in enumerate(_phase_shifts(nfft)):
             phase = np.fft.irfft(power[rows] * shift, nfft)
             out[rows, :, d] = phase[:, first:last]

@@ -172,13 +172,13 @@ def pitch_reference(frames, config: PitchConfig, sample_rate: float, global_peak
     lag_min, lag_max = config.lag_range(sample_rate)
     nfft = acf_fft_size(n, lag_max)
     lags = np.arange(LAG_OVERSAMPLE * lag_min - 1, LAG_OVERSAMPLE * (lag_max + 1) + 2)
-    taper = acf_reference(hann_magnitudes(np.ones(n), nfft) ** 2)[0]
+    taper = acf_reference(hann_magnitudes(np.ones((1, n)), nfft) ** 2)[0]
     taper = taper[lags] / taper[0]
     f0, strength = np.full(frames.shape[0], np.nan), np.zeros(frames.shape[0])
     for i, frame in enumerate(frames):
         if global_peak <= 0 or np.max(np.abs(frame)) < config.silence_threshold * global_peak:
             continue
-        acf = acf_reference(hann_magnitudes(frame - frame.mean(), nfft) ** 2)[0]
+        acf = acf_reference(hann_magnitudes((frame - frame.mean())[np.newaxis], nfft) ** 2)[0]
         if not acf[0] > 0:
             continue
         r = acf[lags] / acf[0] / taper

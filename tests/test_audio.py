@@ -427,12 +427,21 @@ class TestFrameSlices:
 
 
 class TestRowChunks:
-    @pytest.mark.parametrize("rows, bins, step", [(70, 513, 31), (128, 2049, 7), (5, 2049, 7), (0, 513, 31),
-                                                  (3, 1 << 20, 1)])
+    @pytest.mark.parametrize("rows, bins, step", [(70, 513, 31), (128, 2049, 7), (128, 1025, 15), (5, 2049, 7),
+                                                  (0, 513, 31), (3, 1 << 20, 1)])
     def test_chunks_cover_the_rows_in_order(self, rows, bins, step):
-        """Each chunk but the last holds the rows whose complex spectra fit 256 KiB, and at least one."""
-        chunks = [(c.start, c.stop) for c in row_chunks(rows, bins)]
+        """Each chunk but the last holds the rows whose complex spectra (16 bytes a bin) fit 256 KiB, and at least one.
+
+        The pitch ACF's, CPP's half-length and the slice spectrum's rows at 16 kHz keep 31, 15 and 7 rows.
+        """
+        chunks = [(c.start, c.stop) for c in row_chunks(rows, 16 * bins)]
         assert chunks == [(lo, lo + step) for lo in range(0, rows, step)]
+
+    @pytest.mark.parametrize("hidden, step", [(128, 256), (129, 254), (512, 64)])
+    def test_pair_scorer_blocks_hold_256_kib_of_hidden_rows(self, hidden, step):
+        """The pair scorer's real [pairs x hidden] rows, 8 bytes a unit."""
+        chunks = [(c.start, c.stop) for c in row_chunks(2500, 8 * hidden)]
+        assert chunks == [(lo, lo + step) for lo in range(0, 2500, step)]
 
 
 class TestHannMagnitudes:
@@ -450,14 +459,14 @@ class TestHannMagnitudes:
     @pytest.mark.parametrize("nfft", [1024, 4096])
     def test_row_chunks_match_one_row_at_a_time(self, nfft):
         """0, 1, c - 1, c, c + 1 and 128 rows, for a chunk of c rows, give each row's own bits."""
-        c = next(row_chunks(FRAME_BLOCK, nfft // 2 + 1)).stop
+        c = next(row_chunks(FRAME_BLOCK, 16 * (nfft // 2 + 1))).stop
         assert 1 < c < FRAME_BLOCK
         rng = np.random.default_rng(nfft)
         for rows in (0, 1, c - 1, c, c + 1, FRAME_BLOCK):
             frames = rng.normal(size=(rows, 640))
             want = np.zeros((rows, nfft // 2 + 1))
-            for j, frame in enumerate(frames):
-                want[j] = hann_magnitudes(frame, nfft)
+            for j in range(rows):
+                want[j] = hann_magnitudes(frames[j : j + 1], nfft)
             npt.assert_array_equal(hann_magnitudes(frames, nfft), want)
 
     def test_one_read_only_taper_per_length(self):

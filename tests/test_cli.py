@@ -1257,6 +1257,35 @@ class TestReportBytes:
         assert peak < 8e6
 
 
+def grouped_by_loop(descriptor) -> dict:
+    """Each name's pair indices, appended one at a time in file order, keyed in sorted order."""
+    groups = {}
+    for index, name in enumerate(descriptor):
+        groups.setdefault(name, []).append(index)
+    return {name: groups[name] for name in sorted(groups)}
+
+
+class TestByDescriptor:
+    """eval's per-descriptor split: keys in sorted order, each key's indices in file order."""
+
+    @given(st.lists(st.sampled_from(["Bright", "Breathy", "bright", "", "Ünïcode", "粗い", "a\u2028b"]) | st.text(max_size=3),
+                    max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_groups_equal_the_plain_loop(self, names):
+        got = cli._by_descriptor(np.array(names, dtype=object))
+        want = grouped_by_loop(names)
+        assert list(got) == list(want)
+        for name, index in got.items():
+            assert index.tolist() == want[name]
+
+    @pytest.mark.parametrize("names", [[], ["Bright"] * 5, ["Ünïcode", "Bright", "粗い", "Bright", "Ünïcode"]],
+                             ids=["empty", "one_descriptor", "non_ascii"])
+    def test_edge_cases(self, names):
+        got = cli._by_descriptor(np.array(names, dtype=object))
+        assert {name: index.tolist() for name, index in got.items()} == grouped_by_loop(names)
+        assert list(got) == sorted(set(names))
+
+
 class TestWeightsCommand:
     def test_untrained_gains_are_one(self, runner, tmp_path):
         model = dn.init_model(

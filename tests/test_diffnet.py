@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import traced
-from timbrekit import diffnet as dn, testkit
+from timbrekit import audio, diffnet as dn, testkit
 
 NAMES5 = tuple(f"f{i}" for i in range(5))
 
@@ -381,29 +381,30 @@ class TestScorePairs:
 
 
     def test_blocks_equal_one_gather(self, monkeypatch):
-        """2,500 pairs span several blocks and a ragged tail; the scores do not move by a bit."""
-        model = small_model(hidden=128)
-        rng = np.random.default_rng(4)
-        model.running_var[:] = rng.uniform(0.3, 3.0, 128)
-        ids = [f"u{i:02d}" for i in range(80)]
-        feats = {u: rng.normal(model.norm_mean, model.norm_std) for u in ids}
-        picks = [rng.choice(len(ids), 2, replace=False) for _ in range(2500)]
-        pairs = [dn.PairRecord(ids[a], ids[b], model.descriptors[i % 3], dn.A_STRONGER)
-                 for i, (a, b) in enumerate(picks)]
-        assert 2 * dn._SCORE_BLOCK < len(pairs) and len(pairs) % dn._SCORE_BLOCK
-        blocked = dn.score_pairs(model, pairs, feats)
-        npt.assert_array_equal(dn.score_pairs(model, dn.PairColumns.from_records(pairs), feats), blocked)
-        monkeypatch.setattr(dn, "_SCORE_BLOCK", len(pairs))
-        npt.assert_array_equal(dn.score_pairs(model, pairs, feats), blocked)
+        """2,500 pairs at hidden 128, 129 and 512 give the same bits in one-pair blocks, in
+        audio.row_chunks blocks (256, 254 and 64 pairs, with a ragged tail) and in one gather."""
+        for hidden in (128, 129, 512):
+            model = small_model(hidden=hidden)
+            rng = np.random.default_rng(4)
+            model.running_var[:] = rng.uniform(0.3, 3.0, hidden)
+            ids = [f"u{i:02d}" for i in range(80)]
+            feats = {u: rng.normal(model.norm_mean, model.norm_std) for u in ids}
+            picks = [rng.choice(len(ids), 2, replace=False) for _ in range(2500)]
+            pairs = [dn.PairRecord(ids[a], ids[b], model.descriptors[i % 3], dn.A_STRONGER)
+                     for i, (a, b) in enumerate(picks)]
+            step = next(audio.row_chunks(len(pairs), 8 * hidden)).stop
+            assert 2 * step < len(pairs) and len(pairs) % step
+            blocked = dn.score_pairs(model, pairs, feats)
+            npt.assert_array_equal(dn.score_pairs(model, dn.PairColumns.from_records(pairs), feats), blocked)
+            for chunk_bytes in (1, 8 * hidden * len(pairs)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(audio, "_CHUNK_BYTES", chunk_bytes)
+                    npt.assert_array_equal(dn.score_pairs(model, pairs, feats), blocked, err_msg=str(hidden))
 
-    def test_peak_memory_above_the_scores_is_bounded(self):
-        """4096 pairs at hidden 128 peak under 2 MiB above the scores (tracemalloc).
-
-        A 1024-pair block alone holds three [1024 x 128] arrays at once (two
-        gathers and their sum), 3 MiB; at 256 pairs the peak is about 1.1 MiB,
-        mostly the pair index and the per-utterance projections.
-        """
-        model = small_model(hidden=128)
+    @staticmethod
+    def peak_above_the_scores(hidden):
+        """tracemalloc's peak, less the scores, of score_pairs on 4096 pairs of 100 utterances."""
+        model = small_model(hidden=hidden)
         rng = np.random.default_rng(12)
         ids = np.array([f"u{i:03d}" for i in range(100)], dtype=object)
         feats = {u: rng.normal(model.norm_mean, model.norm_std) for u in ids}
@@ -417,7 +418,25 @@ class TestScorePairs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - scores.nbytes < 2 << 20
+        return peak - scores.nbytes
+
+    def test_peak_memory_above_the_scores_is_bounded(self):
+        """4096 pairs at hidden 128 peak under 2 MiB above the scores (tracemalloc).
+
+        A 1024-pair block alone holds three [1024 x 128] arrays at once (two
+        gathers and their sum), 3 MiB; at 256 pairs the peak is about 1.1 MiB,
+        mostly the pair index and the per-utterance projections.
+        """
+        assert self.peak_above_the_scores(128) < 2 << 20
+
+    def test_peak_memory_at_hidden_512_is_bounded(self):
+        """4096 pairs at hidden 512 peak under 2.5 MiB above the scores (tracemalloc).
+
+        Blocks of 64 pairs keep each [pairs x 512] temporary at 256 KiB: the
+        peak is about 1.7 MiB. Blocks of a fixed 256 pairs held 1 MiB
+        temporaries and peaked at 3.9 MiB.
+        """
+        assert self.peak_above_the_scores(512) < 5 << 19
 
 
 class TestPairColumns:

@@ -40,6 +40,13 @@ def assert_columns_match(got, full, start, stop):
     assert np.all(np.abs(got - full[:, start:stop]) <= 1e-12 * scale)
 
 
+def columns(x, n, start, stop):
+    """irfft_columns' window start..stop - 1, written into a NaN-filled out."""
+    out = np.full((x.shape[0], stop - start), np.nan)
+    irfft_columns(x, n, start, out)
+    return out
+
+
 @st.composite
 def half_spectra(draw):
     """(x, n, start, stop): rows of a full real half-spectrum of an even n, as the CPP cepstrum's dB spectrum."""
@@ -48,8 +55,8 @@ def half_spectra(draw):
     # No magnitude so small that a term of the transform turns subnormal and loses precision.
     elements = st.one_of(st.just(0.0), st.floats(1e-100, 1e3), st.floats(-1e3, -1e-100))
     x = draw(arrays(np.float64, (rows, n // 2 + 1), elements=elements))
-    start = draw(st.integers(0, n - 1))
-    stop = draw(st.integers(start + 1, n))
+    start = draw(st.integers(1, n // 2))
+    stop = draw(st.integers(start + 1, n // 2 + 1))
     return x, n, start, stop
 
 
@@ -57,35 +64,42 @@ class TestCepstrum:
     @given(half_spectra())
     @settings(max_examples=60, deadline=None)
     def test_columns_match_the_inverse_fft(self, case):
+        """Any window within 1..n/2, written into a preallocated out."""
         x, n, start, stop = case
-        assert_columns_match(irfft_columns(x, n, start, stop), cepstrum_reference(x), start, stop)
+        assert_columns_match(columns(x, n, start, stop), cepstrum_reference(x), start, stop)
 
     @pytest.mark.parametrize("n", [4096, 4098, 2, 4, 6])
     @pytest.mark.parametrize("rows", [0, 1, 3])
     def test_fft_sizes_and_block_shapes(self, n, rows):
         """n = 4096 and 4 fold a middle bin onto itself; 4098, 2 and 6 (n = 2 mod 4) do not."""
         x = np.random.default_rng(n + rows).normal(0.0, 20.0, (rows, n // 2 + 1))
-        start, stop = min(16, n - 1), min(268, n)
-        assert_columns_match(irfft_columns(x, n, start, stop), cepstrum_reference(x), start, stop)
+        start, stop = min(16, n // 2), min(268, n // 2 + 1)
+        assert_columns_match(columns(x, n, start, stop), cepstrum_reference(x), start, stop)
 
     @pytest.mark.parametrize("n", [4096, 4098])
     def test_all_zero_block_reads_zero(self, n):
         x = np.zeros((2, n // 2 + 1))
-        npt.assert_array_equal(irfft_columns(x, n, 16, 268), 0.0)
+        npt.assert_array_equal(columns(x, n, 16, 268), 0.0)
 
     def test_more_bins_than_the_transform_holds_is_an_error(self):
-        with pytest.raises(ValueError, match="10 bins do not fit a 16-point real spectrum"):
-            irfft_columns(np.zeros((1, 10)), 16, 0, 4)
+        with pytest.raises(ValueError, match="10 bins are not the full half-spectrum of an even 16-point"):
+            irfft_columns(np.zeros((1, 10)), 16, 1, np.empty((1, 4)))
 
     @pytest.mark.parametrize("bins, n", [(5, 16), (9, 17)])
     def test_a_part_or_odd_spectrum_is_an_error(self, bins, n):
         with pytest.raises(ValueError, match=f"{bins} bins are not the full half-spectrum of an even {n}-point"):
-            irfft_columns(np.zeros((1, bins)), n, 0, 4)
+            irfft_columns(np.zeros((1, bins)), n, 1, np.empty((1, 4)))
+
+    @pytest.mark.parametrize("start, width", [(0, 1), (0, 9), (8, 2), (9, 1), (1, 9), (3, 0)])
+    def test_a_window_outside_1_to_n_over_2_is_an_error(self, start, width):
+        """Column 0 and the columns past n/2 (the mirror of those below it) are not formed."""
+        with pytest.raises(ValueError, match=r"columns .* are not within 1\.\.8"):
+            irfft_columns(np.zeros((1, 9)), 16, start, np.empty((1, width)))
 
     def test_a_16k_block_of_cpp_quefrencies(self):
         """The columns CPP reads at 16 kHz (16..267 of a 4096-point cepstrum), on a whole 128-row block."""
         level = np.random.default_rng(1).normal(0.0, 20.0, (128, 2049))
-        assert_columns_match(irfft_columns(level, 4096, 16, 268), cepstrum_reference(level), 16, 268)
+        assert_columns_match(columns(level, 4096, 16, 268), cepstrum_reference(level), 16, 268)
 
 
 class TestCpp:
@@ -232,8 +246,10 @@ def test_features_match_the_fft_path(monkeypatch):
     voices = [synth(v.spec) for v in build_timbre_corpus(seed=4, size=8).voices]
     shipped = [extract_track(buf) for buf in voices]
     with monkeypatch.context() as patch:
-        patch.setattr(noise_metrics, "irfft_columns",
-                      lambda x, n, start, stop: cepstrum_reference(x)[:, start:stop])
+        def full_fft(x, n, start, out):
+            out[:] = cepstrum_reference(x)[:, start : start + out.shape[1]]
+
+        patch.setattr(noise_metrics, "irfft_columns", full_fft)
         fft = [extract_track(buf) for buf in voices]
     for a, b in zip(shipped, fft):
         npt.assert_array_equal(a.voiced, b.voiced)
