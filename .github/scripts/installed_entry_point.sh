@@ -5,7 +5,8 @@
 # file (resampled as load_audio reads it) does too. Four synthesized voices, with both labels in
 # each split, then go through train, eval, weights and flops. train runs a
 # second time without --log, which skips the per-epoch loss and accuracy,
-# and must write the same checkpoint bytes. The checkpoint and the eval report
+# and must write the same checkpoint bytes; so must `timbrekit.train` called
+# on the same manifest and table. The checkpoint and the eval report
 # must each be the canonical json.dumps(..., sort_keys=True) text of what they
 # hold. Run it with
 # PYTHONWARNINGS=error::RuntimeWarning, so that a numpy RuntimeWarning fails
@@ -38,6 +39,8 @@ done > pairs.jsonl
 timbrekit train --manifest pairs.jsonl --features voices.csv --out model.json --log train_log.json --epochs 3
 timbrekit train --manifest pairs.jsonl --features voices.csv --out model_without_log.json --epochs 3
 cmp model.json model_without_log.json
+python -c "from timbrekit import TrainConfig, train; from timbrekit.diffnet import save_checkpoint; from timbrekit.features import read_features; from timbrekit.manifest import read_manifest; model, _ = train(read_manifest('pairs.jsonl').split_pairs('train'), read_features('voices.csv'), TrainConfig(epochs=3)); save_checkpoint(model, 'model_from_library.json')"
+cmp model.json model_from_library.json
 canonical='import json, sys; text = open(sys.argv[1]).read(); assert json.dumps(json.loads(text), sort_keys=True) == text, sys.argv[1]'
 python -c "$canonical" model.json
 timbrekit eval --manifest pairs.jsonl --features voices.csv --model model.json --out report.json

@@ -1,7 +1,7 @@
 """Audio buffers, WAV I/O, resampling, framing, and synthetic test signals.
 
 All processing downstream of this module runs at a fixed internal rate of
-16 kHz; :func:`load_audio` resamples on read unless told otherwise.
+16 kHz; :func:`load_audio` resamples every file to it on read.
 """
 
 from __future__ import annotations

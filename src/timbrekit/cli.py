@@ -247,8 +247,7 @@ def cmd_train(manifest_path, features_path, out, log_path, **fields):
         _fail("INVALID_INPUT", "manifest has no train split")
     table = features.read_features(features_path)
     # Without --log only the last epoch's loss and accuracy, which the summary line prints, are computed.
-    model, log = diffnet.train(train_pairs, table, config, feature_names=table.names,
-                               log_every_epoch=bool(log_path))
+    model, log = diffnet.train(train_pairs, table, config, log_every_epoch=bool(log_path))
     diffnet.save_checkpoint(model, out)
     if log_path:
         Path(log_path).write_text(json.dumps({"seed": config.seed, "epochs": log}, sort_keys=True))
@@ -354,9 +353,6 @@ def cmd_eval(manifest_path, features_path, model_path, out):
         _fail("INVALID_INPUT", "manifest has no test split")
     table = features.read_features(features_path)
     model = diffnet.load_checkpoint(model_path)
-    if table.names != model.feature_names:
-        differ = sorted(set(table.names) ^ set(model.feature_names)) or "their order"
-        _fail("SCHEMA", f"{features_path} and the model's feature names differ in {differ}")
     scored = evaluation.ScoredColumns(diffnet.score_pairs(model, pairs, table), pairs.b_stronger)
 
     overall, curve = _metrics(scored)

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .audio import row_chunks
-from .features import _repeated, _unique_keys
+from .features import FeatureTable, SchemaError, _repeated, _unique_keys
 
 A_STRONGER = "A"
 B_STRONGER = "B"
@@ -425,11 +425,11 @@ class _FlatAdam:
         self.params -= step
 
 
-def _pair_index(pairs: PairColumns, features: Mapping[str, np.ndarray], descriptors):
+def _pair_index(pairs: PairColumns, features: FeatureTable, descriptors):
     """(table, rows, desc_idx, targets) for `pairs`; KeyError names missing ids and descriptors.
 
     table holds the [U x D] vectors of the distinct utterances in sorted-id
-    order; rows holds each pair's [utt_a, utt_b] rows of it.
+    order, D being len(features.names) or SchemaError; rows holds each pair's [utt_a, utt_b] rows of it.
     """
     ids = sorted(set(pairs.utt_a) | set(pairs.utt_b))
     missing = [u for u in ids if u not in features]
@@ -442,6 +442,9 @@ def _pair_index(pairs: PairColumns, features: Mapping[str, np.ndarray], descript
     desc_index = {d: i for i, d in enumerate(descriptors)}.__getitem__
     n = len(pairs)
     table = np.stack([features[u] for u in ids])
+    d = len(features.names)
+    if table.shape[1:] != (d,):
+        raise SchemaError(f"feature vectors have {table[0].size} values, the table has {d} names")
     rows = np.empty((n, 2), dtype=np.intp)
     rows[:, 0] = np.fromiter(map(row, pairs.utt_a), np.intp, n)
     rows[:, 1] = np.fromiter(map(row, pairs.utt_b), np.intp, n)
@@ -460,8 +463,6 @@ def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_i
     forward(mode="infer") on the gathered pairs up to rounding order.
     """
     d = len(model.feature_names)
-    if table.shape[1] != d:
-        raise ValueError(f"expected {d} features per utterance, got {table.shape[1]}")
     x = _zscore(model, table)
     x *= model.feature_weights
     scale = model.gamma / np.sqrt(model.running_var + BN_EPSILON)
@@ -479,16 +480,15 @@ def _score_rows(model: DiffNetModel, table: np.ndarray, rows: np.ndarray, desc_i
 
 def train(
     pairs: PairColumns | Sequence[PairRecord],
-    features: Mapping[str, np.ndarray],
+    features: FeatureTable,
     config: TrainConfig = TrainConfig(),
     *,
-    feature_names,
     log_every_epoch: bool = True,
 ) -> tuple[DiffNetModel, list[dict]]:
     """Fit a model; returns it plus a per-epoch loss/accuracy log.
 
-    feature_names names the columns of the feature vectors, in order; the
-    descriptor vocabulary is the sorted set of the pairs' descriptors.
+    The model's feature names are features.names; its descriptor
+    vocabulary is the sorted set of the pairs' descriptors.
 
     An epoch's loss sums each batch's loss, and its accuracy rescores every
     training pair after the epoch. With log_every_epoch False only the last
@@ -509,14 +509,10 @@ def train(
 
     # Z-score statistics over the distinct training utterances.
     table, rows, desc_idx, targets = _pair_index(pairs, features, descriptors)
-    if table.shape[1] != len(feature_names):
-        raise ValueError(
-            f"feature vectors have {table.shape[1]} dims, expected {len(feature_names)}"
-        )
     norm_mean = table.mean(axis=0)
     norm_std = np.maximum(table.std(axis=0), _STD_GUARD)
 
-    model = init_model(feature_names, descriptors, config, rng, norm_mean, norm_std)
+    model = init_model(features.names, descriptors, config, rng, norm_mean, norm_std)
     adam = _FlatAdam(model, config.learning_rate)
 
     log = []
@@ -556,9 +552,15 @@ def train(
 def score_pairs(
     model: DiffNetModel,
     pairs: PairColumns | Sequence[PairRecord],
-    features: Mapping[str, np.ndarray],
+    features: FeatureTable,
 ) -> np.ndarray:
-    """Deterministic inference scores for each pair's own descriptor."""
+    """Deterministic inference scores for each pair's own descriptor.
+
+    SchemaError, before any utterance is looked up, unless features.names are the model's, in order.
+    """
+    if features.names != model.feature_names:
+        differ = sorted(set(features.names) ^ set(model.feature_names)) or "their order"
+        raise SchemaError(f"the table's and the model's feature names differ in {differ}")
     table, rows, desc_idx, _ = _pair_index(_as_columns(pairs), features, model.descriptors)
     return _score_rows(model, table, rows, desc_idx)
 

@@ -258,8 +258,7 @@ def write_features(path, rows: list[tuple[str, np.ndarray, int]], kind: str) -> 
     names = feature_names_for(kind)
     path = Path(path)
     rows = sorted(rows, key=lambda r: r[0])
-    seen = FeatureTable()
-    seen.names = names
+    seen = FeatureTable(names=names)
     for utt_id, vector, _ in rows:
         if len(vector) != len(names):
             raise SchemaError(f"{path}: {utt_id} has {len(vector)} values, {kind} has {len(names)} names")
@@ -306,12 +305,15 @@ class SchemaError(ValueError):
 
 
 class FeatureTable(dict):
-    """{utt_id: vector}, plus the feature names the file declares, in column order.
+    """{utt_id: vector}, plus the names of the vectors' columns, in order.
 
+    train names a model's features by them, and score_pairs refuses names that are not the model's.
     read_features' vectors are the rows of one [U x D] float64 array.
     """
 
-    names: tuple[str, ...] = ()
+    def __init__(self, rows=(), names=()):
+        super().__init__(rows)
+        self.names: tuple[str, ...] = tuple(names)
 
     def add(self, utt_id: str, vector, path, lineno: int | None = None) -> None:
         """Add a row; a repeated utt_id raises SchemaError naming path and, when given, the line."""
@@ -382,7 +384,7 @@ def read_features(path) -> FeatureTable:
                     raise SchemaError(f"{path}:{lineno}: {utt_id} voiced_frames is not a non-negative integer: "
                                       f"{json.dumps(count)}")
                 if keys is None:
-                    table.names, keys = tuple(record), set(record)
+                    table, keys = FeatureTable(names=record), set(record)
                 elif record.keys() != keys:
                     raise SchemaError(f"{path}:{lineno}: {utt_id} and the first record differ in "
                                       f"{sorted(record.keys() ^ keys)}")
@@ -404,8 +406,7 @@ def read_features(path) -> FeatureTable:
         if (name := _repeated(header)) is not None:
             raise SchemaError(f"{path}: the header repeats the name {name}")
         value_cols = slice(1, len(header) - 1)
-        table = FeatureTable()
-        table.names = tuple(header[value_cols])
+        table = FeatureTable(names=header[value_cols])
         for lineno, row in enumerate(reader, 2):
             if len(row) != len(header):
                 utt_id = row[0] if row else "a blank row"

@@ -364,7 +364,7 @@ def _reference_backward(model, cache, scores, desc_idx, targets) -> dict[str, np
     }
 
 
-def train_reference(pairs, features, config: TrainConfig = TrainConfig(), *, feature_names):
+def train_reference(pairs, features, config: TrainConfig = TrainConfig()):
     """diffnet.train written out step by step; train must equal it bit for bit.
 
     Each batch is z-scored on its own, BN takes the batch variance from
@@ -376,7 +376,7 @@ def train_reference(pairs, features, config: TrainConfig = TrainConfig(), *, fea
     rng = np.random.default_rng(config.seed)
     table, rows, desc_idx, targets = _pair_index(pairs, features, descriptors)
     norm_std = np.maximum(table.std(axis=0), _STD_GUARD)
-    model = init_model(feature_names, descriptors, config, rng, table.mean(axis=0), norm_std)
+    model = init_model(features.names, descriptors, config, rng, table.mean(axis=0), norm_std)
     x_all = table[rows].reshape(len(pairs), -1)
     m = {k: np.zeros_like(p) for k, p in model.parameter_groups().items()}
     v = {k: np.zeros_like(p) for k, p in model.parameter_groups().items()}

@@ -1,10 +1,13 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from timbrekit.audio import SynthSpec, frame_times, synth
 from timbrekit import formants
+from timbrekit.cli import main
 
 VOICE_FORMANTS = ((500.0, 80.0), (1500.0, 100.0), (2500.0, 150.0), (3500.0, 200.0))
 
@@ -51,3 +54,21 @@ def traced(fn):
         if started:
             tracemalloc.stop()
     return result, current - base, peak - base
+
+
+def run_protocol(root, out, jobs=2):
+    """The shipped pipeline on root/wav/*.wav and root/manifest.jsonl; returns eval's report.
+
+    Runs `extract --kind acoustic --jobs <jobs>`, `train` with its defaults
+    and `eval --out`, in process, and writes features.csv, model.json and
+    report.json into the directory `out`. A command that fails fails the
+    test with its error line.
+    """
+    table, model, report = out / "features.csv", out / "model.json", out / "report.json"
+    manifest = ["--manifest", str(root / "manifest.jsonl"), "--features", str(table)]
+    for args in (["extract", str(root / "wav"), "--kind", "acoustic", "--jobs", str(jobs), "--out", str(table)],
+                 ["train", *manifest, "--out", str(model)],
+                 ["eval", *manifest, "--model", str(model), "--out", str(report)]):
+        result = CliRunner().invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+    return json.loads(report.read_text())

@@ -30,6 +30,7 @@ def test_tracer_reads_formant_tracks_and_training_forwards(monkeypatch):
 
     from conftest import VOICE_FORMANTS
     from timbrekit import audio, cli, diffnet, formants  # noqa: F401  install wraps cli's commands
+    from timbrekit.features import FeatureTable
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     tracer = importlib.import_module("tracer").Tracer()
@@ -37,13 +38,12 @@ def test_tracer_reads_formant_tracks_and_training_forwards(monkeypatch):
     # Centres past 0.4875 s put the 25 ms window past the end of the buffer.
     centers = np.arange(0.0125, 0.7, 0.01)
     rng = np.random.default_rng(0)
-    table = {f"u{i}": rng.normal(size=4) for i in range(12)}
+    table = FeatureTable({f"u{i}": rng.normal(size=4) for i in range(12)}, ("a", "b", "c", "d"))
     pairs = [diffnet.PairRecord(f"u{i}", f"u{(i + 1) % 12}", "x", "A" if i % 2 else "B") for i in range(12)]
     tracer.install()
     try:
         track = formants.formant_track(buf, centers)
-        diffnet.train(pairs, table, diffnet.TrainConfig(hidden_dim=8, batch_size=4, epochs=2),
-                      feature_names=("a", "b", "c", "d"))
+        diffnet.train(pairs, table, diffnet.TrainConfig(hidden_dim=8, batch_size=4, epochs=2))
     finally:
         tracer.uninstall()
 

@@ -600,6 +600,22 @@ class TestTrainCommand:
         log = json.loads(log_path.read_text())
         assert log["epochs"][-1]["train_accuracy"] >= 0.99
 
+    def test_train_and_eval_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """The checkpoint and eval's report at hidden 128 and 512 are the same bytes under one and two BLAS
+        threads: 4000 train and 2000 test pairs of 200 utterances, 3 epochs. Only 2+ CPUs tell them apart."""
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=4000, n_test=2000)
+        inputs = ["--manifest", str(manifest_path), "--features", str(features_path)]
+        digests = {}
+        for hidden in ("128", "512"):
+            for threads in ("1", "2"):
+                model, report = (tmp_path / f"{name}_{hidden}_{threads}.json" for name in ("model", "report"))
+                for args in (["train", *inputs, "--hidden", hidden, "--epochs", "3", "--out", str(model)],
+                             ["eval", *inputs, "--model", str(model), "--out", str(report)]):
+                    subprocess.run([sys.executable, "-m", "timbrekit.cli", *args], env=blas_env(threads),
+                                   check=True, capture_output=True)
+                digests[hidden, threads] = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (model, report)]
+            assert digests[hidden, "1"] == digests[hidden, "2"], hidden
+
     def test_manifest_without_a_train_split_is_invalid_input(self, runner, tmp_path):
         features_path, manifest_path = separable_training_setup(tmp_path, n_train=0, n_test=20)
         result = runner.invoke(main, ["train", "--manifest", str(manifest_path), "--features", str(features_path),

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import traced
 from timbrekit import audio, diffnet as dn, testkit
+from timbrekit.features import FEATURE_NAMES, FeatureTable, SchemaError, read_features, write_features
 
 NAMES5 = tuple(f"f{i}" for i in range(5))
 
@@ -47,10 +49,10 @@ def frozen_model(model):
 
 
 def separable_task(n_pairs=2000, n_utts=60, dim=26, seed=0):
-    """Pairs labeled by the sign of the dimension-0 difference."""
+    """Pairs labeled by the sign of the dimension-0 difference, and a table whose columns are dim_names(dim)."""
     rng = np.random.default_rng(seed)
     ids = [f"u{i:03d}" for i in range(n_utts)]
-    feats = {u: rng.normal(0, 1, dim) for u in ids}
+    feats = FeatureTable({u: rng.normal(0, 1, dim) for u in ids}, dim_names(dim))
     pairs = []
     for _ in range(n_pairs):
         a, b = rng.choice(n_utts, 2, replace=False)
@@ -213,28 +215,27 @@ class TestReadOnlyInputs:
         model = small_model(hidden=16)
         rng = np.random.default_rng(13)
         ids = [f"u{i:02d}" for i in range(30)]
-        feats = {u: rng.normal(model.norm_mean, model.norm_std) for u in ids}
+        feats = FeatureTable({u: rng.normal(model.norm_mean, model.norm_std) for u in ids}, NAMES5)
         picks = [rng.choice(len(ids), 2, replace=False) for _ in range(1500)]
         pairs = [dn.PairRecord(ids[a], ids[b], model.descriptors[i % 3], dn.B_STRONGER)
                  for i, (a, b) in enumerate(picks)]
         expected = dn.score_pairs(model, pairs, feats)
-        feats_ro = {u: frozen(v) for u, v in feats.items()}
+        feats_ro = FeatureTable({u: frozen(v) for u, v in feats.items()}, NAMES5)
         assert np.array_equal(dn.score_pairs(frozen_model(model), pairs, feats_ro), expected)
 
 
 class TestTrain:
     def test_separable_task_99pct_within_30_epochs(self):
         pairs, feats = separable_task()
-        _, log = dn.train(pairs, feats, dn.TrainConfig(seed=3, learning_rate=3e-3),
-                          feature_names=dim_names())
+        _, log = dn.train(pairs, feats, dn.TrainConfig(seed=3, learning_rate=3e-3))
         assert len(log) == 30
         assert log[-1]["train_accuracy"] >= 0.99
 
     def test_deterministic_given_seed(self, tmp_path):
         pairs, feats = separable_task(n_pairs=300, n_utts=20)
         config = dn.TrainConfig(seed=5, epochs=3)
-        a, _ = dn.train(pairs, feats, config, feature_names=dim_names())
-        b, _ = dn.train(pairs, feats, config, feature_names=dim_names())
+        a, _ = dn.train(pairs, feats, config)
+        b, _ = dn.train(pairs, feats, config)
         for name in a.parameter_groups():
             npt.assert_array_equal(getattr(a, name), getattr(b, name))
         npt.assert_array_equal(a.running_mean, b.running_mean)
@@ -250,8 +251,7 @@ class TestTrain:
                           rng.choice([dn.A_STRONGER, dn.B_STRONGER]))
             for p in pairs
         ]
-        model, _ = dn.train(shuffled[:1200], feats, dn.TrainConfig(seed=1, epochs=10),
-                            feature_names=dim_names())
+        model, _ = dn.train(shuffled[:1200], feats, dn.TrainConfig(seed=1, epochs=10))
         scores = dn.score_pairs(model, shuffled[1200:], feats)
         labels = np.array([p.label == dn.B_STRONGER for p in shuffled[1200:]])
         accuracy = np.mean((scores >= 0.5) == labels) * 100
@@ -259,7 +259,7 @@ class TestTrain:
 
     def test_z_score_statistics(self):
         pairs, feats = separable_task(n_pairs=200, n_utts=40)
-        model, _ = dn.train(pairs, feats, dn.TrainConfig(seed=2, epochs=1), feature_names=dim_names())
+        model, _ = dn.train(pairs, feats, dn.TrainConfig(seed=2, epochs=1))
         table = np.stack([feats[u] for u in sorted(feats)])
         z = (table - model.norm_mean) / model.norm_std
         assert np.abs(z.mean(axis=0)).max() < 1e-10
@@ -269,16 +269,21 @@ class TestTrain:
         pairs, feats = separable_task(n_pairs=50, n_utts=10)
         del feats["u003"]
         with pytest.raises(KeyError, match="u003"):
-            dn.train(pairs, feats, dn.TrainConfig(epochs=1), feature_names=dim_names())
+            dn.train(pairs, feats, dn.TrainConfig(epochs=1))
 
     def test_feature_width_must_match_the_names(self):
+        """train and score_pairs share one width check: the stacked vectors against the table's names."""
         pairs, feats = separable_task(n_pairs=50, n_utts=10)
-        with pytest.raises(ValueError, match="feature vectors have 26 dims, expected 25"):
-            dn.train(pairs, feats, dn.TrainConfig(epochs=1), feature_names=dim_names(25))
+        with pytest.raises(SchemaError, match="^feature vectors have 26 values, the table has 25 names$"):
+            dn.train(pairs, FeatureTable(feats, dim_names(25)), dn.TrainConfig(epochs=1))
+        model, _ = dn.train(pairs, feats, dn.TrainConfig(epochs=1))
+        narrow = FeatureTable({u: v[:25] for u, v in feats.items()}, feats.names)
+        with pytest.raises(SchemaError, match="^feature vectors have 25 values, the table has 26 names$"):
+            dn.score_pairs(model, pairs, narrow)
 
     def test_empty_pairs(self):
         with pytest.raises(ValueError):
-            dn.train([], {}, dn.TrainConfig(), feature_names=())
+            dn.train([], FeatureTable(), dn.TrainConfig())
 
     @pytest.mark.parametrize("n_pairs,sizes", [(257, [257]), (256, [256]), (258, [256, 2]), (513, [256, 257])])
     def test_no_one_row_batch(self, n_pairs, sizes, monkeypatch):
@@ -293,7 +298,7 @@ class TestTrain:
 
         monkeypatch.setattr(dn, "forward", recording)
         pairs, feats = separable_task(n_pairs=n_pairs, n_utts=30, dim=5)
-        dn.train(pairs, feats, dn.TrainConfig(hidden_dim=8, epochs=2), feature_names=dim_names(5))
+        dn.train(pairs, feats, dn.TrainConfig(hidden_dim=8, epochs=2))
         assert seen == sizes * 2
 
     def test_peak_memory_does_not_grow_with_pair_features(self):
@@ -301,12 +306,12 @@ class TestTrain:
         n_pairs, n_utts = 50_000, 500
         rng = np.random.default_rng(8)
         ids = np.array([f"u{i:03d}" for i in range(n_utts)], dtype=object)
-        feats = {u: rng.normal(0, 1, 26) for u in ids}
+        feats = FeatureTable({u: rng.normal(0, 1, 26) for u in ids}, dim_names())
         a = rng.integers(0, n_utts, n_pairs)
         b = (a + rng.integers(1, n_utts, n_pairs)) % n_utts
         pairs = dn.PairColumns(ids[a], ids[b], np.full(n_pairs, "planted", dtype=object), b > a)
         config = dn.TrainConfig(hidden_dim=32, epochs=1)
-        (_, log), _, peak = traced(lambda: dn.train(pairs, feats, config, feature_names=dim_names()))
+        (_, log), _, peak = traced(lambda: dn.train(pairs, feats, config))
         assert len(log) == 1
         assert peak < 8e6
 
@@ -328,10 +333,9 @@ class TestTrain:
                  for i, p in enumerate(pairs)]
         config = dn.TrainConfig(hidden_dim=hidden, dropout=dropout, epochs=3, seed=4)
         assert n_pairs % config.batch_size
-        expected, expected_log = testkit.train_reference(pairs, feats, config, feature_names=dim_names(dim))
+        expected, expected_log = testkit.train_reference(pairs, feats, config)
         for log_every_epoch, logged in ((True, expected_log), (False, expected_log[-1:])):
-            model, log = dn.train(pairs, feats, config, feature_names=dim_names(dim),
-                                  log_every_epoch=log_every_epoch)
+            model, log = dn.train(pairs, feats, config, log_every_epoch=log_every_epoch)
             assert log == logged
             for name in ("feature_weights", "w1", "b1", "gamma", "beta", "running_mean", "running_var",
                          "w2", "b2", "norm_mean", "norm_std"):
@@ -346,7 +350,7 @@ class TestScorePairs:
         model.running_mean[:] = rng.normal(0, 0.5, 16)
         model.running_var[:] = rng.uniform(0.3, 3.0, 16)
         ids = [f"u{i:02d}" for i in range(50)]
-        feats = {u: rng.normal(model.norm_mean, model.norm_std) for u in ids}
+        feats = FeatureTable({u: rng.normal(model.norm_mean, model.norm_std) for u in ids}, NAMES5)
         feats["u07"][2] = model.norm_mean[2] + 25.0 * model.norm_std[2]
         pairs = []
         for i in range(600):
@@ -367,18 +371,19 @@ class TestScorePairs:
         scores = dn.score_pairs(model, pairs, feats)
         npt.assert_allclose(scores, self.reference(model, pairs, feats), rtol=0, atol=1e-12)
 
+    def test_feature_width_must_match_the_model(self):
+        """A 4-wide table against a 5-feature model is refused by its names, before any id lookup."""
+        model, pairs, feats = self.factorised_setup()
+        narrow = FeatureTable({u: v[:4] for u, v in feats.items()}, NAMES5[:4])
+        with pytest.raises(SchemaError, match=r"^the table's and the model's feature names differ in \['f4'\]$"):
+            dn.score_pairs(model, pairs, narrow)
+
     def test_reloaded_checkpoint_scores_the_same(self, tmp_path):
         model, pairs, feats = self.factorised_setup()
         dn.save_checkpoint(model, tmp_path / "model.json")
         loaded = dn.load_checkpoint(tmp_path / "model.json")
         npt.assert_allclose(dn.score_pairs(loaded, pairs, feats), dn.score_pairs(model, pairs, feats),
                             rtol=0, atol=1e-12)
-
-    def test_feature_width_must_match_the_model(self):
-        model, pairs, feats = self.factorised_setup()
-        with pytest.raises(ValueError, match="expected 5 features per utterance, got 4"):
-            dn.score_pairs(model, pairs, {u: v[:4] for u, v in feats.items()})
-
 
     def test_blocks_equal_one_gather(self, monkeypatch):
         """2,500 pairs at hidden 128, 129 and 512 give the same bits in one-pair blocks, in
@@ -388,7 +393,7 @@ class TestScorePairs:
             rng = np.random.default_rng(4)
             model.running_var[:] = rng.uniform(0.3, 3.0, hidden)
             ids = [f"u{i:02d}" for i in range(80)]
-            feats = {u: rng.normal(model.norm_mean, model.norm_std) for u in ids}
+            feats = FeatureTable({u: rng.normal(model.norm_mean, model.norm_std) for u in ids}, NAMES5)
             picks = [rng.choice(len(ids), 2, replace=False) for _ in range(2500)]
             pairs = [dn.PairRecord(ids[a], ids[b], model.descriptors[i % 3], dn.A_STRONGER)
                      for i, (a, b) in enumerate(picks)]
@@ -407,7 +412,7 @@ class TestScorePairs:
         model = small_model(hidden=hidden)
         rng = np.random.default_rng(12)
         ids = np.array([f"u{i:03d}" for i in range(100)], dtype=object)
-        feats = {u: rng.normal(model.norm_mean, model.norm_std) for u in ids}
+        feats = FeatureTable({u: rng.normal(model.norm_mean, model.norm_std) for u in ids}, NAMES5)
         a = rng.integers(0, 100, 4096)
         b = (a + rng.integers(1, 100, 4096)) % 100
         pairs = dn.PairColumns(ids[a], ids[b], np.array(model.descriptors, dtype=object)[a % 3],
@@ -459,12 +464,54 @@ class TestPairColumns:
     def test_train_takes_columns_or_records_alike(self):
         pairs, feats = separable_task(n_pairs=300)
         config = dn.TrainConfig(seed=2, epochs=2, hidden_dim=16)
-        model_r, log_r = dn.train(pairs, feats, config, feature_names=dim_names())
-        model_c, log_c = dn.train(dn.PairColumns.from_records(pairs), feats, config,
-                                  feature_names=dim_names())
+        model_r, log_r = dn.train(pairs, feats, config)
+        model_c, log_c = dn.train(dn.PairColumns.from_records(pairs), feats, config)
         assert log_r == log_c
         for name, tensor in model_r.parameter_groups().items():
             npt.assert_array_equal(model_c.parameter_groups()[name], tensor)
+
+
+class TestNamesTravelWithTheTable:
+    """train names the model's columns by the table's, and score_pairs refuses a table named otherwise."""
+
+    @staticmethod
+    def tables(tmp_path):
+        """The separable task as an acoustic CSV, read as written and read after its value columns were
+        reversed with their headers: mean_f0, the planted column, then comes last."""
+        pairs, feats = separable_task()
+        path, moved = tmp_path / "features.csv", tmp_path / "moved.csv"
+        write_features(path, [(u, v, 90) for u, v in feats.items()], "acoustic")
+        order = [0, *range(len(FEATURE_NAMES), 0, -1), len(FEATURE_NAMES) + 1]
+        with path.open(newline="") as src, moved.open("w", newline="") as dst:
+            csv.writer(dst).writerows([row[i] for i in order] for row in csv.reader(src))
+        return pairs, read_features(path), read_features(moved)
+
+    def test_score_pairs_refuses_columns_in_another_order(self, tmp_path):
+        pairs, table, moved = self.tables(tmp_path)
+        assert moved.names == FEATURE_NAMES[::-1]
+        model, _ = dn.train(pairs, table, dn.TrainConfig(epochs=1))
+        message = "^the table's and the model's feature names differ in their order$"
+        for other in (moved, FeatureTable(names=moved.names)):  # the names are checked before any id
+            with pytest.raises(SchemaError, match=message):
+                dn.score_pairs(model, pairs, other)
+
+    def test_score_pairs_refuses_a_renamed_column(self, tmp_path):
+        pairs, table, _ = self.tables(tmp_path)
+        model, _ = dn.train(pairs, table, dn.TrainConfig(epochs=1))
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text((tmp_path / "features.csv").read_text().replace("mean_f0,", "mean_pitch,", 1))
+        with pytest.raises(SchemaError, match=r"feature names differ in \['mean_f0', 'mean_pitch'\]$"):
+            dn.score_pairs(model, pairs, read_features(renamed))
+
+    def test_train_names_each_gain_by_its_column(self, tmp_path):
+        """The checkpoint holds the moved table's names, and the planted gain ranks first as mean_f0."""
+        pairs, _, moved = self.tables(tmp_path)
+        model, _ = dn.train(pairs, moved, dn.TrainConfig(seed=3, learning_rate=3e-3))
+        dn.save_checkpoint(model, tmp_path / "model.json")
+        assert dn.load_checkpoint(tmp_path / "model.json").feature_names == moved.names
+        ranked = sorted(dn.feature_importance(model), key=lambda kv: -abs(kv[1]))
+        assert ranked[0][0] == "mean_f0"
+        assert dn.score_pairs(model, pairs, moved).shape == (len(pairs),)
 
 
 class TestFeatureImportance:
@@ -474,21 +521,20 @@ class TestFeatureImportance:
 
     def test_planted_feature_ranks_first(self):
         pairs, feats = separable_task()
-        model, _ = dn.train(pairs, feats, dn.TrainConfig(seed=3, learning_rate=3e-3),
-                            feature_names=dim_names())
+        model, _ = dn.train(pairs, feats, dn.TrainConfig(seed=3, learning_rate=3e-3))
         ranked = sorted(dn.feature_importance(model), key=lambda kv: -abs(kv[1]))
         assert ranked[0][0] == "dim_00"
 
     def test_length_matches_features(self):
         pairs, feats = separable_task(n_pairs=100, n_utts=20)
-        model, _ = dn.train(pairs, feats, dn.TrainConfig(epochs=1), feature_names=dim_names())
+        model, _ = dn.train(pairs, feats, dn.TrainConfig(epochs=1))
         assert len(dn.feature_importance(model)) == 26
 
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         pairs, feats = separable_task(n_pairs=200, n_utts=20)
-        model, _ = dn.train(pairs, feats, dn.TrainConfig(seed=9, epochs=2), feature_names=dim_names())
+        model, _ = dn.train(pairs, feats, dn.TrainConfig(seed=9, epochs=2))
         path = tmp_path / "model.json"
         dn.save_checkpoint(model, path)
         loaded = dn.load_checkpoint(path)
@@ -584,8 +630,7 @@ class TestPairRecord:
                           dn.B_STRONGER if p.label == dn.A_STRONGER else dn.A_STRONGER)
             for p in pairs
         ]
-        model, _ = dn.train(pairs + flipped, feats, dn.TrainConfig(seed=6, learning_rate=3e-3),
-                            feature_names=dim_names())
+        model, _ = dn.train(pairs + flipped, feats, dn.TrainConfig(seed=6, learning_rate=3e-3))
         # held-out pairs: fresh combinations over the same utterances
         ids = sorted(feats)
         seen = {(p.utt_a, p.utt_b) for p in pairs + flipped}
