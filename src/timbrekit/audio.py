@@ -144,6 +144,8 @@ class SynthSpec:
         for name in ("subharmonic_gain", "noise_gain"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def load_audio(path) -> AudioBuffer:

@@ -297,20 +297,18 @@ def _write_report(path, report: dict, curve: tuple) -> None:
     """Write json.dumps({**report, "far_frr": points}, sort_keys=True) to path.
 
     points is the list of the curve's [threshold, far, frr] rows, or [] when
-    the curve is (). Every other field goes through json.dumps; the points go
-    from the curve's arrays to the file a block at a time (_curve_blocks), so
-    neither a list of them nor the text of them all is ever built.
+    the curve is (). The report is rendered with an empty far_frr, and the
+    points go in its place from the curve's arrays a block at a time
+    (_curve_blocks), so neither a list of them nor the text of them all is
+    ever built. Sorted, the top-level far_frr comes before per_descriptor,
+    and json escapes any quote inside a descriptor's name, so the first
+    match is the top-level field.
     """
+    head, _, tail = json.dumps({**report, "far_frr": []}, sort_keys=True).partition('"far_frr": []')
     with Path(path).open("w") as fh:
-        for i, key in enumerate(sorted({*report, "far_frr"})):
-            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-            if key == "far_frr":
-                fh.write("[")
-                fh.writelines(_curve_blocks(*curve) if curve else ())
-                fh.write("]")
-            else:
-                fh.write(json.dumps(report[key], sort_keys=True))
-        fh.write("}")
+        fh.write(head + '"far_frr": [')
+        fh.writelines(_curve_blocks(*curve) if curve else ())
+        fh.write("]" + tail)
 
 
 def _curve_blocks(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray):

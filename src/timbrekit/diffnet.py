@@ -160,6 +160,8 @@ class TrainConfig:
         # A one-row batch has zero batch-norm variance.
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass

@@ -6,9 +6,9 @@ from LPC to reflection coefficients, the synthetic comb
 rendered line by line with np.cos, the full inverse FFTs of the pitch
 ACF and of the cepstrum, the pitch tracker and CPP written out over
 them one row at a time,
-exhaustive-threshold FAR/FRR and EER sweeps, the textbook training loop,
-single-record BCE), and the seeded synthetic-voice corpus whose pair
-labels are exact by construction.
+exhaustive-threshold FAR/FRR and EER sweeps, the textbook training loop),
+and the seeded synthetic-voice corpus whose pair labels are exact by
+construction.
 """
 
 from __future__ import annotations
@@ -21,26 +21,22 @@ import numpy as np
 from .audio import SynthSpec, _peak_normalize, _resonate, hann_magnitudes
 from .diffnet import (
     _LOGIT_CLAMP,
-    _SCORE_CLAMP,
     _STD_GUARD,
-    A_STRONGER,
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
-    B_STRONGER,
     BN_EPSILON,
     BN_MOMENTUM,
     DECISION_THRESHOLD,
-    PairRecord,
+    PairColumns,
     TrainConfig,
-    _as_columns,
     _pair_index,
     _score_rows,
     batch_loss,
     init_model,
     normalize_input,
 )
-from .harmonics import Spectrum, magnitude_spectrum
+from .harmonics import Spectrum
 from .noise_metrics import (
     _LOG_GUARD,
     _REL_SPECTRAL_FLOOR,
@@ -213,8 +209,8 @@ def cepstral_peak_reference(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     spectrum above _REL_SPECTRAL_FLOOR times its peak, the log-magnitude
     cepstrum, its largest bin in [QUEFRENCY_FLOOR, QUEFRENCY_CEILING]
     refined by a 3-point parabola, and np.polyfit's line over
-    [TREND_FLOOR, QUEFRENCY_CEILING] subtracted there. cpp and
-    peak_quefrency read it for one slice. An all-zero row reads NaN twice.
+    [TREND_FLOOR, QUEFRENCY_CEILING] subtracted there. An all-zero row
+    reads NaN twice.
     """
     sr = spec.sample_rate
     lo = int(np.ceil(QUEFRENCY_FLOOR * sr))
@@ -237,27 +233,6 @@ def cepstral_peak_reference(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
         peak_q.append(q)
         prominence.append(mid - 0.25 * (left - right) * shift - (slope * q + intercept))
     return np.array(peak_q), np.array(prominence)
-
-
-def _slice_cepstral_peak(window_samples, sample_rate: float) -> tuple[float, float]:
-    x = np.asarray(window_samples, dtype=np.float64)
-    need = int(np.ceil(2.0 * QUEFRENCY_CEILING * sample_rate))
-    if x.size < need:
-        raise ValueError(
-            f"window of {x.size} samples is under twice the quefrency ceiling ({need})"
-        )
-    peak_q, prominence = cepstral_peak_reference(magnitude_spectrum(x, sample_rate))
-    return float(peak_q[0]), float(prominence[0])
-
-
-def cpp(window_samples, sample_rate: float) -> float:
-    """Cepstral peak prominence (dB) of one slice of raw samples; NaN for an all-zero slice."""
-    return _slice_cepstral_peak(window_samples, sample_rate)[1]
-
-
-def peak_quefrency(window_samples, sample_rate: float) -> float:
-    """Quefrency (s) of the cepstral peak of one slice; its reciprocal estimates f0."""
-    return _slice_cepstral_peak(window_samples, sample_rate)[0]
 
 
 def far_frr_oracle(scores, positive) -> list[tuple[float, float, float]]:
@@ -300,14 +275,6 @@ def eer_oracle(scores, positive) -> float:
             return (far0 + alpha * (far - far0)) * 100.0
         previous = (far, frr)
     raise AssertionError("rate curves never crossed")  # unreachable: sentinel guarantees it
-
-
-def loss(scores: np.ndarray, record: PairRecord, descriptors) -> float:
-    """BCE on the single output indexed by the record's descriptor."""
-    idx = list(descriptors).index(record.descriptor)
-    target = 0.0 if record.label == A_STRONGER else 1.0
-    s = float(np.clip(np.atleast_1d(scores)[idx], _SCORE_CLAMP, 1.0 - _SCORE_CLAMP))
-    return -(target * np.log(s) + (1.0 - target) * np.log(1.0 - s))
 
 
 def _reference_forward(model, e_pair, rng):
@@ -364,14 +331,13 @@ def _reference_backward(model, cache, scores, desc_idx, targets) -> dict[str, np
     }
 
 
-def train_reference(pairs, features, config: TrainConfig = TrainConfig()):
+def train_reference(pairs: PairColumns, features, config: TrainConfig = TrainConfig()):
     """diffnet.train written out step by step; train must equal it bit for bit.
 
     Each batch is z-scored on its own, BN takes the batch variance from
     u.var, the BN backward is the unfolded chain rule, and Adam keeps its
     moments and updates per parameter group. Returns (model, log) as train does.
     """
-    pairs = _as_columns(pairs)
     descriptors = tuple(sorted(set(pairs.descriptor)))
     rng = np.random.default_rng(config.seed)
     table, rows, desc_idx, targets = _pair_index(pairs, features, descriptors)
@@ -420,11 +386,12 @@ class SyntheticVoice:
 @dataclass(frozen=True)
 class SyntheticCorpus:
     voices: list[SyntheticVoice]
-    pairs: list[PairRecord]
+    pairs: PairColumns
     splits: dict[str, str]  # utt_id -> "train" | "test"
 
-    def split_pairs(self, split: str) -> list[PairRecord]:
-        return [p for p in self.pairs if self.splits[p.utt_a] == split]
+    def split_pairs(self, split: str) -> PairColumns:
+        in_split = np.fromiter((self.splits[u] == split for u in self.pairs.utt_a), bool, len(self.pairs))
+        return self.pairs.take(in_split)
 
 
 def _split_sizes(size: int) -> tuple[int, int]:
@@ -485,7 +452,7 @@ def build_timbre_corpus(seed: int, size: int, pairs_per_descriptor: int = 600) -
         "test": [v for v in voices if splits[v.utt_id] == "test"],
     }
 
-    pairs = []
+    pairs = []  # (utt_a, utt_b, descriptor, b_stronger)
     for descriptor, knob in CORPUS_DESCRIPTORS.items():
         for split, members in by_split.items():
             want = pairs_per_descriptor if split == "train" else max(1, pairs_per_descriptor // 3)
@@ -497,7 +464,8 @@ def build_timbre_corpus(seed: int, size: int, pairs_per_descriptor: int = 600) -
                 va, vb = members[a], members[b]
                 if abs(va.truth[knob] - vb.truth[knob]) < _MIN_GAP[knob]:
                     continue
-                label = A_STRONGER if va.truth[knob] > vb.truth[knob] else B_STRONGER
-                pairs.append(PairRecord(va.utt_id, vb.utt_id, descriptor, label))
+                pairs.append((va.utt_id, vb.utt_id, descriptor, va.truth[knob] < vb.truth[knob]))
                 made += 1
-    return SyntheticCorpus(voices=voices, pairs=pairs, splits=splits)
+    table = np.array(pairs, dtype=object).reshape(-1, 4)
+    columns = PairColumns(table[:, 0], table[:, 1], table[:, 2], table[:, 3].astype(bool))
+    return SyntheticCorpus(voices=voices, pairs=columns, splits=splits)

@@ -26,7 +26,7 @@ from timbrekit.pitch import pitch_track
 from timbrekit.testkit import (
     CORPUS_DESCRIPTORS,
     build_timbre_corpus,
-    cpp,
+    cepstral_peak_reference,
     dft_amplitude_oracle,
     eer_oracle,
 )
@@ -54,8 +54,9 @@ def corpus_run():
         {v.utt_id: extract_vector(synth(v.spec)).values for v in corpus.voices}, FEATURE_NAMES
     )
     models = {}
+    train = corpus.split_pairs("train")
     for descriptor in CORPUS_DESCRIPTORS:
-        pairs = [p for p in corpus.split_pairs("train") if p.descriptor == descriptor]
+        pairs = train.take(train.descriptor == descriptor)
         model, _ = dn.train(pairs, features, dn.TrainConfig(seed=11, learning_rate=3e-3))
         models[descriptor] = model
     return corpus, features, models
@@ -95,16 +96,17 @@ def test_dsp_oracle_suite():
         checks[f"harmonic_{int(target)}"] = abs(got - want) <= 0.5
 
     # CPP contrast across 20 seeds, by the full-cepstrum oracle, which the
-    # shipped cosine-product CPP must match on every slice
-    contrasts, slices = [], []
+    # shipped CPP (its cepstrum through audio.irfft_columns) must match on
+    # every slice
+    slices = []
     for seed in range(20):
         pulses = synth(SynthSpec(kind="pulse_train", f0=100.0 + 10 * seed, duration=0.5))
         noise = synth(SynthSpec(kind="white_noise", duration=0.5, seed=seed))
         slices += [middle_slice(pulses), middle_slice(noise)]
-        contrasts.append(cpp(slices[-2], SR) - cpp(slices[-1], SR))
-    checks["cpp_contrast_20_seeds"] = min(contrasts) > 5.0
-    shipped = cpp_from_spectrum(magnitude_spectrum(np.array(slices), SR))
-    checks["cpp_matches_oracle"] = np.allclose(shipped, [cpp(x, SR) for x in slices], rtol=0, atol=1e-9)
+    block = magnitude_spectrum(np.array(slices), SR)
+    _, oracle = cepstral_peak_reference(block)
+    checks["cpp_contrast_20_seeds"] = min(oracle[0::2] - oracle[1::2]) > 5.0
+    checks["cpp_matches_oracle"] = np.allclose(cpp_from_spectrum(block), oracle, rtol=0, atol=1e-9)
 
     # SHR: monotone in subharmonic gain; -20 dB at gain 0.1
     values = []
@@ -209,11 +211,12 @@ def test_metric_oracles():
 def test_end_to_end_synthetic_comparison(corpus_run):
     corpus, features, models = corpus_run
     checks = {}
+    test = corpus.split_pairs("test")
     for descriptor in CORPUS_DESCRIPTORS:
-        pairs = [p for p in corpus.split_pairs("test") if p.descriptor == descriptor]
+        pairs = test.take(test.descriptor == descriptor)
         model = models[descriptor]
         scores = dn.score_pairs(model, pairs, features)
-        scored = ev.ScoredColumns(scores, np.array([p.label == dn.B_STRONGER for p in pairs]))
+        scored = ev.ScoredColumns(scores, pairs.b_stronger)
         accuracy = ev.accuracy(scored)
         error_rate = ev.eer(scored)
         ranked = [n for n, _ in sorted(dn.feature_importance(model), key=lambda kv: -abs(kv[1]))]
@@ -305,9 +308,11 @@ def write_stand_in(root, seed):
     for voice in corpus.voices:
         write_wav(root / "wav" / f"{voice.utt_id}.wav", resample(synth(voice.spec), 48000))
     with (root / "manifest.jsonl").open("w") as fh:
-        for p in corpus.pairs:
-            fh.write(json.dumps({"utt_a": p.utt_a, "utt_b": p.utt_b, "descriptor": p.descriptor,
-                                 "label": p.label, "split": corpus.splits[p.utt_a]}) + "\n")
+        pairs = corpus.pairs
+        for utt_a, utt_b, descriptor, b_stronger in zip(pairs.utt_a, pairs.utt_b, pairs.descriptor, pairs.b_stronger):
+            label = dn.B_STRONGER if b_stronger else dn.A_STRONGER
+            fh.write(json.dumps({"utt_a": utt_a, "utt_b": utt_b, "descriptor": descriptor,
+                                 "label": label, "split": corpus.splits[utt_a]}) + "\n")
 
 
 def test_protocol_on_a_48k_stand_in(tmp_path):

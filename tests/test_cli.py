@@ -202,11 +202,12 @@ class TestSynthCommand:
         (["--kind", "mixture", "--formants", "500:"], "--formants part '500:' is not freq:bw"),
         (["--kind", "mixture", "--formants", "abc:80"], "--formants part 'abc:80' is not freq:bw"),
         (["--kind", "mixture", "--formants", "500:80,,1500:90"], "--formants part '' is not freq:bw"),
+        (["--kind", "white_noise", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
     ], ids=["dur_inf", "f0_nan", "amplitude_inf", "tilt_nan", "noise_gain_inf", "subharmonic_gain_nan",
             "formant_bandwidth_nan", "tilt_overflow", "subharmonic_overflow", "resonator_overflow", "rate_0",
             "noise_gain_negative", "dur_under_one_sample", "pulse_train_f0_over_nyquist", "formant_over_nyquist",
             "formant_at_nyquist", "formants_no_bandwidth", "formants_empty_bandwidth", "formants_freq_not_a_number",
-            "formants_empty_part"])
+            "formants_empty_part", "seed_negative"])
     def test_non_finite_value_names_the_field(self, runner, tmp_path, recwarn, args, detail):
         """A non-finite, out-of-range or overflowing recipe fails with one line and no RuntimeWarning."""
         out = tmp_path / "x.wav"
@@ -659,6 +660,21 @@ class TestTrainCommand:
         least = 2 if field == "batch_size" else 1
         assert result.exit_code == 1
         assert result.output == f"error: INVALID_INPUT: {field} must be at least {least}, got {value}\n"
+        assert not out.exists()
+
+    def test_negative_seed_is_refused_before_any_file_is_read(self, runner, tmp_path, monkeypatch):
+        features_path, manifest_path = separable_training_setup(tmp_path, n_train=20, n_test=5)
+
+        def read(path):
+            raise AssertionError(f"train read {path}")
+
+        monkeypatch.setattr(cli.manifest, "read_manifest", read)
+        monkeypatch.setattr(cli.features, "read_features", read)
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["train", "--manifest", str(manifest_path), "--features", str(features_path),
+                                      "--out", str(out), "--seed", "-3"])
+        assert result.exit_code == 1
+        assert result.output == "error: INVALID_INPUT: seed must be a non-negative integer, got -3\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1", "-0.1"])
@@ -1172,10 +1188,13 @@ def curve_of(scores, positive) -> tuple:
                                                              np.asarray(positive, dtype=bool)))
 
 
-# A report's fields other than far_frr, with a descriptor name that json has to escape.
+# A report's fields other than far_frr, with descriptor names that json has to escape, and two
+# that read like the far_frr field itself.
 REPORT = {"split": "test", "pairs": 7, "accuracy": 57.14285714285714, "eer": 33.33333333333333,
           "per_descriptor": {'say "hi"\\': {"pairs": 7, "accuracy": 57.14285714285714, "eer": None},
-                             "naïve 嗓音\u2028": {"pairs": 0, "accuracy": 0.0, "eer": None}}}
+                             "naïve 嗓音\u2028": {"pairs": 0, "accuracy": 0.0, "eer": None},
+                             "far_frr": {"pairs": 3, "accuracy": 100.0, "eer": 0.0},
+                             'x"far_frr": []': {"pairs": 4, "accuracy": 25.0, "eer": None}}}
 
 
 class TestReportBytes:

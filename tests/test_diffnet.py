@@ -101,17 +101,18 @@ class TestForward:
 
 
 class TestLoss:
+    """batch_loss on one-row batches whose pair is labelled A (target 0) on the first descriptor."""
+
     def test_half_score_is_ln2(self):
-        record = dn.PairRecord("a", "b", "x", dn.A_STRONGER)
-        assert testkit.loss(np.array([0.5, 0.9, 0.1]), record, ("x", "y", "z")) == pytest.approx(np.log(2.0))
+        loss = dn.batch_loss(np.array([[0.5, 0.9, 0.1]]), np.array([0]), np.array([0.0]))
+        assert loss == pytest.approx(np.log(2.0))
 
     def test_confident_correct_is_tiny(self):
-        record = dn.PairRecord("a", "b", "x", dn.A_STRONGER)
-        assert testkit.loss(np.array([0.0]), record, ("x",)) == pytest.approx(1e-7, abs=1e-8)
+        assert dn.batch_loss(np.array([[0.0]]), np.array([0]), np.array([0.0])) == pytest.approx(1e-7, abs=1e-8)
 
     def test_wrong_confidence(self):
-        record = dn.PairRecord("a", "b", "x", dn.A_STRONGER)
-        assert testkit.loss(np.array([0.9]), record, ("x",)) == pytest.approx(-np.log(0.1), rel=1e-6)
+        loss = dn.batch_loss(np.array([[0.9]]), np.array([0]), np.array([0.0]))
+        assert loss == pytest.approx(-np.log(0.1), rel=1e-6)
 
 
 class TestBackward:
@@ -329,8 +330,9 @@ class TestTrain:
         the model is the same and the log is the reference's last entry.
         """
         pairs, feats = separable_task(n_pairs=n_pairs, n_utts=40, dim=dim, seed=12)
-        pairs = [dn.PairRecord(p.utt_a, p.utt_b, ("planted", "second")[i % 2], p.label)
-                 for i, p in enumerate(pairs)]
+        pairs = dn.PairColumns.from_records([
+            dn.PairRecord(p.utt_a, p.utt_b, ("planted", "second")[i % 2], p.label) for i, p in enumerate(pairs)
+        ])
         config = dn.TrainConfig(hidden_dim=hidden, dropout=dropout, epochs=3, seed=4)
         assert n_pairs % config.batch_size
         expected, expected_log = testkit.train_reference(pairs, feats, config)

@@ -9,7 +9,7 @@ import pytest
 
 from timbrekit.audio import AudioBuffer, load_audio, resample, synth, write_wav
 from timbrekit.features import (
-    FEATURE_KINDS, FEATURE_NAMES, MEASURE_NAMES, FrameTrack, aggregate, extract_track, vector_for,
+    FEATURE_KINDS, FEATURE_NAMES, MEASURE_NAMES, FrameTrack, aggregate, extract_track, extract_vector, vector_for,
 )
 from timbrekit.testkit import build_timbre_corpus
 
@@ -112,3 +112,54 @@ def test_rate_round_trip(tmp_path):
         assert np.array_equal(got.voiced, want.voiced)
         drift = relative(aggregate(got).values[held], aggregate(want).values[held])
         assert drift.max() <= 0.01, RATE_HELD[int(np.argmax(drift))]
+
+
+# Absolute budget of each column under 0.1 s of digital zeros before or after
+# the voice: 1.25 times the worst change over the 24 voices of each of corpus
+# seeds 3 to 8 (leading and trailing alike), rounded up to two figures. The
+# comment gives that worst change, where the zeros were, and the voice. No
+# vector stayed bitwise equal: the frames that straddle the edge of the
+# zeros are voiced and read, and the onset frames' f0 can be far off the
+# voice's (seed 4 spk010 with leading zeros: 547 and 537 Hz, against 156 Hz).
+SILENCE_BUDGET = {
+    "mean_f0": 9.9,  # 7.89 Hz, trailing, seed 5 spk011
+    "mean_f1": 3.1,  # 2.43 Hz, trailing, seed 6 spk009
+    "mean_f2": 17.0,  # 13.5 Hz, trailing, seed 4 spk003
+    "mean_f3": 12.0,  # 8.99 Hz, trailing, seed 5 spk011
+    "mean_f4": 26.0,  # 20.2 Hz, trailing, seed 7 spk007
+    "mean_dispersion": 8.3,  # 6.56 Hz, trailing, seed 7 spk007
+    "mean_h1_h2": 0.29,  # 0.232 dB, leading, seed 3 spk015
+    "mean_h2_h4": 0.49,  # 0.391 dB, leading, seed 6 spk018
+    "mean_h4_h2k": 0.44,  # 0.347 dB, trailing, seed 4 spk019
+    "mean_h2k_h5k": 1.9,  # 1.50 dB, trailing, seed 5 spk011
+    "mean_cpp": 0.77,  # 0.614 dB, trailing, seed 5 spk006
+    "mean_rms": 0.0027,  # 0.00215, trailing, seed 4 spk020
+    "mean_shr": 0.73,  # 0.583 dB, trailing, seed 6 spk021
+    "cov_f0": 0.68,  # 0.536, trailing, seed 5 spk011
+    "cov_f1": 0.05,  # 0.0395, trailing, seed 6 spk009
+    "cov_f2": 0.13,  # 0.101, trailing, seed 4 spk003
+    "cov_f3": 0.036,  # 0.0285, trailing, seed 4 spk014
+    "cov_f4": 0.071,  # 0.0562, trailing, seed 3 spk020
+    "cov_dispersion": 0.084,  # 0.0667, trailing, seed 3 spk020
+    "cov_h1_h2": 2.6,  # 2.04, leading, seed 3 spk015
+    "cov_h2_h4": 19.0,  # 14.6, trailing, seed 6 spk011
+    "cov_h4_h2k": 0.72,  # 0.575, leading, seed 3 spk015
+    "cov_h2k_h5k": 0.15,  # 0.120, trailing, seed 5 spk011
+    "cov_cpp": 0.12,  # 0.0900, trailing, seed 8 spk011
+    "cov_rms": 0.072,  # 0.0576, trailing, seed 8 spk000
+    "cov_shr": 0.15,  # 0.118, trailing, seed 4 spk002
+}
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_leading_and_trailing_silence(seed):
+    """0.1 s of digital zeros before or after each voice moves each column by at most its budget."""
+    budget = np.array([SILENCE_BUDGET[name] for name in FEATURE_NAMES])
+    for voice in build_timbre_corpus(seed, 24).voices:
+        buf = synth(voice.spec)
+        want = extract_vector(buf).values
+        zeros = np.zeros(round(0.1 * buf.sample_rate))
+        for where, samples in (("leading", (zeros, buf.samples)), ("trailing", (buf.samples, zeros))):
+            got = extract_vector(AudioBuffer(np.concatenate(samples), buf.sample_rate)).values
+            over = [name for name, ok in zip(FEATURE_NAMES, np.abs(got - want) <= budget) if not ok]
+            assert not over, (voice.utt_id, where, over)

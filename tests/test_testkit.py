@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from timbrekit.audio import SynthSpec, synth
-from timbrekit.diffnet import A_STRONGER
 from timbrekit.testkit import (
     CORPUS_DESCRIPTORS,
     build_timbre_corpus,
@@ -48,24 +47,34 @@ class TestCorpus:
     def test_labels_exact_by_construction(self):
         corpus = build_timbre_corpus(seed=1, size=20, pairs_per_descriptor=40)
         truth = {v.utt_id: v.truth for v in corpus.voices}
-        for pair in corpus.pairs:
-            knob = CORPUS_DESCRIPTORS[pair.descriptor]
-            stronger_is_a = truth[pair.utt_a][knob] > truth[pair.utt_b][knob]
-            assert (pair.label == A_STRONGER) == stronger_is_a
+        pairs = corpus.pairs
+        for utt_a, utt_b, descriptor, b_stronger in zip(pairs.utt_a, pairs.utt_b, pairs.descriptor, pairs.b_stronger):
+            knob = CORPUS_DESCRIPTORS[descriptor]
+            stronger_is_a = truth[utt_a][knob] > truth[utt_b][knob]
+            assert (not b_stronger) == stronger_is_a
 
     def test_same_seed_identical(self):
         a = build_timbre_corpus(seed=5, size=12, pairs_per_descriptor=20)
         b = build_timbre_corpus(seed=5, size=12, pairs_per_descriptor=20)
         assert [v.spec for v in a.voices] == [v.spec for v in b.voices]
-        assert a.pairs == b.pairs
+        for column in ("utt_a", "utt_b", "descriptor", "b_stronger"):
+            assert np.array_equal(getattr(a.pairs, column), getattr(b.pairs, column)), column
 
     def test_split_disjoint_and_pairs_within_split(self):
         corpus = build_timbre_corpus(seed=2, size=15, pairs_per_descriptor=30)
         train_ids = {u for u, s in corpus.splits.items() if s == "train"}
         test_ids = {u for u, s in corpus.splits.items() if s == "test"}
         assert not (train_ids & test_ids)
-        for pair in corpus.pairs:
-            assert corpus.splits[pair.utt_a] == corpus.splits[pair.utt_b]
+        for utt_a, utt_b in zip(corpus.pairs.utt_a, corpus.pairs.utt_b):
+            assert corpus.splits[utt_a] == corpus.splits[utt_b]
+
+    def test_split_pairs_keep_corpus_order(self):
+        corpus = build_timbre_corpus(seed=2, size=15, pairs_per_descriptor=30)
+        in_train = np.array([corpus.splits[u] == "train" for u in corpus.pairs.utt_a])
+        for split, mask in (("train", in_train), ("test", ~in_train)):
+            picked = corpus.split_pairs(split)
+            for column in ("utt_a", "utt_b", "descriptor", "b_stronger"):
+                assert np.array_equal(getattr(picked, column), getattr(corpus.pairs, column)[mask]), (split, column)
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
@@ -79,4 +88,4 @@ class TestCorpus:
     def test_smallest_usable_size_builds(self):
         corpus = build_timbre_corpus(seed=0, size=6, pairs_per_descriptor=5)
         assert sorted(corpus.splits.values()).count("test") == 2
-        assert {corpus.splits[p.utt_a] for p in corpus.pairs} == {"train", "test"}
+        assert {corpus.splits[u] for u in corpus.pairs.utt_a} == {"train", "test"}
