@@ -8,7 +8,10 @@
 # and must write the same checkpoint bytes; so must `timbrekit.train` called
 # on the same manifest and table. The checkpoint and the eval report
 # must each be the canonical json.dumps(..., sort_keys=True) text of what they
-# hold. Run it with
+# hold. eval runs again on two copies of the manifest, one with CRLF line
+# endings (read by the reader's line pattern) and one with compact ","/":"
+# separators (read line by line by the JSON decoder), and must write the same
+# report bytes. Run it with
 # PYTHONWARNINGS=error::RuntimeWarning, so that a numpy RuntimeWarning fails
 # it, as it fails a test under pytest.
 set -euo pipefail
@@ -45,5 +48,11 @@ canonical='import json, sys; text = open(sys.argv[1]).read(); assert json.dumps(
 python -c "$canonical" model.json
 timbrekit eval --manifest pairs.jsonl --features voices.csv --model model.json --out report.json
 python -c "$canonical" report.json
+sed 's/$/\r/' pairs.jsonl > pairs_crlf.jsonl
+python -c "import json, sys; [print(json.dumps(json.loads(line), separators=(',', ':'))) for line in open(sys.argv[1])]" pairs.jsonl > pairs_compact.jsonl
+for copy in crlf compact; do
+  timbrekit eval --manifest "pairs_$copy.jsonl" --features voices.csv --model model.json --out "report_$copy.json"
+  cmp report.json "report_$copy.json"
+done
 timbrekit weights --model model.json --out weights.csv
 timbrekit flops --model model.json

@@ -559,11 +559,15 @@ def score_pairs(
     """Deterministic inference scores for each pair's own descriptor.
 
     SchemaError, before any utterance is looked up, unless features.names are the model's, in order.
+    No pairs give no scores.
     """
     if features.names != model.feature_names:
         differ = sorted(set(features.names) ^ set(model.feature_names)) or "their order"
         raise SchemaError(f"the table's and the model's feature names differ in {differ}")
-    table, rows, desc_idx, _ = _pair_index(_as_columns(pairs), features, model.descriptors)
+    pairs = _as_columns(pairs)
+    if not len(pairs):
+        return np.empty(0)
+    table, rows, desc_idx, _ = _pair_index(pairs, features, model.descriptors)
     return _score_rows(model, table, rows, desc_idx)
 
 

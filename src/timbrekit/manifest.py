@@ -8,7 +8,8 @@ field is a string.
 The reader keeps the pairs as columns (diffnet.PairColumns plus a split
 column); ManifestRecord objects are built only when a caller indexes or
 iterates the Manifest. A block of lines that all have write_manifest's
-exact layout is read by one anchored regex pass. Any other block is decoded
+exact layout is read by one re.split with an anchored line pattern, which
+holds the allowed labels and splits as literals. Any other block is decoded
 line by line: each stripped, non-empty line goes to the JSON decoder,
 which rejects a key named twice. When any line is bad, the file is read
 again record by record to name the first bad line.
@@ -22,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import is_not
 from pathlib import Path
 
 import numpy as np
@@ -105,48 +106,73 @@ _DECODE_LINES = 1 << 10
 # write_manifest's line, without its newline: FIELDS in order with json.dumps'
 # default separators, each %s a value as json.dumps encodes it in a dict.
 _TEMPLATE = "{" + ", ".join(f'"{key}": %s' for key in FIELDS) + "}"
-# One whole line of that template whose every value is a JSON string with no
-# escape and no control character; such a string decodes to its literal text.
+# A JSON string with no escape and no control character, which decodes to its
+# literal text, as a group.
 _STRING = r'"([^"\\\x00-\x1f]*)"'
-_CANONICAL_LINE = re.compile("^" + re.escape(_TEMPLATE).replace("%s", _STRING) + r"(?:\n|\Z)", re.M)
-_FIELD_VALUES = itemgetter(*FIELDS)
+# label and split as their groups give them: None for A_STRONGER and "train", a
+# one-character string for B_STRONGER and "test". The JSON path maps to the same.
+_LABEL_GROUP = {A_STRONGER: None, B_STRONGER: B_STRONGER}
+_SPLIT_GROUP = {"train": None, "test": "t"}
+# One whole line of the template whose id and descriptor values are such
+# strings, and whose label and split are allowed values.
+_LINE_VALUES = (_STRING, _STRING, _STRING, f'"(?:{A_STRONGER}|({B_STRONGER}))"', '"(?:train|tes(t))"')
+_CANONICAL_LINE = re.compile("^" + re.escape(_TEMPLATE) % _LINE_VALUES + r"(?:\n|\Z)", re.M)
 _DECODE = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+
+
+def _json_parts(lines) -> list:
+    """Each stripped, non-blank line through _DECODE, its fields laid out as _CANONICAL_LINE.split gives them."""
+    parts = [""]
+    for raw in map(_DECODE, filter(None, map(str.strip, lines))):
+        parts += (raw["utt_a"], raw["utt_b"], raw["descriptor"],
+                  _LABEL_GROUP[raw["label"]], _SPLIT_GROUP[raw["split"]], "")
+    return parts
 
 
 def _decode_columns(fh) -> Manifest:
     """The columns of fh's non-blank lines, each decoded on its own; raises if any line is bad.
 
-    A block whose every line matches _CANONICAL_LINE takes its values from
-    the regex groups, which equal what json.loads gives: the pattern is
-    anchored at both ends of a line and a match spans one line, so as many
-    matches as lines means every line matched in full. Any other block goes
-    line by line through _DECODE. Each field's values are interned in a
-    table of its distinct values, so the columns share one string per
-    distinct value and the checks run over the tables.
+    One _CANONICAL_LINE.split over a block's joined text gives the flat
+    list [gap, utt_a, utt_b, descriptor, label, split, gap, ...]. The
+    pattern is anchored at both ends of a line and a match spans one line,
+    so 6 * lines + 1 entries means every line matched in full and every gap
+    is ''. Each column is then one slice of the list, no tuple is built per
+    line, and the id and descriptor values equal what json.loads gives. Any
+    other block goes line by line through _DECODE into the same layout.
+    The two id fields share one table of distinct values and the
+    descriptors have their own, so the columns share one string per
+    distinct value and the type checks run over the tables. label and
+    split are None or a one-character string (_LABEL_GROUP, _SPLIT_GROUP),
+    so each becomes a bool column by object truth, in one conversion of an
+    object array; neither is interned or checked per value.
     """
-    tables = [{} for _ in FIELDS]
-    columns = [[] for _ in FIELDS]
+    names, descriptors = {}, {}
+    utt_a, utt_b, descriptor, label, split = [], [], [], [], []
     while lines := list(islice(fh, _DECODE_LINES)):
-        rows = _CANONICAL_LINE.findall("".join(lines))
-        if len(rows) != len(lines):
-            rows = map(_FIELD_VALUES, map(_DECODE, filter(None, map(str.strip, lines))))
-        for table, column, values in zip(tables, columns, zip(*rows)):
-            column += map(table.setdefault, values, values)
-    if not all(isinstance(value, str) for table in tables for value in table):
+        parts = _CANONICAL_LINE.split("".join(lines))
+        if len(parts) != 6 * len(lines) + 1:
+            parts = _json_parts(lines)
+        a, b, d = parts[1::6], parts[2::6], parts[3::6]
+        utt_a += map(names.setdefault, a, a)
+        utt_b += map(names.setdefault, b, b)
+        descriptor += map(descriptors.setdefault, d, d)
+        label += parts[4::6]
+        split += parts[5::6]
+    if not all(isinstance(value, str) for table in (names, descriptors) for value in table):
         raise TypeError("a field is not a string")
-    raw_a, raw_b, _, labels, splits = tables
-    if not labels.keys() <= {A_STRONGER, B_STRONGER} or not splits.keys() <= set(SPLITS):
-        raise ValueError("a label or split is not one of the allowed values")
-    ids = {raw: utterance_id(raw) for raw in raw_a.keys() | raw_b.keys()}.__getitem__
-    utt_a, utt_b, descriptor, label, split = columns
     n = len(label)
+    stems = {}
+    ids = {raw: stems.setdefault(stem := utterance_id(raw), stem) for raw in names}
+    if any(map(is_not, ids, ids.values())):  # some id field is a .wav path
+        utt_a, utt_b = map(ids.__getitem__, utt_a), map(ids.__getitem__, utt_b)
     pairs = PairColumns(  # checks that the two ids of each pair differ
-        np.fromiter(map(ids, utt_a), object, n),
-        np.fromiter(map(ids, utt_b), object, n),
+        np.fromiter(utt_a, object, n),
+        np.fromiter(utt_b, object, n),
         np.fromiter(descriptor, object, n),
-        np.fromiter(map(B_STRONGER.__eq__, label), bool, n),
+        np.fromiter(label, object, n).astype(bool),
     )
-    return Manifest(pairs, np.fromiter(split, object, n))
+    is_test = np.fromiter(split, object, n).astype(bool)
+    return Manifest(pairs, np.array(SPLITS, dtype=object)[is_test.astype(np.intp)])
 
 
 def _raise_first_bad_line(path) -> None:

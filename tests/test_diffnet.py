@@ -408,6 +408,17 @@ class TestScorePairs:
                     patch.setattr(audio, "_CHUNK_BYTES", chunk_bytes)
                     npt.assert_array_equal(dn.score_pairs(model, pairs, feats), blocked, err_msg=str(hidden))
 
+    def test_no_pairs_give_no_scores(self):
+        """Zero pairs, as columns or as a list, score to an empty float array, after the names check."""
+        model, pairs, feats = self.factorised_setup()
+        empty = dn.PairColumns.from_records(pairs).take(np.zeros(len(pairs), dtype=bool))
+        for none in (empty, []):
+            scores = dn.score_pairs(model, none, feats)
+            assert scores.shape == (0,) and scores.dtype == np.float64
+            assert dn.score_pairs(model, none, FeatureTable(names=NAMES5)).shape == (0,)
+            with pytest.raises(SchemaError, match="feature names differ"):
+                dn.score_pairs(model, none, FeatureTable(names=NAMES5[:4]))
+
     @staticmethod
     def peak_above_the_scores(hidden):
         """tracemalloc's peak, less the scores, of score_pairs on 4096 pairs of 100 utterances."""

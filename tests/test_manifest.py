@@ -179,6 +179,55 @@ class TestColumnarReader:
             pairs = read_manifest(path)
         assert list(pairs) == [one_line(json.loads(line)) for line in path.read_text().splitlines()]
 
+    @pytest.mark.parametrize("step", [1, 3, 7, manifest._DECODE_LINES])
+    def test_line_endings_do_not_leave_the_pattern(self, tmp_path, step):
+        """CRLF lines, and a last line without its newline, read as the LF file does, all by the pattern."""
+        entries = [
+            ManifestRecord(PairRecord(f"spk{i % 7}_{i % 5}", f"wav/spk{i % 3}_b.wav", ("Bright", "x y")[i % 2],
+                                      "AB"[i % 3 == 0]), SPLITS[i % 4 == 0])
+            for i in range(40)
+        ]
+        lf = tmp_path / "lf.jsonl"
+        write_manifest(lf, entries)
+        text = lf.read_bytes()
+        crlf = text.replace(b"\n", b"\r\n")
+        copies = {"crlf": crlf, "no_last_newline": text[:-1], "crlf_no_last_newline": crlf[:-2]}
+        with mock.patch.object(manifest, "_DECODE_LINES", step), \
+                mock.patch.object(manifest, "_DECODE", side_effect=AssertionError("a line went to the JSON decoder")):
+            want = read_manifest(lf)
+            assert list(want) == [one_line(json.loads(line)) for line in text.decode().splitlines()]
+            for name, data in copies.items():
+                path = tmp_path / f"{name}.jsonl"
+                path.write_bytes(data)
+                got = read_manifest(path)
+                assert list(got) == list(want), name
+                assert list(got.split) == list(want.split), name
+
+    @pytest.mark.parametrize("paths", [False, True], ids=["bare_ids", "wav_paths"])
+    def test_columns_share_one_string_per_distinct_value(self, tmp_path, paths):
+        """Equal ids, across utt_a and utt_b, are one object, and so are equal descriptors and splits,
+        over blocks read by the pattern and blocks read line by line."""
+        def utt(k, i):  # with paths, one id is a bare id on some lines and two .wav paths on others
+            return f"dir{i % 3}/spk{k}.wav" if paths and i % 3 else f"spk{k}"
+
+        raws = [{"utt_a": utt(i % 11, i), "utt_b": utt((i * 5 + 1) % 11, i),
+                 "descriptor": ("Bright", "x y", "Low")[i % 3], "label": "AB"[i % 2], "split": SPLITS[i % 5 == 0]}
+                for i in range(60) if i % 11 != (i * 5 + 1) % 11]
+        # Blocks of four lines: write_manifest's layout, then compact separators, in turn.
+        compact = [i // 4 % 2 == 1 for i in range(len(raws))]
+        lines = [json.dumps(raw, separators=(",", ":") if c else None) for c, raw in zip(compact, raws)]
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(manifest, "_DECODE_LINES", 4), \
+                mock.patch.object(manifest, "_DECODE", wraps=manifest._DECODE) as decode:
+            pairs = read_manifest(path)
+        assert decode.call_count == sum(compact)
+        assert list(pairs) == [one_line(raw) for raw in raws]
+        ids = [*pairs.pairs.utt_a, *pairs.pairs.utt_b]
+        for column in (ids, pairs.pairs.descriptor, pairs.split):
+            assert len({id(value) for value in column}) == len(set(column))
+        assert set(pairs.pairs.utt_a) & set(pairs.pairs.utt_b)
+
     @given(entries=layouts, pick=st.integers(min_value=0), corruption=corruptions,
            step=st.integers(min_value=1, max_value=8))
     @settings(max_examples=120, deadline=None)
