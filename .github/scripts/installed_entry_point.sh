@@ -2,7 +2,9 @@
 # Runs the `timbrekit` console script that [project.scripts] installs, from
 # the current directory, and checks that its acoustic, mfcc and lfc tables
 # match in-process extraction, and that its acoustic table of a 44.1 kHz
-# file (resampled as load_audio reads it) does too. Four synthesized voices, with both labels in
+# file (resampled as load_audio reads it) does too, and so does a table
+# extracted with --pitch-floor 60. An option value that is not a number must
+# fail with exactly one stderr line, `error: INVALID_INPUT: ...`. Four synthesized voices, with both labels in
 # each split, then go through train, eval, weights and flops. train runs a
 # second time without --log, which skips the per-epoch loss and accuracy,
 # and must write the same checkpoint bytes; so must `timbrekit.train` called
@@ -20,6 +22,14 @@ timbrekit --help
 timbrekit synth --kind mixture --f0 140 --dur 1 --formants 500:80,1500:100,2500:150,3500:200 --out a.wav
 timbrekit extract a.wav --out f.csv
 python -c "import numpy as np; from timbrekit.audio import load_audio; from timbrekit.features import extract_vector, read_features; assert np.array_equal(read_features('f.csv')['a'], extract_vector(load_audio('a.wav')).values)"
+timbrekit extract a.wav --pitch-floor 60 --out f60.csv
+python -c "import numpy as np; from timbrekit.audio import load_audio; from timbrekit.features import extract_vector, read_features; from timbrekit.pitch import PitchConfig; assert np.array_equal(read_features('f60.csv')['a'], extract_vector(load_audio('a.wav'), PitchConfig(floor=60.0)).values)"
+# The failure is expected: under `set -e` only its test in the `if` keeps it from ending the script.
+if timbrekit extract a.wav --out bad.csv --jobs x 2> bad.err; then
+  echo "extract --jobs x exited 0" >&2
+  exit 1
+fi
+python -c "lines = open('bad.err').read().splitlines(); assert len(lines) == 1 and lines[0].startswith('error: INVALID_INPUT:'), lines"
 timbrekit synth --kind mixture --f0 140 --dur 1 --formants 500:80,1500:100,2500:150,3500:200 --rate 44100 --out b.wav
 timbrekit extract b.wav --out f44.csv
 python -c "import numpy as np; from timbrekit.audio import load_audio; from timbrekit.features import extract_vector, read_features; assert np.array_equal(read_features('f44.csv')['b'], extract_vector(load_audio('b.wav')).values)"

@@ -7,9 +7,7 @@ form `error: <REASON>: <detail>` to stderr. All randomness flows from
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -84,7 +82,24 @@ def _guard(fn):
     return wrapper
 
 
-@click.group()
+class _OneLineErrors(click.Group):
+    """In standalone mode, click's own errors (a bad value, a missing path, an unknown command) are one error line."""
+
+    def main(self, *args, standalone_mode=True, **kwargs):
+        if not standalone_mode:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        try:
+            sys.exit(super().main(*args, standalone_mode=False, **kwargs))
+        except getattr(click.exceptions, "NoArgsIsHelpError", ()) as exc:  # click 8.2+: a bare group's help
+            exc.show()
+            sys.exit(exc.exit_code)
+        except click.ClickException as exc:
+            _fail("INVALID_INPUT", exc.format_message())
+        except click.Abort:
+            sys.exit("Aborted!")
+
+
+@click.group(cls=_OneLineErrors)
 def main():
     """Acoustic timbre features and the pairwise attribute classifier.
 
@@ -127,29 +142,6 @@ def cmd_synth(formants, out, **fields):
     click.echo(f"wrote {out}")
 
 
-def _pitch_config(config_arg: str | None) -> PitchConfig:
-    """The PitchConfig of --config: a JSON object, or a file holding one, whose only key is "pitch"."""
-    if not config_arg:
-        return PitchConfig()
-    text = config_arg if config_arg.lstrip().startswith("{") else Path(config_arg).read_text()
-    overrides = features.JSON_DECODER.decode(text)
-    if not isinstance(overrides, dict):
-        raise ValueError(f"--config is not a JSON object: {text.strip()}")
-    others = sorted(overrides.keys() - {"pitch"})
-    if others:
-        raise ValueError(f"--config sets only pitch, not {', '.join(others)}")
-    fields = overrides.get("pitch", {})
-    if not isinstance(fields, dict):
-        raise ValueError(f"--config pitch is not a JSON object: {json.dumps(fields)}")
-    names = [f.name for f in dataclasses.fields(PitchConfig)]
-    for name, value in fields.items():
-        if name not in names:
-            raise ValueError(f"--config pitch has no field {name}; its fields are {', '.join(names)}")
-        if type(value) is not float or not math.isfinite(value):
-            raise ValueError(f"--config pitch.{name} is not a finite number: {json.dumps(value)}")
-    return PitchConfig(**fields)
-
-
 def _extract_one(args) -> tuple[str, np.ndarray | None, int, str | None]:
     """Worker: (utt_id, vector, frames, skip_reason). Top level for pickling."""
     utt_id, path, kind, pitch = args
@@ -167,10 +159,12 @@ def _extract_one(args) -> tuple[str, np.ndarray | None, int, str | None]:
 @click.option("--kind", type=click.Choice(features.FEATURE_KINDS), default="acoustic", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help=".csv or .jsonl")
 @click.option("--jobs", type=int, default=1, show_default=True)
-@click.option("--config", "config_arg", default=None,
-              help='Pitch settings as JSON or a JSON file, e.g. {"pitch": {"floor": 60}}.')
+@click.option("--pitch-floor", "floor", type=float, default=PitchConfig.floor, show_default=True, help="Hz.")
+@click.option("--pitch-ceiling", "ceiling", type=float, default=PitchConfig.ceiling, show_default=True, help="Hz.")
+@click.option("--voicing-threshold", type=float, default=PitchConfig.voicing_threshold, show_default=True)
+@click.option("--silence-threshold", type=float, default=PitchConfig.silence_threshold, show_default=True)
 @_guard
-def cmd_extract(inputs, kind, out, jobs, config_arg):
+def cmd_extract(inputs, kind, out, jobs, **fields):
     """Extract per-utterance feature vectors from WAV files or directories.
 
     Skipped utterances (silent or unreadable) land next to the output in
@@ -178,7 +172,7 @@ def cmd_extract(inputs, kind, out, jobs, config_arg):
     """
     if jobs < 1:
         _fail("INVALID_INPUT", f"--jobs must be at least 1, got {jobs}")
-    pitch = _pitch_config(config_arg)
+    pitch = PitchConfig(**fields)
     paths = []
     for item in inputs:
         p = Path(item)

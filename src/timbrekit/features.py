@@ -340,7 +340,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return record
 
 
-# The decoder of JSONL feature tables and of extract's --config. JSON integers
+# The decoder of JSONL feature tables. JSON integers
 # come back as floats, so a value is a number exactly when it is a float.
 JSON_DECODER = json.JSONDecoder(parse_int=float, object_pairs_hook=_unique_keys)
 

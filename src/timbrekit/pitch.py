@@ -27,6 +27,7 @@ import numpy as np
 
 from .audio import (
     HOP,
+    INTERNAL_RATE,
     AudioBuffer,
     frame_blocks,
     frame_times,
@@ -66,6 +67,10 @@ class PitchConfig:
         if self.window < HOP:
             raise ValueError(f"floor {self.floor:g} Hz is above {_WINDOW_PERIODS / HOP:g} Hz: its "
                              f"{_WINDOW_PERIODS:g}-period window is under the {HOP * 1000:g} ms hop")
+        shortest, longest = self.lag_range(INTERNAL_RATE)
+        if shortest > longest:
+            raise ValueError(f"floor {self.floor:g} Hz and ceiling {self.ceiling:g} Hz leave no lag to search "
+                             f"at {INTERNAL_RATE} Hz: the shortest, {shortest} samples, is above the longest, {longest}")
         if not 0 <= self.voicing_threshold <= 1:
             raise ValueError("voicing_threshold must be in [0, 1]")
         if self.silence_threshold < 0:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import wave
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import traced
 from timbrekit import cli, diffnet as dn, evaluation, features
-from timbrekit.audio import SynthSpec, load_audio, synth, write_wav
+from timbrekit.audio import AudioBuffer, SynthSpec, load_audio, synth, write_wav
 from timbrekit.cli import main
 from timbrekit.features import extract_vector, feature_names_for, read_features, write_features
 from timbrekit.manifest import ManifestRecord, check_manifest, read_manifest, write_manifest
@@ -228,16 +229,17 @@ class TestSynthCommand:
         pcm = np.frombuffer(out.read_bytes()[44:], "<i2")
         np.testing.assert_array_equal(pcm, np.where(buf.samples > 0, 32767, np.where(buf.samples < 0, -32768, 0)))
 
-    @pytest.mark.parametrize("command,config", [("synth", SynthSpec), ("train", dn.TrainConfig)])
+    @pytest.mark.parametrize("command,config", [("synth", SynthSpec), ("train", dn.TrainConfig),
+                                                ("extract", PitchConfig)])
     def test_options_take_their_field_defaults(self, command, config):
         """Every option that maps to a field of the command's dataclass defaults to that field's default.
 
-        --kind has no default, and --formants is text that _parse_formants turns into the field.
+        synth's --kind has no default, and --formants is text that _parse_formants turns into the field.
         """
         fields = {field.name: field.default for field in dataclasses.fields(config)}
         mapped = {param.name: param.default for param in main.commands[command].params
                   if param.name in fields and param.name not in ("kind", "formants")}
-        assert len(mapped) == {"synth": 8, "train": 6}[command]
+        assert len(mapped) == {"synth": 8, "train": 6, "extract": 4}[command]
         assert mapped == {name: fields[name] for name in mapped}
 
     def test_seeded_noise_deterministic_bytes(self, runner, tmp_path):
@@ -506,21 +508,36 @@ class TestExtractCommand:
                                                     f"4294967295 Hz is above {MAX_SAMPLE_RATE} Hz"}
 
     def test_config_override(self, runner, tmp_path):
-        directory = make_voice_dir(tmp_path, count=1)
-        out = tmp_path / "f.csv"
-        result = run(runner, ["extract", str(directory), "--out", str(out),
-                              "--config", '{"pitch": {"floor": 60.0}}'])
-        assert result.exit_code == 0
+        """Each pitch option extracts the row of PitchConfig with its field set, and each moves the row.
 
-    @pytest.mark.parametrize("source", ["string", "file"])
+        The voice is under white noise, so that some frames' periodicity
+        falls between the voicing thresholds, and its second half is at a
+        tenth of the level, under the raised silence threshold.
+        """
+        directory = tmp_path / "wavs"
+        directory.mkdir()
+        voice = synth(SynthSpec(kind="mixture", f0=160.0, duration=1.0, amplitude=0.4, tilt_db_per_octave=-6.0,
+                                formants=((500.0, 80.0), (1500.0, 100.0), (2500.0, 150.0), (3500.0, 200.0)), seed=1))
+        noisy = voice.samples + np.random.default_rng(0).normal(0.0, 0.2, voice.samples.size)
+        write_wav(directory / "utt.wav", AudioBuffer(np.concatenate([noisy, 0.1 * noisy]), voice.sample_rate))
+        audio = load_audio(directory / "utt.wav")
+        default = extract_vector(audio).values
+        out = tmp_path / "f.csv"
+        for option, field, value in (("--pitch-floor", "floor", 60.0), ("--pitch-ceiling", "ceiling", 400.0),
+                                     ("--voicing-threshold", "voicing_threshold", 0.3),
+                                     ("--silence-threshold", "silence_threshold", 0.2)):
+            run(runner, ["extract", str(directory), "--out", str(out), option, f"{value:g}"])
+            want = extract_vector(audio, PitchConfig(**{field: value})).values
+            assert np.array_equal(read_features(out)["utt"], want), option
+            assert not np.array_equal(want, default), option
+
+    @pytest.mark.parametrize("source", ["string", "words"])
     def test_config_sets_the_pitch_floor(self, runner, tmp_path, source):
+        """--pitch-floor sets the floor given as one '--pitch-floor=60' string or as two words."""
         directory = make_voice_dir(tmp_path, count=1)
         out = tmp_path / "f.csv"
-        config = '{"pitch": {"floor": 60}}'
-        if source == "file":
-            (tmp_path / "config.json").write_text(config)
-            config = str(tmp_path / "config.json")
-        run(runner, ["extract", str(directory), "--out", str(out), "--config", config])
+        option = ["--pitch-floor=60"] if source == "string" else ["--pitch-floor", "60"]
+        run(runner, ["extract", str(directory), "--out", str(out), *option])
         want = extract_vector(load_audio(directory / "utt00.wav"), PitchConfig(floor=60.0))
         assert np.array_equal(read_features(out)["utt00"], want.values)
         assert not np.array_equal(want.values, extract_vector(load_audio(directory / "utt00.wav")).values)
@@ -533,45 +550,28 @@ class TestExtractCommand:
         write_wav(directory / "high.wav", synth(SynthSpec(kind="mixture", f0=420.0, duration=1.0, amplitude=0.4,
                                                           formants=formants, tilt_db_per_octave=-6.0, seed=3)))
         out = tmp_path / "f.csv"
-        run(runner, ["extract", str(directory), "--out", str(out), "--config", '{"pitch": {"floor": 300}}'])
+        run(runner, ["extract", str(directory), "--out", str(out), "--pitch-floor", "300"])
         want = extract_vector(load_audio(directory / "high.wav"), PitchConfig(floor=300.0))
         assert np.array_equal(read_features(out)["high"], want.values)
 
-    @pytest.mark.parametrize("config,detail", [
-        ('{"formant": {"max_formants": 3}}', "--config sets only pitch, not formant"),
-        ('{"cpp": {}}', "--config sets only pitch, not cpp"),
-        ('{"shr": {}}', "--config sets only pitch, not shr"),
-        ('{"frame": {}}', "--config sets only pitch, not frame"),
-        ('{"min_voiced_frames": 5}', "--config sets only pitch, not min_voiced_frames"),
-        ('{"pitch": 5}', "--config pitch is not a JSON object: 5.0"),
-        ('{"pitch": {"bogus": 1}}',
-         "--config pitch has no field bogus; its fields are floor, ceiling, voicing_threshold, silence_threshold"),
-        ('{"pitch": {"floor": "x"}}', '--config pitch.floor is not a finite number: "x"'),
-        ('{"pitch": {"floor": 400}}', "floor 400 Hz is above 300 Hz: its 3-period window is under the 10 ms hop"),
-        ('{"pitch": {"floor": 300.5}}',
-         "floor 300.5 Hz is above 300 Hz: its 3-period window is under the 10 ms hop"),
-        ('{"pitch": {"floor": 60, "floor": 90}}', "the record repeats the name floor"),
-        ('{"pitch": {}, "pitch": {"floor": 90}}', "the record repeats the name pitch"),
-        ('{"pitch": {"silence_threshold": -1}}', "silence_threshold must be nonnegative"),
-    ], ids=["formant", "cpp", "shr", "frame", "min_voiced_frames", "pitch_number", "pitch_unknown_field",
-            "pitch_floor_string", "pitch_floor_400", "pitch_floor_300.5", "pitch_floor_repeated",
-            "pitch_repeated", "pitch_silence_threshold_negative"])
-    def test_config_other_than_pitch_fields_is_invalid_input(self, runner, tmp_path, config, detail):
+    @pytest.mark.parametrize("args,detail", [
+        (["--pitch-floor", "400"], "floor 400 Hz is above 300 Hz: its 3-period window is under the 10 ms hop"),
+        (["--pitch-floor", "300.5"], "floor 300.5 Hz is above 300 Hz: its 3-period window is under the 10 ms hop"),
+        (["--pitch-floor", "300", "--pitch-ceiling", "301"],
+         "floor 300 Hz and ceiling 301 Hz leave no lag to search at 16000 Hz: the shortest, 54 samples, is above "
+         "the longest, 53"),
+        (["--silence-threshold", "-1"], "silence_threshold must be nonnegative"),
+        (["--voicing-threshold", "nan"], "voicing_threshold must be a finite number, got nan"),
+        (["--pitch-floor", "x"], "Invalid value for '--pitch-floor': 'x' is not a valid float."),
+    ], ids=["floor_400", "floor_300.5", "empty_lag_range", "silence_below_0", "voicing_nan", "floor_not_float"])
+    def test_pitch_option_out_of_range_is_invalid_input(self, runner, tmp_path, monkeypatch, args, detail):
+        """A pitch setting that is not a number, or that PitchConfig refuses, fails as one line before any file is read."""
+        monkeypatch.setattr(cli, "load_audio", lambda *args: pytest.fail("a file was read"))
         directory = make_voice_dir(tmp_path, count=1)
         out = tmp_path / "f.csv"
-        result = runner.invoke(main, ["extract", str(directory), "--out", str(out), "--config", config])
+        result = runner.invoke(main, ["extract", str(directory), "--out", str(out), *args])
         assert result.exit_code == 1
         assert result.output == f"error: INVALID_INPUT: {detail}\n"
-        assert not out.exists()
-
-    def test_config_file_holding_no_object_is_invalid_input(self, runner, tmp_path):
-        directory = make_voice_dir(tmp_path, count=1)
-        config = tmp_path / "cfg.json"
-        config.write_text("[1]\n")
-        out = tmp_path / "f.csv"
-        result = runner.invoke(main, ["extract", str(directory), "--out", str(out), "--config", str(config)])
-        assert result.exit_code == 1
-        assert result.output == "error: INVALID_INPUT: --config is not a JSON object: [1]\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("listed,out,detail", [
@@ -1501,3 +1501,31 @@ def test_an_empty_output_path_is_refused_before_any_work(runner, tmp_path, monke
     assert result.exit_code == 1
     assert result.output == f"error: INVALID_INPUT: {option} is an empty path\n"
     assert calls == [] and sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("args,detail", [
+    (["extract", "a.wav", "--out", "o.csv", "--jobs", "x"], "Invalid value for '--jobs': 'x' is not a valid integer."),
+    (["synth", "--kind", "sine", "--f0", "x", "--out", "s.wav"], "Invalid value for '--f0': 'x' is not a valid float."),
+    (["train", "--manifest", "pairs.jsonl", "--features", "features.csv", "--out", "m.json", "--epochs", "1.5"],
+     "Invalid value for '--epochs': '1.5' is not a valid integer."),
+    (["eval", "--manifest", "nope.jsonl", "--features", "features.csv", "--model", "a.wav"],
+     "Invalid value for '--manifest': Path 'nope.jsonl' does not exist."),
+    (["bogus"], "No such command 'bogus'."),
+], ids=["jobs_not_an_integer", "f0_not_a_number", "epochs_not_an_integer", "manifest_missing", "unknown_command"])
+def test_usage_errors_print_the_one_error_line(runner, tmp_path, monkeypatch, args, detail):
+    """click's own errors (a bad option value, a missing path, an unknown command) are one INVALID_INPUT line."""
+    monkeypatch.chdir(tmp_path)
+    separable_training_setup(tmp_path, n_train=20, n_test=5)
+    write_wav(tmp_path / "a.wav", synth(SynthSpec(kind="sine", duration=0.1)))
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.output) == (1, f"error: INVALID_INPUT: {detail}\n")
+    assert sorted(os.listdir(tmp_path)) == ["a.wav", "features.csv", "pairs.jsonl"]
+
+
+def test_help_and_library_calls_keep_clicks_behaviour(runner):
+    """--help and a bare timbrekit print the usage, and a call with standalone mode off gets click's exception."""
+    assert run(runner, ["--help"]).output.startswith("Usage: ")
+    bare = runner.invoke(main, [])
+    assert bare.output.startswith("Usage: ") and "error:" not in bare.output  # its exit code is 2 from click 8.2 on
+    with pytest.raises(click.UsageError, match="No such command 'bogus'"):
+        main.main(["bogus"], standalone_mode=False)

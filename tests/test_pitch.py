@@ -159,3 +159,11 @@ def test_config_validation():
     track = pitch_track(synth(SynthSpec(kind="sine", f0=400.0, duration=0.5)), config)
     assert track.voiced_count > 0
     npt.assert_allclose(track.f0[track.voiced], 400.0, rtol=0.01)
+
+
+@pytest.mark.parametrize("floor,ceiling,shortest,longest", [(300.0, 301.0, 54, 53), (138.0, 139.0, 116, 115)])
+def test_config_refuses_an_empty_lag_range(floor, ceiling, shortest, longest):
+    """A floor and ceiling between two 16 kHz lags leave the peak search no lag, which would read every frame unvoiced."""
+    with pytest.raises(ValueError, match=f"^floor {floor:g} Hz and ceiling {ceiling:g} Hz leave no lag to search at "
+                                         f"16000 Hz: the shortest, {shortest} samples, is above the longest, {longest}$"):
+        PitchConfig(floor=floor, ceiling=ceiling)
